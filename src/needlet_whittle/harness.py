@@ -17,7 +17,14 @@ import numpy as np
 from . import asymptotics
 from .errors import ConfigError, NeedletWhittleError
 from .harmonic import EmpiricalSpectrum, empirical_cl, simulate_alm
-from .needlet import JRange, MexicanWindow, NeedletWindow, StandardWindow, select_j_range
+from .needlet import (
+    JRange,
+    MexicanWindow,
+    NeedletWindow,
+    StandardWindow,
+    narrow_band_j1,
+    select_j_range,
+)
 from .spectrum import (
     KappaCorrection,
     NoCorrection,
@@ -102,7 +109,7 @@ class ExperimentConfig:
         rng = self.j_range()  # raises on inconsistent ranges
         if self.band == "narrow":
             g = self.g if self.g is not None else float(rng.jL) ** -3
-            j1 = int(math.floor(rng.jL + math.log1p(-g) / math.log(self.window.B) + 0.5))
+            j1 = narrow_band_j1(rng.jL, g, self.window.B)
             if j1 >= rng.jL:
                 raise ConfigError(
                     f"band.g={g:.6g} rounds the narrow band to a single level at jL={rng.jL}"

@@ -9,14 +9,15 @@ Two window families share one interface:
   classical C-infinity bump profile, satisfying the partition of unity
   sum_j b^2(x / B^j) = 1 for x >= 1.
 
-On top of the windows: the normalized spectral moments ``k_j`` and their
-alpha-derivatives, the level energy statistic ``lambda_hat`` and the level
-range selection rule.
+On top of the windows: ``LevelBasis``, the weights of a level range as one
+matrix, from which the normalized spectral moments ``k_j``, their
+alpha-derivatives and the level energy statistic ``lambda_hat`` are products;
+and the level range selection rule.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -29,12 +30,14 @@ __all__ = [
     "StandardWindow",
     "NeedletWindow",
     "JRange",
+    "LevelBasis",
     "NeedletStatistics",
     "window_sq",
     "k_j",
     "k_j_deriv",
     "lambda_hat",
     "select_j_range",
+    "narrow_band_j1",
     "compute_statistics",
 ]
 
@@ -97,27 +100,39 @@ class MexicanWindow:
 
 
 # C-infinity bump profile machinery for the compact window -------------------
+#
+# psi(u) = int_{-1}^{u} bump / int_{-1}^{1} bump.  The bump exp(-1/(1-t^2)) is
+# flat to all orders at t = -1, where Gauss-Legendre converges slowly, so the
+# integral is taken in s = atanh(t): bump(t) dt = exp(-cosh^2 s) / cosh^2 s ds,
+# which decays double-exponentially and is negligible below s = -_S_CUT
+# (exp(-cosh^2 3) ~ 1e-44).  Only the u <= 0 half is integrated; the bump's
+# symmetry gives psi(u) = 1 - psi(-u), so psi(0) = 1/2 exactly.
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_S_CUT = 3.0
+_CDF_CHUNK = 256  # points per block, so the (points x nodes) temporaries stay in cache
 
 
-def _bump(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1
-    out[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
-    return out
+def _bump_tail(s_hi):
+    """int_{-_S_CUT}^{s_hi} exp(-cosh^2 s) / cosh^2 s ds for s_hi <= 0."""
+    s_hi = np.maximum(np.asarray(s_hi, dtype=float), -_S_CUT)
+    half = ((s_hi + _S_CUT) / 2.0).ravel()  # map [-_S_CUT, s_hi] onto GL nodes
+    out = np.empty_like(half)
+    for i in range(0, len(half), _CDF_CHUNK):
+        c2 = np.cosh(np.multiply.outer(half[i : i + _CDF_CHUNK], _GL_NODES + 1.0) - _S_CUT) ** 2
+        out[i : i + _CDF_CHUNK] = (np.exp(-c2) / c2) @ _GL_WEIGHTS
+    return (out * half).reshape(s_hi.shape)
 
 
-_BUMP_NORM = float(np.sum(_GL_WEIGHTS * _bump(_GL_NODES)))
+_BUMP_NORM = 2.0 * float(_bump_tail(0.0))
 
 
 def _bump_cdf(u):
     """psi(u) = int_{-1}^{u} bump / int_{-1}^{1} bump, in [0, 1]."""
     u = np.clip(np.asarray(u, dtype=float), -1.0, 1.0)
-    half = (u + 1.0) / 2.0  # map [-1, u] onto GL nodes
-    t = -1.0 + half[..., None] * (_GL_NODES + 1.0)
-    return np.sum(_GL_WEIGHTS * _bump(t), axis=-1) * half / _BUMP_NORM
+    with np.errstate(divide="ignore"):  # atanh(-1) = -inf lies below the cut
+        lower = _bump_tail(np.arctanh(-np.abs(u))) / _BUMP_NORM
+    return np.where(u > 0.0, 1.0 - lower, lower)
 
 
 @dataclass(frozen=True)
@@ -191,14 +206,92 @@ class JRange:
         return self.c_b * B ** (2.0 * j)
 
 
-def _level_terms(window: NeedletWindow, j: int, l_max: int):
-    """(l, w_l) with w_l = window_sq(l/B^j) (2l+1), truncated per the window."""
-    le = window.effective_lmax(j, l_max)
-    if le < 1:
-        raise TruncationError(f"level j={j}: no frequencies below l_max={l_max}")
-    l = np.arange(1, le + 1, dtype=float)
-    w = window.window_sq(l / window.B**j) * (2.0 * l + 1.0)
-    return l, w
+_GRID_CHUNK = 8  # grid rows per matrix product in LevelBasis.k_linspace
+
+
+@dataclass(frozen=True, eq=False)
+class LevelBasis:
+    """Frequency weights of a level range at band limit l_max, as one matrix.
+
+    Row i of ``w`` holds window_sq(l/B^j)(2l+1)/N_j at level j = j0 + i for
+    l = 1..L, zero past the level's truncation point
+    ``window.effective_lmax(j, l_max)``; L is the largest such point.  Level
+    statistics and model moments are products with it:
+
+        lambda_j = N_j (w c-hat)_j,    K_j(alpha) = (w l^-alpha)_j,
+
+    so data and model share one truncation.  Building checks that every level
+    is resolved at l_max (``TruncationError`` otherwise).
+    """
+
+    window: NeedletWindow
+    j_range: JRange
+    l_max: int
+    w: np.ndarray = field(init=False, repr=False)  # (J, L), read-only
+    log_l: np.ndarray = field(init=False, repr=False)  # (L,)
+    n: np.ndarray = field(init=False, repr=False)  # (J,) N_j
+
+    def __post_init__(self):
+        window, levels = self.window, self.j_range.levels()
+        cut = []
+        for j in levels:
+            window.check_band(j, self.l_max)
+            le = window.effective_lmax(j, self.l_max)
+            if le < 1:
+                raise TruncationError(f"level j={j}: no frequencies below l_max={self.l_max}")
+            cut.append(le)
+        B = window.B
+        l = np.arange(1, max(cut) + 1, dtype=float)
+        n = np.array([self.j_range.n_j(j, B) for j in levels])
+        if isinstance(window, StandardWindow):
+            # window_sq(l/B^j) = phi(l/B^(j+1)) - phi(l/B^j): adjacent levels share one phi
+            phi = [window._phi(l / B**k) for k in range(levels[0], levels[-1] + 2)]
+            sq = [np.clip(hi - lo, 0.0, None) for lo, hi in zip(phi, phi[1:])]
+        else:
+            sq = [window.window_sq(l[:le] / B**j) for j, le in zip(levels, cut)]
+        w = np.zeros((len(levels), len(l)))
+        for i, le in enumerate(cut):
+            w[i, :le] = sq[i][:le] * (2.0 * l[:le] + 1.0) / n[i]
+        for name, arr in (("w", w), ("log_l", np.log(l)), ("n", n)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def lam(self, values: np.ndarray) -> np.ndarray:
+        """lambda-hat per level from c-hat values indexed by l (index 0 unused)."""
+        return self.n * (self.w @ values[1 : self.w.shape[1] + 1])
+
+    def k(self, alpha: float) -> np.ndarray:
+        """K_j(alpha) per level."""
+        return self.w @ np.exp(-alpha * self.log_l)
+
+    def k_derivs(self, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """K_j, K_j' and K_j'' per level; term-wise derivatives insert -log l
+        and log^2 l into the one power l^-alpha."""
+        x = np.exp(-alpha * self.log_l)
+        xl = x * self.log_l
+        return self.w @ x, -(self.w @ xl), self.w @ (xl * self.log_l)
+
+    def k_linspace(self, start: float, stop: float, num: int) -> tuple[np.ndarray, np.ndarray]:
+        """K_j at ``np.linspace(start, stop, num)``: (alphas, K), K of shape (num, J).
+
+        Successive powers come from the running product l^-(a+da) = l^-a l^-da,
+        ``_GRID_CHUNK`` rows per matrix product, so the relative error grows by
+        about an ulp per row (~1e-13 over 64 rows): fine for bracketing a
+        minimum, not for the minimum itself.
+        """
+        alphas = np.linspace(start, stop, num)
+        step = np.exp(-(stop - start) / max(num - 1, 1) * self.log_l)
+        rows = np.empty((min(_GRID_CHUNK, num), len(step)))
+        out = np.empty((num, len(self.n)))
+        head = np.exp(-start * self.log_l)
+        for i in range(0, num, len(rows)):
+            m = min(len(rows), num - i)
+            rows[0] = head
+            for r in range(1, m):
+                np.multiply(rows[r - 1], step, out=rows[r])
+            out[i : i + m] = rows[:m] @ self.w.T
+            head = rows[m - 1] * step
+        return alphas, out
 
 
 def _mexican_tail_check(window, j, alpha, l_max, partial, log_order, tail_tol):
@@ -241,11 +334,10 @@ def k_j(
     estimator disables the check and relies on truncation consistency with
     ``lambda_hat`` instead.
     """
-    window.check_band(j, l_max)
-    l, w = _level_terms(window, j, l_max)
-    out = float(np.sum(w * l ** (-alpha))) / (c_b * window.B ** (2.0 * j))
+    basis = LevelBasis(window, JRange(j0=j, jL=j, c_b=c_b), l_max)
+    out = float(basis.k(alpha)[0])
     if check_tail and isinstance(window, MexicanWindow):
-        _mexican_tail_check(window, j, alpha, l_max, out * c_b * window.B ** (2.0 * j), 0, tail_tol)
+        _mexican_tail_check(window, j, alpha, l_max, out * basis.n[0], 0, tail_tol)
     return out
 
 
@@ -263,14 +355,11 @@ def k_j_deriv(
     """Term-wise alpha-derivative of ``k_j``: order 1 inserts -log l, order 2 log^2 l."""
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
-    window.check_band(j, l_max)
-    l, w = _level_terms(window, j, l_max)
-    logl = np.log(l)
-    factor = -logl if order == 1 else logl**2
-    raw = float(np.sum(w * l ** (-alpha) * factor))
+    basis = LevelBasis(window, JRange(j0=j, jL=j, c_b=c_b), l_max)
+    out = float(basis.k_derivs(alpha)[order][0])
     if check_tail and isinstance(window, MexicanWindow):
-        _mexican_tail_check(window, j, alpha, l_max, raw, order, tail_tol)
-    return raw / (c_b * window.B ** (2.0 * j))
+        _mexican_tail_check(window, j, alpha, l_max, out * basis.n[0], order, tail_tol)
+    return out
 
 
 def lambda_hat(
@@ -281,13 +370,17 @@ def lambda_hat(
 ) -> float:
     """Level energy statistic sum_l window_sq(l/B^j)(2l+1) c-hat_l."""
     l_max = spec.l_max if l_max is None else min(l_max, spec.l_max)
-    window.check_band(j, l_max)
-    l, w = _level_terms(window, j, l_max)
-    return float(np.sum(w * spec.values[1 : len(l) + 1]))
+    return float(LevelBasis(window, JRange(j0=j, jL=j), l_max).lam(spec.values)[0])
 
 
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
+
+
+def narrow_band_j1(j_l: int, g: float, B: float) -> int:
+    """Bottom level J1 of the narrow band [J1, JL]: B^J1 = B^JL (1 - g),
+    rounded half up to an integer level."""
+    return _round_half_up(j_l + math.log1p(-g) / math.log(B))
 
 
 def select_j_range(
@@ -336,13 +429,23 @@ def select_j_range(
 
 @dataclass
 class NeedletStatistics:
-    j_range: JRange
-    window: NeedletWindow
-    l_max: int
+    basis: LevelBasis
     lam: np.ndarray  # lambda-hat per level, index aligned with j_range.levels()
 
+    @property
+    def j_range(self) -> JRange:
+        return self.basis.j_range
+
+    @property
+    def window(self) -> NeedletWindow:
+        return self.basis.window
+
+    @property
+    def l_max(self) -> int:
+        return self.basis.l_max
+
     def n_j(self) -> np.ndarray:
-        return np.array([self.j_range.n_j(j, self.window.B) for j in self.j_range.levels()])
+        return self.basis.n
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -359,6 +462,6 @@ def compute_statistics(
     window: NeedletWindow,
     j_range: JRange,
 ) -> NeedletStatistics:
-    """Batched ``lambda_hat`` over a level range."""
-    lam = np.array([lambda_hat(spec, window, j) for j in j_range.levels()])
-    return NeedletStatistics(j_range=j_range, window=window, l_max=spec.l_max, lam=lam)
+    """lambda-hat over a level range, with the level basis the fit reuses."""
+    basis = LevelBasis(window, j_range, spec.l_max)
+    return NeedletStatistics(basis=basis, lam=basis.lam(spec.values))

@@ -6,10 +6,11 @@ contrast in alpha:
     contrast(alpha) = log G-hat(alpha) + (1/sum N_j) sum_j N_j log K_j(alpha),
     G-hat(alpha)    = (1/sum N_j) sum_j lambda_hat_j / K_j(alpha).
 
-Model-side moments K_j use exactly the same frequency truncation as the data
-statistics, so a noise-free spectrum is recovered exactly.  Minimization is
-derivative-free (coarse grid bracket + golden section); the analytic score and
-hessian are diagnostics only.
+Model-side moments K_j come from the same level basis as the data
+statistics, so a noise-free spectrum is recovered exactly.  Minimization
+brackets the minimum on a coarse alpha grid, then runs a safeguarded Newton
+search on the analytic score and hessian: a step that leaves the bracket, or a
+hessian <= 0, falls back to bisection.
 """
 from __future__ import annotations
 
@@ -33,8 +34,8 @@ from .needlet import (
     NeedletStatistics,
     NeedletWindow,
     StandardWindow,
-    _level_terms,
     compute_statistics,
+    narrow_band_j1,
     select_j_range,
 )
 
@@ -54,9 +55,6 @@ __all__ = [
     "fit_csv_row",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 @dataclass(frozen=True)
 class SearchSettings:
     alpha_min: float = 2.001
@@ -66,59 +64,22 @@ class SearchSettings:
     max_iter: int = 200
 
 
-class _KCache:
-    """Per-level weight tables for fast K_j(alpha) and derivative evaluation."""
-
-    def __init__(self, window: NeedletWindow, j_range: JRange, l_max: int):
-        self.window = window
-        self.j_range = j_range
-        self.levels = j_range.levels()
-        self.n = np.array([j_range.n_j(j, window.B) for j in self.levels])
-        self.w, self.l, self.logl = [], [], []
-        for j in self.levels:
-            window.check_band(j, l_max)
-            l, w = _level_terms(window, j, l_max)
-            self.l.append(l)
-            self.w.append(w)
-            self.logl.append(np.log(l))
-
-    def k(self, alpha: float, order: int = 0) -> np.ndarray:
-        out = np.empty(len(self.levels))
-        for i in range(len(self.levels)):
-            v = self.l[i] ** (-alpha)
-            if order == 1:
-                v = v * -self.logl[i]
-            elif order == 2:
-                v = v * self.logl[i] ** 2
-            out[i] = float(np.dot(self.w[i], v)) / self.n[i]
-        return out
-
-
-def _cache(stats: NeedletStatistics) -> _KCache:
-    cache = getattr(stats, "_k_cache", None)
-    if cache is None:
-        cache = _KCache(stats.window, stats.j_range, stats.l_max)
-        stats._k_cache = cache
-    return cache
-
-
 def profile_g_hat(stats: NeedletStatistics, alpha: float) -> float:
     """Closed-form amplitude profile (1/sum N_j) sum_j lambda_j / K_j(alpha)."""
     if not np.any(stats.lam > 0):
         raise DegenerateDataError("all level statistics are zero")
-    c = _cache(stats)
-    return float(np.sum(stats.lam / c.k(alpha))) / float(np.sum(c.n))
+    return float(np.sum(stats.lam / stats.basis.k(alpha))) / float(np.sum(stats.basis.n))
 
 
 def contrast(stats: NeedletStatistics, alpha: float) -> float:
     """Profiled Whittle contrast; the alpha-free coefficient entropy term is
     dropped, so only contrast differences are meaningful."""
-    c = _cache(stats)
-    k0 = c.k(alpha)
-    g = float(np.sum(stats.lam / k0)) / float(np.sum(c.n))
+    n = stats.basis.n
+    k0 = stats.basis.k(alpha)
+    g = float(np.sum(stats.lam / k0)) / float(np.sum(n))
     if not g > 0:
         raise DegenerateDataError("profiled amplitude is not positive")
-    return math.log(g) + float(np.sum(c.n * np.log(k0))) / float(np.sum(c.n))
+    return math.log(g) + float(np.sum(n * np.log(k0))) / float(np.sum(n))
 
 
 def contrast_two_param(stats: NeedletStatistics, alpha: float, g: float) -> float:
@@ -126,33 +87,38 @@ def contrast_two_param(stats: NeedletStatistics, alpha: float, g: float) -> floa
     profile point G = profile_g_hat(alpha)."""
     if not g > 0:
         raise DomainError("g must be positive")
-    c = _cache(stats)
-    k0 = c.k(alpha)
-    sn = float(np.sum(c.n))
-    return float(np.sum(stats.lam / (g * k0)) + np.sum(c.n * np.log(g * k0))) / sn
+    n = stats.basis.n
+    k0 = stats.basis.k(alpha)
+    sn = float(np.sum(n))
+    return float(np.sum(stats.lam / (g * k0)) + np.sum(n * np.log(g * k0))) / sn
+
+
+def _derivs(stats: NeedletStatistics, alpha: float) -> tuple[float, float, float]:
+    """Contrast, score and hessian at alpha from one K_j, K_j', K_j'' evaluation."""
+    k0, k1, k2 = stats.basis.k_derivs(alpha)
+    n = stats.basis.n
+    sn = float(np.sum(n))
+    phi = float(np.sum(stats.lam / k0)) / sn
+    if not phi > 0:
+        raise DegenerateDataError("profiled amplitude is not positive")
+    dphi = -float(np.sum(stats.lam * k1 / k0**2)) / sn
+    d2phi = float(np.sum(stats.lam * (2.0 * k1**2 - k2 * k0) / k0**3)) / sn
+    value = math.log(phi) + float(np.sum(n * np.log(k0))) / sn
+    grad = dphi / phi + float(np.sum(n * k1 / k0)) / sn
+    curv = (d2phi * phi - dphi * dphi) / phi**2 + float(
+        np.sum(n * (k2 * k0 - k1**2) / k0**2)
+    ) / sn
+    return value, grad, curv
 
 
 def score(stats: NeedletStatistics, alpha: float) -> float:
     """Analytic d/dalpha of the contrast."""
-    c = _cache(stats)
-    k0, k1 = c.k(alpha), c.k(alpha, 1)
-    sn = float(np.sum(c.n))
-    phi = float(np.sum(stats.lam / k0)) / sn
-    dphi = -float(np.sum(stats.lam * k1 / k0**2)) / sn
-    return dphi / phi + float(np.sum(c.n * k1 / k0)) / sn
+    return _derivs(stats, alpha)[1]
 
 
 def hessian(stats: NeedletStatistics, alpha: float) -> float:
     """Analytic d^2/dalpha^2 of the contrast."""
-    c = _cache(stats)
-    k0, k1, k2 = c.k(alpha), c.k(alpha, 1), c.k(alpha, 2)
-    sn = float(np.sum(c.n))
-    phi = float(np.sum(stats.lam / k0)) / sn
-    dphi = -float(np.sum(stats.lam * k1 / k0**2)) / sn
-    d2phi = float(np.sum(stats.lam * (2.0 * k1**2 - k2 * k0) / k0**3)) / sn
-    return (d2phi * phi - dphi * dphi) / phi**2 + float(
-        np.sum(c.n * (k2 * k0 - k1**2) / k0**2)
-    ) / sn
+    return _derivs(stats, alpha)[2]
 
 
 @dataclass
@@ -183,34 +149,39 @@ class WhittleFit:
 
 
 def _minimize(stats: NeedletStatistics, search: SearchSettings):
-    trace: list[tuple[float, float]] = []
-
-    def f(a: float) -> float:
-        v = contrast(stats, a)
-        trace.append((a, v))
-        return v
-
-    grid = np.linspace(search.alpha_min, search.alpha_max, search.grid_points)
-    vals = [f(a) for a in grid]
+    basis = stats.basis
+    grid, k = basis.k_linspace(search.alpha_min, search.alpha_max, search.grid_points)
+    sn = float(np.sum(basis.n))
+    g = np.sum(stats.lam / k, axis=1) / sn
+    if not np.all(g > 0):
+        raise DegenerateDataError("profiled amplitude is not positive")
+    vals = np.log(g) + np.log(k) @ basis.n / sn
+    trace: list[tuple[float, float]] = list(zip(grid.tolist(), vals.tolist()))
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
+    x = alpha_hat = grid[i]
+    converged = False
     iters = 0
-    while hi - lo > search.tol and iters < search.max_iter:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = f(d)
+    while iters < search.max_iter:
+        value, grad, curv = _derivs(stats, x)
+        trace.append((x, value))
         iters += 1
-    alpha_hat = 0.5 * (lo + hi)
-    converged = hi - lo <= search.tol
+        # a positive score puts the minimum below x, otherwise above it
+        if grad > 0:
+            hi = x
+        else:
+            lo = x
+        if curv > 0 and abs(grad / curv) <= 1e-3 * search.tol:
+            alpha_hat, converged = x - grad / curv, True
+            break
+        if hi - lo <= search.tol:
+            alpha_hat, converged = 0.5 * (lo + hi), True
+            break
+        x = x - grad / curv if curv > 0 else math.nan
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        alpha_hat = x
     if (
         alpha_hat - search.alpha_min <= search.tol
         or search.alpha_max - alpha_hat <= search.tol
@@ -226,6 +197,7 @@ def _minimize(stats: NeedletStatistics, search: SearchSettings):
 
 def _fit(stats, search, band, narrow_j1=None) -> WhittleFit:
     alpha_hat, trace, converged, iters = _minimize(stats, search)
+    _, grad, curv = _derivs(stats, alpha_hat)
     return WhittleFit(
         alpha_hat=alpha_hat,
         g_hat=profile_g_hat(stats, alpha_hat),
@@ -233,8 +205,8 @@ def _fit(stats, search, band, narrow_j1=None) -> WhittleFit:
         band=band,
         narrow_j1=narrow_j1,
         contrast_trace=trace,
-        score_at_hat=score(stats, alpha_hat),
-        hessian_at_hat=hessian(stats, alpha_hat),
+        score_at_hat=grad,
+        hessian_at_hat=curv,
         converged=converged,
         iterations=iters,
     )
@@ -277,7 +249,7 @@ def fit_narrow_band(
         g = g(j_l)
     if not 0.0 < g < 1.0:
         raise DomainError(f"band fraction g must be in (0, 1), got {g}")
-    j1 = int(math.floor(j_l + math.log1p(-g) / math.log(window.B) + 0.5))
+    j1 = narrow_band_j1(j_l, g, window.B)
     if j1 >= j_l:
         raise NarrowBandError(
             f"g={g:.6g} at jL={j_l} rounds to a single level (J1={j1}); "

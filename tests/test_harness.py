@@ -75,6 +75,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.parse(cfg_text)
 
+    def test_narrow_j1_tie_rounds_half_up(self):
+        # at B = 4, jL = 3: g = 7/8 puts J1 at 1.5 exactly (rounds up to 2);
+        # g = 1/2 puts it at 2.5, which rounds up to the single level jL
+        window = MexicanWindow(p=2, B=4.0)
+        ExperimentConfig.parse(small_config(window=window, band="narrow", g=0.875).to_text())
+        with pytest.raises(ConfigError):
+            ExperimentConfig.parse(small_config(window=window, band="narrow", g=0.5).to_text())
+
 
 class TestRepSeed:
     def test_deterministic_and_distinct(self):

@@ -18,6 +18,7 @@ from needlet_whittle import (
     window_sq,
 )
 from needlet_whittle.asymptotics import i_ps, sigma0_sq, tau_b
+from needlet_whittle.needlet import LevelBasis, _bump_cdf, narrow_band_j1
 
 from conftest import chi2_spectrum, noise_free_spectrum
 
@@ -54,6 +55,15 @@ class TestWindows:
         for j in range(-2, 14):
             total += STD.window_sq(ls / 2.0**j)
         assert np.max(np.abs(total - 1.0)) < 1e-8
+
+    def test_bump_cdf_matches_quad(self):
+        from scipy.integrate import quad
+
+        bump = lambda t: math.exp(-1.0 / (1.0 - t * t))
+        norm = quad(bump, -1.0, 1.0, epsabs=1e-16, epsrel=1e-13)[0]
+        us = np.linspace(-1.0, 1.0, 41)
+        ref = [quad(bump, -1.0, u, epsabs=1e-16, epsrel=1e-13)[0] / norm for u in us]
+        assert np.max(np.abs(_bump_cdf(us) - ref)) <= 1e-14
 
     def test_negative_x_rejected(self):
         with pytest.raises(DomainError):
@@ -126,6 +136,70 @@ class TestKj:
             assert -k1 / k0 == pytest.approx(expect1, rel=0.01)
             expect2 = (j * math.log(2.0)) ** 2 + 2 * j * math.log(2.0) * r10 + r20
             assert k2 / k0 == pytest.approx(expect2, rel=0.01)
+
+
+def _former_level_terms(window, j, l_max):
+    """Per-level (l, w_l) with w_l = window_sq(l/B^j)(2l+1), as summed before
+    the level basis."""
+    l = np.arange(1, window.effective_lmax(j, l_max) + 1, dtype=float)
+    return l, window.window_sq(l / window.B**j) * (2.0 * l + 1.0)
+
+
+class TestLevelBasis:
+    @pytest.mark.parametrize("window", [MEX, STD, MexicanWindow(p=1, B=math.sqrt(2.0))])
+    @pytest.mark.parametrize("l_max", [1024, 8192])
+    def test_matches_former_per_level_sums(self, window, l_max, canonical_model):
+        spec = chi2_spectrum(canonical_model, l_max, 71)
+        for j in select_j_range(l_max, window).levels():
+            l, w = _former_level_terms(window, j, l_max)
+            n = window.B ** (2.0 * j)
+            for alpha in (2.2, 3.0, 5.5):
+                assert k_j(window, j, alpha, l_max, check_tail=False) == pytest.approx(
+                    float(np.sum(w * l**-alpha)) / n, rel=1e-13
+                )
+                for order, factor in ((1, -np.log(l)), (2, np.log(l) ** 2)):
+                    assert k_j_deriv(
+                        window, j, alpha, l_max, order, check_tail=False
+                    ) == pytest.approx(float(np.sum(w * l**-alpha * factor)) / n, rel=1e-13)
+            assert lambda_hat(spec, window, j) == pytest.approx(
+                float(np.sum(w * spec.values[1 : len(l) + 1])), rel=1e-13
+            )
+
+    def test_compact_rows_share_phi(self):
+        # adjacent levels share phi(l/B^k); the rows equal window_sq(l/B^j) bit for bit
+        basis = LevelBasis(STD, JRange(j0=1, jL=8), 1024)
+        for i, j in enumerate(basis.j_range.levels()):
+            l, w = _former_level_terms(STD, j, 1024)
+            assert np.array_equal(basis.w[i, : len(l)] * basis.n[i], w)
+            assert not basis.w[i, len(l) :].any()
+
+    def test_immutable(self):
+        basis = LevelBasis(MEX, JRange(j0=1, jL=9), 1024)
+        with pytest.raises(ValueError):
+            basis.w[0, 0] = 1.0
+
+    @pytest.mark.parametrize("num", [1, 7, 64])
+    def test_k_linspace_matches_k(self, num):
+        basis = LevelBasis(MEX, select_j_range(8192, MEX), 8192)
+        alphas, k = basis.k_linspace(2.001, 10.0, num)
+        assert np.array_equal(alphas, np.linspace(2.001, 10.0, num))
+        exact = np.array([basis.k(a) for a in alphas])
+        assert np.max(np.abs(k / exact - 1.0)) < 1e-13
+
+
+class TestNarrowBandJ1:
+    def test_round_half_up_at_tie(self):
+        # log1p(-g) / log B is exactly -1/2 at (B, g) = (4, 1/2) and -3/2 at
+        # (4, 7/8): both ties round up, where round-half-even would go down
+        assert math.log1p(-0.875) / math.log(4.0) == -1.5
+        assert narrow_band_j1(6, 0.875, 4.0) == 5
+        assert math.log1p(-0.5) / math.log(4.0) == -0.5
+        assert narrow_band_j1(4, 0.5, 4.0) == 4
+
+    def test_off_tie(self):
+        assert narrow_band_j1(9, 0.5, 2.0) == 8
+        assert narrow_band_j1(9, 0.75, 2.0) == 7
+        assert narrow_band_j1(9, 1.0 / 729.0, 2.0) == 9
 
 
 class TestLambdaHat:

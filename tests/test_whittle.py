@@ -12,6 +12,7 @@ from needlet_whittle import (
     NarrowBandError,
     PowerSpectrumModel,
     SearchSettings,
+    StandardWindow,
     compute_statistics,
     contrast,
     fit_full_band,
@@ -20,13 +21,36 @@ from needlet_whittle import (
     plug_in,
     profile_g_hat,
     score,
+    whittle,
 )
-from needlet_whittle.needlet import k_j
+from needlet_whittle.needlet import k_j, narrow_band_j1, select_j_range
 from needlet_whittle.whittle import contrast_two_param, fit_csv_header, fit_csv_row
 
 from conftest import chi2_spectrum, noise_free_spectrum
 
 MEX = MexicanWindow(p=2, B=2.0)
+STD = StandardWindow(B=2.0)
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_alpha(stats, search):
+    """Reference minimizer: grid bracket, then golden section on the contrast
+    until the bracket is below tol."""
+    grid = np.linspace(search.alpha_min, search.alpha_max, search.grid_points)
+    i = int(np.argmin([contrast(stats, a) for a in grid]))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    c, d = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
+    fc, fd = contrast(stats, c), contrast(stats, d)
+    while hi - lo > search.tol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - GOLDEN * (hi - lo)
+            fc = contrast(stats, c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + GOLDEN * (hi - lo)
+            fd = contrast(stats, d)
+    return 0.5 * (lo + hi)
 
 
 def stats_for(spec, j0=1, jL=None, c_b=1.0):
@@ -136,7 +160,8 @@ class TestFitFullBand:
         # converged interior optimum: the analytic score is pinned near zero
         assert abs(fit.score_at_hat) < 1e-5
         assert (fit.j_range_used.j0, fit.j_range_used.jL) == (1, 9)
-        assert len(fit.contrast_trace) > 64
+        # the 64-point grid, then at most 8 Newton or bisection iterates
+        assert 64 < len(fit.contrast_trace) <= 64 + 8
 
     def test_equivariance(self, canonical_model):
         spec = chi2_spectrum(canonical_model, 1024, 29)
@@ -157,13 +182,64 @@ class TestFitFullBand:
     def test_boundary_warning(self, canonical_model):
         spec = noise_free_spectrum(canonical_model, 1024)
         with pytest.warns(BoundaryWarning):
-            fit_full_band(spec, MEX, search=SearchSettings(alpha_min=4.0, alpha_max=10.0))
+            fit = fit_full_band(spec, MEX, search=SearchSettings(alpha_min=4.0, alpha_max=10.0))
+        # the contrast rises across the whole range: the search ends at its floor
+        assert fit.alpha_hat == pytest.approx(4.0, abs=1e-6)
 
     def test_degenerate_propagates(self, canonical_model):
         spec = noise_free_spectrum(canonical_model, 1024)
         spec.values[:] = 0.0
         with pytest.raises(DegenerateDataError):
             fit_full_band(spec, MEX)
+
+
+class TestNewtonSearch:
+    @pytest.mark.parametrize("l_max", [1024, 8192])
+    @pytest.mark.parametrize(
+        "kind, window",
+        [("full", MEX), ("narrow", MEX), ("full", STD)],
+    )
+    def test_agrees_with_golden_section(self, kind, window, l_max, canonical_model):
+        search = SearchSettings()
+        for seed in range(3):
+            spec = chi2_spectrum(canonical_model, l_max, (83, l_max, seed))
+            if kind == "full":
+                fit = fit_full_band(spec, window)
+            else:
+                fit = fit_narrow_band(spec, window, g=0.5)
+            stats = compute_statistics(spec, window, fit.j_range_used)
+            assert fit.converged
+            assert fit.iterations <= 8
+            assert abs(fit.alpha_hat - golden_section_alpha(stats, search)) <= search.tol
+
+    @pytest.mark.parametrize("window", [MEX, STD])
+    def test_noise_free_exact_at_8192(self, window, canonical_model):
+        spec = noise_free_spectrum(canonical_model, 8192)
+        fit = fit_full_band(spec, window)
+        assert abs(fit.alpha_hat - 3.0) <= 1e-12
+        assert fit.g_hat == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "distort",
+        [lambda curv: -abs(curv), lambda curv: 1e-4 * curv],
+        ids=["hessian-not-positive", "step-leaves-bracket"],
+    )
+    def test_bisection_fallback(self, distort, monkeypatch, canonical_model):
+        spec = chi2_spectrum(canonical_model, 1024, 89)
+        search = SearchSettings()
+        expected = fit_full_band(spec, MEX).alpha_hat
+        derivs = whittle._derivs
+
+        def distorted(stats, alpha):
+            value, grad, curv = derivs(stats, alpha)
+            return value, grad, distort(curv)
+
+        monkeypatch.setattr(whittle, "_derivs", distorted)
+        fit = fit_full_band(spec, MEX)
+        # bisection halves the two-cell grid bracket (~0.25) down to tol
+        assert fit.converged
+        assert 15 <= fit.iterations <= 25
+        assert abs(fit.alpha_hat - expected) <= search.tol
 
 
 class TestFitNarrowBand:
@@ -186,6 +262,17 @@ class TestFitNarrowBand:
         spec = noise_free_spectrum(canonical_model, 1024)
         fit = fit_narrow_band(spec, MEX, g=lambda jl: 0.75)
         assert fit.narrow_j1 == 7
+
+    def test_j1_tie_rounds_half_up(self, canonical_model):
+        # at B = 4 the band fraction g = 7/8 puts J1 at jL - 3/2 exactly
+        window = MexicanWindow(p=2, B=4.0)
+        spec = noise_free_spectrum(canonical_model, 256)
+        j_l = select_j_range(256, window).jL
+        fit = fit_narrow_band(spec, window, g=0.875)
+        assert fit.narrow_j1 == narrow_band_j1(j_l, 0.875, 4.0) == j_l - 1
+        # g = 1/2 puts it at jL - 1/2, which rounds up to a single level
+        with pytest.raises(NarrowBandError):
+            fit_narrow_band(spec, window, g=0.5)
 
 
 class TestPlugIn:
