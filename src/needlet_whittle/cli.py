@@ -171,9 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--g", type=float)
     p_est.add_argument("--j0", type=int)
     p_est.add_argument("--jl", type=int)
-    p_est.add_argument("--alpha-min", type=float, default=2.001)
-    p_est.add_argument("--alpha-max", type=float, default=10.0)
-    p_est.add_argument("--tol", type=float, default=1e-6)
+    defaults = whittle.SearchSettings
+    p_est.add_argument("--alpha-min", type=float, default=defaults.alpha_min)
+    p_est.add_argument("--alpha-max", type=float, default=defaults.alpha_max)
+    p_est.add_argument("--tol", type=float, default=defaults.tol)
     p_est.add_argument("--csv-out")
     p_est.set_defaults(func=_cmd_estimate)
 

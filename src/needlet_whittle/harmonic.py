@@ -47,6 +47,39 @@ def _packed_size(l_max: int) -> int:
     return l_max * (l_max + 3) // 2
 
 
+def _load_binary(path, magic: bytes, kind: str, dtype: str, count) -> tuple[int, int, np.ndarray]:
+    """(l_max, seed, payload) of a file written by ``save``; ``count(l_max)``
+    is the payload length in items.  Anything else raises NeedletWhittleError."""
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        body = fh.read()
+    if len(head) < _HEADER.size:
+        raise NeedletWhittleError(f"{path}: truncated header ({len(head)} bytes)")
+    found, version, l_max, seed = _HEADER.unpack(head)
+    if found != magic:
+        raise NeedletWhittleError(f"{path}: not an {kind} file")
+    if version != _FORMAT_VERSION:
+        raise NeedletWhittleError(f"{path}: unsupported version {version}")
+    if l_max < 1:
+        raise NeedletWhittleError(f"{path}: l_max={l_max} must be >= 1")
+    expected = count(l_max) * np.dtype(dtype).itemsize
+    if len(body) != expected:
+        raise NeedletWhittleError(
+            f"{path}: payload has {len(body)} bytes, l_max={l_max} needs {expected}"
+        )
+    return l_max, seed, np.frombuffer(body, dtype=dtype)
+
+
+def _check_spectrum_values(path, values: np.ndarray) -> None:
+    """c-hat_l for l = 1..l_max must be finite and non-negative."""
+    bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0.0)))
+    if bad.size:
+        raise NeedletWhittleError(
+            f"{path}: c_hat at l={bad[0] + 1} is {values[bad[0]]}; "
+            "values must be finite and non-negative"
+        )
+
+
 @dataclass
 class AlmSet:
     """Packed triangular array of a_lm for 1 <= l <= l_max, 0 <= m <= l."""
@@ -76,16 +109,10 @@ class AlmSet:
 
     @classmethod
     def load(cls, path) -> "AlmSet":
-        with open(path, "rb") as fh:
-            magic, version, l_max, seed = _HEADER.unpack(fh.read(_HEADER.size))
-            if magic != _ALM_MAGIC:
-                raise NeedletWhittleError(f"{path}: not an AlmSet file")
-            if version != _FORMAT_VERSION:
-                raise NeedletWhittleError(f"{path}: unsupported version {version}")
-            data = np.frombuffer(fh.read(), dtype="<c16").astype(np.complex128)
-        if data.size != _packed_size(l_max):
-            raise NeedletWhittleError(f"{path}: truncated payload")
-        return cls(l_max=l_max, seed=seed, data=data)
+        l_max, seed, data = _load_binary(path, _ALM_MAGIC, "AlmSet", "<c16", _packed_size)
+        if not np.all(np.isfinite(data)):
+            raise NeedletWhittleError(f"{path}: non-finite coefficients")
+        return cls(l_max=l_max, seed=seed, data=data.astype(np.complex128))
 
 
 def _rng_for(seed: int, l: int) -> np.random.Generator:
@@ -142,16 +169,11 @@ class EmpiricalSpectrum:
 
     @classmethod
     def load(cls, path) -> "EmpiricalSpectrum":
-        with open(path, "rb") as fh:
-            magic, version, l_max, seed = _HEADER.unpack(fh.read(_HEADER.size))
-            if magic != _SPC_MAGIC:
-                raise NeedletWhittleError(f"{path}: not an EmpiricalSpectrum file")
-            if version != _FORMAT_VERSION:
-                raise NeedletWhittleError(f"{path}: unsupported version {version}")
-            payload = np.frombuffer(fh.read(), dtype="<f8").astype(float)
-        if payload.size != l_max:
-            raise NeedletWhittleError(f"{path}: truncated payload")
-        values = np.concatenate([[0.0], payload])
+        l_max, seed, payload = _load_binary(
+            path, _SPC_MAGIC, "EmpiricalSpectrum", "<f8", lambda l_max: l_max
+        )
+        _check_spectrum_values(path, payload)
+        values = np.concatenate([[0.0], payload.astype(float)])
         return cls(l_max=l_max, values=values, seed=seed)
 
     def to_csv(self, path) -> None:
@@ -162,20 +184,39 @@ class EmpiricalSpectrum:
 
     @classmethod
     def from_csv(cls, path) -> "EmpiricalSpectrum":
+        """Read ``to_csv`` output: one row per l = 1..l_max, in any order."""
         ls, vals = [], []
         with open(path) as fh:
             header = fh.readline().strip()
             if header.split(",")[:2] != ["l", "c_hat"]:
                 raise NeedletWhittleError(f"{path}: unexpected CSV header {header!r}")
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
-                a, b = line.split(",")[:2]
-                ls.append(int(a))
-                vals.append(float(b))
+                try:
+                    a, b = line.split(",")[:2]
+                    ls.append(int(a))
+                    vals.append(float(b))
+                except ValueError as exc:
+                    raise NeedletWhittleError(
+                        f"{path}: line {lineno}: cannot parse {line.strip()!r}"
+                    ) from exc
+        if not ls:
+            raise NeedletWhittleError(f"{path}: no data rows")
         l_max = max(ls)
+        if min(ls) < 1:
+            raise NeedletWhittleError(f"{path}: l={min(ls)} is outside 1..{l_max}")
+        seen: set[int] = set()
+        for l in ls:
+            if l in seen:
+                raise NeedletWhittleError(f"{path}: duplicate l={l}")
+            seen.add(l)
+        if l_max > len(ls):  # distinct l >= 1, so one of 1..len(ls)+1 is absent
+            missing = min(set(range(1, len(ls) + 2)) - seen)
+            raise NeedletWhittleError(f"{path}: missing l={missing}")
         values = np.zeros(l_max + 1)
-        values[np.array(ls)] = vals
+        values[ls] = vals
+        _check_spectrum_values(path, values[1:])
         return cls(l_max=l_max, values=values)
 
 

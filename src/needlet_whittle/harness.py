@@ -3,26 +3,35 @@
 Configuration is a flat key-value text format with dotted section keys (see
 ``ExperimentConfig.parse``); every replication seed is pre-split from the
 master seed so serial and parallel executions emit byte-identical CSV.
+
+Each file format has one declaration that owns it:
+
+* config text -- ``_FLAT_KEYS`` maps each flat key to its ``ExperimentConfig``
+  field and parser, and the field defaults are the key defaults (the ``fit.*``
+  ones come from ``whittle.SearchSettings``); the nested ``model.*`` and
+  ``window.*`` keys are written out by hand;
+* rows CSV -- the fields of ``ReplicationRow``, in order, are the columns;
+  ``whittle.fit_columns`` fills the ones a fit determines;
+* summary CSV -- the fields of ``Aggregate``, in order, are the rows.
 """
 from __future__ import annotations
 
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, astuple, dataclass, fields
 from statistics import NormalDist
 
 import numpy as np
 
 from . import asymptotics
-from .errors import ConfigError, NeedletWhittleError
+from .errors import ConfigError, NarrowBandError, NeedletWhittleError, TruncationError
 from .harmonic import EmpiricalSpectrum, empirical_cl, simulate_alm
 from .needlet import (
     JRange,
     MexicanWindow,
     NeedletWindow,
     StandardWindow,
-    narrow_band_j1,
     select_j_range,
 )
 from .spectrum import (
@@ -36,9 +45,11 @@ from .spectrum import (
 from .whittle import (
     SearchSettings,
     WhittleFit,
-    fit_csv_header,
+    csv_cell,
+    fit_columns,
     fit_full_band,
     fit_narrow_band,
+    narrow_band_range,
 )
 
 __all__ = [
@@ -64,6 +75,41 @@ JB_CRITICAL_0_001 = -2.0 * math.log(0.001)
 MAX_FAILURE_FRACTION = 0.05
 
 
+def _boolean(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError("expected true/false")
+
+
+def _format(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+# The flat config keys: (key, ExperimentConfig field, parser), in the order
+# ``to_text`` writes them.
+_FLAT_KEYS = (
+    ("sim.l_max", "l_max", int),
+    ("jrange.policy", "jrange_policy", str),
+    ("jrange.j0", "j0", int),
+    ("jrange.jl", "jl", int),
+    ("band.kind", "band", str),
+    ("band.g", "g", float),
+    ("fit.alpha_min", "alpha_min", float),
+    ("fit.alpha_max", "alpha_max", float),
+    ("fit.tol", "tol", float),
+    ("run.replications", "replications", int),
+    ("run.master_seed", "master_seed", int),
+    ("run.workers", "workers", int),
+    ("run.noise_free", "noise_free", _boolean),
+    ("output.prefix", "output_prefix", str),
+)
+_EXPLICIT_ONLY = ("jrange.j0", "jrange.jl")  # written only under jrange.policy = explicit
+
+
 @dataclass
 class ExperimentConfig:
     model: PowerSpectrumModel
@@ -76,9 +122,9 @@ class ExperimentConfig:
     g: float | None = None  # narrow band fraction; None -> jL^-3 rule
     replications: int = 100
     master_seed: int = 0
-    alpha_min: float = 2.001
-    alpha_max: float = 10.0
-    tol: float = 1e-6
+    alpha_min: float = SearchSettings.alpha_min
+    alpha_max: float = SearchSettings.alpha_max
+    tol: float = SearchSettings.tol
     workers: int = 0  # 0 -> cpu count (env NEEDLET_WHITTLE_THREADS overrides)
     noise_free: bool = False
     output_prefix: str = "experiment"
@@ -106,14 +152,17 @@ class ExperimentConfig:
             raise ConfigError("band.g must be in (0, 1)")
         if not self.alpha_min < self.alpha_max:
             raise ConfigError("fit.alpha_min must be below fit.alpha_max")
+        if not -(2**63) <= self.master_seed < 2**63:  # the int64 seed of the file headers
+            raise ConfigError("run.master_seed must fit in a signed 64-bit integer")
         rng = self.j_range()  # raises on inconsistent ranges
-        if self.band == "narrow":
-            g = self.g if self.g is not None else float(rng.jL) ** -3
-            j1 = narrow_band_j1(rng.jL, g, self.window.B)
-            if j1 >= rng.jL:
-                raise ConfigError(
-                    f"band.g={g:.6g} rounds the narrow band to a single level at jL={rng.jL}"
-                )
+        try:
+            # the checks every replication's fit would make, before any simulation
+            for j in rng.levels():
+                self.window.check_band(j, self.l_max)
+            if self.band == "narrow":
+                narrow_band_range(rng.jL, self.g, self.window.B)
+        except (TruncationError, NarrowBandError) as exc:
+            raise ConfigError(str(exc)) from exc
 
     # -- serialization --------------------------------------------------
 
@@ -140,25 +189,11 @@ class ExperimentConfig:
             ]
         else:
             lines += ["window.kind = standard", f"window.B = {self.window.B!r}"]
-        lines += [
-            f"sim.l_max = {self.l_max}",
-            f"jrange.policy = {self.jrange_policy}",
-        ]
-        if self.jrange_policy == "explicit":
-            lines += [f"jrange.j0 = {self.j0}", f"jrange.jl = {self.jl}"]
-        lines.append(f"band.kind = {self.band}")
-        if self.g is not None:
-            lines.append(f"band.g = {self.g!r}")
-        lines += [
-            f"fit.alpha_min = {self.alpha_min!r}",
-            f"fit.alpha_max = {self.alpha_max!r}",
-            f"fit.tol = {self.tol!r}",
-            f"run.replications = {self.replications}",
-            f"run.master_seed = {self.master_seed}",
-            f"run.workers = {self.workers}",
-            f"run.noise_free = {'true' if self.noise_free else 'false'}",
-            f"output.prefix = {self.output_prefix}",
-        ]
+        for key, name, _ in _FLAT_KEYS:
+            value = getattr(self, name)
+            if value is None or (key in _EXPLICIT_ONLY and self.jrange_policy != "explicit"):
+                continue
+            lines.append(f"{key} = {_format(value)}")
         return "\n".join(lines) + "\n"
 
     def to_file(self, path) -> None:
@@ -191,13 +226,6 @@ class ExperimentConfig:
                 return conv(raw)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"key {key!r}: cannot parse {raw!r} ({exc})") from exc
-
-        def boolean(raw):
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError("expected true/false")
 
         def floats(raw):
             return tuple(float(c) for c in raw.split(","))
@@ -233,24 +261,14 @@ class ExperimentConfig:
         except NeedletWhittleError as exc:
             raise ConfigError(f"invalid window: {exc}") from exc
 
-        cfg = cls(
-            model=model,
-            window=window,
-            l_max=take("sim.l_max", int, required=True),
-            jrange_policy=take("jrange.policy", str, "default"),
-            j0=take("jrange.j0", int),
-            jl=take("jrange.jl", int),
-            band=take("band.kind", str, "full"),
-            g=take("band.g", float),
-            replications=take("run.replications", int, 100),
-            master_seed=take("run.master_seed", int, 0),
-            alpha_min=take("fit.alpha_min", float, 2.001),
-            alpha_max=take("fit.alpha_max", float, 10.0),
-            tol=take("fit.tol", float, 1e-6),
-            workers=take("run.workers", int, 0),
-            noise_free=take("run.noise_free", boolean, False),
-            output_prefix=take("output.prefix", str, "experiment"),
-        )
+        # an absent key keeps its field default; a field without one is required
+        required = {f.name for f in fields(cls) if f.default is MISSING}
+        flat = {
+            name: take(key, conv, required=True)
+            for key, name, conv in _FLAT_KEYS
+            if key in kv or name in required
+        }
+        cfg = cls(model=model, window=window, **flat)
         if kv:
             raise ConfigError(f"unknown keys: {sorted(kv)}")
         try:
@@ -273,8 +291,12 @@ def rep_seed(master_seed: int, r: int) -> int:
 
 @dataclass
 class ReplicationRow:
+    """One line of the rows CSV: the fields, in order, are its columns, and
+    ``whittle.fit_columns`` fills ``seed`` through ``iterations``."""
+
     rep: int
     seed: int
+    band: str
     alpha_hat: float = math.nan
     g_hat: float = math.nan
     j0: int = 0
@@ -295,35 +317,28 @@ def _noise_free_spectrum(model: PowerSpectrumModel, l_max: int) -> EmpiricalSpec
 
 
 def _fit_for_config(config: ExperimentConfig, spec: EmpiricalSpectrum) -> WhittleFit:
+    j_range = config.j_range()
     if config.band == "narrow":
-        jl = config.jl if config.jrange_policy == "explicit" else config.j_range().jL
-        return fit_narrow_band(spec, config.window, j_l=jl, g=config.g, search=config.search())
-    return fit_full_band(spec, config.window, j_range=config.j_range(), search=config.search())
+        return fit_narrow_band(
+            spec, config.window, j_l=j_range.jL, g=config.g, search=config.search()
+        )
+    return fit_full_band(spec, config.window, j_range=j_range, search=config.search())
 
 
 def _run_one(args) -> ReplicationRow:
     config, r = args
     seed = rep_seed(config.master_seed, r)
-    row = ReplicationRow(rep=r, seed=seed)
     try:
         if config.noise_free:
             spec = _noise_free_spectrum(config.model, config.l_max)
         else:
             spec = empirical_cl(simulate_alm(config.model, config.l_max, seed))
         fit = _fit_for_config(config, spec)
-        row.alpha_hat = fit.alpha_hat
-        row.g_hat = fit.g_hat
-        row.j0 = fit.j_range_used.j0
-        row.j1_or_j0 = fit.narrow_j1 if fit.narrow_j1 is not None else fit.j_range_used.j0
-        row.jL = fit.j_range_used.jL
-        row.score = fit.score_at_hat
-        row.hessian = fit.hessian_at_hat
-        row.converged = fit.converged
-        row.iterations = fit.iterations
     except NeedletWhittleError as exc:
-        row.failed = True
-        row.error = f"{type(exc).__name__}: {exc}"
-    return row
+        return ReplicationRow(
+            rep=r, seed=seed, band=config.band, failed=True, error=f"{type(exc).__name__}: {exc}"
+        )
+    return ReplicationRow(rep=r, **fit_columns(fit, seed))
 
 
 @dataclass
@@ -401,15 +416,19 @@ def _aggregate(config: ExperimentConfig, rows: list[ReplicationRow]) -> Aggregat
 
 
 def _worker_count(config: ExperimentConfig) -> int:
+    """Pool size: NEEDLET_WHITTLE_THREADS, else ``run.workers``, else all
+    cores; never more than the cores or the replications, because a forked
+    pool starts all of its processes at the first task."""
+    cores = os.cpu_count() or 1
     env = os.environ.get("NEEDLET_WHITTLE_THREADS")
     if env is not None:
         try:
-            return max(1, int(env))
+            requested = int(env)
         except ValueError as exc:
             raise ConfigError(f"NEEDLET_WHITTLE_THREADS={env!r} is not an integer") from exc
-    if config.workers > 0:
-        return config.workers
-    return os.cpu_count() or 1
+    else:
+        requested = config.workers if config.workers > 0 else cores
+    return max(1, min(requested, cores, config.replications))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
@@ -442,60 +461,31 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_rows_csv(summary: ExperimentSummary, path) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write("rep," + fit_csv_header() + ",failed,error\n")
+        fh.write(",".join(f.name for f in fields(ReplicationRow)) + "\n")
         for row in summary.rows:
-            fh.write(
-                ",".join(
-                    [
-                        str(row.rep),
-                        str(row.seed),
-                        summary.config.band,
-                        _fmt(row.alpha_hat),
-                        _fmt(row.g_hat),
-                        str(row.j0),
-                        str(row.j1_or_j0),
-                        str(row.jL),
-                        _fmt(row.score),
-                        _fmt(row.hessian),
-                        str(int(row.converged)),
-                        str(row.iterations),
-                        str(int(row.failed)),
-                        row.error.replace(",", ";"),
-                    ]
-                )
-                + "\n"
-            )
+            fh.write(",".join(map(csv_cell, astuple(row))) + "\n")
 
 
-_AGG_FIELDS = (
-    "n_rows",
-    "n_failed",
-    "mean_alpha",
-    "se_alpha",
-    "mean_g",
-    "var_scaled",
-    "scaled_bias",
-    "jarque_bera",
-    "mean_hessian",
-    "theory_varsigma0_sq",
-    "theory_bias",
-    "theory_hessian",
-)
+# a rows-CSV cell back to its ReplicationRow field, by the field's annotation
+# (a string, under ``from __future__ import annotations``)
+_PARSE_CELL = {"int": int, "float": float, "bool": lambda cell: bool(int(cell)), "str": str}
+
+
+def _parse_row(line: str) -> ReplicationRow:
+    cells = line.rstrip("\n").split(",")
+    return ReplicationRow(
+        *(_PARSE_CELL[f.type](cell) for f, cell in zip(fields(ReplicationRow), cells))
+    )
 
 
 def write_summary_csv(summary: ExperimentSummary, path) -> None:
     agg = summary.aggregate
     with open(path, "w", newline="") as fh:
         fh.write("field,value\n")
-        for name in _AGG_FIELDS:
-            value = getattr(agg, name)
-            fh.write(f"{name},{_fmt(float(value))}\n")
+        for f in fields(Aggregate):
+            fh.write(f"{f.name},{csv_cell(float(getattr(agg, f.name)))}\n")
 
 
 def _standardized(summary: ExperimentSummary) -> np.ndarray:
@@ -512,7 +502,7 @@ def write_histogram_csv(summary: ExperimentSummary, path, bins: int = 24) -> Non
     with open(path, "w", newline="") as fh:
         fh.write("x,y\n")
         for center, y in zip(0.5 * (edges[:-1] + edges[1:]), density):
-            fh.write(f"{_fmt(center)},{_fmt(y)}\n")
+            fh.write(f"{csv_cell(center)},{csv_cell(y)}\n")
 
 
 def write_qq_csv(summary: ExperimentSummary, path) -> None:
@@ -522,34 +512,15 @@ def write_qq_csv(summary: ExperimentSummary, path) -> None:
         fh.write("x,y\n")  # theoretical quantile, sample quantile
         n = len(z)
         for i, v in enumerate(z, start=1):
-            fh.write(f"{_fmt(nd.inv_cdf((i - 0.5) / n))},{_fmt(v)}\n")
+            fh.write(f"{csv_cell(nd.inv_cdf((i - 0.5) / n))},{csv_cell(v)}\n")
 
 
 def load_summary(summary_path, rows_path, config: ExperimentConfig) -> ExperimentSummary:
     """Reload a summary from its CSV pair, re-deriving and cross-checking the
     aggregate from the rows."""
-    rows: list[ReplicationRow] = []
     with open(rows_path) as fh:
-        header = fh.readline()
-        for line in fh:
-            f = line.rstrip("\n").split(",")
-            rows.append(
-                ReplicationRow(
-                    rep=int(f[0]),
-                    seed=int(f[1]),
-                    alpha_hat=float(f[3]),
-                    g_hat=float(f[4]),
-                    j0=int(f[5]),
-                    j1_or_j0=int(f[6]),
-                    jL=int(f[7]),
-                    score=float(f[8]),
-                    hessian=float(f[9]),
-                    converged=bool(int(f[10])),
-                    iterations=int(f[11]),
-                    failed=bool(int(f[12])),
-                    error=f[13],
-                )
-            )
+        fh.readline()
+        rows = [_parse_row(line) for line in fh]
     recomputed = _aggregate(config, rows)
     stored: dict[str, float] = {}
     with open(summary_path) as fh:
@@ -557,13 +528,13 @@ def load_summary(summary_path, rows_path, config: ExperimentConfig) -> Experimen
         for line in fh:
             name, value = line.strip().split(",")
             stored[name] = float(value)
-    for name in _AGG_FIELDS:
-        a, b = stored[name], float(getattr(recomputed, name))
+    for f in fields(Aggregate):
+        a, b = stored[f.name], float(getattr(recomputed, f.name))
         if not (math.isnan(a) and math.isnan(b)) and not math.isclose(
             a, b, rel_tol=1e-12, abs_tol=1e-12
         ):
             raise NeedletWhittleError(
-                f"summary field {name} does not match rows: stored {a}, recomputed {b}"
+                f"summary field {f.name} does not match rows: stored {a}, recomputed {b}"
             )
     return ExperimentSummary(config=config, rows=rows, aggregate=recomputed)
 

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 MEXICAN_TAIL_RATIO = 1e-16  # terms below this fraction of the peak are dropped
+TAIL_TOL = 1e-12  # largest dropped tail ``k_j`` accepts, relative to its sum
 
 
 @lru_cache(maxsize=None)
@@ -138,14 +139,11 @@ def _bump_cdf(u):
 @dataclass(frozen=True)
 class StandardWindow:
     B: float
-    profile: str = "bump"
     kind = "standard"
 
     def __post_init__(self):
         if not self.B > 1:
             raise DomainError(f"B must exceed 1, got {self.B}")
-        if self.profile != "bump":
-            raise DomainError(f"unknown smoothness profile {self.profile!r}")
 
     def _phi(self, x):
         """1 on [0, 1/B], smooth descent to 0 on [1/B, 1]."""
@@ -294,7 +292,7 @@ class LevelBasis:
         return alphas, out
 
 
-def _mexican_tail_check(window, j, alpha, l_max, partial, log_order, tail_tol):
+def _mexican_tail_check(window, j, alpha, l_max, partial, log_order):
     """Geometric bound on the dropped tail when l_max cuts inside the window."""
     if window.effective_lmax(j, l_max) < l_max:
         return  # truncated by the window's own cutoff, below relevance
@@ -310,10 +308,10 @@ def _mexican_tail_check(window, j, alpha, l_max, partial, log_order, tail_tol):
             f"level j={j}: terms still growing at l_max={l_max}; window peak unresolved"
         )
     bound = t1 / (1.0 - ratio)
-    if bound > tail_tol * abs(partial):
+    if bound > TAIL_TOL * abs(partial):
         raise TruncationError(
             f"level j={j}: dropped tail bound {bound:.3e} exceeds "
-            f"{tail_tol:.1e} of the partial sum at l_max={l_max}"
+            f"{TAIL_TOL:.1e} of the partial sum at l_max={l_max}"
         )
 
 
@@ -325,19 +323,18 @@ def k_j(
     c_b: float = 1.0,
     *,
     check_tail: bool = True,
-    tail_tol: float = 1e-12,
 ) -> float:
     """Normalized spectral moment (1/N_j) sum_l window_sq(l/B^j)(2l+1) l^-alpha.
 
     With ``check_tail`` the dropped tail beyond l_max must stay below
-    ``tail_tol`` of the sum (geometric bound past the window peak); the
+    ``TAIL_TOL`` of the sum (geometric bound past the window peak); the
     estimator disables the check and relies on truncation consistency with
     ``lambda_hat`` instead.
     """
     basis = LevelBasis(window, JRange(j0=j, jL=j, c_b=c_b), l_max)
     out = float(basis.k(alpha)[0])
     if check_tail and isinstance(window, MexicanWindow):
-        _mexican_tail_check(window, j, alpha, l_max, out * basis.n[0], 0, tail_tol)
+        _mexican_tail_check(window, j, alpha, l_max, out * basis.n[0], 0)
     return out
 
 
@@ -350,7 +347,6 @@ def k_j_deriv(
     c_b: float = 1.0,
     *,
     check_tail: bool = True,
-    tail_tol: float = 1e-12,
 ) -> float:
     """Term-wise alpha-derivative of ``k_j``: order 1 inserts -log l, order 2 log^2 l."""
     if order not in (1, 2):
@@ -358,7 +354,7 @@ def k_j_deriv(
     basis = LevelBasis(window, JRange(j0=j, jL=j, c_b=c_b), l_max)
     out = float(basis.k_derivs(alpha)[order][0])
     if check_tail and isinstance(window, MexicanWindow):
-        _mexican_tail_check(window, j, alpha, l_max, out * basis.n[0], order, tail_tol)
+        _mexican_tail_check(window, j, alpha, l_max, out * basis.n[0], order)
     return out
 
 

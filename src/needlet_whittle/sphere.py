@@ -182,12 +182,11 @@ def synthesize_beta(
     grid: CubatureGrid,
     p: int,
     B: float,
-    l_max: int | None = None,
     _table: np.ndarray | None = None,
 ) -> BetaCoefficients:
     """Needlet coefficients beta_k = sqrt(lambda_k) * field(xi_k) at level grid.j."""
     window = MexicanWindow(p=p, B=B)
-    l_max = window.effective_lmax(grid.j, alm.l_max if l_max is None else min(l_max, alm.l_max))
+    l_max = window.effective_lmax(grid.j, alm.l_max)
     if grid.n_theta < window.peak_x * B**grid.j:
         raise BandLimitError(
             f"grid with {grid.n_theta} rings cannot resolve the level-{grid.j} window "
@@ -223,25 +222,23 @@ def empirical_beta_correlation(
     n_seeds: int = 300,
     master_seed: int = 0,
     max_points: int = 700,
-    n_bins: int = 48,
-    l_max: int | None = None,
-    oversample: float = 0.5,
 ) -> CorrelationSummary:
     """Monte Carlo correlation of beta coefficients, binned by geodesic distance.
 
     The fitted exponent is the log-log slope of mean |corr| against
     (1 + scale * d) over the main-lobe bins (mean in [0.15, 0.95]); the decay
-    bound predicts 4p + 2 - alpha0 for it.  Coarse grids are fine here: the
-    correlation is a field property, not a quadrature.
+    bound predicts 4p + 2 - alpha0 for it.  Coarse grids (half the rings of
+    ``build_grid``'s default) are fine here: the correlation is a field
+    property, not a quadrature.
     """
     if not 4 * p + 2 - model.alpha0 > 0:
         raise DomainError("requires 4p + 2 - alpha0 > 0")
     window = MexicanWindow(p=p, B=B)
-    grids = [build_grid(j, B, oversample=oversample)]
+    grids = [build_grid(j, B, oversample=0.5)]
     if j2 != j:
-        grids.append(build_grid(j2, B, oversample=oversample))
-    if l_max is None:
-        l_max = max(window.effective_lmax(g.j, 10**9) for g in grids)
+        grids.append(build_grid(j2, B, oversample=0.5))
+    l_max = max(window.effective_lmax(g.j, 10**9) for g in grids)
+    n_bins = 48
     tables = [legendre_table(l_max, g.ring_cos) for g in grids]
 
     # node subsample shared across seeds

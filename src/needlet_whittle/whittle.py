@@ -51,17 +51,25 @@ __all__ = [
     "fit_full_band",
     "fit_narrow_band",
     "plug_in",
+    "narrow_band_range",
+    "fit_columns",
+    "csv_cell",
     "fit_csv_header",
     "fit_csv_row",
 ]
 
+MAX_ITER = 200  # Newton/bisection iterates per fit; a few suffice (see README)
+
+
 @dataclass(frozen=True)
 class SearchSettings:
+    """Search range and tolerance of a fit; the config keys ``fit.*`` and the
+    ``estimate`` options take their defaults from here."""
+
     alpha_min: float = 2.001
     alpha_max: float = 10.0
     tol: float = 1e-6
     grid_points: int = 64
-    max_iter: int = 200
 
 
 def profile_g_hat(stats: NeedletStatistics, alpha: float) -> float:
@@ -163,7 +171,7 @@ def _minimize(stats: NeedletStatistics, search: SearchSettings):
     x = alpha_hat = grid[i]
     converged = False
     iters = 0
-    while iters < search.max_iter:
+    while iters < MAX_ITER:
         value, grad, curv = _derivs(stats, x)
         trace.append((x, value))
         iters += 1
@@ -231,35 +239,45 @@ def default_g_rule(j_l: int) -> float:
     return float(j_l) ** -3
 
 
-def fit_narrow_band(
-    spec: EmpiricalSpectrum,
-    window: NeedletWindow,
-    j_l: int | None = None,
-    g=None,
-    search: SearchSettings | None = None,
-    c_b: float = 1.0,
-) -> WhittleFit:
-    """Estimate (alpha, G) from the top slice [J1, JL] with
-    B^J1 = B^JL (1 - g); J1 is rounded half-up to an integer level."""
-    if j_l is None:
-        j_l = select_j_range(spec.l_max, window).jL
+def narrow_band_range(j_l: int, g, B: float) -> JRange:
+    """The narrow band [J1, JL] with B^J1 = B^JL (1 - g), J1 rounded half-up
+    to an integer level.
+
+    ``g`` is a fraction in (0, 1), a rule g(jL), or None for
+    ``default_g_rule``.  A band that rounds to a single level, or spans less
+    than one multipole, raises ``NarrowBandError``.
+    """
     if g is None:
         g = default_g_rule(j_l)
     elif callable(g):
         g = g(j_l)
     if not 0.0 < g < 1.0:
         raise DomainError(f"band fraction g must be in (0, 1), got {g}")
-    j1 = narrow_band_j1(j_l, g, window.B)
+    j1 = narrow_band_j1(j_l, g, B)
     if j1 >= j_l:
         raise NarrowBandError(
             f"g={g:.6g} at jL={j_l} rounds to a single level (J1={j1}); "
             "use a coarser band fraction"
         )
-    if window.B**j_l - window.B**j1 < 1.0:
+    if B**j_l - B**j1 < 1.0:
         raise NarrowBandError("band is narrower than one multipole")
+    return JRange(j0=j1, jL=j_l)
+
+
+def fit_narrow_band(
+    spec: EmpiricalSpectrum,
+    window: NeedletWindow,
+    j_l: int | None = None,
+    g=None,
+    search: SearchSettings | None = None,
+) -> WhittleFit:
+    """Estimate (alpha, G) from the top slice ``narrow_band_range(j_l, g, B)``."""
+    if j_l is None:
+        j_l = select_j_range(spec.l_max, window).jL
+    j_range = narrow_band_range(j_l, g, window.B)
     search = search or SearchSettings()
-    stats = compute_statistics(spec, window, JRange(j0=j1, jL=j_l, c_b=c_b))
-    return _fit(stats, search, band="narrow", narrow_j1=j1)
+    stats = compute_statistics(spec, window, j_range)
+    return _fit(stats, search, band="narrow", narrow_j1=j_range.j0)
 
 
 @dataclass
@@ -289,7 +307,6 @@ def plug_in(
     p: int,
     b_std: float,
     b_mex: float,
-    j_ranges: tuple[JRange, JRange] | None = None,
     search: SearchSettings | None = None,
     interpolate: bool = True,
 ) -> PluginResult:
@@ -302,13 +319,11 @@ def plug_in(
     """
     std = StandardWindow(B=b_std)
     mex = MexicanWindow(p=p, B=b_mex)
-    std_range = j_ranges[0] if j_ranges else None
-    mex_range = j_ranges[1] if j_ranges else None
-    pilot = fit_full_band(spec, std, j_range=std_range, search=search)
+    pilot = fit_full_band(spec, std, search=search)
     used = p > pilot.alpha_hat / 4.0
     alpha_final = pilot.alpha_hat
     if used:
-        alpha_final = fit_full_band(spec, mex, j_range=mex_range, search=search).alpha_hat
+        alpha_final = fit_full_band(spec, mex, search=search).alpha_hat
     return PluginResult(
         alpha_standard=pilot.alpha_hat,
         used_mexican=used,
@@ -319,24 +334,42 @@ def plug_in(
     )
 
 
+# The columns a fit fills in a rows CSV, in order after ``seed``, with the
+# WhittleFit value behind each.  The harness's ReplicationRow declares the
+# same names as fields.
+_FIT_COLUMNS = {
+    "band": lambda fit: fit.band,
+    "alpha_hat": lambda fit: fit.alpha_hat,
+    "g_hat": lambda fit: fit.g_hat,
+    "j0": lambda fit: fit.j_range_used.j0,
+    "j1_or_j0": lambda fit: fit.j_range_used.j0 if fit.narrow_j1 is None else fit.narrow_j1,
+    "jL": lambda fit: fit.j_range_used.jL,
+    "score": lambda fit: fit.score_at_hat,
+    "hessian": lambda fit: fit.hessian_at_hat,
+    "converged": lambda fit: fit.converged,
+    "iterations": lambda fit: fit.iterations,
+}
+
+
+def fit_columns(fit: WhittleFit, seed: int) -> dict[str, object]:
+    """The fit's rows-CSV columns ``seed`` through ``iterations``, by name, in
+    column order."""
+    return {"seed": seed, **{name: get(fit) for name, get in _FIT_COLUMNS.items()}}
+
+
+def csv_cell(value) -> str:
+    """One CSV cell: floats at 17 significant digits (an exact round trip),
+    booleans as 0/1, and commas in text replaced by semicolons."""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value).replace(",", ";")
+
+
 def fit_csv_header() -> str:
-    return "seed,band,alpha_hat,g_hat,j0,j1_or_j0,jL,score,hessian,converged,iterations"
+    return ",".join(["seed", *_FIT_COLUMNS])
 
 
 def fit_csv_row(fit: WhittleFit, seed: int) -> str:
-    j1 = fit.narrow_j1 if fit.narrow_j1 is not None else fit.j_range_used.j0
-    return ",".join(
-        [
-            str(seed),
-            fit.band,
-            f"{fit.alpha_hat:.17g}",
-            f"{fit.g_hat:.17g}",
-            str(fit.j_range_used.j0),
-            str(j1),
-            str(fit.j_range_used.jL),
-            f"{fit.score_at_hat:.17g}",
-            f"{fit.hessian_at_hat:.17g}",
-            str(int(fit.converged)),
-            str(fit.iterations),
-        ]
-    )
+    return ",".join(csv_cell(value) for value in fit_columns(fit, seed).values())

@@ -63,10 +63,44 @@ class TestSimulateEstimate:
     def test_missing_config(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.txt")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "name, corrupt",
+        [
+            ("run.spectrum.bin", lambda data: data[:-3]),  # payload cut short
+            ("run.spectrum.bin", lambda data: data[:4]),  # header cut short
+            ("run.spectrum.csv", lambda data: data.split(b"\n", 1)[0] + b"\n"),  # header only
+            ("run.spectrum.csv", lambda data: data.replace(b"2,", b"2,abc", 1)),  # non-numeric
+        ],
+        ids=["bin-short-payload", "bin-4-bytes", "csv-header-only", "csv-non-numeric"],
+    )
+    def test_malformed_spectrum_file(self, tmp_path, capsys, name, corrupt):
+        main(["simulate", "--config", str(write_config(tmp_path))])
+        path = tmp_path / name
+        path.write_bytes(corrupt(path.read_bytes()))
+        assert main(["estimate", "--spectrum-file", str(path)]) == EXIT_NUMERIC
+        assert "NeedletWhittleError" in capsys.readouterr().err
+
     def test_malformed_config(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("model.alpha0 = not_a_number\n")
         assert main(["montecarlo", "--config", str(path)]) == EXIT_CONFIG
+
+
+class TestConfigRejectedBeforeSimulation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # the default range puts level 13's window peak at l ~ 337 > 300
+            dict(window=MexicanWindow(p=3, B=1.5), l_max=300, replications=200),
+            dict(master_seed=2**63),  # does not fit the int64 seed of the file headers
+        ],
+        ids=["window-peak-past-l-max", "seed-past-int64"],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+    def test_exit_config(self, tmp_path, kwargs, command):
+        cfg = write_config(tmp_path, **kwargs)
+        assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+        assert not list(tmp_path.glob("run.*"))
 
 
 class TestMonteCarlo:

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from needlet_whittle import (
     AlmSet,
     DomainError,
     EmpiricalSpectrum,
+    NeedletWhittleError,
     PowerSpectrumModel,
     ResourceLimitError,
     alm_row,
@@ -167,3 +169,85 @@ class TestSerialization:
             a.row(9)
         with pytest.raises(DomainError):
             a.coefficient(3, 4)
+
+
+def _file_bytes(magic: bytes, l_max: int, payload: np.ndarray) -> bytes:
+    """A binary file as ``save`` writes it: magic, version 1, l_max, seed 0."""
+    return struct.pack("<8sIIq", magic, 1, l_max, 0) + payload.tobytes()
+
+
+def _spectrum_bytes(values) -> bytes:
+    return _file_bytes(b"NWSPECTR", len(values), np.asarray(values, "<f8"))
+
+
+GOOD_BIN = _spectrum_bytes(np.linspace(1.0, 2.0, 8))
+GOOD_ALM = _file_bytes(
+    b"NWALMSET", 8, simulate_alm(PowerSpectrumModel(alpha0=3.0), 8, seed=1).data.astype("<c16")
+)
+GOOD_CSV = "l,c_hat\n" + "".join(f"{l},{1.0 / l}\n" for l in range(1, 9))
+
+
+class TestMalformedFiles:
+    """Every loader rejects a malformed file with NeedletWhittleError."""
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(GOOD_BIN[:4], id="short-header"),
+            pytest.param(GOOD_BIN[:-3], id="payload-cut-3-bytes"),
+            pytest.param(GOOD_BIN + b"\0" * 8, id="payload-too-long"),
+            pytest.param(GOOD_BIN[:12] + b"\0\0\0\0" + GOOD_BIN[16:24], id="l-max-zero"),
+            pytest.param(_spectrum_bytes(np.array([1.0, -1.0, 1.0])), id="negative"),
+            pytest.param(_spectrum_bytes(np.array([1.0, np.nan])), id="nan"),
+            pytest.param(_spectrum_bytes(np.array([np.inf, 1.0])), id="inf"),
+        ],
+    )
+    def test_spectrum_binary(self, tmp_path, content):
+        path = tmp_path / "s.spectrum.bin"
+        path.write_bytes(content)
+        with pytest.raises(NeedletWhittleError):
+            EmpiricalSpectrum.load(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("l,c_hat\n", id="header-only"),
+            pytest.param("l,c_hat\n1,abc\n", id="non-numeric"),
+            pytest.param("l,c_hat\n1\n", id="one-cell"),
+            pytest.param(GOOD_CSV + "-1,5.0\n", id="negative-l"),
+            pytest.param(GOOD_CSV + "0,5.0\n", id="l-zero"),
+            pytest.param(GOOD_CSV + "3,5.0\n", id="duplicate-l"),
+            pytest.param(GOOD_CSV.replace("5,0.2\n", ""), id="missing-l"),
+            pytest.param(GOOD_CSV + "1000000000000,1.0\n", id="far-l"),
+            pytest.param(GOOD_CSV.replace("2,0.5", "2,-0.5"), id="negative-value"),
+            pytest.param(GOOD_CSV.replace("2,0.5", "2,nan"), id="nan-value"),
+            pytest.param(GOOD_CSV.replace("2,0.5", "2,inf"), id="inf-value"),
+        ],
+    )
+    def test_spectrum_csv(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(NeedletWhittleError):
+            EmpiricalSpectrum.from_csv(path)
+
+    def test_well_formed_files_load(self, tmp_path):
+        (tmp_path / "s.bin").write_bytes(GOOD_BIN)
+        (tmp_path / "s.csv").write_text(GOOD_CSV)
+        assert EmpiricalSpectrum.load(tmp_path / "s.bin").l_max == 8
+        assert EmpiricalSpectrum.from_csv(tmp_path / "s.csv").l_max == 8
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(GOOD_ALM[:4], id="short-header"),
+            pytest.param(GOOD_ALM[:-3], id="payload-cut-3-bytes"),
+            pytest.param(GOOD_ALM + b"\0" * 16, id="payload-too-long"),
+            pytest.param(GOOD_ALM[:-16] + np.array([np.nan + 0j], "<c16").tobytes(), id="nan"),
+            pytest.param(GOOD_BIN, id="spectrum-magic"),
+        ],
+    )
+    def test_alm_binary(self, tmp_path, content):
+        path = tmp_path / "a.alm.bin"
+        path.write_bytes(content)
+        with pytest.raises(NeedletWhittleError):
+            AlmSet.load(path)

@@ -69,6 +69,25 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.parse(mutation(small_config().to_text()))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # the default range puts level 13's window peak at l ~ 337 > 300
+            dict(window=MexicanWindow(p=3, B=1.5), l_max=300),
+            dict(master_seed=2**63),
+            dict(master_seed=-(2**63) - 1),
+        ],
+        ids=["window-peak-past-l-max", "seed-above-int64", "seed-below-int64"],
+    )
+    def test_rejected_before_simulation(self, kwargs):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.parse(small_config(**kwargs).to_text())
+
+    def test_seed_range_ends_accepted(self):
+        for seed in (-(2**63), 2**63 - 1):
+            cfg = small_config(master_seed=seed)
+            assert ExperimentConfig.parse(cfg.to_text()) == cfg
+
     def test_narrow_degenerate_rejected_eagerly(self):
         cfg_text = small_config(band="narrow", g=0.5).to_text().replace("band.g = 0.5", "")
         # default g-rule at jL = 7 gives g = 1/343, a single-level band
@@ -119,6 +138,28 @@ class TestRunExperiment:
         monkeypatch.setenv("NEEDLET_WHITTLE_THREADS", "2")
         summary = run_experiment(small_config(workers=1))
         assert summary.aggregate.n_rows == 12
+
+    @pytest.mark.parametrize(
+        "env, workers, replications, cores, expected",
+        [
+            ("100000", 1, 12, 2, 2),  # the variable is clamped to the cores
+            (None, 100000, 12, 4, 4),  # so is run.workers
+            (None, 0, 12, 8, 8),  # 0 -> every core
+            (None, 0, 3, 8, 3),  # never more workers than replications
+            ("0", 1, 12, 8, 1),
+        ],
+    )
+    def test_worker_count_clamped(self, monkeypatch, env, workers, replications, cores, expected):
+        # counts only: no pool is started here
+        import needlet_whittle.harness as hn
+
+        monkeypatch.setattr(hn.os, "cpu_count", lambda: cores)
+        if env is None:
+            monkeypatch.delenv("NEEDLET_WHITTLE_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("NEEDLET_WHITTLE_THREADS", env)
+        config = small_config(workers=workers, replications=replications)
+        assert hn._worker_count(config) == expected
 
     def test_failure_rows_recorded(self, monkeypatch):
         import needlet_whittle.harness as hn
