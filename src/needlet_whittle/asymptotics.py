@@ -37,6 +37,7 @@ __all__ = [
     "LevelSumConstants",
     "level_sum_constants",
     "sigma1_sq",
+    "clt_variance",
     "varsigma0_sq",
     "phi_b",
     "bias_coeff",
@@ -326,10 +327,16 @@ def sigma1_sq(p: int, B: float, alpha0: float) -> float:
     return sigma0_sq(p, alpha0) * (1.0 + level_sum_constants(p, B, alpha0).tau0)
 
 
+def clt_variance(score_variance: float, B: float) -> float:
+    """Limiting variance of B^jL (alpha-hat - alpha0) from the score variance:
+    score_variance (B^2 - 1)^3 / (B^4 log^2 B)."""
+    lb = math.log(B)
+    return score_variance * (B**2 - 1.0) ** 3 / (B**4 * lb * lb)
+
+
 def varsigma0_sq(p: int, B: float, alpha0: float) -> float:
     """Limiting variance of B^jL (alpha-hat - alpha0), full band."""
-    lb = math.log(B)
-    return sigma1_sq(p, B, alpha0) * (B**2 - 1.0) ** 3 / (B**4 * lb * lb)
+    return clt_variance(sigma1_sq(p, B, alpha0), B)
 
 
 def phi_b(B: float) -> float:
@@ -483,7 +490,6 @@ def constants(p: int, B: float, alpha0: float, kappa: float = 0.0) -> Asymptotic
     lsc = level_sum_constants(p, B, alpha0)
     s0 = sigma0_sq(p, alpha0)
     s1 = s0 * (1.0 + lsc.tau0)
-    lb = math.log(B)
     return AsymptoticConstants(
         p=p,
         B=B,
@@ -494,7 +500,7 @@ def constants(p: int, B: float, alpha0: float, kappa: float = 0.0) -> Asymptotic
         tau_tilde_2=lsc.tau2,
         tau_tilde=lsc.tau0,
         sigma1_sq=s1,
-        varsigma0_sq=s1 * (B**2 - 1.0) ** 3 / (B**4 * lb * lb),
+        varsigma0_sq=clt_variance(s1, B),
         phi_B=phi_b(B),
         bias_coeff=bias_coeff(p, B, alpha0, kappa),
     )

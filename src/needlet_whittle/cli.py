@@ -12,7 +12,7 @@ from dataclasses import fields
 from . import asymptotics, harness, sphere, whittle
 from .errors import ConfigError, DomainError, NeedletWhittleError
 from .harmonic import EmpiricalSpectrum, empirical_cl, simulate_alm
-from .needlet import JRange, MexicanWindow, StandardWindow
+from .needlet import JRange, MexicanWindow, StandardWindow, lambda_hat
 from .spectrum import PowerSpectrumModel
 
 EXIT_OK = 0
@@ -114,8 +114,6 @@ def _cmd_realspace_check(args) -> int:
     l_max = window.effective_lmax(args.j, args.l_max)
     alm = simulate_alm(model, l_max, args.seed)
     beta = sphere.synthesize_beta(alm, grid, args.p, args.B)
-    from .needlet import lambda_hat
-
     lam = lambda_hat(empirical_cl(alm), window, args.j)
     gap = abs(beta.sum_sq() - lam) / lam
     print(f"frame check: sum beta^2 = {beta.sum_sq():.8g}, lambda_hat = {lam:.8g}, "

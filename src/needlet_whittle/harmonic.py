@@ -70,16 +70,6 @@ def _load_binary(path, magic: bytes, kind: str, dtype: str, count) -> tuple[int,
     return l_max, seed, np.frombuffer(body, dtype=dtype)
 
 
-def _check_spectrum_values(path, values: np.ndarray) -> None:
-    """c-hat_l for l = 1..l_max must be finite and non-negative."""
-    bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0.0)))
-    if bad.size:
-        raise NeedletWhittleError(
-            f"{path}: c_hat at l={bad[0] + 1} is {values[bad[0]]}; "
-            "values must be finite and non-negative"
-        )
-
-
 @dataclass
 class AlmSet:
     """Packed triangular array of a_lm for 1 <= l <= l_max, 0 <= m <= l."""
@@ -157,6 +147,20 @@ class EmpiricalSpectrum:
     values: np.ndarray  # length l_max + 1, values[0] == 0
     seed: int = 0
 
+    def __post_init__(self):
+        """Checked here, so every way in (constructor, ``load``, ``from_csv``)
+        gets the same check."""
+        if len(self.values) != self.l_max + 1:
+            raise DomainError(
+                f"spectrum with l_max={self.l_max} needs {self.l_max + 1} values, got {len(self.values)}"
+            )
+        c_hat = np.asarray(self.values[1:], dtype=float)
+        bad = np.flatnonzero(~(np.isfinite(c_hat) & (c_hat >= 0.0)))
+        if bad.size:
+            raise DomainError(
+                f"c_hat at l={bad[0] + 1} is {c_hat[bad[0]]}; values must be finite and non-negative"
+            )
+
     def c_hat(self, l: int) -> float:
         if not 1 <= l <= self.l_max:
             raise DomainError(f"l must be in [1, {self.l_max}]")
@@ -172,7 +176,6 @@ class EmpiricalSpectrum:
         l_max, seed, payload = _load_binary(
             path, _SPC_MAGIC, "EmpiricalSpectrum", "<f8", lambda l_max: l_max
         )
-        _check_spectrum_values(path, payload)
         values = np.concatenate([[0.0], payload.astype(float)])
         return cls(l_max=l_max, values=values, seed=seed)
 
@@ -216,7 +219,6 @@ class EmpiricalSpectrum:
             raise NeedletWhittleError(f"{path}: missing l={missing}")
         values = np.zeros(l_max + 1)
         values[ls] = vals
-        _check_spectrum_values(path, values[1:])
         return cls(l_max=l_max, values=values)
 
 

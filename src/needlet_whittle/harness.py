@@ -86,7 +86,8 @@ def _boolean(raw: str) -> bool:
 def _format(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    return repr(value) if isinstance(value, float) else str(value)
+    # float() first: a numpy float's repr is "np.float64(0.5)", which parse rejects
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 # The flat config keys: (key, ExperimentConfig field, parser), in the order
@@ -168,27 +169,27 @@ class ExperimentConfig:
 
     def to_text(self) -> str:
         lines = [
-            f"model.alpha0 = {self.model.alpha0!r}",
-            f"model.g0 = {self.model.g0!r}",
+            f"model.alpha0 = {_format(self.model.alpha0)}",
+            f"model.g0 = {_format(self.model.g0)}",
         ]
         corr = self.model.correction
         if isinstance(corr, NoCorrection):
             lines.append("model.correction = none")
         elif isinstance(corr, KappaCorrection):
             lines.append("model.correction = kappa")
-            lines.append(f"model.kappa = {corr.kappa!r}")
+            lines.append(f"model.kappa = {_format(corr.kappa)}")
         else:
             lines.append("model.correction = rational")
-            lines.append("model.p_coeffs = " + ",".join(repr(c) for c in corr.p_coeffs))
-            lines.append("model.q_coeffs = " + ",".join(repr(c) for c in corr.q_coeffs))
+            lines.append("model.p_coeffs = " + ",".join(map(_format, corr.p_coeffs)))
+            lines.append("model.q_coeffs = " + ",".join(map(_format, corr.q_coeffs)))
         if isinstance(self.window, MexicanWindow):
             lines += [
                 "window.kind = mexican",
                 f"window.p = {self.window.p}",
-                f"window.B = {self.window.B!r}",
+                f"window.B = {_format(self.window.B)}",
             ]
         else:
-            lines += ["window.kind = standard", f"window.B = {self.window.B!r}"]
+            lines += ["window.kind = standard", f"window.B = {_format(self.window.B)}"]
         for key, name, _ in _FLAT_KEYS:
             value = getattr(self, name)
             if value is None or (key in _EXPLICIT_ONLY and self.jrange_policy != "explicit"):
@@ -393,9 +394,9 @@ def _aggregate(config: ExperimentConfig, rows: list[ReplicationRow]) -> Aggregat
         )
         theory_bias = asymptotics.bias_coeff(p, config.window.B, alpha0, kappa)
     else:
-        theory_var = asymptotics.table1_rho0_sq(alpha0, config.window.B, interpolate=True) * (
-            config.window.B**2 - 1.0
-        ) ** 3 / (config.window.B**4 * math.log(config.window.B) ** 2)
+        theory_var = asymptotics.clt_variance(
+            asymptotics.table1_rho0_sq(alpha0, config.window.B, interpolate=True), config.window.B
+        )
         theory_bias = math.nan
     return Aggregate(
         n_rows=len(rows),

@@ -2,9 +2,12 @@
 
 The grid is Gauss-Legendre in colatitude times equally spaced longitudes:
 exact quadrature for band-limited integrands with simple product weights.
-``synthesize_beta`` evaluates the needlet-filtered field at the nodes with
-fully normalized associated Legendre recurrences (stable in double precision
-to l of a few thousand; very high m underflows gracefully to zero).
+``synthesize_beta`` evaluates the needlet-filtered field at the nodes ring by
+ring, as libsharp and SHTns do: one fully normalized associated Legendre
+recurrence (stable in double precision to l of a few thousand; very high m
+underflows gracefully to zero) is streamed degree by degree into per-ring
+Fourier amplitudes, and an FFT over longitude gives the field.  Memory is
+O(L N_theta), so level 7 (L = 647 at p = 2, B = 2) runs in ~10 MB.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandLimitError, DomainError, ResourceLimitError
-from .harmonic import AlmSet, simulate_alm
+from .harmonic import AlmSet, _row_start, simulate_alm
 from .needlet import MexicanWindow
 from .spectrum import PowerSpectrumModel
 
@@ -30,6 +33,10 @@ __all__ = [
 ]
 
 DEFAULT_POINT_CAP = 1_000_000
+
+# coefficient sets synthesised together by ``empirical_beta_correlation``;
+# bounds its working memory at any seed count
+_SEED_BLOCK = 32
 
 # rings per unit B^j; 2.0 keeps the frame identity gap well under 1e-2 for the
 # gaussian-profile windows used here (measured), at N_j = 8 B^(2j) points
@@ -104,28 +111,44 @@ def build_grid(
     )
 
 
+def _legendre_rows(l_max: int, x: np.ndarray):
+    """Yield the rows P[l, 0..l, :] of ``legendre_table`` for l = 0..l_max.
+    Only the last two rows are kept; a yielded row must not be modified, the
+    next one is built from it."""
+    sin_th = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    prev2 = None
+    prev = np.full((1, len(x)), 1.0 / math.sqrt(4.0 * math.pi))
+    yield prev
+    for l in range(1, l_max + 1):
+        row = np.empty((l + 1, len(x)))
+        if l >= 2:
+            ms = np.arange(0, l - 1, dtype=float)
+            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - ms * ms))
+            b = np.sqrt(
+                ((2.0 * l + 1.0) * (l - 1 + ms) * (l - 1 - ms)) / ((2.0 * l - 3.0) * (l * l - ms * ms))
+            )
+            # (a x) P[l-1] - b P[l-2], written in place into the new row
+            head = row[: l - 1]
+            np.multiply(a[:, None], x, out=head)
+            head *= prev[: l - 1]
+            head -= b[:, None] * prev2
+        row[l - 1] = math.sqrt(2.0 * l + 1.0) * x * prev[l - 1]
+        row[l] = -math.sqrt((2.0 * l + 1.0) / (2.0 * l)) * sin_th * prev[l - 1]
+        prev2, prev = prev, row
+        yield row
+
+
 def legendre_table(l_max: int, cos_theta: np.ndarray) -> np.ndarray:
     """Fully normalized associated Legendre values, shape (l_max+1, l_max+1, n).
 
     Normalized so that Y_lm = P[l, m] exp(i m phi) is orthonormal on the
     sphere and sum_m |Y_lm|^2 = (2l+1)/(4 pi).  Three-term recurrence in l
-    seeded on the m = l diagonal.
+    seeded on the m = l diagonal; the rows of ``_legendre_rows``, stacked.
     """
     x = np.asarray(cos_theta, dtype=float)
-    sin_th = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
     P = np.zeros((l_max + 1, l_max + 1, len(x)))
-    P[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
-    for m in range(1, l_max + 1):
-        P[m, m] = -math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sin_th * P[m - 1, m - 1]
-    for m in range(0, l_max):
-        P[m + 1, m] = math.sqrt(2.0 * m + 3.0) * x * P[m, m]
-    for l in range(2, l_max + 1):
-        ms = np.arange(0, l - 1, dtype=float)
-        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - ms * ms))
-        b = np.sqrt(
-            ((2.0 * l + 1.0) * (l - 1 + ms) * (l - 1 - ms)) / ((2.0 * l - 3.0) * (l * l - ms * ms))
-        )
-        P[l, : l - 1] = a[:, None] * x[None, :] * P[l - 1, : l - 1] - b[:, None] * P[l - 2, : l - 1]
+    for l, row in enumerate(_legendre_rows(l_max, x)):
+        P[l, : l + 1] = row
     return P
 
 
@@ -148,42 +171,29 @@ class BetaCoefficients:
                 fh.write(f"{k},{th[k]:.17g},{ph[k]:.17g},{w[k]:.17g},{self.values[k]:.17g}\n")
 
 
-def _needlet_field(
-    alm: AlmSet,
-    grid: CubatureGrid,
-    window: MexicanWindow,
-    l_max: int,
-    table: np.ndarray | None = None,
-) -> np.ndarray:
-    """Filtered field sum_l f_p(l/B^j) sum_m a_lm Y_lm at the grid nodes,
-    returned as (n_theta, n_phi)."""
-    if table is None:
-        table = legendre_table(l_max, grid.ring_cos)
-    fl = np.zeros(l_max + 1)
-    ls = np.arange(1, l_max + 1, dtype=float)
-    fl[1:] = window.window(ls / window.B**grid.j)
-    # m-major accumulation: one (m, ring) pair of cosine/sine amplitudes
-    re = np.zeros((l_max + 1, l_max + 1))
-    im = np.zeros((l_max + 1, l_max + 1))
-    for l in range(1, l_max + 1):
-        row = alm.row(l)
-        re[l, : l + 1] = fl[l] * row.real
-        im[l, : l + 1] = fl[l] * row.imag
-    gc = np.einsum("lmi,lm->mi", table[: l_max + 1, : l_max + 1], re)
-    gs = np.einsum("lmi,lm->mi", table[: l_max + 1, : l_max + 1], im)
-    m = np.arange(l_max + 1, dtype=float)
-    ang = np.outer(m, grid.phis())
-    field = gc[0][:, None] + 2.0 * (np.cos(ang[1:]).T @ gc[1:] - np.sin(ang[1:]).T @ gs[1:]).T
-    return field
+def _needlet_field(packed: np.ndarray, grid: CubatureGrid, window: MexicanWindow,
+                   l_max: int) -> np.ndarray:
+    """Filtered fields sum_l f_p(l/B^j) sum_m a_lm Y_lm at the grid nodes, as
+    (S, n_theta, n_phi), for S coefficient sets stacked in the ``AlmSet.data``
+    layout.  Degree l adds f_p(l/B^j) a_lm P_lm to the (m, ring) amplitudes as
+    the recurrence yields its row; m is folded modulo n_phi (m runs past
+    n_phi / 2, and e^{i m phi} repeats with period n_phi on the grid)."""
+    n_sets, n_phi = len(packed), grid.n_phi
+    fl = window.window(np.arange(1, l_max + 1) / window.B**grid.j)
+    n_m = -(-(l_max + 1) // n_phi) * n_phi  # m padded to whole periods of n_phi
+    amp = np.zeros((n_sets, n_m, grid.n_theta), dtype=complex)
+    rows = _legendre_rows(l_max, grid.ring_cos)
+    next(rows)  # l = 0 carries no coefficient
+    for l, row in enumerate(rows, start=1):
+        s = _row_start(l)
+        amp[:, : l + 1] += (fl[l - 1] * packed[:, s : s + l + 1])[:, :, None] * row
+    amp[:, 1:] *= 2.0  # m and -m together: field = Re sum_{m >= 0} amp_m e^{i m phi}
+    folded = amp.reshape(n_sets, -1, n_phi, grid.n_theta).sum(axis=1)
+    field = np.fft.ifft(folded, axis=1, norm="forward").real
+    return field.transpose(0, 2, 1)
 
 
-def synthesize_beta(
-    alm: AlmSet,
-    grid: CubatureGrid,
-    p: int,
-    B: float,
-    _table: np.ndarray | None = None,
-) -> BetaCoefficients:
+def synthesize_beta(alm: AlmSet, grid: CubatureGrid, p: int, B: float) -> BetaCoefficients:
     """Needlet coefficients beta_k = sqrt(lambda_k) * field(xi_k) at level grid.j."""
     window = MexicanWindow(p=p, B=B)
     l_max = window.effective_lmax(grid.j, alm.l_max)
@@ -192,8 +202,8 @@ def synthesize_beta(
             f"grid with {grid.n_theta} rings cannot resolve the level-{grid.j} window "
             f"(peak multipole ~{window.peak_x * B ** grid.j:.0f})"
         )
-    field = _needlet_field(alm, grid, window, l_max, table=_table)
-    beta = np.sqrt(np.repeat(grid.ring_weight, grid.n_phi)) * field.ravel()
+    field = _needlet_field(alm.data[None, :], grid, window, l_max)[0]
+    beta = np.sqrt(grid.weights()) * field.ravel()
     return BetaCoefficients(j=grid.j, p=p, values=beta, grid=grid)
 
 
@@ -234,37 +244,25 @@ def empirical_beta_correlation(
     if not 4 * p + 2 - model.alpha0 > 0:
         raise DomainError("requires 4p + 2 - alpha0 > 0")
     window = MexicanWindow(p=p, B=B)
-    grids = [build_grid(j, B, oversample=0.5)]
-    if j2 != j:
-        grids.append(build_grid(j2, B, oversample=0.5))
+    grids = [build_grid(level, B, oversample=0.5) for level in dict.fromkeys((j, j2))]
     l_max = max(window.effective_lmax(g.j, 10**9) for g in grids)
     n_bins = 48
-    tables = [legendre_table(l_max, g.ring_cos) for g in grids]
 
     # node subsample shared across seeds
     rng = np.random.default_rng(np.random.SeedSequence((master_seed, 0x9D)))
-    th_list, ph_list, owner = [], [], []
-    for gi, g in enumerate(grids):
-        th, ph = g.points()
-        take = min(max_points, g.n_points)
-        idx = rng.choice(g.n_points, size=take, replace=False)
-        th_list.append(th[idx])
-        ph_list.append(ph[idx])
-        owner.append((gi, idx))
+    picks = [rng.choice(g.n_points, size=min(max_points, g.n_points), replace=False) for g in grids]
+    th = np.concatenate([g.points()[0][idx] for g, idx in zip(grids, picks)])
+    ph = np.concatenate([g.points()[1][idx] for g, idx in zip(grids, picks)])
 
-    betas = [np.empty((n_seeds, len(o[1]))) for o in owner]
-    for s in range(n_seeds):
-        alm = _simulate_banded(model, l_max, (master_seed, s))
-        for gi, g in enumerate(grids):
-            le = window.effective_lmax(g.j, l_max)
-            field = _needlet_field(alm, g, window, le, table=tables[gi])
-            betas[gi][s] = field.ravel()[owner[gi][1]]
+    betas = [np.empty((n_seeds, len(idx))) for idx in picks]
+    for first in range(0, n_seeds, _SEED_BLOCK):
+        block = range(first, min(first + _SEED_BLOCK, n_seeds))
+        packed = np.stack([_simulate_banded(model, l_max, (master_seed, s)).data for s in block])
+        for g, idx, beta in zip(grids, picks, betas):
+            field = _needlet_field(packed, g, window, window.effective_lmax(g.j, l_max))
+            beta[first : block.stop] = field.reshape(len(block), -1)[:, idx]
 
-    th = np.concatenate(th_list)
-    ph = np.concatenate(ph_list)
-    z = np.concatenate(
-        [(b - b.mean(axis=0)) / b.std(axis=0) for b in betas], axis=1
-    )
+    z = np.concatenate([(b - b.mean(axis=0)) / b.std(axis=0) for b in betas], axis=1)
     corr = z.T @ z / n_seeds
     cosd = np.cos(th)[:, None] * np.cos(th)[None, :] + np.sin(th)[:, None] * np.sin(th)[
         None, :
@@ -275,7 +273,7 @@ def empirical_beta_correlation(
         iu = np.triu_indices(len(th), k=1)
         dv, cv = d[iu], np.abs(corr[iu])
     else:
-        n1 = len(th_list[0])
+        n1 = len(picks[0])
         dv = d[:n1, n1:].ravel()
         cv = np.abs(corr[:n1, n1:]).ravel()
 

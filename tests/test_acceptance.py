@@ -12,6 +12,7 @@ shipped with the repository history).  The bias-reduction clause of the same
 criterion passes and is tested separately.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ from needlet_whittle.harness import (
     write_rows_csv,
 )
 from needlet_whittle.needlet import lambda_hat
-from needlet_whittle.sphere import build_grid, legendre_table, synthesize_beta
+from needlet_whittle.sphere import build_grid, synthesize_beta
 from needlet_whittle.whittle import contrast, contrast_two_param
 
 from conftest import noise_free_spectrum
@@ -288,15 +289,33 @@ def test_criterion_10_nearly_tight_frame():
     for j in (3, 4, 5, 6):
         grid = build_grid(j, B)
         l_max = MEX.effective_lmax(j, 10**9)
-        table = legendre_table(l_max, grid.ring_cos)
         for seed in range(20):
             alm = simulate_alm(model, l_max, 7000 + seed)
-            beta = synthesize_beta(alm, grid, P, B, _table=table)
+            beta = synthesize_beta(alm, grid, P, B)
             lam = lambda_hat(empirical_cl(alm), MEX, j)
             gap = abs(beta.sum_sq() - lam) / lam
             worst = max(worst, gap)
             assert gap < 0.03, (j, seed, gap)
     report("10 (nearly tight frame)", True, f"worst relative gap {worst:.4%} over j=3..6, 20 seeds")
+
+
+def test_criterion_10_large_scale_level_7():
+    # beside criterion 10: level 7 (L = 647, 256 x 512 nodes), where a full
+    # (L+1)^2 N_theta Legendre table alone would take 0.86 GB
+    grid = build_grid(7, B)
+    alm = simulate_alm(PowerSpectrumModel(alpha0=ALPHA0), MEX.effective_lmax(7, 10**9), 7100)
+    tracemalloc.start()
+    try:
+        beta = synthesize_beta(alm, grid, P, B)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    lam = lambda_hat(empirical_cl(alm), MEX, 7)
+    gap = abs(beta.sum_sq() - lam) / lam
+    ok = gap < 0.03 and peak_mb < 100.0
+    report("10 (level 7)", ok, f"relative gap {gap:.4%}, synthesis peak {peak_mb:.1f} MB")
+    assert gap < 0.03, gap
+    assert peak_mb < 100.0, peak_mb
 
 
 def test_criterion_11_chi_square_law():

@@ -8,6 +8,7 @@ from needlet_whittle import DomainError, TableLookupError
 from needlet_whittle.asymptotics import (
     bias_coeff,
     bias_coeff_reference,
+    clt_variance,
     constants,
     digamma,
     gauss_moment_w,
@@ -317,6 +318,14 @@ class TestCompositeConstants:
         assert varsigma0_sq(p, B, a0) == pytest.approx(expected, rel=1e-14)
         # golden value pinned after first computation
         assert varsigma0_sq(p, B, a0) == pytest.approx(3.0233909874, rel=1e-9)
+
+    def test_one_clt_scaling(self):
+        # varsigma0_sq and the constants bundle share the one scaling, bit for bit
+        for B in (1.5, 2.0, 3.0):
+            s1 = sigma1_sq(2, B, 3.0)
+            assert varsigma0_sq(2, B, 3.0) == clt_variance(s1, B)
+            assert constants(2, B, 3.0).varsigma0_sq == clt_variance(s1, B)
+        assert clt_variance(1.0, 2.0) == pytest.approx(27.0 / (16.0 * math.log(2.0) ** 2), rel=1e-15)
 
     def test_narrowband_composition(self):
         assert narrowband_variance(2, 2.0, 3.0) == pytest.approx(

@@ -251,3 +251,25 @@ class TestMalformedFiles:
         path.write_bytes(content)
         with pytest.raises(NeedletWhittleError):
             AlmSet.load(path)
+
+
+class TestSpectrumConstruction:
+    """``EmpiricalSpectrum`` checks its values when built, not only when loaded."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            pytest.param([0.0, 1.0, np.inf, 1.0], id="inf"),
+            pytest.param([0.0, np.nan, 1.0, 1.0], id="nan"),
+            pytest.param([0.0, 1.0, 1.0, -1e-300], id="negative"),
+            pytest.param([0.0, 1.0, 1.0], id="too-short"),
+            pytest.param([0.0, 1.0, 1.0, 1.0, 1.0], id="too-long"),
+        ],
+    )
+    def test_rejected(self, values):
+        with pytest.raises(DomainError):
+            EmpiricalSpectrum(l_max=3, values=np.array(values))
+
+    def test_accepted(self):
+        spec = EmpiricalSpectrum(l_max=3, values=np.array([0.0, 1.0, 0.0, 2.0]))
+        assert spec.c_hat(3) == 2.0

@@ -50,6 +50,26 @@ class TestConfig:
         ):
             assert ExperimentConfig.parse(cfg.to_text()) == cfg
 
+    def test_round_trip_numpy_floats(self):
+        # numpy floats are written as plain floats: the same text as the
+        # Python-float config, which parse reads back
+        f = np.float64
+        for make in (
+            lambda x: small_config(
+                model=PowerSpectrumModel(alpha0=x(3.0), g0=x(1.5), correction=KappaCorrection(x(0.5))),
+                window=MexicanWindow(p=2, B=x(2.0)),
+                band="narrow",
+                g=x(0.5),
+                tol=x(1e-6),
+            ),
+            lambda x: small_config(window=StandardWindow(B=x(2.0)), alpha_min=x(2.5)),
+        ):
+            cfg = make(f)
+            text = cfg.to_text()
+            assert text == make(float).to_text()
+            assert "np." not in text
+            assert ExperimentConfig.parse(text) == cfg
+
     def test_comments_and_blanks(self):
         text = small_config().to_text() + "\n# trailing comment\n\n"
         ExperimentConfig.parse(text)

@@ -13,11 +13,33 @@ from needlet_whittle import (
 )
 from needlet_whittle.harmonic import AlmSet
 from needlet_whittle.sphere import (
+    _SEED_BLOCK,
     build_grid,
     empirical_beta_correlation,
     legendre_table,
     synthesize_beta,
 )
+
+
+def reference_beta(alm, grid, p, B):
+    """The former synthesis, kept as a reference: the full Legendre table
+    contracted with the coefficients, longitudes from dense cos/sin products."""
+    window = MexicanWindow(p=p, B=B)
+    l_max = window.effective_lmax(grid.j, alm.l_max)
+    table = legendre_table(l_max, grid.ring_cos)
+    fl = np.zeros(l_max + 1)
+    fl[1:] = window.window(np.arange(1, l_max + 1, dtype=float) / B**grid.j)
+    re = np.zeros((l_max + 1, l_max + 1))
+    im = np.zeros((l_max + 1, l_max + 1))
+    for l in range(1, l_max + 1):
+        row = alm.row(l)
+        re[l, : l + 1] = fl[l] * row.real
+        im[l, : l + 1] = fl[l] * row.imag
+    gc = np.einsum("lmi,lm->mi", table, re)
+    gs = np.einsum("lmi,lm->mi", table, im)
+    ang = np.outer(np.arange(l_max + 1, dtype=float), grid.phis())
+    field = gc[0][:, None] + 2.0 * (np.cos(ang[1:]).T @ gc[1:] - np.sin(ang[1:]).T @ gs[1:]).T
+    return np.sqrt(grid.weights()) * field.ravel()
 
 
 class TestGrid:
@@ -110,6 +132,35 @@ class TestSynthesizeBeta:
                 lam = lambda_hat(empirical_cl(alm), win, j)
                 assert abs(beta.sum_sq() - lam) / lam < 0.03
 
+    def test_matches_reference_synthesis(self, canonical_model):
+        win = MexicanWindow(p=2, B=2.0)
+        for j in (3, 4, 5):
+            grid = build_grid(j, 2.0)
+            for seed in (1, 2, 3):
+                alm = simulate_alm(canonical_model, win.effective_lmax(j, 4096), seed)
+                want = reference_beta(alm, grid, 2, 2.0)
+                got = synthesize_beta(alm, grid, p=2, B=2.0).values
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (j, seed)
+
+    @pytest.mark.parametrize("l,m", [(12, 9), (17, 13), (21, 16), (21, 21)])
+    def test_single_coefficient_above_nyquist(self, l, m):
+        # j = 2: 8 rings, 16 longitudes, l_max 21; m above n_phi / 2 = 8
+        # aliases on the grid, and m >= 16 wraps modulo n_phi (16 onto 0)
+        from scipy.special import sph_harm_y
+
+        grid = build_grid(2, 2.0)
+        assert (grid.n_theta, grid.n_phi) == (8, 16)
+        alm = AlmSet(l_max=21, seed=0, data=np.zeros(21 * 24 // 2, dtype=complex))
+        a = 0.3 - 0.7j
+        alm.row(l)[m] = a
+        beta = synthesize_beta(alm, grid, p=2, B=2.0)
+        th, ph = grid.points()
+        # a_lm Y_lm + a_l,-m Y_l,-m = 2 Re(a_lm Y_lm) by the reality condition
+        field = 2.0 * (a * sph_harm_y(l, m, th, ph)).real
+        fl = float(MexicanWindow(p=2, B=2.0).window(np.array(l / 4.0)))
+        expected = np.sqrt(grid.weights()) * fl * field
+        assert np.allclose(beta.values, expected, rtol=1e-10, atol=1e-12 * np.max(np.abs(expected)))
+
     def test_band_limit_error(self, canonical_model):
         grid = build_grid(2, 2.0, oversample=0.2)  # too coarse for its level
         alm = simulate_alm(canonical_model, 32, seed=1)
@@ -139,6 +190,17 @@ class TestBetaCorrelation:
         assert summary.fitted_exponent == pytest.approx(7.0, rel=0.30)
         # antipodal bin decorrelates (noise floor ~ 1/sqrt(n_seeds))
         assert summary.far_field_mean() < 0.1
+
+    def test_seed_blocks_do_not_change_the_summary(self, canonical_model, monkeypatch):
+        # seeds are synthesised in blocks; a block boundary must not show
+        args = (canonical_model, 3, 4)
+        kwargs = dict(p=2, B=2.0, n_seeds=_SEED_BLOCK + 5, master_seed=5, max_points=150)
+        blocked = empirical_beta_correlation(*args, **kwargs)
+        monkeypatch.setattr("needlet_whittle.sphere._SEED_BLOCK", 1)
+        single = empirical_beta_correlation(*args, **kwargs)
+        assert np.allclose(blocked.mean_abs, single.mean_abs, rtol=1e-12, atol=0)
+        assert np.allclose(blocked.max_abs, single.max_abs, rtol=1e-12, atol=0)
+        assert np.array_equal(blocked.counts, single.counts)
 
     def test_lemma_exponent_field(self, canonical_model):
         summary = empirical_beta_correlation(
