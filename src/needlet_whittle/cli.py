@@ -65,17 +65,19 @@ def _cmd_estimate(args) -> int:
         alpha_min=args.alpha_min, alpha_max=args.alpha_max, tol=args.tol
     )
     if args.band == "narrow":
+        if args.j0 is not None:
+            raise ConfigError("--j0 applies to the full band; a narrow band starts at J1")
         fit = whittle.fit_narrow_band(spec, window, j_l=args.jl, g=args.g, search=search)
     else:
-        j_range = None
-        if args.j0 is not None and args.jl is not None:
-            j_range = JRange(j0=args.j0, jL=args.jl)
+        if args.g is not None:
+            raise ConfigError("--g applies to the narrow band only")
+        if (args.j0 is None) != (args.jl is None):
+            raise ConfigError("a full-band level range needs both --j0 and --jl")
+        j_range = None if args.j0 is None else JRange(j0=args.j0, jL=args.jl)
         fit = whittle.fit_full_band(spec, window, j_range=j_range, search=search)
     print(fit.report())
     if args.csv_out:
-        with open(args.csv_out, "w", newline="") as fh:
-            fh.write(whittle.fit_csv_header() + "\n")
-            fh.write(whittle.fit_csv_row(fit, seed=spec.seed) + "\n")
+        harness.write_rows_csv([harness.ReplicationRow.from_fit(0, spec.seed, fit)], args.csv_out)
         print(f"wrote {args.csv_out}")
     return EXIT_OK
 
@@ -84,7 +86,7 @@ def _cmd_montecarlo(args) -> int:
     config = harness.ExperimentConfig.from_file(args.config)
     summary = harness.run_experiment(config)
     prefix = config.output_prefix
-    harness.write_rows_csv(summary, f"{prefix}.rows.csv")
+    harness.write_rows_csv(summary.rows, f"{prefix}.rows.csv")
     harness.write_summary_csv(summary, f"{prefix}.summary.csv")
     if not config.noise_free and summary.aggregate.n_rows - summary.aggregate.n_failed > 7:
         harness.write_histogram_csv(summary, f"{prefix}.hist.csv")

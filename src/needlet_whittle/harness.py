@@ -10,8 +10,10 @@ Each file format has one declaration that owns it:
   field and parser, and the field defaults are the key defaults (the ``fit.*``
   ones come from ``whittle.SearchSettings``); the nested ``model.*`` and
   ``window.*`` keys are written out by hand;
-* rows CSV -- the fields of ``ReplicationRow``, in order, are the columns;
-  ``whittle.fit_columns`` fills the ones a fit determines;
+* rows CSV -- the fields of ``ReplicationRow``, in order, are the columns,
+  ``ReplicationRow.from_fit`` is the one mapping from a fit to a row, and
+  ``write_rows_csv`` writes rows for both ``montecarlo`` and
+  ``estimate --csv-out``;
 * summary CSV -- the fields of ``Aggregate``, in order, are the rows.
 """
 from __future__ import annotations
@@ -45,8 +47,6 @@ from .spectrum import (
 from .whittle import (
     SearchSettings,
     WhittleFit,
-    csv_cell,
-    fit_columns,
     fit_full_band,
     fit_narrow_band,
     narrow_band_range,
@@ -61,6 +61,7 @@ __all__ = [
     "run_experiment",
     "jarque_bera",
     "JB_CRITICAL_0_001",
+    "csv_cell",
     "write_rows_csv",
     "write_summary_csv",
     "write_histogram_csv",
@@ -292,8 +293,9 @@ def rep_seed(master_seed: int, r: int) -> int:
 
 @dataclass
 class ReplicationRow:
-    """One line of the rows CSV: the fields, in order, are its columns, and
-    ``whittle.fit_columns`` fills ``seed`` through ``iterations``."""
+    """One line of the rows CSV: the fields, in order, are its columns.  ``j0``
+    is the first level used (J1 on a narrow band); ``boundary`` flags a fit that
+    ended at or near a search end."""
 
     rep: int
     seed: int
@@ -301,7 +303,7 @@ class ReplicationRow:
     alpha_hat: float = math.nan
     g_hat: float = math.nan
     j0: int = 0
-    j1_or_j0: int = 0
+    boundary: bool = False
     jL: int = 0
     score: float = math.nan
     hessian: float = math.nan
@@ -309,6 +311,23 @@ class ReplicationRow:
     iterations: int = 0
     failed: bool = False
     error: str = ""
+
+    @classmethod
+    def from_fit(cls, rep: int, seed: int, fit: WhittleFit) -> "ReplicationRow":
+        return cls(
+            rep=rep,
+            seed=seed,
+            band=fit.band,
+            alpha_hat=fit.alpha_hat,
+            g_hat=fit.g_hat,
+            j0=fit.j_range_used.j0,
+            boundary=fit.boundary,
+            jL=fit.j_range_used.jL,
+            score=fit.score_at_hat,
+            hessian=fit.hessian_at_hat,
+            converged=fit.converged,
+            iterations=fit.iterations,
+        )
 
 
 def _noise_free_spectrum(model: PowerSpectrumModel, l_max: int) -> EmpiricalSpectrum:
@@ -339,7 +358,7 @@ def _run_one(args) -> ReplicationRow:
         return ReplicationRow(
             rep=r, seed=seed, band=config.band, failed=True, error=f"{type(exc).__name__}: {exc}"
         )
-    return ReplicationRow(rep=r, **fit_columns(fit, seed))
+    return ReplicationRow.from_fit(r, seed, fit)
 
 
 @dataclass
@@ -462,10 +481,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
 # ---------------------------------------------------------------------------
 
 
-def write_rows_csv(summary: ExperimentSummary, path) -> None:
+def csv_cell(value) -> str:
+    """One CSV cell: floats at 17 significant digits (an exact round trip),
+    booleans as 0/1, and commas in text replaced by semicolons."""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value).replace(",", ";")
+
+
+def write_rows_csv(rows: list[ReplicationRow], path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(f.name for f in fields(ReplicationRow)) + "\n")
-        for row in summary.rows:
+        for row in rows:
             fh.write(",".join(map(csv_cell, astuple(row))) + "\n")
 
 

@@ -91,9 +91,12 @@ class MexicanWindow:
     def effective_lmax(self, j: int, l_max: int) -> int:
         return min(l_max, int(math.ceil(self.B**j * self.cutoff_x)))
 
+    def resolved(self, j: int, l_max: int) -> bool:
+        """Whether the band up to l_max holds level j's window peak."""
+        return self.B**j * self.peak_x <= l_max
+
     def check_band(self, j: int, l_max: int) -> None:
-        # the window peak must be resolved by the available band
-        if self.B**j * self.peak_x > l_max:
+        if not self.resolved(j, l_max):
             raise TruncationError(
                 f"level j={j}: window peak at l~{self.B ** j * self.peak_x:.0f} "
                 f"exceeds l_max={l_max}"
@@ -165,8 +168,12 @@ class StandardWindow:
     def effective_lmax(self, j: int, l_max: int) -> int:
         return min(l_max, int(math.ceil(self.B ** (j + 1))) - 1)
 
+    def resolved(self, j: int, l_max: int) -> bool:
+        """Whether the band up to l_max holds level j's whole support, up to B^(j+1)."""
+        return self.B ** (j + 1) <= l_max * (1.0 + 1e-12)
+
     def check_band(self, j: int, l_max: int) -> None:
-        if self.B ** (j + 1) > l_max * (1.0 + 1e-12):
+        if not self.resolved(j, l_max):
             raise TruncationError(
                 f"level j={j}: support end B^(j+1)={self.B ** (j + 1):.1f} "
                 f"exceeds l_max={l_max}"
@@ -387,10 +394,10 @@ def select_j_range(
 ) -> JRange:
     """Level range [J0, JL] for data banded at l_max.
 
-    Default policy: J0 = 1 and JL = round(log_B(l_max / B)) (round half up);
-    for compact windows JL is additionally clamped so the top-level support
-    fits below l_max.  Custom ``thresholds = (eps1, eps2)`` instead apply the
-    two ratio conditions verbatim:
+    Default policy: J0 = 1 and JL = round(log_B(l_max / B)) (round half up),
+    lowered while the top level is not ``window.resolved`` at l_max.  Custom
+    ``thresholds = (eps1, eps2)`` instead apply the two ratio conditions
+    verbatim:
 
         J0 = max{j : f_p(B^-(j+1)) > eps1 f_p(B^-j)},
         JL = min{j : f_p(l_max/B^j) < eps2 f_p(l_max/B^(j-1))}.
@@ -400,9 +407,8 @@ def select_j_range(
         raise DomainError(f"l_max={l_max} must be >= B^2={B * B}")
     if thresholds is None:
         jL = _round_half_up(math.log(l_max / B) / math.log(B))
-        if isinstance(window, StandardWindow):
-            while jL > 1 and B ** (jL + 1) > l_max * (1.0 + 1e-12):
-                jL -= 1
+        while jL > 1 and not window.resolved(jL, l_max):
+            jL -= 1
         return JRange(j0=1, jL=jL, c_b=c_b)
     if not isinstance(window, MexicanWindow):
         raise DomainError("threshold-based selection requires a mexican window")

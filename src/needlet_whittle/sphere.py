@@ -243,6 +243,8 @@ def empirical_beta_correlation(
     """
     if not 4 * p + 2 - model.alpha0 > 0:
         raise DomainError("requires 4p + 2 - alpha0 > 0")
+    if n_seeds < 2:
+        raise DomainError(f"a correlation needs n_seeds >= 2, got {n_seeds}")
     window = MexicanWindow(p=p, B=B)
     grids = [build_grid(level, B, oversample=0.5) for level in dict.fromkeys((j, j2))]
     l_max = max(window.effective_lmax(g.j, 10**9) for g in grids)

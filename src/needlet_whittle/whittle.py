@@ -8,9 +8,15 @@ contrast in alpha:
 
 Model-side moments K_j come from the same level basis as the data
 statistics, so a noise-free spectrum is recovered exactly.  Minimization
-brackets the minimum on a coarse alpha grid, then runs a safeguarded Newton
-search on the analytic score and hessian: a step that leaves the bracket, or a
-hessian <= 0, falls back to bisection.
+brackets the minimum on a ``GRID_POINTS`` alpha grid, then runs a safeguarded
+Newton search on the analytic score and hessian: a step that leaves the
+bracket, or a hessian <= 0, falls back to bisection.
+
+``_derivs`` is the one evaluation of the contrast, its score and hessian and
+G-hat at an alpha, from one K_j, K_j', K_j'' pass; ``contrast``,
+``profile_g_hat``, ``score`` and ``hessian`` read from it, and a fit records
+G-hat, score and hessian from a single evaluation at alpha-hat.  The rows-CSV
+form of a fit belongs to ``harness.ReplicationRow``.
 """
 from __future__ import annotations
 
@@ -52,12 +58,9 @@ __all__ = [
     "fit_narrow_band",
     "plug_in",
     "narrow_band_range",
-    "fit_columns",
-    "csv_cell",
-    "fit_csv_header",
-    "fit_csv_row",
 ]
 
+GRID_POINTS = 64  # alpha grid that brackets the minimum before the Newton search
 MAX_ITER = 200  # Newton/bisection iterates per fit; a few suffice (see README)
 
 
@@ -69,40 +72,11 @@ class SearchSettings:
     alpha_min: float = 2.001
     alpha_max: float = 10.0
     tol: float = 1e-6
-    grid_points: int = 64
 
 
-def profile_g_hat(stats: NeedletStatistics, alpha: float) -> float:
-    """Closed-form amplitude profile (1/sum N_j) sum_j lambda_j / K_j(alpha)."""
-    if not np.any(stats.lam > 0):
-        raise DegenerateDataError("all level statistics are zero")
-    return float(np.sum(stats.lam / stats.basis.k(alpha))) / float(np.sum(stats.basis.n))
-
-
-def contrast(stats: NeedletStatistics, alpha: float) -> float:
-    """Profiled Whittle contrast; the alpha-free coefficient entropy term is
-    dropped, so only contrast differences are meaningful."""
-    n = stats.basis.n
-    k0 = stats.basis.k(alpha)
-    g = float(np.sum(stats.lam / k0)) / float(np.sum(n))
-    if not g > 0:
-        raise DegenerateDataError("profiled amplitude is not positive")
-    return math.log(g) + float(np.sum(n * np.log(k0))) / float(np.sum(n))
-
-
-def contrast_two_param(stats: NeedletStatistics, alpha: float, g: float) -> float:
-    """Unprofiled contrast in (alpha, G); equals contrast(alpha) + 1 at the
-    profile point G = profile_g_hat(alpha)."""
-    if not g > 0:
-        raise DomainError("g must be positive")
-    n = stats.basis.n
-    k0 = stats.basis.k(alpha)
-    sn = float(np.sum(n))
-    return float(np.sum(stats.lam / (g * k0)) + np.sum(n * np.log(g * k0))) / sn
-
-
-def _derivs(stats: NeedletStatistics, alpha: float) -> tuple[float, float, float]:
-    """Contrast, score and hessian at alpha from one K_j, K_j', K_j'' evaluation."""
+def _derivs(stats: NeedletStatistics, alpha: float) -> tuple[float, float, float, float]:
+    """Contrast, score, hessian and profiled amplitude G-hat at alpha, from one
+    K_j, K_j', K_j'' evaluation."""
     k0, k1, k2 = stats.basis.k_derivs(alpha)
     n = stats.basis.n
     sn = float(np.sum(n))
@@ -116,7 +90,29 @@ def _derivs(stats: NeedletStatistics, alpha: float) -> tuple[float, float, float
     curv = (d2phi * phi - dphi * dphi) / phi**2 + float(
         np.sum(n * (k2 * k0 - k1**2) / k0**2)
     ) / sn
-    return value, grad, curv
+    return value, grad, curv, phi
+
+
+def profile_g_hat(stats: NeedletStatistics, alpha: float) -> float:
+    """Closed-form amplitude profile (1/sum N_j) sum_j lambda_j / K_j(alpha)."""
+    return _derivs(stats, alpha)[3]
+
+
+def contrast(stats: NeedletStatistics, alpha: float) -> float:
+    """Profiled Whittle contrast; the alpha-free coefficient entropy term is
+    dropped, so only contrast differences are meaningful."""
+    return _derivs(stats, alpha)[0]
+
+
+def contrast_two_param(stats: NeedletStatistics, alpha: float, g: float) -> float:
+    """Unprofiled contrast in (alpha, G); equals contrast(alpha) + 1 at the
+    profile point G = profile_g_hat(alpha)."""
+    if not g > 0:
+        raise DomainError("g must be positive")
+    n = stats.basis.n
+    k0 = stats.basis.k(alpha)
+    sn = float(np.sum(n))
+    return float(np.sum(stats.lam / (g * k0)) + np.sum(n * np.log(g * k0))) / sn
 
 
 def score(stats: NeedletStatistics, alpha: float) -> float:
@@ -133,14 +129,14 @@ def hessian(stats: NeedletStatistics, alpha: float) -> float:
 class WhittleFit:
     alpha_hat: float
     g_hat: float
-    j_range_used: JRange
+    j_range_used: JRange  # a narrow fit's range starts at J1
     band: str  # "full" | "narrow"
-    narrow_j1: int | None
     contrast_trace: list[tuple[float, float]]
     score_at_hat: float
     hessian_at_hat: float
     converged: bool
     iterations: int
+    boundary: bool  # alpha-hat at or within tol of a search end (BoundaryWarning)
 
     def report(self) -> str:
         lines = [
@@ -156,9 +152,10 @@ class WhittleFit:
         return "\n".join(lines)
 
 
-def _minimize(stats: NeedletStatistics, search: SearchSettings):
+def _fit(stats: NeedletStatistics, search: SearchSettings, band: str) -> WhittleFit:
     basis = stats.basis
-    grid, k = basis.k_linspace(search.alpha_min, search.alpha_max, search.grid_points)
+    # the grid stays vectorised: one k_linspace pass, not GRID_POINTS evaluations
+    grid, k = basis.k_linspace(search.alpha_min, search.alpha_max, GRID_POINTS)
     sn = float(np.sum(basis.n))
     g = np.sum(stats.lam / k, axis=1) / sn
     if not np.all(g > 0):
@@ -172,7 +169,7 @@ def _minimize(stats: NeedletStatistics, search: SearchSettings):
     converged = False
     iters = 0
     while iters < MAX_ITER:
-        value, grad, curv = _derivs(stats, x)
+        value, grad, curv, _ = _derivs(stats, x)
         trace.append((x, value))
         iters += 1
         # a positive score puts the minimum below x, otherwise above it
@@ -190,33 +187,29 @@ def _minimize(stats: NeedletStatistics, search: SearchSettings):
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
         alpha_hat = x
-    if (
+    boundary = bool(
         alpha_hat - search.alpha_min <= search.tol
         or search.alpha_max - alpha_hat <= search.tol
         or i in (0, len(grid) - 1)
-    ):
+    )
+    if boundary:
         warnings.warn(
             f"alpha_hat={alpha_hat:.6f} is at or near the search boundary "
             f"[{search.alpha_min}, {search.alpha_max}]",
             BoundaryWarning,
         )
-    return alpha_hat, trace, converged, iters
-
-
-def _fit(stats, search, band, narrow_j1=None) -> WhittleFit:
-    alpha_hat, trace, converged, iters = _minimize(stats, search)
-    _, grad, curv = _derivs(stats, alpha_hat)
+    _, grad, curv, g_hat = _derivs(stats, alpha_hat)
     return WhittleFit(
         alpha_hat=alpha_hat,
-        g_hat=profile_g_hat(stats, alpha_hat),
+        g_hat=g_hat,
         j_range_used=stats.j_range,
         band=band,
-        narrow_j1=narrow_j1,
         contrast_trace=trace,
         score_at_hat=grad,
         hessian_at_hat=curv,
         converged=converged,
         iterations=iters,
+        boundary=boundary,
     )
 
 
@@ -277,7 +270,7 @@ def fit_narrow_band(
     j_range = narrow_band_range(j_l, g, window.B)
     search = search or SearchSettings()
     stats = compute_statistics(spec, window, j_range)
-    return _fit(stats, search, band="narrow", narrow_j1=j_range.j0)
+    return _fit(stats, search, band="narrow")
 
 
 @dataclass
@@ -332,44 +325,3 @@ def plug_in(
         rho0_sq=asymptotics.table1_rho0_sq(pilot.alpha_hat, b_std, interpolate=interpolate),
         sigma1_sq=asymptotics.sigma0_sq(p, pilot.alpha_hat),
     )
-
-
-# The columns a fit fills in a rows CSV, in order after ``seed``, with the
-# WhittleFit value behind each.  The harness's ReplicationRow declares the
-# same names as fields.
-_FIT_COLUMNS = {
-    "band": lambda fit: fit.band,
-    "alpha_hat": lambda fit: fit.alpha_hat,
-    "g_hat": lambda fit: fit.g_hat,
-    "j0": lambda fit: fit.j_range_used.j0,
-    "j1_or_j0": lambda fit: fit.j_range_used.j0 if fit.narrow_j1 is None else fit.narrow_j1,
-    "jL": lambda fit: fit.j_range_used.jL,
-    "score": lambda fit: fit.score_at_hat,
-    "hessian": lambda fit: fit.hessian_at_hat,
-    "converged": lambda fit: fit.converged,
-    "iterations": lambda fit: fit.iterations,
-}
-
-
-def fit_columns(fit: WhittleFit, seed: int) -> dict[str, object]:
-    """The fit's rows-CSV columns ``seed`` through ``iterations``, by name, in
-    column order."""
-    return {"seed": seed, **{name: get(fit) for name, get in _FIT_COLUMNS.items()}}
-
-
-def csv_cell(value) -> str:
-    """One CSV cell: floats at 17 significant digits (an exact round trip),
-    booleans as 0/1, and commas in text replaced by semicolons."""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value).replace(",", ";")
-
-
-def fit_csv_header() -> str:
-    return ",".join(["seed", *_FIT_COLUMNS])
-
-
-def fit_csv_row(fit: WhittleFit, seed: int) -> str:
-    return ",".join(csv_cell(value) for value in fit_columns(fit, seed).values())

@@ -408,7 +408,7 @@ def test_criterion_12_property_suite(tmp_path):
     for tag, workers in (("a", 1), ("b", 1), ("c", 2)):
         path = tmp_path / f"{tag}.csv"
         cfg_w = ExperimentConfig(**{**cfg.__dict__, "workers": workers})
-        write_rows_csv(run_experiment(cfg_w), path)
+        write_rows_csv(run_experiment(cfg_w).rows, path)
         runs.append(path.read_bytes())
     checks.append(("determinism + parallel reproducibility", runs[0] == runs[1] == runs[2]))
 

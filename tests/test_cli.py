@@ -1,7 +1,9 @@
+from dataclasses import fields
+
 import pytest
 
 from needlet_whittle.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
-from needlet_whittle.harness import ExperimentConfig
+from needlet_whittle.harness import ExperimentConfig, ReplicationRow
 from needlet_whittle.needlet import MexicanWindow
 from needlet_whittle.spectrum import PowerSpectrumModel
 
@@ -51,7 +53,7 @@ class TestSimulateEstimate:
         out = capsys.readouterr().out
         assert "alpha_hat" in out
         header = (tmp_path / "fit.csv").read_text().splitlines()[0]
-        assert header.startswith("seed,band,alpha_hat")
+        assert header.startswith("rep,seed,band,alpha_hat")
 
     def test_estimate_from_csv(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -80,6 +82,31 @@ class TestSimulateEstimate:
         assert main(["estimate", "--spectrum-file", str(path)]) == EXIT_NUMERIC
         assert "NeedletWhittleError" in capsys.readouterr().err
 
+    def test_csv_out_is_one_rows_csv_row(self, tmp_path):
+        main(["simulate", "--config", str(write_config(tmp_path))])
+        out = tmp_path / "fit.csv"
+        spectrum = str(tmp_path / "run.spectrum.bin")
+        assert main(["estimate", "--spectrum-file", spectrum, "--csv-out", str(out)]) == EXIT_OK
+        header, row = out.read_text().splitlines()
+        assert header == ",".join(f.name for f in fields(ReplicationRow))
+        assert row.startswith("0,7,full,")  # rep 0, the spectrum's seed
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["--j0", "2"],
+            ["--jl", "6"],
+            ["--g", "0.5"],
+            ["--band", "narrow", "--g", "0.5", "--j0", "2"],
+        ],
+        ids=["full-lone-j0", "full-lone-jl", "full-g", "narrow-j0"],
+    )
+    def test_ignored_range_options_rejected(self, tmp_path, capsys, options):
+        main(["simulate", "--config", str(write_config(tmp_path))])
+        spectrum = str(tmp_path / "run.spectrum.bin")
+        assert main(["estimate", "--spectrum-file", spectrum, *options]) == EXIT_CONFIG
+        assert "alpha_hat" not in capsys.readouterr().out
+
     def test_malformed_config(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("model.alpha0 = not_a_number\n")
@@ -90,8 +117,15 @@ class TestConfigRejectedBeforeSimulation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            # the default range puts level 13's window peak at l ~ 337 > 300
-            dict(window=MexicanWindow(p=3, B=1.5), l_max=300, replications=200),
+            # level 13's window peak lies at l ~ 337 > 300
+            dict(
+                window=MexicanWindow(p=3, B=1.5),
+                l_max=300,
+                replications=200,
+                jrange_policy="explicit",
+                j0=1,
+                jl=13,
+            ),
             dict(master_seed=2**63),  # does not fit the int64 seed of the file headers
         ],
         ids=["window-peak-past-l-max", "seed-past-int64"],
@@ -125,6 +159,15 @@ class TestMonteCarlo:
 
 
 class TestRealspaceAndPlugin:
+    @pytest.mark.parametrize("n_seeds", ["0", "1"])
+    def test_realspace_check_needs_two_seeds(self, capsys, n_seeds):
+        rc = main(
+            ["realspace-check", "--j", "3", "--p", "2", "--B", "2.0", "--seed", "5",
+             "--n-seeds", n_seeds, "--l-max", "256"]
+        )
+        assert rc == EXIT_NUMERIC
+        assert "n_seeds" in capsys.readouterr().err
+
     def test_realspace_check(self, capsys):
         rc = main(
             ["realspace-check", "--j", "3", "--p", "2", "--B", "2.0", "--seed", "5",

@@ -112,7 +112,7 @@ FULL_ROWS = [
         alpha_hat=3.0012345678901234,
         g_hat=0.98765432109876543,
         j0=1,
-        j1_or_j0=1,
+        boundary=False,
         jL=7,
         score=-1.25e-13,
         hessian=0.43210987654321,
@@ -133,7 +133,7 @@ FULL_ROWS = [
         alpha_hat=2.9,
         g_hat=1.0,
         j0=1,
-        j1_or_j0=1,
+        boundary=True,
         jL=7,
         score=0.1,
         hessian=1e-300,
@@ -149,7 +149,6 @@ NARROW_ROWS = [
         alpha_hat=3.1,
         g_hat=1.5,
         j0=6,
-        j1_or_j0=6,
         jL=7,
         score=2.5e-9,
         hessian=0.5,
@@ -159,17 +158,17 @@ NARROW_ROWS = [
 ]
 
 HEADER = (
-    "rep,seed,band,alpha_hat,g_hat,j0,j1_or_j0,jL,score,hessian,converged,iterations,failed,error\n"
+    "rep,seed,band,alpha_hat,g_hat,j0,boundary,jL,score,hessian,converged,iterations,failed,error\n"
 )
 FULL_ROWS_CSV = HEADER + (
-    "0,12345678901234567890,full,3.0012345678901236,0.98765432109876539,1,1,7,"
+    "0,12345678901234567890,full,3.0012345678901236,0.98765432109876539,1,0,7,"
     "-1.25e-13,0.43210987654320998,1,3,0,\n"
     "1,7,full,nan,nan,0,0,0,nan,nan,0,0,1,"
     "DegenerateDataError: all level statistics are zero; at every level\n"
     "2,0,full,2.8999999999999999,1,1,1,7,0.10000000000000001,1e-300,0,200,0,\n"
 )
 NARROW_ROWS_CSV = HEADER + (
-    "0,18446744073709551615,narrow,3.1000000000000001,1.5,6,6,7,"
+    "0,18446744073709551615,narrow,3.1000000000000001,1.5,6,0,7,"
     "2.5000000000000001e-09,0.5,1,4,0,\n"
 )
 
@@ -179,13 +178,13 @@ def _summary(cfg, rows, aggregate=None) -> ExperimentSummary:
 
 
 @pytest.mark.parametrize(
-    "cfg, rows, expected",
-    [(FULL, FULL_ROWS, FULL_ROWS_CSV), (NARROW, NARROW_ROWS, NARROW_ROWS_CSV)],
+    "rows, expected",
+    [(FULL_ROWS, FULL_ROWS_CSV), (NARROW_ROWS, NARROW_ROWS_CSV)],
     ids=["full", "narrow"],
 )
-def test_rows_csv(tmp_path, cfg, rows, expected):
+def test_rows_csv(tmp_path, rows, expected):
     path = tmp_path / "rows.csv"
-    write_rows_csv(_summary(cfg, rows), path)
+    write_rows_csv(rows, path)
     assert path.read_text() == expected
 
 
@@ -228,11 +227,11 @@ def test_summary_csv(tmp_path):
 )
 def test_load_summary_round_trip(tmp_path, cfg, rows):
     rows_path, summary_path = tmp_path / "rows.csv", tmp_path / "summary.csv"
-    write_rows_csv(_summary(cfg, rows), rows_path)
+    write_rows_csv(rows, rows_path)
     write_summary_csv(_summary(cfg, rows, _aggregate(cfg, rows)), summary_path)
     loaded = load_summary(summary_path, rows_path, cfg)
     again_rows, again_summary = tmp_path / "again.rows.csv", tmp_path / "again.summary.csv"
-    write_rows_csv(loaded, again_rows)
+    write_rows_csv(loaded.rows, again_rows)
     write_summary_csv(loaded, again_summary)
     assert again_rows.read_bytes() == rows_path.read_bytes()
     assert again_summary.read_bytes() == summary_path.read_bytes()

@@ -92,8 +92,14 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            # the default range puts level 13's window peak at l ~ 337 > 300
-            dict(window=MexicanWindow(p=3, B=1.5), l_max=300),
+            # level 13's window peak lies at l ~ 337 > 300
+            dict(
+                window=MexicanWindow(p=3, B=1.5),
+                l_max=300,
+                jrange_policy="explicit",
+                j0=1,
+                jl=13,
+            ),
             dict(master_seed=2**63),
             dict(master_seed=-(2**63) - 1),
         ],
@@ -142,7 +148,7 @@ class TestRunExperiment:
         for tag in ("a", "b"):
             summary = run_experiment(cfg)
             path = tmp_path / f"{tag}.rows.csv"
-            write_rows_csv(summary, path)
+            write_rows_csv(summary.rows, path)
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
 
@@ -150,9 +156,20 @@ class TestRunExperiment:
         serial = run_experiment(small_config(workers=1))
         parallel = run_experiment(small_config(workers=2))
         p1, p2 = tmp_path / "s.csv", tmp_path / "p.csv"
-        write_rows_csv(serial, p1)
-        write_rows_csv(parallel, p2)
+        write_rows_csv(serial.rows, p1)
+        write_rows_csv(parallel.rows, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_boundary_fits_flagged_in_rows(self, tmp_path):
+        # alpha0 = 3 lies above the search range, so every fit ends at alpha_max;
+        # the BoundaryWarning stays inside the pool workers, the row keeps the flag
+        summary = run_experiment(small_config(alpha_max=2.5, replications=4, workers=2))
+        path = tmp_path / "rows.csv"
+        write_rows_csv(summary.rows, path)
+        header, *lines = path.read_text().splitlines()
+        col = header.split(",").index("boundary")
+        assert [line.split(",")[col] for line in lines] == ["1"] * 4
+        assert all(row.converged and not row.failed for row in summary.rows)
 
     def test_env_override_workers(self, monkeypatch, tmp_path):
         monkeypatch.setenv("NEEDLET_WHITTLE_THREADS", "2")
@@ -219,7 +236,7 @@ class TestSummaryIO:
         cfg = small_config()
         summary = run_experiment(cfg)
         rows_path, summary_path = tmp_path / "rows.csv", tmp_path / "summary.csv"
-        write_rows_csv(summary, rows_path)
+        write_rows_csv(summary.rows, rows_path)
         write_summary_csv(summary, summary_path)
         loaded = load_summary(summary_path, rows_path, cfg)
         assert loaded.aggregate.mean_alpha == pytest.approx(summary.aggregate.mean_alpha)
@@ -228,7 +245,7 @@ class TestSummaryIO:
         cfg = small_config()
         summary = run_experiment(cfg)
         rows_path, summary_path = tmp_path / "rows.csv", tmp_path / "summary.csv"
-        write_rows_csv(summary, rows_path)
+        write_rows_csv(summary.rows, rows_path)
         write_summary_csv(summary, summary_path)
         text = summary_path.read_text().replace(
             f"mean_alpha,{summary.aggregate.mean_alpha:.17g}", "mean_alpha,99"

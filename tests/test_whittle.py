@@ -23,8 +23,9 @@ from needlet_whittle import (
     score,
     whittle,
 )
-from needlet_whittle.needlet import k_j, narrow_band_j1, select_j_range
-from needlet_whittle.whittle import contrast_two_param, fit_csv_header, fit_csv_row
+from needlet_whittle.harness import ReplicationRow, write_rows_csv
+from needlet_whittle.needlet import LevelBasis, k_j, narrow_band_j1, select_j_range
+from needlet_whittle.whittle import GRID_POINTS, contrast_two_param
 
 from conftest import chi2_spectrum, noise_free_spectrum
 
@@ -36,7 +37,7 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def golden_section_alpha(stats, search):
     """Reference minimizer: grid bracket, then golden section on the contrast
     until the bracket is below tol."""
-    grid = np.linspace(search.alpha_min, search.alpha_max, search.grid_points)
+    grid = np.linspace(search.alpha_min, search.alpha_max, GRID_POINTS)
     i = int(np.argmin([contrast(stats, a) for a in grid]))
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
     c, d = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
@@ -192,6 +193,38 @@ class TestFitFullBand:
         with pytest.raises(DegenerateDataError):
             fit_full_band(spec, MEX)
 
+    @pytest.mark.parametrize("B", [1.1, 1.2, 1.4])
+    @pytest.mark.parametrize("l_max", [1024, 8192])
+    def test_default_range_resolved_at_small_b(self, B, l_max, canonical_model):
+        # the mexican peak sits at sqrt(p) B^j, so at small B the rounded
+        # default top level can lie past l_max; the default range stops below it
+        window = MexicanWindow(p=2, B=B)
+        j_l = select_j_range(l_max, window).jL
+        assert window.resolved(j_l, l_max) and not window.resolved(j_l + 1, l_max)
+        fit = fit_full_band(noise_free_spectrum(canonical_model, l_max), window)
+        assert fit.j_range_used.jL == j_l
+        assert abs(fit.alpha_hat - 3.0) <= 1e-12
+
+    def test_one_evaluation_at_alpha_hat(self, canonical_model, monkeypatch):
+        spec = chi2_spectrum(canonical_model, 1024, 47)
+        at = []
+        for name in ("k", "k_derivs"):
+            method = getattr(LevelBasis, name)
+
+            def counted(basis, alpha, method=method):
+                at.append(alpha)
+                return method(basis, alpha)
+
+            monkeypatch.setattr(LevelBasis, name, counted)
+        fit = fit_full_band(spec, MEX)
+        assert at.count(fit.alpha_hat) == 1
+        monkeypatch.undo()
+        stats = compute_statistics(spec, MEX, fit.j_range_used)
+        assert fit.g_hat == profile_g_hat(stats, fit.alpha_hat)
+        assert fit.score_at_hat == score(stats, fit.alpha_hat)
+        assert fit.hessian_at_hat == hessian(stats, fit.alpha_hat)
+        assert fit.converged and not fit.boundary
+
 
 class TestNewtonSearch:
     @pytest.mark.parametrize("l_max", [1024, 8192])
@@ -231,8 +264,8 @@ class TestNewtonSearch:
         derivs = whittle._derivs
 
         def distorted(stats, alpha):
-            value, grad, curv = derivs(stats, alpha)
-            return value, grad, distort(curv)
+            value, grad, curv, g_hat = derivs(stats, alpha)
+            return value, grad, distort(curv), g_hat
 
         monkeypatch.setattr(whittle, "_derivs", distorted)
         fit = fit_full_band(spec, MEX)
@@ -253,7 +286,7 @@ class TestFitNarrowBand:
     def test_g_half_takes_top_two_levels(self, canonical_model):
         spec = noise_free_spectrum(canonical_model, 1024)
         fit = fit_narrow_band(spec, MEX, g=0.5)
-        assert fit.narrow_j1 == 8
+        assert fit.j_range_used.j0 == 8
         assert (fit.j_range_used.j0, fit.j_range_used.jL) == (8, 9)
         assert fit.alpha_hat == pytest.approx(3.0, abs=1e-5)
         assert fit.band == "narrow"
@@ -261,7 +294,7 @@ class TestFitNarrowBand:
     def test_g_rule_callable(self, canonical_model):
         spec = noise_free_spectrum(canonical_model, 1024)
         fit = fit_narrow_band(spec, MEX, g=lambda jl: 0.75)
-        assert fit.narrow_j1 == 7
+        assert fit.j_range_used.j0 == 7
 
     def test_j1_tie_rounds_half_up(self, canonical_model):
         # at B = 4 the band fraction g = 7/8 puts J1 at jL - 3/2 exactly
@@ -269,7 +302,7 @@ class TestFitNarrowBand:
         spec = noise_free_spectrum(canonical_model, 256)
         j_l = select_j_range(256, window).jL
         fit = fit_narrow_band(spec, window, g=0.875)
-        assert fit.narrow_j1 == narrow_band_j1(j_l, 0.875, 4.0) == j_l - 1
+        assert fit.j_range_used.j0 == narrow_band_j1(j_l, 0.875, 4.0) == j_l - 1
         # g = 1/2 puts it at jL - 1/2, which rounds up to a single level
         with pytest.raises(NarrowBandError):
             fit_narrow_band(spec, window, g=0.5)
@@ -300,11 +333,13 @@ class TestPlugIn:
 
 
 class TestCsvRow:
-    def test_round_trip_fields(self, canonical_model):
+    def test_round_trip_fields(self, canonical_model, tmp_path):
         spec = chi2_spectrum(canonical_model, 1024, 41)
         fit = fit_full_band(spec, MEX)
-        row = fit_csv_row(fit, seed=41)
+        path = tmp_path / "fit.csv"
+        write_rows_csv([ReplicationRow.from_fit(0, 41, fit)], path)
+        header, row = path.read_text().splitlines()
         parts = row.split(",")
-        assert len(parts) == len(fit_csv_header().split(","))
-        assert float(parts[2]) == pytest.approx(fit.alpha_hat, rel=1e-15)
-        assert parts[1] == "full"
+        assert len(parts) == len(header.split(","))
+        assert float(parts[3]) == pytest.approx(fit.alpha_hat, rel=1e-15)
+        assert parts[2] == "full"
