@@ -9,9 +9,17 @@ Randomness is split per (seed, l): the degree-l row is a pure function of the
 pair, so partial simulations, per-degree draws and parallel execution all
 produce bit-identical coefficients.  Gaussians come from numpy's
 ``Generator.standard_normal`` (PCG64 + ziggurat), fixed for this release.
+
+Each row is drawn in place: its normals z_0..z_2l land straight in the packed
+array, viewed as (re, im) float pairs, and are scaled there, with C_l for all
+degrees from one vectorised ``c_l`` call.  ``simulate_alm`` and ``alm_row``
+share that one fill.  The bytes equal those of building each row as
+a_l0 = sqrt(C_l) z_0, a_lm = sqrt(C_l / 2) (z_{2m-1} + i z_{2m}), so the
+draws are unchanged.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -109,15 +117,22 @@ def _rng_for(seed: int, l: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed) & 0xFFFFFFFFFFFFFFFF, l)))
 
 
+def _draw_row(pairs: np.ndarray, l: int, seed: int, c: float) -> None:
+    """Fill one degree-l row in place; ``pairs`` is its float64 (re, im) view,
+    2l + 2 values.  z_0..z_2l land from Im a_l0 on; then a_l0 = sqrt(C_l) z_0
+    moves to the real slot and the m >= 1 pairs take the sqrt(C_l / 2) scale."""
+    _rng_for(seed, l).standard_normal(2 * l + 1, out=pairs[1:])
+    pairs[0] = math.sqrt(c) * pairs[1]
+    pairs[1] = 0.0
+    pairs[2:] *= math.sqrt(c / 2.0)
+
+
 def alm_row(model: PowerSpectrumModel, l: int, seed: int) -> np.ndarray:
     """The degree-l coefficient row (m >= 0), deterministic in (seed, l)."""
     if l < 1:
         raise DomainError("l must be >= 1")
-    z = _rng_for(seed, l).standard_normal(2 * l + 1)
-    c = c_l(model, l)
     row = np.empty(l + 1, dtype=complex)
-    row[0] = np.sqrt(c) * z[0]
-    row[1:] = np.sqrt(c / 2.0) * (z[1::2] + 1j * z[2::2])
+    _draw_row(row.view(np.float64), l, seed, c_l(model, l))
     return row
 
 
@@ -127,15 +142,18 @@ def simulate_alm(
     seed: int,
     l_max_cap: int = DEFAULT_LMAX_CAP,
 ) -> AlmSet:
-    """Draw a full coefficient set up to l_max."""
+    """Draw a full coefficient set up to l_max, row by row into one buffer."""
     if l_max < 1:
         raise DomainError("l_max must be >= 1")
     if l_max > l_max_cap:
         raise ResourceLimitError(f"l_max={l_max} exceeds cap {l_max_cap}")
     data = np.empty(_packed_size(l_max), dtype=complex)
-    for l in range(1, l_max + 1):
-        s = _row_start(l)
-        data[s : s + l + 1] = alm_row(model, l, seed)
+    pairs = data.view(np.float64)
+    start = 0
+    for l, c in enumerate(c_l(model, np.arange(1, l_max + 1)).tolist(), start=1):
+        stop = start + 2 * l + 2
+        _draw_row(pairs[start:stop], l, seed, c)
+        start = stop
     return AlmSet(l_max=l_max, seed=seed, data=data)
 
 

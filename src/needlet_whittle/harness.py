@@ -587,7 +587,8 @@ def theory_checks(summary: ExperimentSummary) -> list[CheckResult]:
     Mean consistency always; variance/normality for full-band clean power laws
     (kappa = 0); scaled-bias agreement for full-band kappa models.  Narrow-band
     runs get the bias comparison only -- at desk scale the continuum variance
-    reference is out of reach (see README).
+    reference is out of reach (see README).  Simulated runs also fail when any
+    fit ended at a search end, since such a row is averaged like any other.
     """
     agg = summary.aggregate
     cfg = summary.config
@@ -643,4 +644,12 @@ def theory_checks(summary: ExperimentSummary) -> list[CheckResult]:
                 "no closed-form threshold applies to this configuration",
             )
         )
+    n_boundary = sum(row.boundary for row in summary.rows if not row.failed)
+    checks.append(
+        CheckResult(
+            "search-boundary",
+            n_boundary == 0,
+            f"{n_boundary}/{agg.n_rows - agg.n_failed} fits at a search end",
+        )
+    )
     return checks

@@ -251,7 +251,7 @@ def empirical_beta_correlation(
     n_bins = 48
 
     # node subsample shared across seeds
-    rng = np.random.default_rng(np.random.SeedSequence((master_seed, 0x9D)))
+    rng = np.random.default_rng(np.random.SeedSequence((master_seed & 0xFFFFFFFFFFFFFFFF, 0x9D)))
     picks = [rng.choice(g.n_points, size=min(max_points, g.n_points), replace=False) for g in grids]
     th = np.concatenate([g.points()[0][idx] for g, idx in zip(grids, picks)])
     ph = np.concatenate([g.points()[1][idx] for g, idx in zip(grids, picks)])

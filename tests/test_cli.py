@@ -177,6 +177,16 @@ class TestRealspaceAndPlugin:
         out = capsys.readouterr().out
         assert "frame check" in out and "relative gap" in out
 
+    def test_realspace_check_negative_seed(self, capsys):
+        # a negative seed is masked to 64 bits on every stream, the node
+        # subsample's included
+        rc = main(
+            ["realspace-check", "--j", "3", "--p", "2", "--B", "2.0", "--seed", "-1",
+             "--n-seeds", "2", "--l-max", "64"]
+        )
+        assert rc == EXIT_OK
+        assert "correlation decay" in capsys.readouterr().out
+
     def test_plugin(self, tmp_path, capsys):
         cfg = write_config(tmp_path, l_max=512)
         main(["simulate", "--config", str(cfg)])

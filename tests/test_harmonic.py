@@ -9,8 +9,10 @@ from needlet_whittle import (
     AlmSet,
     DomainError,
     EmpiricalSpectrum,
+    KappaCorrection,
     NeedletWhittleError,
     PowerSpectrumModel,
+    RationalCorrection,
     ResourceLimitError,
     alm_row,
     c_l,
@@ -18,6 +20,52 @@ from needlet_whittle import (
     empirical_cl,
     simulate_alm,
 )
+
+
+def reference_row(model, l, seed):
+    """The per-row complex construction the in-place fill must reproduce."""
+    z = np.random.default_rng(
+        np.random.SeedSequence((int(seed) & 0xFFFFFFFFFFFFFFFF, l))
+    ).standard_normal(2 * l + 1)
+    c = c_l(model, l)
+    row = np.empty(l + 1, dtype=complex)
+    row[0] = np.sqrt(c) * z[0]
+    row[1:] = np.sqrt(c / 2.0) * (z[1::2] + 1j * z[2::2])
+    return row
+
+
+def reference_simulate(model, l_max, seed):
+    data = np.empty(l_max * (l_max + 3) // 2, dtype=complex)
+    for l in range(1, l_max + 1):
+        s = (l - 1) * (l + 2) // 2
+        data[s : s + l + 1] = reference_row(model, l, seed)
+    return data
+
+
+PINNED_MODELS = [
+    PowerSpectrumModel(alpha0=3.0),
+    PowerSpectrumModel(alpha0=2.7, g0=1.3, correction=KappaCorrection(kappa=0.8)),
+    PowerSpectrumModel(
+        alpha0=3.4, g0=0.7, correction=RationalCorrection((1.0, 2.0, 0.5), (3.0, 1.0))
+    ),
+]
+
+
+class TestPinnedDraws:
+    """The in-place fill keeps the per-(seed, l) draws byte for byte."""
+
+    @pytest.mark.parametrize("model", PINNED_MODELS, ids=["none", "kappa", "rational"])
+    @pytest.mark.parametrize("l_max", [1, 2, 33, 1024])
+    @pytest.mark.parametrize("seed", [0, -3, 2**63 + 5, 2**64 + 1])
+    def test_simulate_matches_reference(self, model, l_max, seed):
+        got = simulate_alm(model, l_max, seed).data
+        assert got.tobytes() == reference_simulate(model, l_max, seed).tobytes()
+
+    @pytest.mark.parametrize("model", PINNED_MODELS, ids=["none", "kappa", "rational"])
+    def test_alm_row_matches_simulate(self, model):
+        alm = simulate_alm(model, 33, seed=12345)
+        for l in range(1, 34):
+            assert alm_row(model, l, 12345).tobytes() == alm.row(l).tobytes()
 
 
 class TestSimulateAlm:

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from needlet_whittle import (
+    BoundaryWarning,
     ConfigError,
     KappaCorrection,
     MexicanWindow,
@@ -279,6 +280,28 @@ class TestTheoryChecks:
         summary = run_experiment(small_config(replications=1, noise_free=True))
         checks = theory_checks(summary)
         assert len(checks) == 1 and checks[0].passed
+
+    def test_boundary_rows_fail_check(self):
+        # alpha0 = 3 lies above the search range, so every fit ends at alpha_max
+        with pytest.warns(BoundaryWarning):
+            summary = run_experiment(small_config(alpha_max=2.5))
+        (check,) = [c for c in theory_checks(summary) if c.name == "search-boundary"]
+        assert not check.passed
+        assert check.detail.startswith("12/12 ")
+
+    def test_canonical_config_passes_boundary_check(self):
+        summary = run_experiment(small_config())
+        (check,) = [c for c in theory_checks(summary) if c.name == "search-boundary"]
+        assert check.passed and check.detail.startswith("0/12 ")
+
+    def test_report_only_when_no_closed_form(self):
+        # kappa model on a narrow band: no closed-form check applies
+        summary = run_experiment(
+            small_config(model=PowerSpectrumModel(alpha0=3.0, correction=KappaCorrection(0.5)),
+                         band="narrow", g=0.5)
+        )
+        names = [c.name for c in theory_checks(summary)]
+        assert names == ["report-only", "search-boundary"]
 
     def test_clean_model_checks_present(self):
         summary = run_experiment(small_config(replications=24, l_max=256))
