@@ -88,10 +88,11 @@ def _cmd_montecarlo(args) -> int:
     prefix = config.output_prefix
     harness.write_rows_csv(summary.rows, f"{prefix}.rows.csv")
     harness.write_summary_csv(summary, f"{prefix}.summary.csv")
-    if not config.noise_free and summary.aggregate.n_rows - summary.aggregate.n_failed > 7:
+    agg = summary.aggregate
+    # the standardized sample needs more than 7 fits and a non-zero spread
+    if not config.noise_free and agg.n_rows - agg.n_failed > 7 and agg.var_scaled > 0:
         harness.write_histogram_csv(summary, f"{prefix}.hist.csv")
         harness.write_qq_csv(summary, f"{prefix}.qq.csv")
-    agg = summary.aggregate
     print(f"replications {agg.n_rows} (failed {agg.n_failed})")
     print(f"mean_alpha   {agg.mean_alpha:.6f} +- {agg.se_alpha:.6f}")
     print(f"mean_g       {agg.mean_g:.6f}")

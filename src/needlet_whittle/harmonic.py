@@ -12,10 +12,15 @@ produce bit-identical coefficients.  Gaussians come from numpy's
 
 Each row is drawn in place: its normals z_0..z_2l land straight in the packed
 array, viewed as (re, im) float pairs, and are scaled there, with C_l for all
-degrees from one vectorised ``c_l`` call.  ``simulate_alm`` and ``alm_row``
-share that one fill.  The bytes equal those of building each row as
-a_l0 = sqrt(C_l) z_0, a_lm = sqrt(C_l / 2) (z_{2m-1} + i z_{2m}), so the
+degrees from one vectorised ``c_l`` call.  ``simulate_alm``, ``alm_row`` and
+``alm_rows`` share that one fill.  The bytes equal those of building each row
+as a_l0 = sqrt(C_l) z_0, a_lm = sqrt(C_l / 2) (z_{2m-1} + i z_{2m}), so the
 draws are unchanged.
+
+Only this module knows the packed layout of ``AlmSet.data``.  ``alm_rows``
+streams degree-l rows for a block of seeds, one (S, l + 1) stack at a time,
+so a consumer that works degree by degree (real-space synthesis) never holds
+a whole coefficient set.
 """
 from __future__ import annotations
 
@@ -34,6 +39,7 @@ __all__ = [
     "EmpiricalSpectrum",
     "ChatMoments",
     "alm_row",
+    "alm_rows",
     "simulate_alm",
     "empirical_cl",
     "chat_moments",
@@ -136,21 +142,34 @@ def alm_row(model: PowerSpectrumModel, l: int, seed: int) -> np.ndarray:
     return row
 
 
-def simulate_alm(
-    model: PowerSpectrumModel,
-    l_max: int,
-    seed: int,
-    l_max_cap: int = DEFAULT_LMAX_CAP,
-) -> AlmSet:
-    """Draw a full coefficient set up to l_max, row by row into one buffer."""
+def _c_ls(model: PowerSpectrumModel, l_max: int) -> list[float]:
+    """C_1..C_l_max from one vector ``c_l`` call, once l_max is checked."""
     if l_max < 1:
         raise DomainError("l_max must be >= 1")
-    if l_max > l_max_cap:
-        raise ResourceLimitError(f"l_max={l_max} exceeds cap {l_max_cap}")
+    if l_max > DEFAULT_LMAX_CAP:
+        raise ResourceLimitError(f"l_max={l_max} exceeds cap {DEFAULT_LMAX_CAP}")
+    return c_l(model, np.arange(1, l_max + 1)).tolist()
+
+
+def alm_rows(model: PowerSpectrumModel, l_max: int, seeds):
+    """Yield, for l = 1..l_max, the (len(seeds), l + 1) stack of degree-l rows;
+    row i is bit-equal to ``alm_row(model, l, seeds[i])``."""
+    seeds = list(seeds)
+    for l, c in enumerate(_c_ls(model, l_max), start=1):
+        stack = np.empty((len(seeds), l + 1), dtype=complex)
+        pairs = stack.view(np.float64)
+        for i, seed in enumerate(seeds):
+            _draw_row(pairs[i], l, seed, c)
+        yield stack
+
+
+def simulate_alm(model: PowerSpectrumModel, l_max: int, seed: int) -> AlmSet:
+    """Draw a full coefficient set up to l_max, row by row into one buffer."""
+    c_ls = _c_ls(model, l_max)
     data = np.empty(_packed_size(l_max), dtype=complex)
     pairs = data.view(np.float64)
     start = 0
-    for l, c in enumerate(c_l(model, np.arange(1, l_max + 1)).tolist(), start=1):
+    for l, c in enumerate(c_ls, start=1):
         stop = start + 2 * l + 2
         _draw_row(pairs[start:stop], l, seed, c)
         start = stop

@@ -385,10 +385,14 @@ class ExperimentSummary:
 
 
 def jarque_bera(x) -> float:
-    """Skewness/kurtosis normality statistic; chi-square(2) under the null."""
+    """Skewness/kurtosis normality statistic; chi-square(2) under the null.
+    ``nan`` when the sample has no spread (e.g. every fit at a search end)."""
     x = np.asarray(x, dtype=float)
     n = len(x)
-    z = (x - x.mean()) / x.std(ddof=0)
+    sd = x.std(ddof=0)
+    if not sd > 0:
+        return math.nan
+    z = (x - x.mean()) / sd
     skew = float(np.mean(z**3))
     kurt = float(np.mean(z**4))
     return n * (skew**2 / 6.0 + (kurt - 3.0) ** 2 / 24.0)
@@ -584,11 +588,13 @@ class CheckResult:
 def theory_checks(summary: ExperimentSummary) -> list[CheckResult]:
     """Applicable acceptance comparisons for a finished run.
 
-    Mean consistency always; variance/normality for full-band clean power laws
-    (kappa = 0); scaled-bias agreement for full-band kappa models.  Narrow-band
-    runs get the bias comparison only -- at desk scale the continuum variance
-    reference is out of reach (see README).  Simulated runs also fail when any
-    fit ended at a search end, since such a row is averaged like any other.
+    Mean consistency for clean power laws (kappa = 0) on any band;
+    variance/normality for full-band mexican clean power laws; scaled-bias
+    agreement for full-band mexican kappa models; ``report-only`` when none
+    applies.  Narrow-band runs get no variance or bias comparison -- at desk
+    scale the continuum variance reference is out of reach (see README).
+    Simulated runs also fail when any fit ended at a search end, since such a
+    row is averaged like any other.
     """
     agg = summary.aggregate
     cfg = summary.config

@@ -8,6 +8,12 @@ recurrence (stable in double precision to l of a few thousand; very high m
 underflows gracefully to zero) is streamed degree by degree into per-ring
 Fourier amplitudes, and an FFT over longitude gives the field.  Memory is
 O(L N_theta), so level 7 (L = 647 at p = 2, B = 2) runs in ~10 MB.
+
+Coefficients arrive as a stream of degree rows, never as a packed set: one
+set is ``AlmSet.row(l)``, and the correlation diagnostic draws each block of
+seeds row by row through ``harmonic.alm_rows``, so its memory is
+O(S n_phi N_theta) per block of S seeds, whatever L is.  Only ``harmonic``
+knows the packed layout.
 """
 from __future__ import annotations
 
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandLimitError, DomainError, ResourceLimitError
-from .harmonic import AlmSet, _row_start, simulate_alm
+from .harmonic import AlmSet, alm_rows
 from .needlet import MexicanWindow
 from .spectrum import PowerSpectrumModel
 
@@ -34,8 +40,8 @@ __all__ = [
 
 DEFAULT_POINT_CAP = 1_000_000
 
-# coefficient sets synthesised together by ``empirical_beta_correlation``;
-# bounds its working memory at any seed count
+# seeds synthesised together by ``empirical_beta_correlation``; bounds its
+# (S, n_phi, N_theta) amplitude array at any seed count
 _SEED_BLOCK = 32
 
 # rings per unit B^j; 2.0 keeps the frame identity gap well under 1e-2 for the
@@ -79,17 +85,8 @@ class CubatureGrid:
     def weights(self) -> np.ndarray:
         return np.repeat(self.ring_weight, self.n_phi)
 
-    def integrate(self, ring_values: np.ndarray) -> float:
-        """Quadrature of point values laid out as (n_theta, n_phi)."""
-        return float(np.sum(self.ring_weight[:, None] * ring_values))
 
-
-def build_grid(
-    j: int,
-    B: float,
-    oversample: float = 1.0,
-    point_cap: int = DEFAULT_POINT_CAP,
-) -> CubatureGrid:
+def build_grid(j: int, B: float, oversample: float = 1.0) -> CubatureGrid:
     """Iso-latitude cubature grid for level j with N_j proportional to B^(2j)."""
     if j < 1:
         raise DomainError("j must be >= 1")
@@ -97,9 +94,9 @@ def build_grid(
         raise DomainError("B must exceed 1")
     n_theta = max(4, round(GRID_RING_FACTOR * oversample * B**j))
     n_phi = 2 * n_theta
-    if n_theta * n_phi > point_cap:
+    if n_theta * n_phi > DEFAULT_POINT_CAP:
         raise ResourceLimitError(
-            f"grid would need {n_theta * n_phi} points, cap is {point_cap}"
+            f"grid would need {n_theta * n_phi} points, cap is {DEFAULT_POINT_CAP}"
         )
     nodes, weights = np.polynomial.legendre.leggauss(n_theta)
     return CubatureGrid(
@@ -171,25 +168,27 @@ class BetaCoefficients:
                 fh.write(f"{k},{th[k]:.17g},{ph[k]:.17g},{w[k]:.17g},{self.values[k]:.17g}\n")
 
 
-def _needlet_field(packed: np.ndarray, grid: CubatureGrid, window: MexicanWindow,
-                   l_max: int) -> np.ndarray:
+def _needlet_field(rows, grid: CubatureGrid, window: MexicanWindow, l_max: int) -> np.ndarray:
     """Filtered fields sum_l f_p(l/B^j) sum_m a_lm Y_lm at the grid nodes, as
-    (S, n_theta, n_phi), for S coefficient sets stacked in the ``AlmSet.data``
-    layout.  Degree l adds f_p(l/B^j) a_lm P_lm to the (m, ring) amplitudes as
-    the recurrence yields its row; m is folded modulo n_phi (m runs past
-    n_phi / 2, and e^{i m phi} repeats with period n_phi on the grid)."""
-    n_sets, n_phi = len(packed), grid.n_phi
+    (S, n_theta, n_phi), for S coefficient sets.  ``rows`` yields, for
+    l = 1..l_max, the (S, l + 1) array a_l0..a_ll; degree l adds
+    f_p(l/B^j) a_lm P_lm to the (m mod n_phi, ring) amplitudes as the
+    recurrence yields its row (m runs past n_phi / 2, and e^{i m phi} repeats
+    with period n_phi on the grid)."""
+    n_phi = grid.n_phi
     fl = window.window(np.arange(1, l_max + 1) / window.B**grid.j)
-    n_m = -(-(l_max + 1) // n_phi) * n_phi  # m padded to whole periods of n_phi
-    amp = np.zeros((n_sets, n_m, grid.n_theta), dtype=complex)
-    rows = _legendre_rows(l_max, grid.ring_cos)
-    next(rows)  # l = 0 carries no coefficient
-    for l, row in enumerate(rows, start=1):
-        s = _row_start(l)
-        amp[:, : l + 1] += (fl[l - 1] * packed[:, s : s + l + 1])[:, :, None] * row
-    amp[:, 1:] *= 2.0  # m and -m together: field = Re sum_{m >= 0} amp_m e^{i m phi}
-    folded = amp.reshape(n_sets, -1, n_phi, grid.n_theta).sum(axis=1)
-    field = np.fft.ifft(folded, axis=1, norm="forward").real
+    amp = None
+    legendre = _legendre_rows(l_max, grid.ring_cos)
+    next(legendre)  # l = 0 carries no coefficient
+    for l, (a, P) in enumerate(zip(rows, legendre), start=1):
+        c = fl[l - 1] * a  # a scaled copy; the caller's row is left alone
+        c[:, 1:] *= 2.0  # m and -m together: field = Re sum_{m >= 0} amp_m e^{i m phi}
+        if amp is None:
+            amp = np.zeros((len(c), n_phi, grid.n_theta), dtype=complex)
+        for lo in range(0, l + 1, n_phi):
+            hi = min(lo + n_phi, l + 1)
+            amp[:, : hi - lo] += c[:, lo:hi, None] * P[lo:hi]
+    field = np.fft.ifft(amp, axis=1, norm="forward").real
     return field.transpose(0, 2, 1)
 
 
@@ -202,7 +201,8 @@ def synthesize_beta(alm: AlmSet, grid: CubatureGrid, p: int, B: float) -> BetaCo
             f"grid with {grid.n_theta} rings cannot resolve the level-{grid.j} window "
             f"(peak multipole ~{window.peak_x * B ** grid.j:.0f})"
         )
-    field = _needlet_field(alm.data[None, :], grid, window, l_max)[0]
+    rows = (alm.row(l)[None] for l in range(1, l_max + 1))
+    field = _needlet_field(rows, grid, window, l_max)[0]
     beta = np.sqrt(grid.weights()) * field.ravel()
     return BetaCoefficients(j=grid.j, p=p, values=beta, grid=grid)
 
@@ -247,22 +247,27 @@ def empirical_beta_correlation(
         raise DomainError(f"a correlation needs n_seeds >= 2, got {n_seeds}")
     window = MexicanWindow(p=p, B=B)
     grids = [build_grid(level, B, oversample=0.5) for level in dict.fromkeys((j, j2))]
-    l_max = max(window.effective_lmax(g.j, 10**9) for g in grids)
     n_bins = 48
+    master = master_seed & 0xFFFFFFFFFFFFFFFF
 
     # node subsample shared across seeds
-    rng = np.random.default_rng(np.random.SeedSequence((master_seed & 0xFFFFFFFFFFFFFFFF, 0x9D)))
+    rng = np.random.default_rng(np.random.SeedSequence((master, 0x9D)))
     picks = [rng.choice(g.n_points, size=min(max_points, g.n_points), replace=False) for g in grids]
     th = np.concatenate([g.points()[0][idx] for g, idx in zip(grids, picks)])
     ph = np.concatenate([g.points()[1][idx] for g, idx in zip(grids, picks)])
 
+    # replicate s draws its rows from a 64-bit seed derived from (master, s)
+    seeds = [
+        int(np.random.SeedSequence((master, s)).generate_state(1, np.uint64)[0])
+        for s in range(n_seeds)
+    ]
     betas = [np.empty((n_seeds, len(idx))) for idx in picks]
     for first in range(0, n_seeds, _SEED_BLOCK):
-        block = range(first, min(first + _SEED_BLOCK, n_seeds))
-        packed = np.stack([_simulate_banded(model, l_max, (master_seed, s)).data for s in block])
+        block = seeds[first : first + _SEED_BLOCK]
         for g, idx, beta in zip(grids, picks, betas):
-            field = _needlet_field(packed, g, window, window.effective_lmax(g.j, l_max))
-            beta[first : block.stop] = field.reshape(len(block), -1)[:, idx]
+            l_max = window.effective_lmax(g.j, 10**9)
+            field = _needlet_field(alm_rows(model, l_max, block), g, window, l_max)
+            beta[first : first + len(block)] = field.reshape(len(block), -1)[:, idx]
 
     z = np.concatenate([(b - b.mean(axis=0)) / b.std(axis=0) for b in betas], axis=1)
     corr = z.T @ z / n_seeds
@@ -318,14 +323,3 @@ def empirical_beta_correlation(
         fitted_exponent=fitted,
         lemma_exponent=4 * p + 2 - model.alpha0,
     )
-
-
-def _simulate_banded(model: PowerSpectrumModel, l_max: int, seed_pair) -> AlmSet:
-    """Coefficient set keyed by a (master, replicate) pair; rows still follow
-    the per-(seed, l) stream convention via a derived 64-bit seed."""
-    derived = int(
-        np.random.SeedSequence((seed_pair[0] & 0xFFFFFFFFFFFFFFFF, seed_pair[1])).generate_state(
-            1, np.uint64
-        )[0]
-    )
-    return simulate_alm(model, l_max, derived)

@@ -3,6 +3,7 @@ from dataclasses import fields
 import pytest
 
 from needlet_whittle.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from needlet_whittle.errors import BoundaryWarning
 from needlet_whittle.harness import ExperimentConfig, ReplicationRow
 from needlet_whittle.needlet import MexicanWindow
 from needlet_whittle.spectrum import PowerSpectrumModel
@@ -157,6 +158,18 @@ class TestMonteCarlo:
         cfg = write_config(tmp_path, replications=16)
         assert main(["montecarlo", "--config", str(cfg), "--check"]) == EXIT_CHECK
 
+    def test_boundary_rows_exit_check(self, tmp_path, capsys):
+        # alpha0 = 3 lies above the search range, so every fit ends at
+        # alpha_max and the scaled estimates have no spread
+        cfg = write_config(tmp_path, replications=12, alpha_max=2.5)
+        with pytest.warns(BoundaryWarning):
+            rc = main(["montecarlo", "--config", str(cfg), "--check"])
+        assert rc == EXIT_CHECK
+        out = capsys.readouterr().out
+        assert "check search-boundary: FAIL (12/12 " in out
+        assert "jarque_bera  nan" in out
+        assert not (tmp_path / "run.hist.csv").exists()
+
 
 class TestRealspaceAndPlugin:
     @pytest.mark.parametrize("n_seeds", ["0", "1"])
@@ -176,6 +189,19 @@ class TestRealspaceAndPlugin:
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         assert "frame check" in out and "relative gap" in out
+
+    def test_realspace_check_output_pinned(self, capsys):
+        rc = main(
+            ["realspace-check", "--j", "3", "--p", "2", "--B", "2.0", "--seed", "1",
+             "--n-seeds", "40", "--l-max", "256"]
+        )
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "frame check: sum beta^2 = 0.035090661, lambda_hat = 0.035203714, "
+            "relative gap = 0.3211%",
+            "correlation decay: fitted exponent 7.67 (bound exponent 7)",
+            "far-field mean |corr| = 0.1052",
+        ]
 
     def test_realspace_check_negative_seed(self, capsys):
         # a negative seed is masked to 64 bits on every stream, the node

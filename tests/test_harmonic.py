@@ -15,6 +15,7 @@ from needlet_whittle import (
     RationalCorrection,
     ResourceLimitError,
     alm_row,
+    alm_rows,
     c_l,
     chat_moments,
     empirical_cl,
@@ -66,6 +67,15 @@ class TestPinnedDraws:
         alm = simulate_alm(model, 33, seed=12345)
         for l in range(1, 34):
             assert alm_row(model, l, 12345).tobytes() == alm.row(l).tobytes()
+
+    @pytest.mark.parametrize("model", PINNED_MODELS, ids=["none", "kappa", "rational"])
+    def test_alm_rows_match_alm_row(self, model):
+        seeds = [0, -3, 2**63 + 5, 2**64 + 1]
+        for l, stack in enumerate(alm_rows(model, 33, seeds), start=1):
+            assert stack.shape == (len(seeds), l + 1)
+            for i, seed in enumerate(seeds):
+                assert stack[i].tobytes() == alm_row(model, l, seed).tobytes(), (l, seed)
+        assert l == 33
 
 
 class TestSimulateAlm:

@@ -161,6 +161,15 @@ class TestSynthesizeBeta:
         expected = np.sqrt(grid.weights()) * fl * field
         assert np.allclose(beta.values, expected, rtol=1e-10, atol=1e-12 * np.max(np.abs(expected)))
 
+    def test_coefficients_left_unchanged(self, canonical_model):
+        # the m >= 1 doubling works on a copy of each row
+        grid = build_grid(3, 2.0)
+        alm = simulate_alm(canonical_model, 32, seed=4)
+        before = alm.data.copy()
+        first = synthesize_beta(alm, grid, p=2, B=2.0).values
+        assert alm.data.tobytes() == before.tobytes()
+        assert np.array_equal(synthesize_beta(alm, grid, p=2, B=2.0).values, first)
+
     def test_band_limit_error(self, canonical_model):
         grid = build_grid(2, 2.0, oversample=0.2)  # too coarse for its level
         alm = simulate_alm(canonical_model, 32, seed=1)
@@ -201,6 +210,21 @@ class TestBetaCorrelation:
         assert np.allclose(blocked.mean_abs, single.mean_abs, rtol=1e-12, atol=0)
         assert np.allclose(blocked.max_abs, single.max_abs, rtol=1e-12, atol=0)
         assert np.array_equal(blocked.counts, single.counts)
+
+    def test_block_memory_bounded(self, canonical_model):
+        # a block of seeds is drawn row by row, never as packed sets: the
+        # peak is the (S, n_phi, N_theta) amplitudes, ~10 MB at j = 6
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            empirical_beta_correlation(
+                canonical_model, 6, 6, p=2, B=2.0, n_seeds=_SEED_BLOCK, max_points=200
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
 
     def test_lemma_exponent_field(self, canonical_model):
         summary = empirical_beta_correlation(
