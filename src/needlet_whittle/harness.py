@@ -9,7 +9,9 @@ Each file format has one declaration that owns it:
 * config text -- ``_FLAT_KEYS`` maps each flat key to its ``ExperimentConfig``
   field and parser, and the field defaults are the key defaults (the ``fit.*``
   ones come from ``whittle.SearchSettings``); the nested ``model.*`` and
-  ``window.*`` keys are written out by hand;
+  ``window.*`` keys are written out by hand.  The band keys ``band.kind``,
+  ``jrange.j0``, ``jrange.jl`` and ``band.g`` are one ``whittle.level_range``
+  request, checked and fitted by that one rule, as ``estimate`` does;
 * rows CSV -- the fields of ``ReplicationRow``, in order, are the columns,
   ``ReplicationRow.from_fit`` is the one mapping from a fit to a row, and
   ``write_rows_csv`` writes rows for both ``montecarlo`` and
@@ -27,15 +29,9 @@ from statistics import NormalDist
 import numpy as np
 
 from . import asymptotics
-from .errors import ConfigError, NarrowBandError, NeedletWhittleError, TruncationError
+from .errors import ConfigError, DegenerateDataError, NeedletWhittleError
 from .harmonic import EmpiricalSpectrum, empirical_cl, simulate_alm
-from .needlet import (
-    JRange,
-    MexicanWindow,
-    NeedletWindow,
-    StandardWindow,
-    select_j_range,
-)
+from .needlet import JRange, MexicanWindow, NeedletWindow, StandardWindow
 from .spectrum import (
     KappaCorrection,
     NoCorrection,
@@ -44,13 +40,7 @@ from .spectrum import (
     c_l,
     model_kappa,
 )
-from .whittle import (
-    SearchSettings,
-    WhittleFit,
-    fit_full_band,
-    fit_narrow_band,
-    narrow_band_range,
-)
+from .whittle import SearchSettings, WhittleFit, fit_band, level_range
 
 __all__ = [
     "ExperimentConfig",
@@ -95,7 +85,6 @@ def _format(value) -> str:
 # ``to_text`` writes them.
 _FLAT_KEYS = (
     ("sim.l_max", "l_max", int),
-    ("jrange.policy", "jrange_policy", str),
     ("jrange.j0", "j0", int),
     ("jrange.jl", "jl", int),
     ("band.kind", "band", str),
@@ -109,7 +98,6 @@ _FLAT_KEYS = (
     ("run.noise_free", "noise_free", _boolean),
     ("output.prefix", "output_prefix", str),
 )
-_EXPLICIT_ONLY = ("jrange.j0", "jrange.jl")  # written only under jrange.policy = explicit
 
 
 @dataclass
@@ -117,9 +105,8 @@ class ExperimentConfig:
     model: PowerSpectrumModel
     window: NeedletWindow
     l_max: int
-    jrange_policy: str = "default"  # "default" | "explicit"
-    j0: int | None = None
-    jl: int | None = None
+    j0: int | None = None  # j0 and jl: an explicit full-band range
+    jl: int | None = None  # or the top of a narrow band
     band: str = "full"  # "full" | "narrow"
     g: float | None = None  # narrow band fraction; None -> jL^-3 rule
     replications: int = 100
@@ -135,36 +122,23 @@ class ExperimentConfig:
         return SearchSettings(alpha_min=self.alpha_min, alpha_max=self.alpha_max, tol=self.tol)
 
     def j_range(self) -> JRange:
-        if self.jrange_policy == "explicit":
-            if self.j0 is None or self.jl is None:
-                raise ConfigError("explicit jrange policy requires jrange.j0 and jrange.jl")
-            return JRange(j0=self.j0, jL=self.jl)
-        return select_j_range(self.l_max, self.window)
+        """The level range every replication fits (``whittle.level_range``)."""
+        try:
+            return level_range(self.window, self.l_max, self.band, self.j0, self.jl, self.g)
+        except NeedletWhittleError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def validate(self) -> None:
         if self.replications < 1:
             raise ConfigError("run.replications must be >= 1")
+        if self.workers < 0:
+            raise ConfigError("run.workers must be >= 0")
         if self.l_max < self.window.B**2:
             raise ConfigError("sim.l_max must be >= B^2")
-        if self.band not in ("full", "narrow"):
-            raise ConfigError(f"band.kind must be full or narrow, got {self.band!r}")
-        if self.jrange_policy not in ("default", "explicit"):
-            raise ConfigError(f"jrange.policy must be default or explicit")
-        if self.g is not None and not 0.0 < self.g < 1.0:
-            raise ConfigError("band.g must be in (0, 1)")
-        if not self.alpha_min < self.alpha_max:
-            raise ConfigError("fit.alpha_min must be below fit.alpha_max")
+        self.search()  # raises on a bad search range or tolerance
         if not -(2**63) <= self.master_seed < 2**63:  # the int64 seed of the file headers
             raise ConfigError("run.master_seed must fit in a signed 64-bit integer")
-        rng = self.j_range()  # raises on inconsistent ranges
-        try:
-            # the checks every replication's fit would make, before any simulation
-            for j in rng.levels():
-                self.window.check_band(j, self.l_max)
-            if self.band == "narrow":
-                narrow_band_range(rng.jL, self.g, self.window.B)
-        except (TruncationError, NarrowBandError) as exc:
-            raise ConfigError(str(exc)) from exc
+        self.j_range()  # the range checks every replication's fit would make
 
     # -- serialization --------------------------------------------------
 
@@ -191,11 +165,8 @@ class ExperimentConfig:
             ]
         else:
             lines += ["window.kind = standard", f"window.B = {_format(self.window.B)}"]
-        for key, name, _ in _FLAT_KEYS:
-            value = getattr(self, name)
-            if value is None or (key in _EXPLICIT_ONLY and self.jrange_policy != "explicit"):
-                continue
-            lines.append(f"{key} = {_format(value)}")
+        values = ((key, getattr(self, name)) for key, name, _ in _FLAT_KEYS)
+        lines += [f"{key} = {_format(value)}" for key, value in values if value is not None]
         return "\n".join(lines) + "\n"
 
     def to_file(self, path) -> None:
@@ -273,10 +244,7 @@ class ExperimentConfig:
         cfg = cls(model=model, window=window, **flat)
         if kv:
             raise ConfigError(f"unknown keys: {sorted(kv)}")
-        try:
-            cfg.validate()
-        except NeedletWhittleError as exc:
-            raise ConfigError(str(exc)) from exc
+        cfg.validate()
         return cfg
 
     @classmethod
@@ -337,12 +305,9 @@ def _noise_free_spectrum(model: PowerSpectrumModel, l_max: int) -> EmpiricalSpec
 
 
 def _fit_for_config(config: ExperimentConfig, spec: EmpiricalSpectrum) -> WhittleFit:
-    j_range = config.j_range()
-    if config.band == "narrow":
-        return fit_narrow_band(
-            spec, config.window, j_l=j_range.jL, g=config.g, search=config.search()
-        )
-    return fit_full_band(spec, config.window, j_range=j_range, search=config.search())
+    return fit_band(
+        spec, config.window, config.band, config.j0, config.jl, config.g, config.search()
+    )
 
 
 def _run_one(args) -> ReplicationRow:
@@ -523,9 +488,16 @@ def write_summary_csv(summary: ExperimentSummary, path) -> None:
 
 
 def _standardized(summary: ExperimentSummary) -> np.ndarray:
+    """The scaled estimates B^jL (alpha-hat - alpha0) of the fitted rows,
+    standardized.  ``DegenerateDataError`` when there are 7 fits or fewer, or
+    when they have no spread (every fit at the same alpha-hat)."""
     ok = [row for row in summary.rows if not row.failed]
+    if len(ok) <= 7:
+        raise DegenerateDataError(f"{len(ok)} fits are too few to standardize")
     scale = summary.config.window.B ** ok[0].jL
     x = scale * (np.array([row.alpha_hat for row in ok]) - summary.config.model.alpha0)
+    if not np.ptp(x) > 0:
+        raise DegenerateDataError("the fits have no spread")
     return (x - x.mean()) / x.std(ddof=1)
 
 

@@ -63,7 +63,6 @@ def _cutoff_x(p: int) -> float:
 class MexicanWindow:
     p: int
     B: float
-    kind = "mexican"
 
     def __post_init__(self):
         if self.p < 1:
@@ -142,7 +141,6 @@ def _bump_cdf(u):
 @dataclass(frozen=True)
 class StandardWindow:
     B: float
-    kind = "standard"
 
     def __post_init__(self):
         if not self.B > 1:
@@ -441,13 +439,6 @@ class NeedletStatistics:
     @property
     def window(self) -> NeedletWindow:
         return self.basis.window
-
-    @property
-    def l_max(self) -> int:
-        return self.basis.l_max
-
-    def n_j(self) -> np.ndarray:
-        return self.basis.n
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

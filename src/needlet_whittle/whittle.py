@@ -17,6 +17,10 @@ G-hat at an alpha, from one K_j, K_j', K_j'' pass; ``contrast``,
 ``profile_g_hat``, ``score`` and ``hessian`` read from it, and a fit records
 G-hat, score and hessian from a single evaluation at alpha-hat.  The rows-CSV
 form of a fit belongs to ``harness.ReplicationRow``.
+
+``level_range`` is the one rule that turns a band request (band, j0, jl, g)
+into a level range; ``estimate`` and the Monte Carlo configs both fit through
+``fit_band``, which applies it, so a request is accepted or rejected alike.
 """
 from __future__ import annotations
 
@@ -29,6 +33,7 @@ import numpy as np
 from . import asymptotics
 from .errors import (
     BoundaryWarning,
+    ConfigError,
     DegenerateDataError,
     DomainError,
     NarrowBandError,
@@ -54,10 +59,11 @@ __all__ = [
     "contrast_two_param",
     "score",
     "hessian",
+    "level_range",
+    "fit_band",
     "fit_full_band",
     "fit_narrow_band",
     "plug_in",
-    "narrow_band_range",
 ]
 
 GRID_POINTS = 64  # alpha grid that brackets the minimum before the Newton search
@@ -72,6 +78,16 @@ class SearchSettings:
     alpha_min: float = 2.001
     alpha_max: float = 10.0
     tol: float = 1e-6
+
+    def __post_init__(self):
+        # chained comparisons: nan fails each, so only finite values pass
+        if not -math.inf < self.alpha_min < self.alpha_max < math.inf:
+            raise ConfigError(
+                "search range needs finite alpha_min < alpha_max, "
+                f"got [{self.alpha_min}, {self.alpha_max}]"
+            )
+        if not 0.0 < self.tol < math.inf:
+            raise ConfigError(f"search tolerance must be finite and positive, got {self.tol}")
 
 
 def _derivs(stats: NeedletStatistics, alpha: float) -> tuple[float, float, float, float]:
@@ -222,39 +238,59 @@ def fit_full_band(
     """Estimate (alpha, G) from all levels [J0, JL]."""
     if j_range is None:
         j_range = select_j_range(spec.l_max, window)
-    search = search or SearchSettings()
-    stats = compute_statistics(spec, window, j_range)
-    return _fit(stats, search, band="full")
+    return _fit(compute_statistics(spec, window, j_range), search or SearchSettings(), "full")
 
 
-def default_g_rule(j_l: int) -> float:
-    """Shrinking band fraction g = jL^-3 (degenerate below jL ~ 10 at B = 2)."""
-    return float(j_l) ** -3
+def level_range(
+    window: NeedletWindow,
+    l_max: int,
+    band: str,
+    j0: int | None = None,
+    jl: int | None = None,
+    g=None,
+) -> JRange:
+    """The level range of a band request at band limit ``l_max``.
 
+    * full: [j0, jl] when both are given, ``select_j_range`` when neither is;
+      a lone j0 or jl, or any g, raises ``ConfigError``.
+    * narrow: [J1, jl] with B^J1 = B^jl (1 - g), J1 rounded half up; jl
+      defaults to the top of ``select_j_range``, and g is a fraction in (0, 1),
+      a rule g(jl) or None for g = jl^-3.  A j0 raises ``ConfigError``, a band
+      of one level or under one multipole ``NarrowBandError``.
 
-def narrow_band_range(j_l: int, g, B: float) -> JRange:
-    """The narrow band [J1, JL] with B^J1 = B^JL (1 - g), J1 rounded half-up
-    to an integer level.
-
-    ``g`` is a fraction in (0, 1), a rule g(jL), or None for
-    ``default_g_rule``.  A band that rounds to a single level, or spans less
-    than one multipole, raises ``NarrowBandError``.
+    Every level must be resolved at ``l_max`` (``TruncationError`` otherwise).
     """
-    if g is None:
-        g = default_g_rule(j_l)
-    elif callable(g):
-        g = g(j_l)
-    if not 0.0 < g < 1.0:
-        raise DomainError(f"band fraction g must be in (0, 1), got {g}")
-    j1 = narrow_band_j1(j_l, g, B)
-    if j1 >= j_l:
-        raise NarrowBandError(
-            f"g={g:.6g} at jL={j_l} rounds to a single level (J1={j1}); "
-            "use a coarser band fraction"
-        )
-    if B**j_l - B**j1 < 1.0:
-        raise NarrowBandError("band is narrower than one multipole")
-    return JRange(j0=j1, jL=j_l)
+    if band == "full":
+        if g is not None:
+            raise ConfigError("g applies to the narrow band only")
+        if (j0 is None) != (jl is None):
+            raise ConfigError("a full-band level range needs both j0 and jl")
+        j_range = select_j_range(l_max, window) if j0 is None else JRange(j0=j0, jL=jl)
+    elif band == "narrow":
+        if j0 is not None:
+            raise ConfigError("j0 applies to the full band; a narrow band starts at J1")
+        if jl is None:
+            jl = select_j_range(l_max, window).jL
+        if g is None:
+            g = float(jl) ** -3  # degenerate below jl ~ 10 at B = 2
+        elif callable(g):
+            g = g(jl)
+        if not 0.0 < g < 1.0:
+            raise DomainError(f"band fraction g must be in (0, 1), got {g}")
+        j1 = narrow_band_j1(jl, g, window.B)
+        if j1 >= jl:
+            raise NarrowBandError(
+                f"g={g:.6g} at jL={jl} rounds to a single level (J1={j1}); "
+                "use a coarser band fraction"
+            )
+        if window.B**jl - window.B**j1 < 1.0:
+            raise NarrowBandError("band is narrower than one multipole")
+        j_range = JRange(j0=j1, jL=jl)
+    else:
+        raise ConfigError(f"band must be full or narrow, got {band!r}")
+    for j in j_range.levels():
+        window.check_band(j, l_max)
+    return j_range
 
 
 def fit_narrow_band(
@@ -264,13 +300,25 @@ def fit_narrow_band(
     g=None,
     search: SearchSettings | None = None,
 ) -> WhittleFit:
-    """Estimate (alpha, G) from the top slice ``narrow_band_range(j_l, g, B)``."""
-    if j_l is None:
-        j_l = select_j_range(spec.l_max, window).jL
-    j_range = narrow_band_range(j_l, g, window.B)
-    search = search or SearchSettings()
-    stats = compute_statistics(spec, window, j_range)
-    return _fit(stats, search, band="narrow")
+    """Estimate (alpha, G) from the top slice [J1, j_l] of ``level_range``."""
+    j_range = level_range(window, spec.l_max, "narrow", jl=j_l, g=g)
+    return _fit(compute_statistics(spec, window, j_range), search or SearchSettings(), "narrow")
+
+
+def fit_band(
+    spec: EmpiricalSpectrum,
+    window: NeedletWindow,
+    band: str,
+    j0: int | None,
+    jl: int | None,
+    g,
+    search: SearchSettings | None,
+) -> WhittleFit:
+    """Fit the band request (band, j0, jl, g) of ``level_range``."""
+    j_range = level_range(window, spec.l_max, band, j0, jl, g)
+    if band == "narrow":
+        return fit_narrow_band(spec, window, j_l=j_range.jL, g=g, search=search)
+    return fit_full_band(spec, window, j_range=j_range, search=search)
 
 
 @dataclass
@@ -301,14 +349,13 @@ def plug_in(
     b_std: float,
     b_mex: float,
     search: SearchSettings | None = None,
-    interpolate: bool = True,
 ) -> PluginResult:
     """Two-step estimate: pilot fit with the compact window, then a mexican
     refit whenever p > alpha_pilot / 4 (lower asymptotic variance regime).
 
-    ``rho0_sq`` is the table constant at (alpha_pilot, b_std);``sigma1_sq`` is
-    the mexican table column at alpha_pilot (the variance comparison the
-    decision rule is based on).
+    ``rho0_sq`` is the table constant at (alpha_pilot, b_std), interpolated
+    inside the table; ``sigma1_sq`` is the mexican table column at alpha_pilot
+    (the variance comparison the decision rule is based on).
     """
     std = StandardWindow(B=b_std)
     mex = MexicanWindow(p=p, B=b_mex)
@@ -322,6 +369,6 @@ def plug_in(
         used_mexican=used,
         alpha_final=alpha_final,
         p=p,
-        rho0_sq=asymptotics.table1_rho0_sq(pilot.alpha_hat, b_std, interpolate=interpolate),
+        rho0_sq=asymptotics.table1_rho0_sq(pilot.alpha_hat, b_std, interpolate=True),
         sigma1_sq=asymptotics.sigma0_sq(p, pilot.alpha_hat),
     )

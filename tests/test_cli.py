@@ -3,7 +3,7 @@ from dataclasses import fields
 import pytest
 
 from needlet_whittle.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
-from needlet_whittle.errors import BoundaryWarning
+from needlet_whittle.errors import BoundaryWarning, ConfigError
 from needlet_whittle.harness import ExperimentConfig, ReplicationRow
 from needlet_whittle.needlet import MexicanWindow
 from needlet_whittle.spectrum import PowerSpectrumModel
@@ -108,6 +108,21 @@ class TestSimulateEstimate:
         assert main(["estimate", "--spectrum-file", spectrum, *options]) == EXIT_CONFIG
         assert "alpha_hat" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["--alpha-min", "5", "--alpha-max", "3"],
+            ["--tol", "-1"],
+            ["--window", "standard", "--p", "3"],
+        ],
+        ids=["alpha-range-reversed", "tol-negative", "p-on-standard-window"],
+    )
+    def test_bad_fit_options_rejected(self, tmp_path, capsys, options):
+        main(["simulate", "--config", str(write_config(tmp_path))])
+        spectrum = str(tmp_path / "run.spectrum.bin")
+        assert main(["estimate", "--spectrum-file", spectrum, *options]) == EXIT_CONFIG
+        assert "alpha_hat" not in capsys.readouterr().out
+
     def test_malformed_config(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("model.alpha0 = not_a_number\n")
@@ -123,7 +138,6 @@ class TestConfigRejectedBeforeSimulation:
                 window=MexicanWindow(p=3, B=1.5),
                 l_max=300,
                 replications=200,
-                jrange_policy="explicit",
                 j0=1,
                 jl=13,
             ),
@@ -136,6 +150,60 @@ class TestConfigRejectedBeforeSimulation:
         cfg = write_config(tmp_path, **kwargs)
         assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
         assert not list(tmp_path.glob("run.*"))
+
+
+class TestBandRequest:
+    """``estimate`` and a config read a band request (band, j0, jl, g) by one rule."""
+
+    @pytest.fixture(scope="class")
+    def spectrum(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("band")
+        main(["simulate", "--config", str(write_config(tmp))])
+        return str(tmp / "run.spectrum.bin")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "band.kind = full\nband.g = 0.5\n",
+            "band.kind = narrow\nband.g = 0.5\njrange.j0 = 1\n",
+            "band.kind = full\njrange.j0 = 3\n",
+        ],
+        ids=["full-g", "narrow-j0", "lone-j0"],
+    )
+    def test_ignored_keys_exit_config(self, tmp_path, text):
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace("band.kind = full\n", text))
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_file(path)
+        assert main(["montecarlo", "--config", str(path)]) == EXIT_CONFIG
+        assert not list(tmp_path.glob("run.*"))
+
+    # at l_max 256 the default range is [1, 7]; jl 9 is not resolved, g 0.25
+    # rounds to one level at jl 7, and g 1.5 is outside (0, 1)
+    @pytest.mark.parametrize("g", [None, 0.5, 0.25, 1.5])
+    @pytest.mark.parametrize("jl", [None, 5, 7, 9])
+    @pytest.mark.parametrize("j0", [None, 1, 3])
+    @pytest.mark.parametrize("band", ["full", "narrow"])
+    def test_estimate_and_config_agree(self, spectrum, capsys, band, j0, jl, g):
+        request = {"j0": j0, "jl": jl, "g": g}
+        options = [f"--{k}={v}" for k, v in request.items() if v is not None]
+        rc = main(["estimate", "--spectrum-file", spectrum, "--band", band, *options])
+        out = capsys.readouterr().out
+        text = ExperimentConfig(
+            model=PowerSpectrumModel(alpha0=3.0),
+            window=MexicanWindow(p=2, B=2.0),
+            l_max=256,
+            band=band,
+            **request,
+        ).to_text()
+        try:
+            j_range = ExperimentConfig.parse(text).j_range()
+        except ConfigError:
+            assert rc in (EXIT_CONFIG, EXIT_NUMERIC)
+            assert "alpha_hat" not in out
+        else:
+            assert rc == EXIT_OK
+            assert f"levels        [{j_range.j0}, {j_range.jL}]" in out.splitlines()
 
 
 class TestMonteCarlo:

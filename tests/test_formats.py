@@ -4,6 +4,7 @@ Rows and aggregates are built by hand, not from fits, so that floating-point
 rounding in the numerics cannot move the expected bytes.
 """
 import math
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from needlet_whittle import (
     StandardWindow,
 )
 from needlet_whittle.harness import (
+    _FLAT_KEYS,
     Aggregate,
     ExperimentConfig,
     ExperimentSummary,
@@ -43,7 +45,7 @@ FULL = config()
 NARROW = config(
     model=PowerSpectrumModel(alpha0=3.0, correction=KappaCorrection(0.5)), band="narrow", g=0.5
 )
-COMPACT = config(window=StandardWindow(B=2.0), jrange_policy="explicit", j0=2, jl=6)
+COMPACT = config(window=StandardWindow(B=2.0), j0=2, jl=6)
 RATIONAL = config(
     model=PowerSpectrumModel(
         alpha0=3.5, g0=2.0, correction=RationalCorrection(p_coeffs=(1.0, 0.5), q_coeffs=(1.0,))
@@ -69,19 +71,19 @@ CONFIG_TEXT = {
         FULL,
         "model.alpha0 = 3.0\nmodel.g0 = 1.0\nmodel.correction = none\n"
         "window.kind = mexican\nwindow.p = 2\nwindow.B = 2.0\n"
-        "sim.l_max = 256\njrange.policy = default\nband.kind = full\n" + TAIL,
+        "sim.l_max = 256\nband.kind = full\n" + TAIL,
     ),
     "narrow": (
         NARROW,
         "model.alpha0 = 3.0\nmodel.g0 = 1.0\nmodel.correction = kappa\nmodel.kappa = 0.5\n"
         "window.kind = mexican\nwindow.p = 2\nwindow.B = 2.0\n"
-        "sim.l_max = 256\njrange.policy = default\nband.kind = narrow\nband.g = 0.5\n" + TAIL,
+        "sim.l_max = 256\nband.kind = narrow\nband.g = 0.5\n" + TAIL,
     ),
     "compact-explicit": (
         COMPACT,
         "model.alpha0 = 3.0\nmodel.g0 = 1.0\nmodel.correction = none\n"
         "window.kind = standard\nwindow.B = 2.0\n"
-        "sim.l_max = 256\njrange.policy = explicit\njrange.j0 = 2\njrange.jl = 6\n"
+        "sim.l_max = 256\njrange.j0 = 2\njrange.jl = 6\n"
         "band.kind = full\n" + TAIL,
     ),
     "rational-noise-free": (
@@ -89,7 +91,7 @@ CONFIG_TEXT = {
         "model.alpha0 = 3.5\nmodel.g0 = 2.0\nmodel.correction = rational\n"
         "model.p_coeffs = 1.0,0.5\nmodel.q_coeffs = 1.0\n"
         "window.kind = mexican\nwindow.p = 2\nwindow.B = 2.0\n"
-        "sim.l_max = 256\njrange.policy = default\nband.kind = full\n"
+        "sim.l_max = 256\nband.kind = full\n"
         "fit.alpha_min = 2.001\nfit.alpha_max = 10.0\nfit.tol = 1e-06\n"
         "run.replications = 1\nrun.master_seed = 99\nrun.workers = 1\n"
         "run.noise_free = true\noutput.prefix = out/rational\n",
@@ -102,6 +104,16 @@ def test_config_text(name):
     cfg, text = CONFIG_TEXT[name]
     assert cfg.to_text() == text
     assert ExperimentConfig.parse(text) == cfg
+
+
+def test_readme_lists_the_flat_keys():
+    # the README's config block, minus the hand-written model.* and window.*
+    # keys, is the flat-key table in its order
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("### Config format", 1)[1].split("```")[1]
+    keys = [line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line]
+    flat = [key for key in keys if not key.startswith(("model.", "window."))]
+    assert flat == [key for key, _, _ in _FLAT_KEYS]
 
 
 FULL_ROWS = [

@@ -1,3 +1,7 @@
+import math
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -5,6 +9,8 @@ from scipy import stats as scipy_stats
 from needlet_whittle import (
     BoundaryWarning,
     ConfigError,
+    DegenerateDataError,
+    JRange,
     KappaCorrection,
     MexicanWindow,
     NeedletWhittleError,
@@ -47,7 +53,7 @@ class TestConfig:
                 band="narrow",
                 g=0.5,
             ),
-            small_config(window=StandardWindow(B=2.0), jrange_policy="explicit", j0=2, jl=6),
+            small_config(window=StandardWindow(B=2.0), j0=2, jl=6),
         ):
             assert ExperimentConfig.parse(cfg.to_text()) == cfg
 
@@ -97,7 +103,6 @@ class TestConfig:
             dict(
                 window=MexicanWindow(p=3, B=1.5),
                 l_max=300,
-                jrange_policy="explicit",
                 j0=1,
                 jl=13,
             ),
@@ -109,6 +114,44 @@ class TestConfig:
     def test_rejected_before_simulation(self, kwargs):
         with pytest.raises(ConfigError):
             ExperimentConfig.parse(small_config(**kwargs).to_text())
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(tol=0.0), dict(tol=-1.0), dict(alpha_max=math.inf), dict(workers=-3)],
+        ids=["tol-zero", "tol-negative", "alpha-max-inf", "workers-negative"],
+    )
+    def test_search_and_pool_settings_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.parse(small_config(**kwargs).to_text())
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            small_config().to_text() + "band.g = 0.5\n",
+            small_config(band="narrow", g=0.5).to_text() + "jrange.j0 = 1\n",
+            small_config().to_text() + "jrange.j0 = 3\n",
+            small_config().to_text() + "jrange.jl = 5\n",
+        ],
+        ids=["full-g", "narrow-j0", "lone-j0", "lone-jl"],
+    )
+    def test_ignored_band_keys_rejected(self, text):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.parse(text)
+
+    @pytest.mark.parametrize(
+        "text, levels",
+        [
+            (small_config().to_text() + "jrange.j0 = 3\njrange.jl = 5\n", (3, 5)),
+            # a narrow band topped at a chosen jL: J1 = 6 - log2(1 / (1 - 0.5)) = 5
+            (small_config(band="narrow", g=0.5).to_text() + "jrange.jl = 6\n", (5, 6)),
+        ],
+        ids=["full-explicit", "narrow-jl"],
+    )
+    def test_named_range_is_fitted(self, text, levels):
+        cfg = ExperimentConfig.parse(text)
+        assert cfg.j_range() == JRange(*levels)
+        rows = run_experiment(replace(cfg, replications=2)).rows
+        assert [(row.j0, row.jL) for row in rows] == [levels] * 2
 
     def test_seed_range_ends_accepted(self):
         for seed in (-(2**63), 2**63 - 1):
@@ -254,6 +297,21 @@ class TestSummaryIO:
         summary_path.write_text(text)
         with pytest.raises(NeedletWhittleError, match="does not match rows"):
             load_summary(summary_path, rows_path, cfg)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(alpha_max=2.5), dict(replications=7)],
+        ids=["every-fit-at-alpha-max", "seven-fits"],
+    )
+    def test_plot_data_need_a_sample(self, tmp_path, kwargs):
+        # alpha0 = 3 lies above a search range ending at 2.5, so every fit
+        # ends at alpha_max and the scaled estimates have no spread
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryWarning)
+            summary = run_experiment(small_config(**kwargs))
+        for write in (write_histogram_csv, write_qq_csv):
+            with pytest.raises(DegenerateDataError):
+                write(summary, tmp_path / "plot.csv")
 
     def test_plot_data_files(self, tmp_path):
         summary = run_experiment(small_config(replications=24))
