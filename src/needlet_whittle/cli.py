@@ -10,7 +10,7 @@ import sys
 from dataclasses import fields
 
 from . import asymptotics, harness, sphere, whittle
-from .errors import ConfigError, DegenerateDataError, DomainError, NeedletWhittleError
+from .errors import ConfigError, DegenerateDataError, NeedletWhittleError
 from .harmonic import EmpiricalSpectrum, empirical_cl, simulate_alm
 from .needlet import MexicanWindow, StandardWindow, lambda_hat
 from .spectrum import PowerSpectrumModel
@@ -200,13 +200,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DomainError, NeedletWhittleError) as exc:
+    except NeedletWhittleError as exc:
         print(f"numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

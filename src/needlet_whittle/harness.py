@@ -64,6 +64,7 @@ __all__ = [
 JB_CRITICAL_0_001 = -2.0 * math.log(0.001)
 
 MAX_FAILURE_FRACTION = 0.05
+HISTOGRAM_BINS = 24
 
 
 def _boolean(raw: str) -> bool:
@@ -133,8 +134,6 @@ class ExperimentConfig:
             raise ConfigError("run.replications must be >= 1")
         if self.workers < 0:
             raise ConfigError("run.workers must be >= 0")
-        if self.l_max < self.window.B**2:
-            raise ConfigError("sim.l_max must be >= B^2")
         self.search()  # raises on a bad search range or tolerance
         if not -(2**63) <= self.master_seed < 2**63:  # the int64 seed of the file headers
             raise ConfigError("run.master_seed must fit in a signed 64-bit integer")
@@ -501,9 +500,9 @@ def _standardized(summary: ExperimentSummary) -> np.ndarray:
     return (x - x.mean()) / x.std(ddof=1)
 
 
-def write_histogram_csv(summary: ExperimentSummary, path, bins: int = 24) -> None:
+def write_histogram_csv(summary: ExperimentSummary, path) -> None:
     z = _standardized(summary)
-    counts, edges = np.histogram(z, bins=bins)
+    counts, edges = np.histogram(z, bins=HISTOGRAM_BINS)
     density = counts / (len(z) * np.diff(edges))
     with open(path, "w", newline="") as fh:
         fh.write("x,y\n")

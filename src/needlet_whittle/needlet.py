@@ -9,10 +9,11 @@ Two window families share one interface:
   classical C-infinity bump profile, satisfying the partition of unity
   sum_j b^2(x / B^j) = 1 for x >= 1.
 
-On top of the windows: ``LevelBasis``, the weights of a level range as one
-matrix, from which the normalized spectral moments ``k_j``, their
-alpha-derivatives and the level energy statistic ``lambda_hat`` are products;
-and the level range selection rule.
+On top of the windows: ``check_levels``, the one check that a level range is
+usable at l_max, by each window's ``resolved`` rule for both ends of the band;
+``LevelBasis``, the weights of a level range as one matrix, from which the
+normalized spectral moments ``k_j``, their alpha-derivatives and the level
+energy statistic ``lambda_hat`` are products; and ``select_j_range``.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, TruncationError
+from .errors import DomainError, ResourceLimitError, TruncationError
 from .harmonic import EmpiricalSpectrum
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "NeedletWindow",
     "JRange",
     "LevelBasis",
+    "check_levels",
     "NeedletStatistics",
     "window_sq",
     "k_j",
@@ -43,6 +45,7 @@ __all__ = [
 
 MEXICAN_TAIL_RATIO = 1e-16  # terms below this fraction of the peak are dropped
 TAIL_TOL = 1e-12  # largest dropped tail ``k_j`` accepts, relative to its sum
+BASIS_CAP = 2**25  # weights in one level range's matrix: 256 MiB of float64
 
 
 @lru_cache(maxsize=None)
@@ -91,15 +94,9 @@ class MexicanWindow:
         return min(l_max, int(math.ceil(self.B**j * self.cutoff_x)))
 
     def resolved(self, j: int, l_max: int) -> bool:
-        """Whether the band up to l_max holds level j's window peak."""
-        return self.B**j * self.peak_x <= l_max
-
-    def check_band(self, j: int, l_max: int) -> None:
-        if not self.resolved(j, l_max):
-            raise TruncationError(
-                f"level j={j}: window peak at l~{self.B ** j * self.peak_x:.0f} "
-                f"exceeds l_max={l_max}"
-            )
+        """Level j fits the band 1..l_max: cutoff above l = 1, peak at or below l_max."""
+        scale = self.B**j
+        return scale * self.cutoff_x > 1 and scale * self.peak_x <= l_max
 
 
 # C-infinity bump profile machinery for the compact window -------------------
@@ -167,15 +164,8 @@ class StandardWindow:
         return min(l_max, int(math.ceil(self.B ** (j + 1))) - 1)
 
     def resolved(self, j: int, l_max: int) -> bool:
-        """Whether the band up to l_max holds level j's whole support, up to B^(j+1)."""
-        return self.B ** (j + 1) <= l_max * (1.0 + 1e-12)
-
-    def check_band(self, j: int, l_max: int) -> None:
-        if not self.resolved(j, l_max):
-            raise TruncationError(
-                f"level j={j}: support end B^(j+1)={self.B ** (j + 1):.1f} "
-                f"exceeds l_max={l_max}"
-            )
+        """Level j's support, up to B^(j+1), reaches past l = 1 and ends by l_max."""
+        return 1.0 < self.B ** (j + 1) <= l_max * (1.0 + 1e-12)
 
 
 NeedletWindow = MexicanWindow | StandardWindow
@@ -209,6 +199,25 @@ class JRange:
         return self.c_b * B ** (2.0 * j)
 
 
+def check_levels(window: NeedletWindow, j_range: JRange, l_max: int) -> None:
+    """The one check that a level range is usable at band limit l_max: its
+    weight matrix, at most (jL - j0 + 1) x l_max, fits ``BASIS_CAP`` before
+    anything is allocated (``ResourceLimitError``), and every level is
+    ``window.resolved`` at l_max (``TruncationError``)."""
+    size = (j_range.jL - j_range.j0 + 1) * l_max
+    if size > BASIS_CAP:
+        raise ResourceLimitError(
+            f"levels [{j_range.j0}, {j_range.jL}] x l_max={l_max}: {size} weights > cap {BASIS_CAP}"
+        )
+    for j in range(j_range.j0, j_range.jL + 1):
+        try:
+            resolved = window.resolved(j, l_max)
+        except OverflowError:  # B^j past the float range lies above any band
+            resolved = False
+        if not resolved:
+            raise TruncationError(f"level j={j} of {window} is outside the band 1..l_max={l_max}")
+
+
 _GRID_CHUNK = 8  # grid rows per matrix product in LevelBasis.k_linspace
 
 
@@ -223,8 +232,9 @@ class LevelBasis:
 
         lambda_j = N_j (w c-hat)_j,    K_j(alpha) = (w l^-alpha)_j,
 
-    so data and model share one truncation.  Building checks that every level
-    is resolved at l_max (``TruncationError`` otherwise).
+    so data and model share one truncation.  Building runs ``check_levels``
+    first: an unresolved level or an oversized range raises before any
+    allocation.
     """
 
     window: NeedletWindow
@@ -235,14 +245,9 @@ class LevelBasis:
     n: np.ndarray = field(init=False, repr=False)  # (J,) N_j
 
     def __post_init__(self):
+        check_levels(self.window, self.j_range, self.l_max)
         window, levels = self.window, self.j_range.levels()
-        cut = []
-        for j in levels:
-            window.check_band(j, self.l_max)
-            le = window.effective_lmax(j, self.l_max)
-            if le < 1:
-                raise TruncationError(f"level j={j}: no frequencies below l_max={self.l_max}")
-            cut.append(le)
+        cut = [window.effective_lmax(j, self.l_max) for j in levels]
         B = window.B
         l = np.arange(1, max(cut) + 1, dtype=float)
         n = np.array([self.j_range.n_j(j, B) for j in levels])
@@ -363,15 +368,9 @@ def k_j_deriv(
     return out
 
 
-def lambda_hat(
-    spec: EmpiricalSpectrum,
-    window: NeedletWindow,
-    j: int,
-    l_max: int | None = None,
-) -> float:
+def lambda_hat(spec: EmpiricalSpectrum, window: NeedletWindow, j: int) -> float:
     """Level energy statistic sum_l window_sq(l/B^j)(2l+1) c-hat_l."""
-    l_max = spec.l_max if l_max is None else min(l_max, spec.l_max)
-    return float(LevelBasis(window, JRange(j0=j, jL=j), l_max).lam(spec.values)[0])
+    return float(LevelBasis(window, JRange(j0=j, jL=j), spec.l_max).lam(spec.values)[0])
 
 
 def _round_half_up(x: float) -> int:
@@ -388,7 +387,6 @@ def select_j_range(
     l_max: int,
     window: NeedletWindow,
     thresholds: tuple[float, float] | None = None,
-    c_b: float = 1.0,
 ) -> JRange:
     """Level range [J0, JL] for data banded at l_max.
 
@@ -407,7 +405,7 @@ def select_j_range(
         jL = _round_half_up(math.log(l_max / B) / math.log(B))
         while jL > 1 and not window.resolved(jL, l_max):
             jL -= 1
-        return JRange(j0=1, jL=jL, c_b=c_b)
+        return JRange(j0=1, jL=jL)
     if not isinstance(window, MexicanWindow):
         raise DomainError("threshold-based selection requires a mexican window")
     eps1, eps2 = thresholds
@@ -424,7 +422,7 @@ def select_j_range(
             break
     if j0 is None or jL is None or j0 > jL:
         raise DomainError(f"thresholds produced an empty level range: ({j0}, {jL})")
-    return JRange(j0=j0, jL=jL, c_b=c_b)
+    return JRange(j0=j0, jL=jL)
 
 
 @dataclass

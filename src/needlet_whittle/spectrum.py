@@ -65,20 +65,23 @@ class PowerSpectrumModel:
     )
 
     def __post_init__(self):
-        if not self.alpha0 > 2:
-            raise DomainError(f"alpha0 must exceed 2, got {self.alpha0}")
-        if not self.g0 > 0:
-            raise DomainError(f"g0 must be positive, got {self.g0}")
+        # chained comparisons: nan fails each, so only finite values pass
+        if not 2 < self.alpha0 < np.inf:
+            raise DomainError(f"alpha0 must be finite and exceed 2, got {self.alpha0}")
+        if not 0 < self.g0 < np.inf:
+            raise DomainError(f"g0 must be finite and positive, got {self.g0}")
         corr = self.correction
         if isinstance(corr, KappaCorrection):
-            if not corr.kappa > -1:
-                raise DomainError(f"kappa must exceed -1, got {corr.kappa}")
+            if not -1 < corr.kappa < np.inf:
+                raise DomainError(f"kappa must be finite and exceed -1, got {corr.kappa}")
         elif isinstance(corr, RationalCorrection):
             object.__setattr__(corr, "p_coeffs", tuple(float(c) for c in corr.p_coeffs))
             object.__setattr__(corr, "q_coeffs", tuple(float(c) for c in corr.q_coeffs))
             for name, coeffs in (("P", corr.p_coeffs), ("Q", corr.q_coeffs)):
                 if len(coeffs) == 0:
                     raise DomainError(f"{name} has no coefficients")
+                if not np.all(np.isfinite(coeffs)):
+                    raise DomainError(f"{name} has a non-finite coefficient: {coeffs}")
                 if coeffs[-1] <= 0:
                     raise DomainError(f"{name} must have a positive leading coefficient")
                 # strict positivity on [1, inf): leading term dominates beyond the

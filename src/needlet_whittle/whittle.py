@@ -45,6 +45,7 @@ from .needlet import (
     NeedletStatistics,
     NeedletWindow,
     StandardWindow,
+    check_levels,
     compute_statistics,
     narrow_band_j1,
     select_j_range,
@@ -170,6 +171,8 @@ class WhittleFit:
 
 def _fit(stats: NeedletStatistics, search: SearchSettings, band: str) -> WhittleFit:
     basis = stats.basis
+    if len(basis.n) < 2:  # with one level G-hat absorbs alpha: the contrast is flat
+        raise DegenerateDataError("a single level does not identify alpha")
     # the grid stays vectorised: one k_linspace pass, not GRID_POINTS evaluations
     grid, k = basis.k_linspace(search.alpha_min, search.alpha_max, GRID_POINTS)
     sn = float(np.sum(basis.n))
@@ -256,9 +259,11 @@ def level_range(
     * narrow: [J1, jl] with B^J1 = B^jl (1 - g), J1 rounded half up; jl
       defaults to the top of ``select_j_range``, and g is a fraction in (0, 1),
       a rule g(jl) or None for g = jl^-3.  A j0 raises ``ConfigError``, a band
-      of one level or under one multipole ``NarrowBandError``.
+      under one multipole ``NarrowBandError``.
 
-    Every level must be resolved at ``l_max`` (``TruncationError`` otherwise).
+    Either range needs two levels or more (``NarrowBandError`` on the narrow
+    band, ``DegenerateDataError`` on the full band) and must pass
+    ``needlet.check_levels`` at ``l_max``.
     """
     if band == "full":
         if g is not None:
@@ -277,19 +282,15 @@ def level_range(
             g = g(jl)
         if not 0.0 < g < 1.0:
             raise DomainError(f"band fraction g must be in (0, 1), got {g}")
-        j1 = narrow_band_j1(jl, g, window.B)
-        if j1 >= jl:
-            raise NarrowBandError(
-                f"g={g:.6g} at jL={jl} rounds to a single level (J1={j1}); "
-                "use a coarser band fraction"
-            )
-        if window.B**jl - window.B**j1 < 1.0:
-            raise NarrowBandError("band is narrower than one multipole")
-        j_range = JRange(j0=j1, jL=jl)
+        j_range = JRange(j0=narrow_band_j1(jl, g, window.B), jL=jl)
     else:
         raise ConfigError(f"band must be full or narrow, got {band!r}")
-    for j in j_range.levels():
-        window.check_band(j, l_max)
+    if j_range.j0 == j_range.jL:  # a single level does not identify alpha
+        error = NarrowBandError if band == "narrow" else DegenerateDataError
+        raise error(f"{band} band [{j_range.j0}, {j_range.jL}] is a single level")
+    check_levels(window, j_range, l_max)
+    if band == "narrow" and window.B**j_range.jL - window.B**j_range.j0 < 1.0:
+        raise NarrowBandError("band is narrower than one multipole")
     return j_range
 
 

@@ -5,7 +5,7 @@ import pytest
 from needlet_whittle.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from needlet_whittle.errors import BoundaryWarning, ConfigError
 from needlet_whittle.harness import ExperimentConfig, ReplicationRow
-from needlet_whittle.needlet import MexicanWindow
+from needlet_whittle.needlet import MexicanWindow, StandardWindow
 from needlet_whittle.spectrum import PowerSpectrumModel
 
 
@@ -142,13 +142,47 @@ class TestConfigRejectedBeforeSimulation:
                 jl=13,
             ),
             dict(master_seed=2**63),  # does not fit the int64 seed of the file headers
+            # level -1's compact support ends at B^0 = 1: no multipole l >= 1
+            dict(window=StandardWindow(B=2.0), j0=-1, jl=5),
+            # level -5's mexican window is truncated below l = 1
+            dict(j0=-5, jl=7),
+            # the default range [1, 866438] would need a ~57 GB weight matrix
+            dict(window=MexicanWindow(p=2, B=1.00001), l_max=8192),
+            # one level does not identify alpha
+            dict(j0=4, jl=4),
         ],
-        ids=["window-peak-past-l-max", "seed-past-int64"],
+        ids=[
+            "window-peak-past-l-max",
+            "seed-past-int64",
+            "compact-level-below-band",
+            "mexican-level-below-band",
+            "level-count-past-cap",
+            "single-level",
+        ],
     )
     @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
     def test_exit_config(self, tmp_path, kwargs, command):
         cfg = write_config(tmp_path, **kwargs)
         assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+        assert not list(tmp_path.glob("run.*"))
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("model.alpha0 = 3.0", "model.alpha0 = inf"),
+            ("model.g0 = 1.0", "model.g0 = inf"),
+            ("model.correction = none", "model.correction = kappa\nmodel.kappa = inf"),
+            (
+                "model.correction = none",
+                "model.correction = rational\nmodel.p_coeffs = 1.0,nan\nmodel.q_coeffs = 1.0",
+            ),
+        ],
+        ids=["alpha0", "g0", "kappa", "rational"],
+    )
+    def test_non_finite_model(self, tmp_path, old, new):
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace(old, new))
+        assert main(["montecarlo", "--config", str(path)]) == EXIT_CONFIG
         assert not list(tmp_path.glob("run.*"))
 
 
@@ -185,14 +219,24 @@ class TestBandRequest:
     @pytest.mark.parametrize("j0", [None, 1, 3])
     @pytest.mark.parametrize("band", ["full", "narrow"])
     def test_estimate_and_config_agree(self, spectrum, capsys, band, j0, jl, g):
-        request = {"j0": j0, "jl": jl, "g": g}
+        self.assert_agree(spectrum, 256, capsys, band, j0=j0, jl=jl, g=g)
+
+    def test_band_below_b_squared_agrees(self, tmp_path, capsys):
+        # l_max 3 lies below B^2 = 4 and still holds levels 0 and 1
+        main(["simulate", "--config", str(write_config(tmp_path, l_max=3, j0=0, jl=1))])
+        spectrum = str(tmp_path / "run.spectrum.bin")
+        assert self.assert_agree(spectrum, 3, capsys, "full", j0=0, jl=1) == (0, 1)
+
+    @staticmethod
+    def assert_agree(spectrum, l_max, capsys, band, **request):
+        """``estimate`` and a config accept the request alike; the range when accepted."""
         options = [f"--{k}={v}" for k, v in request.items() if v is not None]
         rc = main(["estimate", "--spectrum-file", spectrum, "--band", band, *options])
         out = capsys.readouterr().out
         text = ExperimentConfig(
             model=PowerSpectrumModel(alpha0=3.0),
             window=MexicanWindow(p=2, B=2.0),
-            l_max=256,
+            l_max=l_max,
             band=band,
             **request,
         ).to_text()
@@ -201,9 +245,17 @@ class TestBandRequest:
         except ConfigError:
             assert rc in (EXIT_CONFIG, EXIT_NUMERIC)
             assert "alpha_hat" not in out
-        else:
-            assert rc == EXIT_OK
-            assert f"levels        [{j_range.j0}, {j_range.jL}]" in out.splitlines()
+            return None
+        assert rc == EXIT_OK
+        assert f"levels        [{j_range.j0}, {j_range.jL}]" in out.splitlines()
+        return j_range.j0, j_range.jL
+
+    def test_single_level_estimate_exits_numeric(self, spectrum, capsys):
+        rc = main(["estimate", "--spectrum-file", spectrum, "--j0", "4", "--jl", "4"])
+        assert rc == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert "alpha_hat" not in captured.out
+        assert "single level" in captured.err
 
 
 class TestMonteCarlo:
@@ -257,6 +309,14 @@ class TestRealspaceAndPlugin:
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         assert "frame check" in out and "relative gap" in out
+
+    def test_realspace_check_non_finite_alpha0(self, capsys):
+        rc = main(
+            ["realspace-check", "--j", "3", "--p", "2", "--B", "2.0", "--seed", "5",
+             "--alpha0", "inf", "--l-max", "256"]
+        )
+        assert rc == EXIT_NUMERIC
+        assert "alpha0 must be finite" in capsys.readouterr().err
 
     def test_realspace_check_output_pinned(self, capsys):
         rc = main(

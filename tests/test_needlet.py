@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from needlet_whittle import (
     DomainError,
     JRange,
     MexicanWindow,
+    ResourceLimitError,
     StandardWindow,
     TruncationError,
     c_l,
@@ -18,7 +21,7 @@ from needlet_whittle import (
     window_sq,
 )
 from needlet_whittle.asymptotics import i_ps, sigma0_sq, tau_b
-from needlet_whittle.needlet import LevelBasis, _bump_cdf, narrow_band_j1
+from needlet_whittle.needlet import LevelBasis, _bump_cdf, check_levels, narrow_band_j1
 
 from conftest import chi2_spectrum, noise_free_spectrum
 
@@ -309,6 +312,43 @@ class TestSelectJRange:
     def test_empty_range(self):
         with pytest.raises(DomainError):
             JRange(j0=5, jL=4)
+
+
+class TestCheckLevels:
+    @pytest.mark.parametrize(
+        "window, lowest",
+        [(MEX, -2), (STD, 0)],  # mexican: B^j cutoff_x > 1; compact: B^(j+1) > 1
+    )
+    def test_both_ends_of_the_band(self, window, lowest):
+        top = select_j_range(256, window).jL
+        check_levels(window, JRange(j0=lowest, jL=top), 256)
+        for j_range, bad in (
+            (JRange(j0=lowest - 1, jL=top), lowest - 1),
+            (JRange(j0=lowest, jL=top + 1), top + 1),
+        ):
+            message = rf"level j={bad} of {re.escape(repr(window))}.*l_max=256"
+            with pytest.raises(TruncationError, match=message):
+                check_levels(window, j_range, 256)
+            with pytest.raises(TruncationError):
+                LevelBasis(window, j_range, 256)
+
+    def test_level_past_float_range(self):
+        # 2.0 ** 1100 overflows a float: the level lies above any band
+        with pytest.raises(TruncationError, match="level j=1100"):
+            check_levels(MEX, JRange(j0=1100, jL=1101), 256)
+
+    def test_level_count_capped_before_allocation(self):
+        window = MexicanWindow(p=2, B=1.00001)
+        j_range = select_j_range(8192, window)
+        assert j_range.jL - j_range.j0 + 1 > 800_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                LevelBasis(window, j_range, 8192)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestComputeStatistics:

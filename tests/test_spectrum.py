@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,27 @@ class TestValidation:
     def test_kappa_bound(self):
         with pytest.raises(DomainError):
             PowerSpectrumModel(alpha0=3.0, correction=KappaCorrection(-1.0))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(alpha0=math.inf),
+            dict(alpha0=3.0, g0=math.inf),
+            dict(alpha0=3.0, correction=KappaCorrection(math.inf)),
+            dict(
+                alpha0=3.0,
+                correction=RationalCorrection(p_coeffs=(1.0, math.inf), q_coeffs=(1.0,)),
+            ),
+            dict(
+                alpha0=3.0,
+                correction=RationalCorrection(p_coeffs=(1.0,), q_coeffs=(math.nan, 1.0)),
+            ),
+        ],
+        ids=["alpha0", "g0", "kappa", "p-coeffs", "q-coeffs"],
+    )
+    def test_non_finite_rejected(self, kwargs):
+        with pytest.raises(DomainError, match="finite"):
+            PowerSpectrumModel(**kwargs)
 
     def test_rational_positivity_rejected(self):
         with pytest.raises(DomainError):

@@ -205,6 +205,21 @@ class TestFitFullBand:
         assert fit.j_range_used.jL == j_l
         assert abs(fit.alpha_hat - 3.0) <= 1e-12
 
+    def test_levels_below_l_one_resolved(self, canonical_model):
+        # level -2's mexican window still reaches past l = 1 at B = 2
+        spec = noise_free_spectrum(canonical_model, 256)
+        fit = fit_full_band(spec, MEX, j_range=JRange(j0=-2, jL=7))
+        assert abs(fit.alpha_hat - 3.0) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "l_max, j_range", [(256, JRange(j0=4, jL=4)), (4, None)], ids=["explicit", "default"]
+    )
+    def test_single_level_degenerate(self, canonical_model, l_max, j_range):
+        # one level: G-hat absorbs alpha and the contrast is flat
+        spec = noise_free_spectrum(canonical_model, l_max)
+        with pytest.raises(DegenerateDataError, match="single level"):
+            fit_full_band(spec, MEX, j_range=j_range)
+
     def test_one_evaluation_at_alpha_hat(self, canonical_model, monkeypatch):
         spec = chi2_spectrum(canonical_model, 1024, 47)
         at = []
