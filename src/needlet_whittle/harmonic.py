@@ -7,8 +7,13 @@ a_{l,-m} = (-1)^m conj(a_lm).
 
 Randomness is split per (seed, l): the degree-l row is a pure function of the
 pair, so partial simulations, per-degree draws and parallel execution all
-produce bit-identical coefficients.  Gaussians come from numpy's
-``Generator.standard_normal`` (PCG64 + ziggurat), fixed for this release.
+produce bit-identical coefficients.  The row's stream is PCG64 seeded by
+``SeedSequence((seed mod 2^64, l))``, and its Gaussians come from numpy's
+``Generator.standard_normal`` (ziggurat), fixed for this release.  The
+PCG64 states of every degree of a call are computed in one vectorised pass
+of numpy's documented seeding arithmetic (``_pcg64_states``, pinned by a test
+against numpy), and one reused generator is moved onto each row's stream by
+setting its state, instead of building a generator per degree.
 
 Each row is drawn in place: its normals z_0..z_2l land straight in the packed
 array, viewed as (re, im) float pairs, and are scaled there, with C_l for all
@@ -119,26 +124,128 @@ class AlmSet:
         return cls(l_max=l_max, seed=seed, data=data.astype(np.complex128))
 
 
-def _rng_for(seed: int, l: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((int(seed) & 0xFFFFFFFFFFFFFFFF, l)))
+def _hash_consts(init: int, mult: int, calls) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, multiply) constants of the given calls of SeedSequence's hashmix,
+    hashmix(v) = ((v ^ h) * h') ^ shift with h' = h * mult mod 2^32 carried to
+    the next call; shaped (len(calls), 1, 1) to stack over pool words."""
+    h = [init]
+    for _ in range(max(calls) + 1):
+        h.append(h[-1] * mult & 0xFFFFFFFF)
+    h = np.array(h, dtype=np.uint32)[:, None, None]
+    return h[calls], h[[c + 1 for c in calls]]
 
 
-def _draw_row(pairs: np.ndarray, l: int, seed: int, c: float) -> None:
-    """Fill one degree-l row in place; ``pairs`` is its float64 (re, im) view,
-    2l + 2 values.  z_0..z_2l land from Im a_l0 on; then a_l0 = sqrt(C_l) z_0
-    moves to the real slot and the m >= 1 pairs take the sqrt(C_l / 2) scale."""
-    _rng_for(seed, l).standard_normal(2 * l + 1, out=pairs[1:])
-    pairs[0] = math.sqrt(c) * pairs[1]
-    pairs[1] = 0.0
-    pairs[2:] *= math.sqrt(c / 2.0)
+# numpy.random.SeedSequence with its pool of four uint32 words.  Mixing in the
+# entropy makes hashmix calls 0-3 (word i into slot i), then, for each src in
+# order, one call for each other slot dst in order.  Row src of a
+# ``_CROSS_HASH`` table is a placeholder: that slot keeps its value.
+_ENTROPY_HASH = _hash_consts(0x43B0D7E5, 0x931E8875, [0, 1, 2, 3])
+_CROSS_HASH = [
+    _hash_consts(0x43B0D7E5, 0x931E8875, [4 + 3 * src + d - (d > src) for d in range(4)])
+    for src in range(4)
+]
+_DRAW_HASH = _hash_consts(0x8B51F9DD, 0x58F38DED, list(range(8)))  # 8 words out
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_S16 = np.uint32(16)
+_M32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier M as 64-bit words, and its low word's halves
+_MULT = 2549297995355413924 << 64 | 4865540595714422341
+_MUL_HI, _MUL_LO = np.uint64(_MULT >> 64), np.uint64(_MULT & 0xFFFFFFFFFFFFFFFF)
+_MUL_LO1, _MUL_LO0 = np.uint64(_MULT >> 32 & _M32), np.uint64(_MULT & _M32)
+_LOW, _S32, _S63, _ONE = np.uint64(_M32), np.uint64(32), np.uint64(63), np.uint64(1)
+_STATES_PER_PASS = 2048  # (seed, l) streams seeded per pass in ``alm_rows``
+
+
+def _hashmix(v: np.ndarray, consts) -> np.ndarray:
+    """SeedSequence's hashmix over stacked words, one constant pair per row."""
+    v = (v ^ consts[0]) * consts[1]
+    return v ^ (v >> _S16)
+
+
+def _lcg_mul(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) * M mod 2^128 over uint64 word arrays; lo * _MUL_LO is formed
+    in full from 32-bit halves."""
+    a1, a0 = lo >> _S32, lo & _LOW
+    p00, p01, p10 = a0 * _MUL_LO0, a0 * _MUL_LO1, a1 * _MUL_LO0
+    mid = (p00 >> _S32) + (p01 & _LOW) + (p10 & _LOW)
+    out_hi = a1 * _MUL_LO1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
+    return out_hi + hi * _MUL_LO + lo * _MUL_HI, (p00 & _LOW) | (mid << _S32)
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _pcg64_states(seeds, ls) -> tuple[list, list]:
+    """PCG64 (state, inc) of ``SeedSequence((seed & (2^64 - 1), l))`` for every
+    seed and l, as nested lists of ints indexed [seed][l]; pinned by a test
+    against numpy.
+
+    One pass of uint32/uint64 array arithmetic does what numpy does per pair:
+    the entropy words (the masked seed as one little-endian word below 2^32,
+    two otherwise, then l) fill a pool of four; the pool is hashmixed and
+    cross-mixed, eight words are drawn from it, and their four little-endian
+    uint64 pairs seed PCG64 with two 128-bit LCG steps.
+    """
+    seed = np.array([int(s) & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=np.uint64)[:, None]
+    l = np.asarray(ls, dtype=np.uint32)[None, :]
+    wide = seed > _LOW
+    words = np.zeros((4, seed.shape[0], l.shape[1]), dtype=np.uint32)
+    words[0] = seed & _LOW
+    words[1] = np.where(wide, seed >> _S32, l)
+    words[2] = np.where(wide, l, 0)
+    pool = _hashmix(words, _ENTROPY_HASH)
+    for src in range(4):  # pool[dst] = mix(pool[dst], hashmix(pool[src])), dst != src
+        mixed = pool * _MIX_L - _hashmix(pool[src], _CROSS_HASH[src]) * _MIX_R
+        mixed ^= mixed >> _S16
+        mixed[src] = pool[src]
+        pool = mixed
+    out = _hashmix(np.concatenate((pool, pool)), _DRAW_HASH).astype(np.uint64)
+    u = out[0::2] | (out[1::2] << _S32)  # u[0..3] = generate_state(4, np.uint64)
+    # pcg64 srandom: inc = initseq << 1 | 1; state = (inc + initstate) * M + inc
+    inc = (u[2] << _ONE) | (u[3] >> _S63), (u[3] << _ONE) | _ONE
+    state = _add128(*_lcg_mul(*_add128(*inc, u[0], u[1])), *inc)
+
+    def ints(hi, lo):
+        return ((hi.astype(object) << 64) | lo.astype(object)).tolist()
+
+    return ints(*state), ints(*inc)
+
+
+class _Streams:
+    """One PCG64 and its Generator, moved onto the stream of a (seed, l) pair
+    by setting its state, so each row costs a state set instead of a new
+    SeedSequence and generator."""
+
+    def __init__(self):
+        self._bitgen = np.random.PCG64(0)
+        self._normal = np.random.Generator(self._bitgen).standard_normal
+        self._words = {"state": 0, "inc": 0}
+        self._state = {
+            "bit_generator": "PCG64", "state": self._words, "has_uint32": 0, "uinteger": 0
+        }
+
+    def draw_row(self, pairs: np.ndarray, l: int, state: int, inc: int, c: float) -> None:
+        """Fill one degree-l row in place from the stream (state, inc); ``pairs``
+        is its float64 (re, im) view, 2l + 2 values.  z_0..z_2l land from
+        Im a_l0 on; then a_l0 = sqrt(C_l) z_0 moves to the real slot and the
+        m >= 1 pairs take the sqrt(C_l / 2) scale."""
+        self._words["state"], self._words["inc"] = state, inc
+        self._bitgen.state = self._state
+        self._normal(2 * l + 1, out=pairs[1:])
+        pairs[0] = math.sqrt(c) * pairs[1]
+        pairs[1] = 0.0
+        pairs[2:] *= math.sqrt(c / 2.0)
 
 
 def alm_row(model: PowerSpectrumModel, l: int, seed: int) -> np.ndarray:
     """The degree-l coefficient row (m >= 0), deterministic in (seed, l)."""
     if l < 1:
         raise DomainError("l must be >= 1")
+    (state,), (inc,) = _pcg64_states([seed], [l])
     row = np.empty(l + 1, dtype=complex)
-    _draw_row(row.view(np.float64), l, seed, c_l(model, l))
+    _Streams().draw_row(row.view(np.float64), l, state[0], inc[0], c_l(model, l))
     return row
 
 
@@ -155,23 +262,33 @@ def alm_rows(model: PowerSpectrumModel, l_max: int, seeds):
     """Yield, for l = 1..l_max, the (len(seeds), l + 1) stack of degree-l rows;
     row i is bit-equal to ``alm_row(model, l, seeds[i])``."""
     seeds = list(seeds)
-    for l, c in enumerate(_c_ls(model, l_max), start=1):
-        stack = np.empty((len(seeds), l + 1), dtype=complex)
-        pairs = stack.view(np.float64)
-        for i, seed in enumerate(seeds):
-            _draw_row(pairs[i], l, seed, c)
-        yield stack
+    c_ls = _c_ls(model, l_max)
+    streams = _Streams()
+    # seeded a batch of degrees at a time: the states held are bounded by
+    # _STATES_PER_PASS, not by len(seeds) * l_max
+    batch = max(1, _STATES_PER_PASS // max(1, len(seeds)))
+    for first in range(1, l_max + 1, batch):
+        ls = range(first, min(first + batch, l_max + 1))
+        states, incs = _pcg64_states(seeds, ls)
+        for k, l in enumerate(ls):
+            stack = np.empty((len(seeds), l + 1), dtype=complex)
+            pairs = stack.view(np.float64)
+            for i, (state, inc) in enumerate(zip(states, incs)):
+                streams.draw_row(pairs[i], l, state[k], inc[k], c_ls[l - 1])
+            yield stack
 
 
 def simulate_alm(model: PowerSpectrumModel, l_max: int, seed: int) -> AlmSet:
     """Draw a full coefficient set up to l_max, row by row into one buffer."""
     c_ls = _c_ls(model, l_max)
+    (states,), (incs,) = _pcg64_states([seed], range(1, l_max + 1))
+    streams = _Streams()
     data = np.empty(_packed_size(l_max), dtype=complex)
     pairs = data.view(np.float64)
     start = 0
-    for l, c in enumerate(c_ls, start=1):
+    for l, (c, state, inc) in enumerate(zip(c_ls, states, incs), start=1):
         stop = start + 2 * l + 2
-        _draw_row(pairs[start:stop], l, seed, c)
+        streams.draw_row(pairs[start:stop], l, state, inc, c)
         start = stop
     return AlmSet(l_max=l_max, seed=seed, data=data)
 

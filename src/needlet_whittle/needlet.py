@@ -167,6 +167,24 @@ class StandardWindow:
         """Level j's support, up to B^(j+1), reaches past l = 1 and ends by l_max."""
         return 1.0 < self.B ** (j + 1) <= l_max * (1.0 + 1e-12)
 
+    def empty(self, j: int, l_max: int) -> bool:
+        """Whether level j has no multipole of nonzero weight at l_max: at
+        B < 2 a low level's support (B^(j-1), B^(j+1)) can hold no integer l.
+
+        A multipole with l / B^j in [(B + 1) / (2B), (B + 1) / 2], where
+        window_sq >= 1/2, shows the level non-empty at once.  Otherwise that
+        band holds no integer, so the support, twice as wide, holds at most
+        two, and the row is computed near them as ``LevelBasis`` computes it:
+        phi(l/B^k) takes the same values there as on the basis's full l,
+        since its bump part covers only B^(k-1) < l < B^k.
+        """
+        B, scale = self.B, self.B**j
+        cut = self.effective_lmax(j, l_max)
+        if min(math.floor(scale * (B + 1.0) / 2.0), cut) >= scale * (B + 1.0) / (2.0 * B):
+            return False
+        l = np.arange(max(1, math.floor(scale / B) - 1), cut + 1, dtype=float)
+        return not np.any(self._phi(l / B ** (j + 1)) - self._phi(l / B**j) > 0.0)
+
 
 NeedletWindow = MexicanWindow | StandardWindow
 
@@ -203,7 +221,8 @@ def check_levels(window: NeedletWindow, j_range: JRange, l_max: int) -> None:
     """The one check that a level range is usable at band limit l_max: its
     weight matrix, at most (jL - j0 + 1) x l_max, fits ``BASIS_CAP`` before
     anything is allocated (``ResourceLimitError``), and every level is
-    ``window.resolved`` at l_max (``TruncationError``)."""
+    ``window.resolved`` at l_max and, for the compact window, not ``empty``
+    (``TruncationError``)."""
     size = (j_range.jL - j_range.j0 + 1) * l_max
     if size > BASIS_CAP:
         raise ResourceLimitError(
@@ -216,6 +235,8 @@ def check_levels(window: NeedletWindow, j_range: JRange, l_max: int) -> None:
             resolved = False
         if not resolved:
             raise TruncationError(f"level j={j} of {window} is outside the band 1..l_max={l_max}")
+        if isinstance(window, StandardWindow) and window.empty(j, l_max):
+            raise TruncationError(f"level j={j} of {window} has no multipole of nonzero weight")
 
 
 _GRID_CHUNK = 8  # grid rows per matrix product in LevelBasis.k_linspace
@@ -251,15 +272,18 @@ class LevelBasis:
         B = window.B
         l = np.arange(1, max(cut) + 1, dtype=float)
         n = np.array([self.j_range.n_j(j, B) for j in levels])
-        if isinstance(window, StandardWindow):
-            # window_sq(l/B^j) = phi(l/B^(j+1)) - phi(l/B^j): adjacent levels share one phi
-            phi = [window._phi(l / B**k) for k in range(levels[0], levels[-1] + 2)]
-            sq = [np.clip(hi - lo, 0.0, None) for lo, hi in zip(phi, phi[1:])]
-        else:
-            sq = [window.window_sq(l[:le] / B**j) for j, le in zip(levels, cut)]
+        compact = isinstance(window, StandardWindow)
+        # window_sq(l/B^j) = phi(l/B^(j+1)) - phi(l/B^j): adjacent levels share one phi
+        lo = window._phi(l / B ** levels[0]) if compact else None
         w = np.zeros((len(levels), len(l)))
-        for i, le in enumerate(cut):
-            w[i, :le] = sq[i][:le] * (2.0 * l[:le] + 1.0) / n[i]
+        for i, (j, le) in enumerate(zip(levels, cut)):  # one row's temporaries at a time
+            if compact:
+                hi = window._phi(l / B ** (j + 1))
+                sq = np.clip(hi - lo, 0.0, None)[:le]
+                lo = hi
+            else:
+                sq = window.window_sq(l[:le] / B**j)
+            w[i, :le] = sq * (2.0 * l[:le] + 1.0) / n[i]
         for name, arr in (("w", w), ("log_l", np.log(l)), ("n", n)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -390,8 +414,11 @@ def select_j_range(
 ) -> JRange:
     """Level range [J0, JL] for data banded at l_max.
 
-    Default policy: J0 = 1 and JL = round(log_B(l_max / B)) (round half up),
-    lowered while the top level is not ``window.resolved`` at l_max.  Custom
+    Default policy: JL is the largest ``window.resolved`` level at or below
+    round(log_B(l_max / B)) (round half up), else 1.  Above j = 1 a level
+    fails ``resolved`` only by lying above the band, so a bisection finds JL.
+    J0 = 1 for the mexican window; for the compact one, J0 is the first level
+    from which no level below JL is ``empty``.  Custom
     ``thresholds = (eps1, eps2)`` instead apply the two ratio conditions
     verbatim:
 
@@ -402,10 +429,16 @@ def select_j_range(
     if l_max < B * B:
         raise DomainError(f"l_max={l_max} must be >= B^2={B * B}")
     if thresholds is None:
-        jL = _round_half_up(math.log(l_max / B) / math.log(B))
-        while jL > 1 and not window.resolved(jL, l_max):
-            jL -= 1
-        return JRange(j0=1, jL=jL)
+        jL, hi = 1, _round_half_up(math.log(l_max / B) / math.log(B))
+        while jL < hi:  # JL lies in [jL, hi]
+            mid = (jL + hi + 1) // 2
+            jL, hi = (mid, hi) if window.resolved(mid, l_max) else (jL, mid - 1)
+        j0 = 1
+        if isinstance(window, StandardWindow):
+            j0 = jL
+            while j0 > 1 and not window.empty(j0 - 1, l_max):
+                j0 -= 1
+        return JRange(j0=j0, jL=jL)
     if not isinstance(window, MexicanWindow):
         raise DomainError("threshold-based selection requires a mexican window")
     eps1, eps2 = thresholds

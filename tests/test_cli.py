@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import pytest
@@ -144,6 +145,8 @@ class TestConfigRejectedBeforeSimulation:
             dict(master_seed=2**63),  # does not fit the int64 seed of the file headers
             # level -1's compact support ends at B^0 = 1: no multipole l >= 1
             dict(window=StandardWindow(B=2.0), j0=-1, jl=5),
+            # level 1's compact support (1, 2) at B = sqrt 2 holds no integer l
+            dict(window=StandardWindow(B=math.sqrt(2.0)), j0=1, jl=12),
             # level -5's mexican window is truncated below l = 1
             dict(j0=-5, jl=7),
             # the default range [1, 866438] would need a ~57 GB weight matrix
@@ -155,6 +158,7 @@ class TestConfigRejectedBeforeSimulation:
             "window-peak-past-l-max",
             "seed-past-int64",
             "compact-level-below-band",
+            "compact-level-without-multipole",
             "mexican-level-below-band",
             "level-count-past-cap",
             "single-level",

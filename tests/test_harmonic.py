@@ -21,6 +21,7 @@ from needlet_whittle import (
     empirical_cl,
     simulate_alm,
 )
+from needlet_whittle.harmonic import _pcg64_states
 
 
 def reference_row(model, l, seed):
@@ -76,6 +77,30 @@ class TestPinnedDraws:
             for i, seed in enumerate(seeds):
                 assert stack[i].tobytes() == alm_row(model, l, seed).tobytes(), (l, seed)
         assert l == 33
+
+
+class TestVectorisedSeeding:
+    """Every row's PCG64 state comes from one vectorised pass over numpy's
+    SeedSequence and PCG64 seeding; a change to either in numpy fails here."""
+
+    SEEDS = [0, 7, 12345, -3, 2**32 - 1, 2**32, 2**63 + 5, 2**64 + 1]
+    LS = [1, 2, 1023, 1024, 8192]
+
+    def test_states_equal_numpy_seeding(self):
+        states, incs = _pcg64_states(self.SEEDS, self.LS)
+        for i, seed in enumerate(self.SEEDS):
+            for k, l in enumerate(self.LS):
+                ref = np.random.PCG64(np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, l)))
+                assert ref.state["state"] == {"state": states[i][k], "inc": incs[i][k]}, (seed, l)
+
+    def test_mixed_word_seeds_in_one_block(self, canonical_model):
+        # seeds below 2^32 enter SeedSequence as one word, the others as two;
+        # with 64 seeds alm_rows seeds 32 degrees per pass, so l_max 64 spans two
+        seeds = [base + k for base in (0, 2**32 - 8, 2**32, 2**64 + 1) for k in range(16)]
+        for l, stack in enumerate(alm_rows(canonical_model, 64, seeds), start=1):
+            for i, seed in enumerate(seeds):
+                assert stack[i].tobytes() == reference_row(canonical_model, l, seed).tobytes()
+        assert l == 64
 
 
 class TestSimulateAlm:

@@ -1,5 +1,6 @@
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from needlet_whittle import (
     TruncationError,
     c_l,
     compute_statistics,
+    fit_full_band,
     k_j,
     k_j_deriv,
     lambda_hat,
@@ -148,6 +150,25 @@ def _former_level_terms(window, j, l_max):
     return l, window.window_sq(l / window.B**j) * (2.0 * l + 1.0)
 
 
+def _former_list_build(window, j_range, l_max):
+    """The weight matrix as built before rows were filled in place: every
+    level's window row in a list first."""
+    levels = j_range.levels()
+    cut = [window.effective_lmax(j, l_max) for j in levels]
+    B = window.B
+    l = np.arange(1, max(cut) + 1, dtype=float)
+    n = np.array([j_range.n_j(j, B) for j in levels])
+    if isinstance(window, StandardWindow):
+        phi = [window._phi(l / B**k) for k in range(levels[0], levels[-1] + 2)]
+        sq = [np.clip(hi - lo, 0.0, None) for lo, hi in zip(phi, phi[1:])]
+    else:
+        sq = [window.window_sq(l[:le] / B**j) for j, le in zip(levels, cut)]
+    w = np.zeros((len(levels), len(l)))
+    for i, le in enumerate(cut):
+        w[i, :le] = sq[i][:le] * (2.0 * l[:le] + 1.0) / n[i]
+    return w
+
+
 class TestLevelBasis:
     @pytest.mark.parametrize("window", [MEX, STD, MexicanWindow(p=1, B=math.sqrt(2.0))])
     @pytest.mark.parametrize("l_max", [1024, 8192])
@@ -175,6 +196,32 @@ class TestLevelBasis:
             l, w = _former_level_terms(STD, j, 1024)
             assert np.array_equal(basis.w[i, : len(l)] * basis.n[i], w)
             assert not basis.w[i, len(l) :].any()
+
+    @pytest.mark.parametrize(
+        "window, j_range, l_max",
+        [
+            (MexicanWindow(p=1, B=1.1), JRange(j0=1, jL=71), 1024),
+            (StandardWindow(B=1.1), JRange(j0=14, jL=71), 1024),
+            (STD, JRange(j0=0, jL=12), 8192),
+        ],
+    )
+    def test_rows_in_place_match_former_list_build(self, window, j_range, l_max):
+        expected = _former_list_build(window, j_range, l_max)
+        assert LevelBasis(window, j_range, l_max).w.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("window", [MexicanWindow(p=1, B=1.01), StandardWindow(B=1.01)])
+    def test_build_peak_near_the_matrix(self, window):
+        # rows are filled one at a time: the list build peaked at ~1.5x
+        # (mexican) and ~3.1x (compact) the weight matrix
+        j_range = select_j_range(2048, window)
+        tracemalloc.start()
+        try:
+            basis = LevelBasis(window, j_range, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.w.nbytes > 4 * 2**20
+        assert peak <= 1.2 * basis.w.nbytes
 
     def test_immutable(self):
         basis = LevelBasis(MEX, JRange(j0=1, jL=9), 1024)
@@ -313,6 +360,56 @@ class TestSelectJRange:
         with pytest.raises(DomainError):
             JRange(j0=5, jL=4)
 
+    @staticmethod
+    def _former_top_level(l_max, window):
+        """JRange.jL as found before the bisection: lowered one level at a time."""
+        B = window.B
+        jL = int(math.floor(math.log(l_max / B) / math.log(B) + 0.5))
+        while jL > 1 and not window.resolved(jL, l_max):
+            jL -= 1
+        return jL
+
+    @pytest.mark.parametrize("B", [1.05, 1.1, math.sqrt(2.0), 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("kind", ["mexican", "standard"])
+    def test_top_level_matches_former_loop(self, B, kind):
+        window = MexicanWindow(p=2, B=B) if kind == "mexican" else StandardWindow(B=B)
+        for l_max in (4, 64, 1000, 1024, 8192):
+            if l_max < B * B:
+                with pytest.raises(DomainError):
+                    select_j_range(l_max, window)
+                continue
+            assert select_j_range(l_max, window).jL == self._former_top_level(l_max, window)
+
+    @pytest.mark.parametrize("window", [MexicanWindow(p=2, B=1 + 1e-7), StandardWindow(B=1 + 1e-7)])
+    def test_top_level_in_log_steps(self, window):
+        # the former loop took ~4 s here, one level per step
+        start = time.perf_counter()
+        select_j_range(8192, window)
+        assert time.perf_counter() - start < 0.05
+
+    @pytest.mark.parametrize(
+        "B, l_max, expected",
+        [(2.0, 1024, (1, 9)), (2.0, 8192, (1, 12)), (3.0, 1024, (1, 5)), (3.0, 8192, (1, 7))],
+    )
+    def test_compact_ranges_unchanged_at_b_2_and_3(self, B, l_max, expected):
+        r = select_j_range(l_max, StandardWindow(B=B))
+        assert (r.j0, r.jL) == expected
+
+    @pytest.mark.parametrize(
+        # empty levels: {1}; {1, 2, 3, 5}; {1-6, 9, 10, 13}
+        "B, j0",
+        [(math.sqrt(2.0), 2), (2.0**0.25, 6), (1.1, 14)],
+    )
+    def test_compact_start_past_every_empty_level(self, B, j0, canonical_model):
+        window = StandardWindow(B=B)
+        r = select_j_range(256, window)
+        assert r.j0 == j0
+        assert window.empty(j0 - 1, 256)
+        basis = LevelBasis(window, r, 256)
+        assert basis.w.any(axis=1).all()
+        fit = fit_full_band(noise_free_spectrum(canonical_model, 256), window)
+        assert fit.alpha_hat == pytest.approx(canonical_model.alpha0, abs=1e-5)
+
 
 class TestCheckLevels:
     @pytest.mark.parametrize(
@@ -331,6 +428,22 @@ class TestCheckLevels:
                 check_levels(window, j_range, 256)
             with pytest.raises(TruncationError):
                 LevelBasis(window, j_range, 256)
+
+    @pytest.mark.parametrize("B", [1.05, 1.1, 2.0**0.25, 1.3, math.sqrt(2.0), 2.0])
+    def test_empty_matches_basis_rows(self, B):
+        window = StandardWindow(B=B)
+        j_range = JRange(j0=0, jL=select_j_range(1024, window).jL)
+        rows = _former_list_build(window, j_range, 1024)
+        for j, row in zip(j_range.levels(), rows):
+            assert window.empty(j, 1024) == (not row.any()), j
+
+    def test_level_without_multipole(self):
+        # level 1's support (1, 2) at B = sqrt 2 holds no integer l
+        window = StandardWindow(B=math.sqrt(2.0))
+        message = rf"level j=1 of {re.escape(repr(window))} has no multipole"
+        with pytest.raises(TruncationError, match=message):
+            check_levels(window, JRange(j0=1, jL=6), 256)
+        check_levels(window, JRange(j0=2, jL=6), 256)
 
     def test_level_past_float_range(self):
         # 2.0 ** 1100 overflows a float: the level lies above any band
