@@ -6,8 +6,12 @@ exact quadrature for band-limited integrands with simple product weights.
 ring, as libsharp and SHTns do: one fully normalized associated Legendre
 recurrence (stable in double precision to l of a few thousand; very high m
 underflows gracefully to zero) is streamed degree by degree into per-ring
-Fourier amplitudes, and an FFT over longitude gives the field.  Memory is
-O(L N_theta), so level 7 (L = 647 at p = 2, B = 2) runs in ~10 MB.
+Fourier amplitudes, and an FFT over longitude gives the field.  The
+recurrence runs on one hemisphere only, the distinct |cos theta| of the
+rings, and each mirror ring takes the even-l and odd-l sums with opposite
+signs.  Degrees are contracted into the amplitudes in blocks of
+``_DEGREE_BLOCK``, one stacked matmul over m per block.  Memory is
+O(L N_theta), so level 7 (L = 647 at p = 2, B = 2) runs in ~12 MB.
 
 Coefficients arrive as a stream of degree rows, never as a packed set: one
 set is ``AlmSet.row(l)``, and the correlation diagnostic draws each block of
@@ -43,6 +47,10 @@ DEFAULT_POINT_CAP = 1_000_000
 # seeds synthesised together by ``empirical_beta_correlation``; bounds its
 # (S, n_phi, N_theta) amplitude array at any seed count
 _SEED_BLOCK = 32
+
+# degrees whose Legendre and coefficient rows ``_NeedletField`` contracts in
+# one matmul
+_DEGREE_BLOCK = 8
 
 # rings per unit B^j; 2.0 keeps the frame identity gap well under 1e-2 for the
 # gaussian-profile windows used here (measured), at N_j = 8 B^(2j) points
@@ -110,27 +118,36 @@ def build_grid(j: int, B: float, oversample: float = 1.0) -> CubatureGrid:
 
 def _legendre_rows(l_max: int, x: np.ndarray):
     """Yield the rows P[l, 0..l, :] of ``legendre_table`` for l = 0..l_max.
-    Only the last two rows are kept; a yielded row must not be modified, the
-    next one is built from it."""
+    Rows are written into three rotating buffers: a yielded row must not be
+    modified (the next two are built from it), and is overwritten three rows
+    later."""
     sin_th = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    bufs = np.empty((3, l_max + 1, len(x)))
+    tmp = np.empty((max(l_max - 1, 0), len(x)))
+    m_sq = np.arange(max(l_max - 1, 0), dtype=float) ** 2
     prev2 = None
-    prev = np.full((1, len(x)), 1.0 / math.sqrt(4.0 * math.pi))
+    prev = bufs[0, :1]
+    prev.fill(1.0 / math.sqrt(4.0 * math.pi))
     yield prev
     for l in range(1, l_max + 1):
-        row = np.empty((l + 1, len(x)))
+        row = bufs[l % 3, : l + 1]
         if l >= 2:
-            ms = np.arange(0, l - 1, dtype=float)
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - ms * ms))
-            b = np.sqrt(
-                ((2.0 * l + 1.0) * (l - 1 + ms) * (l - 1 - ms)) / ((2.0 * l - 3.0) * (l * l - ms * ms))
-            )
+            # a = sqrt((4l^2 - 1) / (l^2 - m^2)) and
+            # b = sqrt((2l + 1)((l - 1)^2 - m^2) / ((2l - 3)(l^2 - m^2))),
+            # whose numerators and denominators are exact integers in double
+            sq = m_sq[: l - 1]
+            d = l * l - sq
+            a = np.sqrt((4.0 * l * l - 1.0) / d)
+            b = np.sqrt((2.0 * l + 1.0) * ((l - 1) ** 2 - sq) / ((2.0 * l - 3.0) * d))
             # (a x) P[l-1] - b P[l-2], written in place into the new row
             head = row[: l - 1]
             np.multiply(a[:, None], x, out=head)
             head *= prev[: l - 1]
-            head -= b[:, None] * prev2
-        row[l - 1] = math.sqrt(2.0 * l + 1.0) * x * prev[l - 1]
-        row[l] = -math.sqrt((2.0 * l + 1.0) / (2.0 * l)) * sin_th * prev[l - 1]
+            head -= np.multiply(b[:, None], prev2, out=tmp[: l - 1])
+        np.multiply(math.sqrt(2.0 * l + 1.0), x, out=row[l - 1])
+        row[l - 1] *= prev[l - 1]
+        np.multiply(-math.sqrt((2.0 * l + 1.0) / (2.0 * l)), sin_th, out=row[l])
+        row[l] *= prev[l - 1]
         prev2, prev = prev, row
         yield row
 
@@ -168,28 +185,79 @@ class BetaCoefficients:
                 fh.write(f"{k},{th[k]:.17g},{ph[k]:.17g},{w[k]:.17g},{self.values[k]:.17g}\n")
 
 
-def _needlet_field(rows, grid: CubatureGrid, window: MexicanWindow, l_max: int) -> np.ndarray:
-    """Filtered fields sum_l f_p(l/B^j) sum_m a_lm Y_lm at the grid nodes, as
-    (S, n_theta, n_phi), for S coefficient sets.  ``rows`` yields, for
-    l = 1..l_max, the (S, l + 1) array a_l0..a_ll; degree l adds
-    f_p(l/B^j) a_lm P_lm to the (m mod n_phi, ring) amplitudes as the
-    recurrence yields its row (m runs past n_phi / 2, and e^{i m phi} repeats
-    with period n_phi on the grid)."""
-    n_phi = grid.n_phi
-    fl = window.window(np.arange(1, l_max + 1) / window.B**grid.j)
-    amp = None
-    legendre = _legendre_rows(l_max, grid.ring_cos)
-    next(legendre)  # l = 0 carries no coefficient
-    for l, (a, P) in enumerate(zip(rows, legendre), start=1):
-        c = fl[l - 1] * a  # a scaled copy; the caller's row is left alone
-        c[:, 1:] *= 2.0  # m and -m together: field = Re sum_{m >= 0} amp_m e^{i m phi}
-        if amp is None:
-            amp = np.zeros((len(c), n_phi, grid.n_theta), dtype=complex)
-        for lo in range(0, l + 1, n_phi):
-            hi = min(lo + n_phi, l + 1)
-            amp[:, : hi - lo] += c[:, lo:hi, None] * P[lo:hi]
-    field = np.fft.ifft(amp, axis=1, norm="forward").real
-    return field.transpose(0, 2, 1)
+class _NeedletField:
+    """Filtered fields sum_l f_p(l/B^j) sum_m a_lm Y_lm of ``n_sets`` coefficient
+    sets at the nodes of ``grid``, fed the degree rows l = 1..l_max in order.
+
+    The recurrence runs on the distinct |cos theta| of the rings only, since
+    P_lm(-x) = (-1)^(l+m) P_lm(x) holds bit for bit in it: with E and O the
+    even-l and odd-l sums of f_p a_lm P_lm(|x|), a ring at x >= 0 takes E + O
+    and its mirror (-1)^m (E - O).  ``_DEGREE_BLOCK`` degrees of Legendre rows
+    and scaled coefficient rows are buffered, then added to the (m, ring)
+    amplitudes as one stacked matmul over m, folded modulo the longitude
+    count (m runs past n_phi / 2, and e^{i m phi} repeats with period n_phi on
+    the grid)."""
+
+    def __init__(self, grid: CubatureGrid, window: MexicanWindow, l_max: int, n_sets: int):
+        self.grid = grid
+        self.l_max = l_max
+        u, self._ring_u = np.unique(np.abs(grid.ring_cos), return_inverse=True)
+        self._fl = window.window(np.arange(1, l_max + 1) / window.B**grid.j)
+        self._legendre = _legendre_rows(l_max, u)
+        next(self._legendre)  # l = 0 carries no coefficient
+        half = (_DEGREE_BLOCK + 1) // 2  # slots per parity of l
+        # an even period keeps (-1)^m intact through the fold
+        self._period = grid.n_phi * (1 + grid.n_phi % 2)
+        # [m, l % 2, slot]: the block's f_p a_lm (doubled for m >= 1: field =
+        # Re sum_{m >= 0} amp_m e^{i m phi}) and its P_lm at each |cos theta|
+        self._coef = np.zeros((l_max + 1, 2, half, n_sets), dtype=complex)
+        self._legs = np.zeros((l_max + 1, 2, half, len(u)))
+        # [m mod period, l % 2, |cos theta|, (set, re/im)]: E and O
+        self._amp = np.zeros((self._period, 2, len(u), 2 * n_sets))
+        self._tmp = np.empty_like(self._amp)
+        self._l = 0
+
+    def add(self, a: np.ndarray) -> None:
+        """Take the (n_sets, l + 1) row a_l0..a_ll of the next degree l; the
+        caller's row is left alone."""
+        l = self._l = self._l + 1
+        legendre = next(self._legendre)
+        k = (l - 1) % _DEGREE_BLOCK
+        if k == 0:
+            self._top = min(l + _DEGREE_BLOCK - 1, self.l_max)
+            self._coef[: self._top + 1] = 0.0
+        c = self._coef[: l + 1, l % 2, k // 2]
+        np.multiply(self._fl[l - 1], a.T, out=c)
+        c[1:] *= 2.0
+        self._legs[: l + 1, l % 2, k // 2] = legendre
+        if l == self._top:
+            coef = self._coef.view(np.float64)
+            for lo in range(0, l + 1, self._period):
+                hi = min(lo + self._period, l + 1)
+                part = np.matmul(
+                    self._legs[lo:hi].swapaxes(-1, -2), coef[lo:hi], out=self._tmp[: hi - lo]
+                )
+                self._amp[: hi - lo] += part
+
+    def field(self) -> np.ndarray:
+        """The fields as (n_sets, n_theta, n_phi), once every row is in; the
+        buffers are released on the way, so this is called once."""
+        rings = np.fft.ifft(self._spectra(), axis=0, norm="forward").real
+        # ring i is side (x < 0) of the hemisphere ring |x| = u[ring_u[i]]
+        side = (self.grid.ring_cos < 0).astype(int)
+        return rings[:, side, self._ring_u].transpose(2, 1, 0)
+
+    def _spectra(self) -> np.ndarray:
+        """(n_phi, [x >= 0, x < 0], |cos theta|, set) longitude amplitudes."""
+        amp = self._amp.view(complex)
+        del self._coef, self._legs, self._tmp, self._amp, self._legendre
+        even, odd = amp[:, 0], amp[:, 1]
+        north = even + odd
+        np.subtract(even, odd, out=odd)
+        odd[1::2] *= -1.0
+        even[...] = north
+        n_phi = self.grid.n_phi
+        return amp if self._period == n_phi else amp[:n_phi] + amp[n_phi:]
 
 
 def synthesize_beta(alm: AlmSet, grid: CubatureGrid, p: int, B: float) -> BetaCoefficients:
@@ -201,8 +269,10 @@ def synthesize_beta(alm: AlmSet, grid: CubatureGrid, p: int, B: float) -> BetaCo
             f"grid with {grid.n_theta} rings cannot resolve the level-{grid.j} window "
             f"(peak multipole ~{window.peak_x * B ** grid.j:.0f})"
         )
-    rows = (alm.row(l)[None] for l in range(1, l_max + 1))
-    field = _needlet_field(rows, grid, window, l_max)[0]
+    synthesis = _NeedletField(grid, window, l_max, n_sets=1)
+    for l in range(1, l_max + 1):
+        synthesis.add(alm.row(l)[None])
+    field = synthesis.field()[0]
     beta = np.sqrt(grid.weights()) * field.ravel()
     return BetaCoefficients(j=grid.j, p=p, values=beta, grid=grid)
 
@@ -262,12 +332,19 @@ def empirical_beta_correlation(
         for s in range(n_seeds)
     ]
     betas = [np.empty((n_seeds, len(idx))) for idx in picks]
+    l_maxes = [window.effective_lmax(g.j, 10**9) for g in grids]
     for first in range(0, n_seeds, _SEED_BLOCK):
         block = seeds[first : first + _SEED_BLOCK]
-        for g, idx, beta in zip(grids, picks, betas):
-            l_max = window.effective_lmax(g.j, 10**9)
-            field = _needlet_field(alm_rows(model, l_max, block), g, window, l_max)
-            beta[first : first + len(block)] = field.reshape(len(block), -1)[:, idx]
+        # one draw per block, up to the larger L; each grid takes its own rows
+        syntheses = [
+            _NeedletField(g, window, l_max, len(block)) for g, l_max in zip(grids, l_maxes)
+        ]
+        for l, a in enumerate(alm_rows(model, max(l_maxes), block), start=1):
+            for synthesis in syntheses:
+                if l <= synthesis.l_max:
+                    synthesis.add(a)
+        for synthesis, idx, beta in zip(syntheses, picks, betas):
+            beta[first : first + len(block)] = synthesis.field().reshape(len(block), -1)[:, idx]
 
     z = np.concatenate([(b - b.mean(axis=0)) / b.std(axis=0) for b in betas], axis=1)
     corr = z.T @ z / n_seeds

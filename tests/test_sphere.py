@@ -11,9 +11,10 @@ from needlet_whittle import (
     lambda_hat,
     simulate_alm,
 )
-from needlet_whittle.harmonic import AlmSet
+from needlet_whittle.harmonic import AlmSet, alm_rows
 from needlet_whittle.sphere import (
     _SEED_BLOCK,
+    CubatureGrid,
     build_grid,
     empirical_beta_correlation,
     legendre_table,
@@ -90,6 +91,15 @@ class TestLegendre:
         bound = np.sqrt((2 * ls + 1) / (4 * math.pi))
         assert np.all(np.abs(table) <= bound[:, None, None] * (1 + 1e-9))
 
+    def test_mirror_symmetry_bit_for_bit(self):
+        # the hemisphere synthesis rests on P_lm(-x) = (-1)^(l+m) P_lm(x)
+        # holding exactly in the recurrence, not just to rounding
+        x = np.polynomial.legendre.leggauss(33)[0]
+        x = np.concatenate([x[x >= 0], np.cos(np.linspace(0.01, 1.5, 11))])
+        l = np.arange(401)
+        sign = (-1.0) ** (l[:, None] + l[None, :])
+        assert np.array_equal(legendre_table(400, -x), sign[:, :, None] * legendre_table(400, x))
+
     def test_values_vs_scipy(self):
         from scipy.special import sph_harm_y
 
@@ -161,6 +171,56 @@ class TestSynthesizeBeta:
         expected = np.sqrt(grid.weights()) * fl * field
         assert np.allclose(beta.values, expected, rtol=1e-10, atol=1e-12 * np.max(np.abs(expected)))
 
+    def test_odd_ring_count_with_equator(self, canonical_model):
+        # 15 rings: seven mirror pairs and the equator, which has no mirror
+        grid = build_grid(5, 1.5)
+        assert grid.n_theta == 15 and 0.0 in grid.ring_cos
+        alm = simulate_alm(canonical_model, 64, seed=6)
+        want = reference_beta(alm, grid, 2, 1.5)
+        got = synthesize_beta(alm, grid, p=2, B=1.5).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_hand_built_asymmetric_grid(self, canonical_model):
+        # rings paired by exact |cos theta| only: three mirror pairs, the
+        # equator and unpaired rings on both sides, with an odd longitude count
+        # (m and m + n_phi then differ in parity)
+        ring_cos = np.array(
+            [-0.95, -0.8, -0.61, -0.5, -0.33, -0.2, -0.07, 0.0, 0.12,
+             0.2, 0.29, 0.5, 0.58, 0.74, 0.8, 0.9, 0.99]
+        )
+        weights = np.linspace(0.5, 1.5, len(ring_cos)) * (2 * math.pi / 31)
+        grid = CubatureGrid(j=3, B=2.0, ring_cos=ring_cos, ring_weight=weights, n_phi=31)
+        alm = simulate_alm(canonical_model, 48, seed=8)
+        want = reference_beta(alm, grid, 2, 2.0)
+        got = synthesize_beta(alm, grid, p=2, B=2.0).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("block", [1, 3, 1000])
+    def test_degree_blocks_do_not_change_the_field(self, canonical_model, monkeypatch, block):
+        # j = 2: 16 longitudes, l_max 21 (not a multiple of 8, and past n_phi)
+        grid = build_grid(2, 2.0)
+        alm = simulate_alm(canonical_model, 21, seed=3)
+        assert MexicanWindow(p=2, B=2.0).effective_lmax(2, alm.l_max) == 21 >= grid.n_phi
+        default = synthesize_beta(alm, grid, p=2, B=2.0).values
+        monkeypatch.setattr("needlet_whittle.sphere._DEGREE_BLOCK", block)
+        other = synthesize_beta(alm, grid, p=2, B=2.0).values
+        assert np.allclose(other, default, rtol=1e-13, atol=1e-13 * np.max(np.abs(default)))
+
+    def test_memory_at_level_6(self, canonical_model):
+        # one field streams its rows: buffers of O(L N_theta) and amplitudes
+        # of O(n_phi N_theta), never a Legendre table
+        import tracemalloc
+
+        grid = build_grid(6, 2.0)
+        alm = simulate_alm(canonical_model, MexicanWindow(p=2, B=2.0).effective_lmax(6, 4096), 2)
+        tracemalloc.start()
+        try:
+            synthesize_beta(alm, grid, p=2, B=2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
     def test_coefficients_left_unchanged(self, canonical_model):
         # the m >= 1 doubling works on a copy of each row
         grid = build_grid(3, 2.0)
@@ -211,9 +271,26 @@ class TestBetaCorrelation:
         assert np.allclose(blocked.max_abs, single.max_abs, rtol=1e-12, atol=0)
         assert np.array_equal(blocked.counts, single.counts)
 
+    def test_one_draw_per_seed_block(self, canonical_model, monkeypatch):
+        # with j2 != j both grids are fed from one stream of rows per block,
+        # drawn up to the larger level's L
+        calls = []
+
+        def recording_alm_rows(model, l_max, seeds):
+            calls.append((l_max, len(seeds)))
+            return alm_rows(model, l_max, seeds)
+
+        monkeypatch.setattr("needlet_whittle.sphere.alm_rows", recording_alm_rows)
+        empirical_beta_correlation(
+            canonical_model, 3, 4, p=2, B=2.0, n_seeds=_SEED_BLOCK + 5, max_points=150
+        )
+        l_max = MexicanWindow(p=2, B=2.0).effective_lmax(4, 10**9)
+        assert calls == [(l_max, _SEED_BLOCK), (l_max, 5)]
+
     def test_block_memory_bounded(self, canonical_model):
         # a block of seeds is drawn row by row, never as packed sets: the
-        # peak is the (S, n_phi, N_theta) amplitudes, ~10 MB at j = 6
+        # peak is the (S, n_phi, N_theta) amplitudes, as even-l and odd-l
+        # sums, and one matmul product of their size, ~12 MB at j = 6
         import tracemalloc
 
         tracemalloc.start()
