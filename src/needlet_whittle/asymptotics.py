@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .errors import DomainError, TableLookupError
 
 __all__ = [
+    "check_B",
     "digamma",
     "trigamma",
     "gauss_moment_w",
@@ -113,7 +114,16 @@ def trigamma(x: float) -> float:
 def _gamma(x: float) -> float:
     if x <= 0:
         raise DomainError(f"gamma requires x > 0 here, got {x}")
-    return math.exp(math.lgamma(x))
+    try:
+        return math.exp(math.lgamma(x))
+    except OverflowError:
+        raise DomainError(f"gamma({x}) overflows a double") from None
+
+
+def check_B(B: float) -> None:
+    """The one rule for a needlet base: finite and above 1 (``DomainError``)."""
+    if not 1 < B < math.inf:  # a chained comparison: nan fails it
+        raise DomainError(f"B must be finite and exceed 1, got {B}")
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +161,9 @@ def sigma0_sq(p: int, alpha0: float) -> float:
         raise DomainError(f"requires 4p+1-alpha0 > 0, got p={p}, alpha0={alpha0}")
     if not 2 * p + 1 - alpha0 / 2.0 > 0:
         raise DomainError(f"requires 2p+1-alpha0/2 > 0, got p={p}, alpha0={alpha0}")
-    return (
-        2.0
-        / 2.0 ** (4 * p - alpha0)
-        * _gamma(4 * p + 1 - alpha0)
-        / _gamma(2 * p + 1 - alpha0 / 2.0) ** 2
-    )
+    # the gammas first: the numerator overflows before 2^(4p - alpha0) does
+    num, den = _gamma(4 * p + 1 - alpha0), _gamma(2 * p + 1 - alpha0 / 2.0)
+    return 2.0 / 2.0 ** (4 * p - alpha0) * num / den**2
 
 
 def tau_b(delta_j: int, p: int, B: float, alpha0: float) -> float:
@@ -302,6 +309,7 @@ class LevelSumConstants:
 
 
 def level_sum_constants(p: int, B: float, alpha0: float) -> LevelSumConstants:
+    check_B(B)
     if not 4 * p - alpha0 > 0:
         raise DomainError(f"requires 4p - alpha0 > 0, got p={p}, alpha0={alpha0}")
     P = 4 * p + 1 - alpha0
@@ -330,6 +338,7 @@ def sigma1_sq(p: int, B: float, alpha0: float) -> float:
 def clt_variance(score_variance: float, B: float) -> float:
     """Limiting variance of B^jL (alpha-hat - alpha0) from the score variance:
     score_variance (B^2 - 1)^3 / (B^4 log^2 B)."""
+    check_B(B)
     lb = math.log(B)
     return score_variance * (B**2 - 1.0) ** 3 / (B**4 * lb * lb)
 
@@ -341,8 +350,7 @@ def varsigma0_sq(p: int, B: float, alpha0: float) -> float:
 
 def phi_b(B: float) -> float:
     """Narrow-band normalization log^2 B (B^2/(B^2-1)^2)(4/(B^2-1) + 2(log B - 1)/log B)."""
-    if not B > 1:
-        raise DomainError(f"requires B > 1, got {B}")
+    check_B(B)
     lb = math.log(B)
     return lb * lb * B**2 / (B**2 - 1.0) ** 2 * (4.0 / (B**2 - 1.0) + 2.0 * (lb - 1.0) / lb)
 
@@ -362,6 +370,7 @@ def bias_coeff(p: int, B: float, alpha0: float, kappa: float) -> float:
     1/l excess steepens the local slope, pushing the estimate up).  Validated
     against exact finite-level expectations and Monte Carlo.
     """
+    check_B(B)
     if kappa == 0.0:
         return 0.0
     rho = i_ps(p, alpha0 + 1.0) / i_ps(p, alpha0)
@@ -486,21 +495,28 @@ def constants(p: int, B: float, alpha0: float, kappa: float = 0.0) -> Asymptotic
     score-variance assembly collapses the determinant combination to the S0
     constant, so ``tau_tilde == tau_tilde_0`` and
     sigma1_sq = sigma0_sq (1 + tau_tilde) feeds varsigma0_sq directly.
+    ``kappa`` follows ``KappaCorrection``'s rule (finite, > -1); a bad kappa
+    or B, or a constant past the double range, raises ``DomainError``.
     """
-    lsc = level_sum_constants(p, B, alpha0)
-    s0 = sigma0_sq(p, alpha0)
-    s1 = s0 * (1.0 + lsc.tau0)
-    return AsymptoticConstants(
-        p=p,
-        B=B,
-        alpha0=alpha0,
-        sigma0_sq=s0,
-        tau_tilde_0=lsc.tau0,
-        tau_tilde_1=lsc.tau1,
-        tau_tilde_2=lsc.tau2,
-        tau_tilde=lsc.tau0,
-        sigma1_sq=s1,
-        varsigma0_sq=clt_variance(s1, B),
-        phi_B=phi_b(B),
-        bias_coeff=bias_coeff(p, B, alpha0, kappa),
-    )
+    if not -1 < kappa < math.inf:
+        raise DomainError(f"kappa must be finite and exceed -1, got {kappa}")
+    try:
+        lsc = level_sum_constants(p, B, alpha0)
+        s0 = sigma0_sq(p, alpha0)
+        s1 = s0 * (1.0 + lsc.tau0)
+        return AsymptoticConstants(
+            p=p,
+            B=B,
+            alpha0=alpha0,
+            sigma0_sq=s0,
+            tau_tilde_0=lsc.tau0,
+            tau_tilde_1=lsc.tau1,
+            tau_tilde_2=lsc.tau2,
+            tau_tilde=lsc.tau0,
+            sigma1_sq=s1,
+            varsigma0_sq=clt_variance(s1, B),
+            phi_B=phi_b(B),
+            bias_coeff=bias_coeff(p, B, alpha0, kappa),
+        )
+    except OverflowError as exc:
+        raise DomainError(f"p={p}, B={B}, alpha0={alpha0} overflow a double ({exc})") from exc

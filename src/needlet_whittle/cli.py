@@ -57,12 +57,11 @@ def _load_spectrum(path) -> EmpiricalSpectrum:
 
 def _cmd_estimate(args) -> int:
     spec = _load_spectrum(args.spectrum_file)
-    if args.window == "mexican":
-        window = MexicanWindow(p=2 if args.p is None else args.p, B=args.B)
-    elif args.p is not None:
+    if args.window == "standard" and args.p is not None:
         raise ConfigError("--p applies to the mexican window only")
-    else:
-        window = StandardWindow(B=args.B)
+    # an option left out takes the window's own field default
+    given = {name: getattr(args, name) for name in ("p", "B") if getattr(args, name) is not None}
+    window = (MexicanWindow if args.window == "mexican" else StandardWindow)(**given)
     search = whittle.SearchSettings(
         alpha_min=args.alpha_min, alpha_max=args.alpha_max, tol=args.tol
     )
@@ -112,12 +111,13 @@ def _cmd_realspace_check(args) -> int:
     beta = sphere.synthesize_beta(alm, grid, args.p, args.B)
     lam = lambda_hat(empirical_cl(alm), window, args.j)
     gap = abs(beta.sum_sq() - lam) / lam
-    print(f"frame check: sum beta^2 = {beta.sum_sq():.8g}, lambda_hat = {lam:.8g}, "
-          f"relative gap = {gap:.4%}")
     summary = sphere.empirical_beta_correlation(
         model, args.j, args.j2 if args.j2 is not None else args.j, args.p, args.B,
         n_seeds=args.n_seeds, master_seed=args.seed,
     )
+    # printed once all the work is done, so a bad argument leaves stdout empty
+    print(f"frame check: sum beta^2 = {beta.sum_sq():.8g}, lambda_hat = {lam:.8g}, "
+          f"relative gap = {gap:.4%}")
     print(f"correlation decay: fitted exponent {summary.fitted_exponent:.2f} "
           f"(bound exponent {summary.lemma_exponent:g})")
     print(f"far-field mean |corr| = {summary.far_field_mean():.4f}")
@@ -153,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="fit a spectrum file")
     p_est.add_argument("--spectrum-file", required=True)
     p_est.add_argument("--window", choices=("mexican", "standard"), default="mexican")
-    p_est.add_argument("--p", type=int, help="mexican window order (default 2)")
-    p_est.add_argument("--B", type=float, default=2.0)
+    p_est.add_argument("--p", type=int, help=f"mexican window order (default {MexicanWindow.p})")
+    p_est.add_argument("--B", type=float, help="window base (default: the window's own)")
     p_est.add_argument("--band", choices=("full", "narrow"), default="full")
     p_est.add_argument("--g", type=float)
     p_est.add_argument("--j0", type=int)
@@ -188,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pl = sub.add_parser("plugin", help="two-step pilot/refit estimate")
     p_pl.add_argument("--spectrum-file", required=True)
     p_pl.add_argument("--p", type=int, required=True)
-    p_pl.add_argument("--B-std", type=float, default=2.0)
-    p_pl.add_argument("--B-mex", type=float, default=2.0)
+    p_pl.add_argument("--B-std", type=float, default=StandardWindow.B)
+    p_pl.add_argument("--B-mex", type=float, default=MexicanWindow.B)
     p_pl.set_defaults(func=_cmd_plugin)
 
     return parser

@@ -6,12 +6,16 @@ master seed so serial and parallel executions emit byte-identical CSV.
 
 Each file format has one declaration that owns it:
 
-* config text -- ``_FLAT_KEYS`` maps each flat key to its ``ExperimentConfig``
-  field and parser, and the field defaults are the key defaults (the ``fit.*``
-  ones come from ``whittle.SearchSettings``); the nested ``model.*`` and
-  ``window.*`` keys are written out by hand.  The band keys ``band.kind``,
-  ``jrange.j0``, ``jrange.jl`` and ``band.g`` are one ``whittle.level_range``
-  request, checked and fitted by that one rule, as ``estimate`` does;
+* config text -- every key is a dataclass field: ``model.*`` the fields of
+  ``PowerSpectrumModel`` and of its correction, ``window.*`` those of the
+  window, and ``_FLAT_KEYS`` maps each flat key to its ``ExperimentConfig``
+  field.  ``_KINDS`` maps the kind keys ``model.correction`` and
+  ``window.kind`` to their classes.  A value is parsed by its field's
+  annotation, and an absent key takes the field default (the ``fit.*`` ones
+  come from ``whittle.SearchSettings``, the ``window.*`` ones from the window
+  classes).  The band keys ``band.kind``, ``jrange.j0``, ``jrange.jl`` and
+  ``band.g`` are one ``whittle.level_range`` request, checked and fitted by
+  that one rule, as ``estimate`` does;
 * rows CSV -- the fields of ``ReplicationRow``, in order, are the columns,
   ``ReplicationRow.from_fit`` is the one mapping from a fit to a row, and
   ``write_rows_csv`` writes rows for both ``montecarlo`` and
@@ -23,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, astuple, dataclass, fields
+from dataclasses import MISSING, Field, astuple, dataclass, fields
 from statistics import NormalDist
 
 import numpy as np
@@ -51,6 +55,7 @@ __all__ = [
     "run_experiment",
     "jarque_bera",
     "JB_CRITICAL_0_001",
+    "REPLICATION_CAP",
     "csv_cell",
     "write_rows_csv",
     "write_summary_csv",
@@ -64,6 +69,9 @@ __all__ = [
 JB_CRITICAL_0_001 = -2.0 * math.log(0.001)
 
 MAX_FAILURE_FRACTION = 0.05
+# a run keeps one task and one row per replication, ~470 bytes together
+# (measured by tracemalloc over 100,000 of them): 2^19 replications hold ~250 MB
+REPLICATION_CAP = 2**19
 HISTOGRAM_BINS = 24
 
 
@@ -78,26 +86,67 @@ def _boolean(raw: str) -> bool:
 def _format(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(map(_format, value))
     # float() first: a numpy float's repr is "np.float64(0.5)", which parse rejects
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-# The flat config keys: (key, ExperimentConfig field, parser), in the order
-# ``to_text`` writes them.
+# a config value or rows-CSV cell back to its field, by the field's annotation
+# (a string, under ``from __future__ import annotations``)
+_PARSE = {
+    "int": int,
+    "float": float,
+    "bool": _boolean,
+    "str": str,
+    "tuple[float, ...]": lambda raw: tuple(float(c) for c in raw.split(",")),
+}
+
+
+# The config keys that name a class, and the classes they name; an absent
+# kind key names the first.  The named class's fields, in order, are keys
+# under the same prefix: ``model.kappa`` is ``KappaCorrection.kappa``.
+_KINDS = {
+    "model.correction": {
+        "none": NoCorrection,
+        "kappa": KappaCorrection,
+        "rational": RationalCorrection,
+    },
+    "window.kind": {"mexican": MexicanWindow, "standard": StandardWindow},
+}
+
+
+def _keys(prefix: str, obj) -> list[tuple[str, object]]:
+    """(key, value) for each field of ``obj``; a field holding a kind gives its
+    kind key, then the kind's own keys."""
+    items: list[tuple[str, object]] = []
+    for f in fields(obj):
+        key, value = f"{prefix}.{f.name}", getattr(obj, f.name)
+        items += _kind_keys(key, value) if key in _KINDS else [(key, value)]
+    return items
+
+
+def _kind_keys(key: str, obj) -> list[tuple[str, object]]:
+    name = next(name for name, cls in _KINDS[key].items() if type(obj) is cls)
+    return [(key, name), *_keys(key.split(".")[0], obj)]
+
+
+# The flat config keys: (key, ExperimentConfig field), in the order ``to_text``
+# writes them.
 _FLAT_KEYS = (
-    ("sim.l_max", "l_max", int),
-    ("jrange.j0", "j0", int),
-    ("jrange.jl", "jl", int),
-    ("band.kind", "band", str),
-    ("band.g", "g", float),
-    ("fit.alpha_min", "alpha_min", float),
-    ("fit.alpha_max", "alpha_max", float),
-    ("fit.tol", "tol", float),
-    ("run.replications", "replications", int),
-    ("run.master_seed", "master_seed", int),
-    ("run.workers", "workers", int),
-    ("run.noise_free", "noise_free", _boolean),
-    ("output.prefix", "output_prefix", str),
+    ("sim.l_max", "l_max"),
+    ("jrange.j0", "j0"),
+    ("jrange.jl", "jl"),
+    ("band.kind", "band"),
+    ("band.g", "g"),
+    ("fit.alpha_min", "alpha_min"),
+    ("fit.alpha_max", "alpha_max"),
+    ("fit.tol", "tol"),
+    ("run.replications", "replications"),
+    ("run.master_seed", "master_seed"),
+    ("run.workers", "workers"),
+    ("run.noise_free", "noise_free"),
+    ("output.prefix", "output_prefix"),
 )
 
 
@@ -130,8 +179,8 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
     def validate(self) -> None:
-        if self.replications < 1:
-            raise ConfigError("run.replications must be >= 1")
+        if not 1 <= self.replications <= REPLICATION_CAP:
+            raise ConfigError(f"run.replications must be in [1, {REPLICATION_CAP}]")
         if self.workers < 0:
             raise ConfigError("run.workers must be >= 0")
         self.search()  # raises on a bad search range or tolerance
@@ -142,31 +191,12 @@ class ExperimentConfig:
     # -- serialization --------------------------------------------------
 
     def to_text(self) -> str:
-        lines = [
-            f"model.alpha0 = {_format(self.model.alpha0)}",
-            f"model.g0 = {_format(self.model.g0)}",
+        items = [
+            *_keys("model", self.model),
+            *_kind_keys("window.kind", self.window),
+            *((key, getattr(self, name)) for key, name in _FLAT_KEYS),
         ]
-        corr = self.model.correction
-        if isinstance(corr, NoCorrection):
-            lines.append("model.correction = none")
-        elif isinstance(corr, KappaCorrection):
-            lines.append("model.correction = kappa")
-            lines.append(f"model.kappa = {_format(corr.kappa)}")
-        else:
-            lines.append("model.correction = rational")
-            lines.append("model.p_coeffs = " + ",".join(map(_format, corr.p_coeffs)))
-            lines.append("model.q_coeffs = " + ",".join(map(_format, corr.q_coeffs)))
-        if isinstance(self.window, MexicanWindow):
-            lines += [
-                "window.kind = mexican",
-                f"window.p = {self.window.p}",
-                f"window.B = {_format(self.window.B)}",
-            ]
-        else:
-            lines += ["window.kind = standard", f"window.B = {_format(self.window.B)}"]
-        values = ((key, getattr(self, name)) for key, name, _ in _FLAT_KEYS)
-        lines += [f"{key} = {_format(value)}" for key, value in values if value is not None]
-        return "\n".join(lines) + "\n"
+        return "".join(f"{key} = {_format(value)}\n" for key, value in items if value is not None)
 
     def to_file(self, path) -> None:
         with open(path, "w") as fh:
@@ -188,59 +218,44 @@ class ExperimentConfig:
                 raise ConfigError(f"line {lineno}: duplicate key {key!r}")
             kv[key] = value
 
-        def take(key, conv, default=None, required=False):
+        def take(key: str, f: Field, args: dict) -> None:
+            """Put the value of ``key``, parsed by the annotation of its field
+            ``f``, in ``args``; an absent key leaves the field default."""
             if key not in kv:
-                if required:
+                if f.default is MISSING and f.default_factory is MISSING:
                     raise ConfigError(f"missing required key {key!r}")
-                return default
+                return
             raw = kv.pop(key)
             try:
-                return conv(raw)
+                args[f.name] = _PARSE[f.type.removesuffix(" | None")](raw)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"key {key!r}: cannot parse {raw!r} ({exc})") from exc
 
-        def floats(raw):
-            return tuple(float(c) for c in raw.split(","))
+        def build(prefix: str, target: type):
+            args: dict = {}
+            for f in fields(target):
+                key = f"{prefix}.{f.name}"
+                if key in _KINDS:
+                    args[f.name] = kind(key)
+                else:
+                    take(key, f, args)
+            try:
+                return target(**args)
+            except NeedletWhittleError as exc:
+                raise ConfigError(f"invalid {prefix}: {exc}") from exc
 
-        alpha0 = take("model.alpha0", float, required=True)
-        g0 = take("model.g0", float, 1.0)
-        corr_kind = take("model.correction", str, "none").lower()
-        if corr_kind == "none":
-            corr = NoCorrection()
-        elif corr_kind == "kappa":
-            corr = KappaCorrection(kappa=take("model.kappa", float, required=True))
-        elif corr_kind == "rational":
-            corr = RationalCorrection(
-                p_coeffs=take("model.p_coeffs", floats, required=True),
-                q_coeffs=take("model.q_coeffs", floats, required=True),
-            )
-        else:
-            raise ConfigError(f"model.correction must be none/kappa/rational, got {corr_kind!r}")
-        try:
-            model = PowerSpectrumModel(alpha0=alpha0, g0=g0, correction=corr)
-        except NeedletWhittleError as exc:
-            raise ConfigError(f"invalid model: {exc}") from exc
+        def kind(key: str):
+            kinds = _KINDS[key]
+            name = kv.pop(key, next(iter(kinds))).lower()
+            if name not in kinds:
+                raise ConfigError(f"{key} must be one of {'/'.join(kinds)}, got {name!r}")
+            return build(key.split(".")[0], kinds[name])
 
-        kind = take("window.kind", str, "mexican").lower()
-        B = take("window.B", float, 2.0)
-        try:
-            if kind == "mexican":
-                window = MexicanWindow(p=take("window.p", int, 2), B=B)
-            elif kind == "standard":
-                window = StandardWindow(B=B)
-            else:
-                raise ConfigError(f"window.kind must be mexican or standard, got {kind!r}")
-        except NeedletWhittleError as exc:
-            raise ConfigError(f"invalid window: {exc}") from exc
-
-        # an absent key keeps its field default; a field without one is required
-        required = {f.name for f in fields(cls) if f.default is MISSING}
-        flat = {
-            name: take(key, conv, required=True)
-            for key, name, conv in _FLAT_KEYS
-            if key in kv or name in required
-        }
-        cfg = cls(model=model, window=window, **flat)
+        args = {"model": build("model", PowerSpectrumModel), "window": kind("window.kind")}
+        config_fields = {f.name: f for f in fields(cls)}
+        for key, name in _FLAT_KEYS:
+            take(key, config_fields[name], args)
+        cfg = cls(**args)
         if kv:
             raise ConfigError(f"unknown keys: {sorted(kv)}")
         cfg.validate()
@@ -364,27 +379,19 @@ def jarque_bera(x) -> float:
 
 def _aggregate(config: ExperimentConfig, rows: list[ReplicationRow]) -> Aggregate:
     ok = [row for row in rows if not row.failed]
-    alpha0 = config.model.alpha0
+    window, B, alpha0 = config.window, config.window.B, config.model.alpha0
     jl = ok[0].jL if ok else config.j_range().jL
-    scale = config.window.B ** jl
     alphas = np.array([row.alpha_hat for row in ok])
-    scaled = scale * (alphas - alpha0)
-    p = config.window.p if isinstance(config.window, MexicanWindow) else 0
-    kappa = model_kappa(config.model)
-    if isinstance(config.window, MexicanWindow):
+    scaled = B**jl * (alphas - alpha0)
+    if isinstance(window, MexicanWindow):
         # full-band limit; integer-level narrow bands have no closed-form
         # desk-scale reference (see theory_checks / README)
-        theory_var = (
-            asymptotics.varsigma0_sq(p, config.window.B, alpha0)
-            if config.band == "full"
-            else math.nan
-        )
-        theory_bias = asymptotics.bias_coeff(p, config.window.B, alpha0, kappa)
+        full = config.band == "full"
+        theory_var = asymptotics.varsigma0_sq(window.p, B, alpha0) if full else math.nan
+        theory_bias = asymptotics.bias_coeff(window.p, B, alpha0, model_kappa(config.model))
     else:
-        theory_var = asymptotics.clt_variance(
-            asymptotics.table1_rho0_sq(alpha0, config.window.B, interpolate=True), config.window.B
-        )
-        theory_bias = math.nan
+        rho0_sq = asymptotics.table1_rho0_sq(alpha0, B, interpolate=True)
+        theory_var, theory_bias = asymptotics.clt_variance(rho0_sq, B), math.nan
     return Aggregate(
         n_rows=len(rows),
         n_failed=len(rows) - len(ok),
@@ -397,9 +404,7 @@ def _aggregate(config: ExperimentConfig, rows: list[ReplicationRow]) -> Aggregat
         mean_hessian=float(np.mean([row.hessian for row in ok])) if len(ok) else math.nan,
         theory_varsigma0_sq=theory_var,
         theory_bias=theory_bias,
-        theory_hessian=config.window.B**2
-        * math.log(config.window.B) ** 2
-        / (config.window.B**2 - 1.0) ** 2,
+        theory_hessian=B**2 * math.log(B) ** 2 / (B**2 - 1.0) ** 2,
     )
 
 
@@ -466,16 +471,9 @@ def write_rows_csv(rows: list[ReplicationRow], path) -> None:
             fh.write(",".join(map(csv_cell, astuple(row))) + "\n")
 
 
-# a rows-CSV cell back to its ReplicationRow field, by the field's annotation
-# (a string, under ``from __future__ import annotations``)
-_PARSE_CELL = {"int": int, "float": float, "bool": lambda cell: bool(int(cell)), "str": str}
-
-
 def _parse_row(line: str) -> ReplicationRow:
     cells = line.rstrip("\n").split(",")
-    return ReplicationRow(
-        *(_PARSE_CELL[f.type](cell) for f, cell in zip(fields(ReplicationRow), cells))
-    )
+    return ReplicationRow(*(_PARSE[f.type](cell) for f, cell in zip(fields(ReplicationRow), cells)))
 
 
 def write_summary_csv(summary: ExperimentSummary, path) -> None:
@@ -567,66 +565,33 @@ def theory_checks(summary: ExperimentSummary) -> list[CheckResult]:
     Simulated runs also fail when any fit ended at a search end, since such a
     row is averaged like any other.
     """
-    agg = summary.aggregate
-    cfg = summary.config
-    checks: list[CheckResult] = []
+    agg, cfg = summary.aggregate, summary.config
     if cfg.noise_free:
         ok = abs(agg.mean_alpha - cfg.model.alpha0) <= 10 * cfg.tol
-        checks.append(
-            CheckResult("noise-free-exactness", ok, f"mean_alpha={agg.mean_alpha:.8f}")
-        )
-        return checks
+        return [CheckResult("noise-free-exactness", ok, f"mean_alpha={agg.mean_alpha:.8f}")]
+    checks: list[CheckResult] = []
     kappa = model_kappa(cfg.model)
     if kappa == 0.0:
         # a 1/l spectral correction biases the estimate by design, so the
         # 3-SE mean band only applies to clean power laws
-        dev = abs(agg.mean_alpha - cfg.model.alpha0)
-        ok = dev <= 3.0 * agg.se_alpha
-        checks.append(
-            CheckResult(
-                "mean-consistency", ok, f"|mean-alpha0|={dev:.5f}, 3*SE={3 * agg.se_alpha:.5f}"
-            )
-        )
+        dev, width = abs(agg.mean_alpha - cfg.model.alpha0), 3 * agg.se_alpha
+        detail = f"|mean-alpha0|={dev:.5f}, 3*SE={width:.5f}"
+        checks.append(CheckResult("mean-consistency", dev <= width, detail))
     if cfg.band == "full" and isinstance(cfg.window, MexicanWindow):
         if kappa == 0.0:
             rel = abs(agg.var_scaled - agg.theory_varsigma0_sq) / agg.theory_varsigma0_sq
-            checks.append(
-                CheckResult(
-                    "clt-variance",
-                    rel <= 0.25,
-                    f"var={agg.var_scaled:.4f}, theory={agg.theory_varsigma0_sq:.4f}, rel={rel:.2%}",
-                )
-            )
-            checks.append(
-                CheckResult(
-                    "normality",
-                    agg.jarque_bera < JB_CRITICAL_0_001,
-                    f"JB={agg.jarque_bera:.3f}, crit={JB_CRITICAL_0_001:.3f}",
-                )
-            )
+            detail = f"var={agg.var_scaled:.4f}, theory={agg.theory_varsigma0_sq:.4f}, rel={rel:.2%}"
+            checks.append(CheckResult("clt-variance", rel <= 0.25, detail))
+            detail = f"JB={agg.jarque_bera:.3f}, crit={JB_CRITICAL_0_001:.3f}"
+            checks.append(CheckResult("normality", agg.jarque_bera < JB_CRITICAL_0_001, detail))
         else:
             rel = abs(agg.scaled_bias - agg.theory_bias) / abs(agg.theory_bias)
-            checks.append(
-                CheckResult(
-                    "scaled-bias",
-                    rel <= 0.30,
-                    f"bias={agg.scaled_bias:.4f}, theory={agg.theory_bias:.4f}, rel={rel:.2%}",
-                )
-            )
+            detail = f"bias={agg.scaled_bias:.4f}, theory={agg.theory_bias:.4f}, rel={rel:.2%}"
+            checks.append(CheckResult("scaled-bias", rel <= 0.30, detail))
     if not checks:
-        checks.append(
-            CheckResult(
-                "report-only",
-                True,
-                "no closed-form threshold applies to this configuration",
-            )
-        )
+        detail = "no closed-form threshold applies to this configuration"
+        checks.append(CheckResult("report-only", True, detail))
     n_boundary = sum(row.boundary for row in summary.rows if not row.failed)
-    checks.append(
-        CheckResult(
-            "search-boundary",
-            n_boundary == 0,
-            f"{n_boundary}/{agg.n_rows - agg.n_failed} fits at a search end",
-        )
-    )
+    detail = f"{n_boundary}/{agg.n_rows - agg.n_failed} fits at a search end"
+    checks.append(CheckResult("search-boundary", n_boundary == 0, detail))
     return checks

@@ -2,12 +2,15 @@
 
 Two window families share one interface:
 
-* ``MexicanWindow(p, B)`` -- squared profile f_p^2(x) = x^(4p) exp(-2 x^2),
-  supported on all frequencies; sums over l are truncated where terms fall
-  below double-precision relevance (see ``cutoff_x``).
-* ``StandardWindow(B)``   -- compactly supported b^2 on [1/B, B] built from the
-  classical C-infinity bump profile, satisfying the partition of unity
+* ``MexicanWindow(p=2, B=2.0)`` -- squared profile f_p^2(x) = x^(4p)
+  exp(-2 x^2), supported on all frequencies; sums over l are truncated where
+  terms fall below double-precision relevance (see ``cutoff_x``).
+* ``StandardWindow(B=2.0)`` -- compactly supported b^2 on [1/B, B] built from
+  the classical C-infinity bump profile, satisfying the partition of unity
   sum_j b^2(x / B^j) = 1 for x >= 1.
+
+Both need a finite B > 1 (``asymptotics.check_B``).  The field defaults are
+those of the config keys ``window.*`` and of the CLI window options.
 
 On top of the windows: ``check_levels``, the one check that a level range is
 usable at l_max, by each window's ``resolved`` rule for both ends of the band;
@@ -23,6 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .asymptotics import check_B
 from .errors import DomainError, ResourceLimitError, TruncationError
 from .harmonic import EmpiricalSpectrum
 
@@ -64,14 +68,13 @@ def _cutoff_x(p: int) -> float:
 
 @dataclass(frozen=True)
 class MexicanWindow:
-    p: int
-    B: float
+    p: int = 2
+    B: float = 2.0
 
     def __post_init__(self):
         if self.p < 1:
             raise DomainError(f"p must be >= 1, got {self.p}")
-        if not self.B > 1:
-            raise DomainError(f"B must exceed 1, got {self.B}")
+        check_B(self.B)
 
     def window(self, x):
         x = np.asarray(x, dtype=float)
@@ -137,11 +140,10 @@ def _bump_cdf(u):
 
 @dataclass(frozen=True)
 class StandardWindow:
-    B: float
+    B: float = 2.0
 
     def __post_init__(self):
-        if not self.B > 1:
-            raise DomainError(f"B must exceed 1, got {self.B}")
+        check_B(self.B)
 
     def _phi(self, x):
         """1 on [0, 1/B], smooth descent to 0 on [1/B, 1]."""

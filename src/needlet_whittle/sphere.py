@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .asymptotics import check_B
 from .errors import BandLimitError, DomainError, ResourceLimitError
 from .harmonic import AlmSet, alm_rows
 from .needlet import MexicanWindow
@@ -33,6 +34,7 @@ from .spectrum import PowerSpectrumModel
 
 __all__ = [
     "DEFAULT_POINT_CAP",
+    "CORRELATION_SEED_CAP",
     "CubatureGrid",
     "BetaCoefficients",
     "CorrelationSummary",
@@ -43,6 +45,11 @@ __all__ = [
 ]
 
 DEFAULT_POINT_CAP = 1_000_000
+
+# seeds one ``empirical_beta_correlation`` call may draw: each keeps ~16 KB of
+# coefficients and standardized copies at two 700-node grids (measured by
+# tracemalloc at 64 and 192 seeds), so 2^14 seeds hold ~256 MB
+CORRELATION_SEED_CAP = 2**14
 
 # seeds synthesised together by ``empirical_beta_correlation``; bounds its
 # (S, n_phi, N_theta) amplitude array at any seed count
@@ -98,8 +105,7 @@ def build_grid(j: int, B: float, oversample: float = 1.0) -> CubatureGrid:
     """Iso-latitude cubature grid for level j with N_j proportional to B^(2j)."""
     if j < 1:
         raise DomainError("j must be >= 1")
-    if not B > 1:
-        raise DomainError("B must exceed 1")
+    check_B(B)
     n_theta = max(4, round(GRID_RING_FACTOR * oversample * B**j))
     n_phi = 2 * n_theta
     if n_theta * n_phi > DEFAULT_POINT_CAP:
@@ -261,7 +267,11 @@ class _NeedletField:
 
 
 def synthesize_beta(alm: AlmSet, grid: CubatureGrid, p: int, B: float) -> BetaCoefficients:
-    """Needlet coefficients beta_k = sqrt(lambda_k) * field(xi_k) at level grid.j."""
+    """Needlet coefficients beta_k = sqrt(lambda_k) * field(xi_k) at level grid.j.
+    ``B`` must be the grid's own: a grid built for another B samples another
+    level."""
+    if B != grid.B:
+        raise DomainError(f"B={B} differs from the grid's B={grid.B}")
     window = MexicanWindow(p=p, B=B)
     l_max = window.effective_lmax(grid.j, alm.l_max)
     if grid.n_theta < window.peak_x * B**grid.j:
@@ -315,6 +325,8 @@ def empirical_beta_correlation(
         raise DomainError("requires 4p + 2 - alpha0 > 0")
     if n_seeds < 2:
         raise DomainError(f"a correlation needs n_seeds >= 2, got {n_seeds}")
+    if n_seeds > CORRELATION_SEED_CAP:
+        raise ResourceLimitError(f"n_seeds={n_seeds} exceeds cap {CORRELATION_SEED_CAP}")
     window = MexicanWindow(p=p, B=B)
     grids = [build_grid(level, B, oversample=0.5) for level in dict.fromkeys((j, j2))]
     n_bins = 48

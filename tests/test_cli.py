@@ -3,6 +3,7 @@ from dataclasses import fields
 
 import pytest
 
+from needlet_whittle import harness, sphere
 from needlet_whittle.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from needlet_whittle.errors import BoundaryWarning, ConfigError
 from needlet_whittle.harness import ExperimentConfig, ReplicationRow
@@ -36,6 +37,28 @@ class TestTheory:
 
     def test_domain_error_exit(self, capsys):
         assert main(["theory", "--p", "1", "--B", "2", "--alpha0", "5.5"]) == EXIT_NUMERIC
+
+    @pytest.mark.parametrize(
+        "p, B, kappa",
+        [
+            ("2", "1", "0"),
+            ("2", "-2", "0"),
+            ("2", "1e-300", "0"),
+            ("2", "inf", "0"),
+            ("200", "2", "0"),  # gamma(4p + 1 - alpha0) overflows
+            ("2", "2", "nan"),
+            ("2", "2", "inf"),
+            ("2", "2", "-1"),
+        ],
+        ids=["B-one", "B-negative", "B-tiny", "B-inf", "p-200", "kappa-nan", "kappa-inf",
+             "kappa-minus-one"],
+    )
+    def test_bad_arguments_exit_numeric(self, capsys, p, B, kappa):
+        rc = main(["theory", "--p", p, "--B", B, "--alpha0", "3", "--kappa", kappa])
+        assert rc == EXIT_NUMERIC
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numeric error:")
 
 
 class TestSimulateEstimate:
@@ -167,6 +190,12 @@ class TestConfigRejectedBeforeSimulation:
     @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
     def test_exit_config(self, tmp_path, kwargs, command):
         cfg = write_config(tmp_path, **kwargs)
+        assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+        assert not list(tmp_path.glob("run.*"))
+
+    @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+    def test_replications_past_cap(self, tmp_path, command):
+        cfg = write_config(tmp_path, replications=harness.REPLICATION_CAP + 1)
         assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
         assert not list(tmp_path.glob("run.*"))
 
@@ -304,6 +333,32 @@ class TestRealspaceAndPlugin:
         )
         assert rc == EXIT_NUMERIC
         assert "n_seeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "options",
+        [["--n-seeds", "1"], ["--j2", "0"], ["--alpha0", "20"]],
+        ids=["one-seed", "level-zero", "alpha0-past-bound"],
+    )
+    def test_realspace_check_fails_before_printing(self, capsys, options):
+        rc = main(
+            ["realspace-check", "--j", "3", "--p", "2", "--B", "2.0", "--seed", "5",
+             "--l-max", "256", *options]
+        )
+        assert rc == EXIT_NUMERIC
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numeric error:")
+
+    def test_realspace_check_seed_count_capped(self, capsys):
+        n_seeds = sphere.CORRELATION_SEED_CAP + 1
+        rc = main(
+            ["realspace-check", "--j", "3", "--p", "2", "--B", "2.0", "--seed", "5",
+             "--n-seeds", str(n_seeds), "--l-max", "256"]
+        )
+        assert rc == EXIT_NUMERIC
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "ResourceLimitError" in err
 
     def test_realspace_check(self, capsys):
         rc = main(

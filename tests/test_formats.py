@@ -3,7 +3,10 @@
 Rows and aggregates are built by hand, not from fits, so that floating-point
 rounding in the numerics cannot move the expected bytes.
 """
+from __future__ import annotations  # the harness parses a key by its field's annotation string
+
 import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ from needlet_whittle import (
 )
 from needlet_whittle.harness import (
     _FLAT_KEYS,
+    _KINDS,
     Aggregate,
     ExperimentConfig,
     ExperimentSummary,
@@ -106,14 +110,44 @@ def test_config_text(name):
     assert ExperimentConfig.parse(text) == cfg
 
 
+@dataclass(frozen=True)
+class _WiderWindow(MexicanWindow):
+    q: float = 0.5  # a field the harness has never seen
+
+
+def test_a_new_window_field_is_a_key(monkeypatch):
+    monkeypatch.setitem(_KINDS, "window.kind", {"mexican": _WiderWindow})
+    cfg = config(window=_WiderWindow(q=0.25))
+    text = cfg.to_text()
+    assert "window.kind = mexican\nwindow.p = 2\nwindow.B = 2.0\nwindow.q = 0.25\n" in text
+    assert ExperimentConfig.parse(text) == cfg
+    assert ExperimentConfig.parse(text.replace("window.q = 0.25\n", "")).window.q == 0.5
+
+
+def _table_keys(prefix, cls):
+    """Every key a ``cls`` can write under ``prefix``: its fields, a kind key
+    followed by the keys of each class it names."""
+    for f in fields(cls):
+        key = f"{prefix}.{f.name}"
+        yield key
+        for kind in _KINDS.get(key, {}).values():
+            yield from _table_keys(prefix, kind)
+
+
 def test_readme_lists_the_flat_keys():
-    # the README's config block, minus the hand-written model.* and window.*
-    # keys, is the flat-key table in its order
+    # the README's config block is the model and window keys of the kind
+    # table, then the flat-key table, in order
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("### Config format", 1)[1].split("```")[1]
     keys = [line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line]
-    flat = [key for key in keys if not key.startswith(("model.", "window."))]
-    assert flat == [key for key, _, _ in _FLAT_KEYS]
+    windows = _KINDS["window.kind"].values()
+    expected = [
+        *_table_keys("model", PowerSpectrumModel),
+        "window.kind",
+        *(key for window in windows for key in _table_keys("window", window)),
+        *(key for key, _ in _FLAT_KEYS),
+    ]
+    assert keys == list(dict.fromkeys(expected))
 
 
 FULL_ROWS = [

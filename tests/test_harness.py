@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -123,6 +124,19 @@ class TestConfig:
     def test_search_and_pool_settings_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             ExperimentConfig.parse(small_config(**kwargs).to_text())
+
+    def test_replications_capped_before_allocation(self):
+        text = small_config().to_text().replace(
+            "run.replications = 12", "run.replications = 1000000000000"
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="run.replications"):
+                ExperimentConfig.parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize(
         "text",

@@ -74,6 +74,16 @@ class TestWindows:
         with pytest.raises(DomainError):
             window_sq(MEX, -0.5)
 
+    @pytest.mark.parametrize("B", [1.0, 0.5, -2.0, math.inf, math.nan])
+    @pytest.mark.parametrize("window", [MexicanWindow, StandardWindow])
+    def test_b_finite_above_one(self, window, B):
+        with pytest.raises(DomainError, match="B must be finite and exceed 1"):
+            window(B=B)
+
+    def test_field_defaults(self):
+        assert MexicanWindow() == MexicanWindow(p=2, B=2.0)
+        assert StandardWindow() == StandardWindow(B=2.0)
+
 
 class TestKj:
     def test_doubling_cb_halves(self):

@@ -5,12 +5,14 @@ import pytest
 
 from needlet_whittle import (
     BandLimitError,
+    DomainError,
     MexicanWindow,
     ResourceLimitError,
     empirical_cl,
     lambda_hat,
     simulate_alm,
 )
+from needlet_whittle import sphere
 from needlet_whittle.harmonic import AlmSet, alm_rows
 from needlet_whittle.sphere import (
     _SEED_BLOCK,
@@ -236,6 +238,12 @@ class TestSynthesizeBeta:
         with pytest.raises(BandLimitError):
             synthesize_beta(alm, grid, p=4, B=2.0)
 
+    def test_b_must_be_the_grids(self, canonical_model):
+        # the level-4 grid at B = 2 filtered with B = 1.5 would be another level's field
+        alm = simulate_alm(canonical_model, 64, seed=1)
+        with pytest.raises(DomainError, match="grid"):
+            synthesize_beta(alm, build_grid(4, 2.0), 2, 1.5)
+
     def test_csv(self, canonical_model, tmp_path):
         grid = build_grid(2, 2.0)
         alm = simulate_alm(canonical_model, 16, seed=1)
@@ -302,6 +310,19 @@ class TestBetaCorrelation:
         finally:
             tracemalloc.stop()
         assert peak < 24e6
+
+    def test_seed_count_capped_before_allocation(self, canonical_model):
+        import tracemalloc
+
+        n_seeds = sphere.CORRELATION_SEED_CAP + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                empirical_beta_correlation(canonical_model, 3, 3, p=2, B=2.0, n_seeds=n_seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_lemma_exponent_field(self, canonical_model):
         summary = empirical_beta_correlation(
