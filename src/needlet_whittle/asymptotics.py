@@ -322,6 +322,8 @@ def level_sum_constants(p: int, B: float, alpha0: float) -> LevelSumConstants:
         c2 += d * d * u
         if u < 1e-18 * c0 and d > 4:
             break
+    else:  # B so close to 1 that the level sums decay too slowly to finish
+        raise DomainError(f"level sums at B={B} do not converge in {d} terms")
     t0 = 2.0 * c0
     t1 = 2.0 * c0 + (B**2 - 1.0) * c1
     t2 = 2.0 * c0 + (B**2 - 1.0) * (2.0 * c1 + (B**2 - 1.0) * c2) / (B**2 + 1.0)

@@ -104,6 +104,7 @@ def _cmd_montecarlo(args) -> int:
 
 def _cmd_realspace_check(args) -> int:
     model = PowerSpectrumModel(alpha0=args.alpha0, g0=args.g0)
+    sphere.check_correlation_seeds(args.n_seeds)  # before the frame check's field is drawn
     window = MexicanWindow(p=args.p, B=args.B)
     grid = sphere.build_grid(args.j, args.B)
     l_max = window.effective_lmax(args.j, args.l_max)

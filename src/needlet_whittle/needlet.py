@@ -10,7 +10,18 @@ Two window families share one interface:
   sum_j b^2(x / B^j) = 1 for x >= 1.
 
 Both need a finite B > 1 (``asymptotics.check_B``).  The field defaults are
-those of the config keys ``window.*`` and of the CLI window options.
+those of the config keys ``window.*`` and of the CLI window options.  Each
+window states one ``support(j) -> (first, last)``, the multipoles that can
+carry level j's weight whatever the band limit: (1, ceil(B^j cutoff_x)) for
+the mexican window, (floor(B^(j-1)) + 1, ceil(B^(j+1)) - 1) for the compact
+one.  ``effective_lmax(j, l_max)``, a level's truncation point, is
+min(l_max, last).
+
+A level's row of weights window_sq(l/B^j)(2l+1) over its support depends on
+(window, j) only; l_max merely truncates it.  So each row is computed once and
+kept, read-only, in a per-process least-recently-used row cache bounded at
+``ROW_CACHE_BYTES``; a row larger than that bound is computed only up to the
+truncation a basis asks for, and not kept.
 
 On top of the windows: ``check_levels``, the one check that a level range is
 usable at l_max, by each window's ``resolved`` rule for both ends of the band;
@@ -21,6 +32,7 @@ energy statistic ``lambda_hat`` are products; and ``select_j_range``.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -50,6 +62,7 @@ __all__ = [
 MEXICAN_TAIL_RATIO = 1e-16  # terms below this fraction of the peak are dropped
 TAIL_TOL = 1e-12  # largest dropped tail ``k_j`` accepts, relative to its sum
 BASIS_CAP = 2**25  # weights in one level range's matrix: 256 MiB of float64
+ROW_CACHE_BYTES = 2**20  # cached level rows; fit-sweep's working set is ~450 KB
 
 
 @lru_cache(maxsize=None)
@@ -93,8 +106,16 @@ class MexicanWindow:
         # stationary point of f_p (and of f_p^2)
         return math.sqrt(self.p)
 
+    def support(self, j: int) -> tuple[int, int]:
+        """First and last multipole of level j's weights, at any l_max."""
+        return 1, int(math.ceil(self.B**j * self.cutoff_x))
+
     def effective_lmax(self, j: int, l_max: int) -> int:
-        return min(l_max, int(math.ceil(self.B**j * self.cutoff_x)))
+        return min(l_max, self.support(j)[1])
+
+    def _level_sq(self, l, j: int):
+        """window_sq(l/B^j) at the multipoles l of level j's row."""
+        return self.window_sq(l / self.B**j)
 
     def resolved(self, j: int, l_max: int) -> bool:
         """Level j fits the band 1..l_max: cutoff above l = 1, peak at or below l_max."""
@@ -162,8 +183,17 @@ class StandardWindow:
     def window(self, x):
         return np.sqrt(self.window_sq(x))
 
+    def support(self, j: int) -> tuple[int, int]:
+        """First and last multipole inside level j's open support
+        (B^(j-1), B^(j+1)), at any l_max; the weights outside it are 0."""
+        return math.floor(self.B ** (j - 1)) + 1, int(math.ceil(self.B ** (j + 1))) - 1
+
     def effective_lmax(self, j: int, l_max: int) -> int:
-        return min(l_max, int(math.ceil(self.B ** (j + 1))) - 1)
+        return min(l_max, self.support(j)[1])
+
+    def _level_sq(self, l, j: int):
+        # window_sq(l/B^j) as phi(l/B^(j+1)) - phi(l/B^j), not via x/B
+        return np.clip(self._phi(l / self.B ** (j + 1)) - self._phi(l / self.B**j), 0.0, None)
 
     def resolved(self, j: int, l_max: int) -> bool:
         """Level j's support, up to B^(j+1), reaches past l = 1 and ends by l_max."""
@@ -176,16 +206,15 @@ class StandardWindow:
         A multipole with l / B^j in [(B + 1) / (2B), (B + 1) / 2], where
         window_sq >= 1/2, shows the level non-empty at once.  Otherwise that
         band holds no integer, so the support, twice as wide, holds at most
-        two, and the row is computed near them as ``LevelBasis`` computes it:
-        phi(l/B^k) takes the same values there as on the basis's full l,
-        since its bump part covers only B^(k-1) < l < B^k.
+        two, and the level's row of weights, as ``LevelBasis`` reads it,
+        decides.
         """
         B, scale = self.B, self.B**j
         cut = self.effective_lmax(j, l_max)
         if min(math.floor(scale * (B + 1.0) / 2.0), cut) >= scale * (B + 1.0) / (2.0 * B):
             return False
-        l = np.arange(max(1, math.floor(scale / B) - 1), cut + 1, dtype=float)
-        return not np.any(self._phi(l / B ** (j + 1)) - self._phi(l / B**j) > 0.0)
+        first, terms = _level_row(self, j, cut)
+        return not np.any(terms[: cut - first + 1] > 0.0)
 
 
 NeedletWindow = MexicanWindow | StandardWindow
@@ -241,6 +270,50 @@ def check_levels(window: NeedletWindow, j_range: JRange, l_max: int) -> None:
             raise TruncationError(f"level j={j} of {window} has no multipole of nonzero weight")
 
 
+class _RowCache:
+    """Level rows by (window, j); the least recently used go first once the
+    rows' bytes pass ``limit``."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.nbytes = 0
+        self._rows: OrderedDict = OrderedDict()
+
+    def get(self, key):
+        row = self._rows.get(key)
+        if row is not None:
+            self._rows.move_to_end(key)
+        return row
+
+    def put(self, key, row) -> None:
+        self._rows[key] = row
+        self.nbytes += row[1].nbytes
+        while self.nbytes > self.limit:
+            self.nbytes -= self._rows.popitem(last=False)[1][1].nbytes
+
+
+_ROWS = _RowCache(ROW_CACHE_BYTES)
+
+
+def _level_row(window: NeedletWindow, j: int, le: int) -> tuple[int, np.ndarray]:
+    """(first, terms): window_sq(l/B^j)(2l+1) for l = first, first + 1, ...
+    over level j's ``window.support(j)``, read-only, whatever the band limit.
+    The row comes from the row cache; one past ``ROW_CACHE_BYTES`` is computed
+    only up to multipole ``le``, a basis's truncation, and not stored."""
+    key = (window, j)
+    row = _ROWS.get(key)
+    if row is not None:
+        return row
+    first, last = window.support(j)
+    stored = (last - first + 1) * 8 <= _ROWS.limit
+    l = np.arange(first, (last if stored else le) + 1, dtype=float)
+    terms = window._level_sq(l, j) * (2.0 * l + 1.0)
+    terms.flags.writeable = False
+    if stored:
+        _ROWS.put(key, (first, terms))
+    return first, terms
+
+
 _GRID_CHUNK = 8  # grid rows per matrix product in LevelBasis.k_linspace
 
 
@@ -257,7 +330,9 @@ class LevelBasis:
 
     so data and model share one truncation.  Building runs ``check_levels``
     first: an unresolved level or an oversized range raises before any
-    allocation.
+    allocation.  It then places each level's cached row (see the module
+    docstring) at columns ``window.support(j)``, cut at the truncation point,
+    so a build reuses the window values that earlier builds computed.
     """
 
     window: NeedletWindow
@@ -271,21 +346,12 @@ class LevelBasis:
         check_levels(self.window, self.j_range, self.l_max)
         window, levels = self.window, self.j_range.levels()
         cut = [window.effective_lmax(j, self.l_max) for j in levels]
-        B = window.B
+        n = np.array([self.j_range.n_j(j, window.B) for j in levels])
+        w = np.zeros((len(levels), max(cut)))
+        for i, (j, le) in enumerate(zip(levels, cut)):
+            first, terms = _level_row(window, j, le)
+            w[i, first - 1 : le] = terms[: le - first + 1] / n[i]
         l = np.arange(1, max(cut) + 1, dtype=float)
-        n = np.array([self.j_range.n_j(j, B) for j in levels])
-        compact = isinstance(window, StandardWindow)
-        # window_sq(l/B^j) = phi(l/B^(j+1)) - phi(l/B^j): adjacent levels share one phi
-        lo = window._phi(l / B ** levels[0]) if compact else None
-        w = np.zeros((len(levels), len(l)))
-        for i, (j, le) in enumerate(zip(levels, cut)):  # one row's temporaries at a time
-            if compact:
-                hi = window._phi(l / B ** (j + 1))
-                sq = np.clip(hi - lo, 0.0, None)[:le]
-                lo = hi
-            else:
-                sq = window.window_sq(l[:le] / B**j)
-            w[i, :le] = sq * (2.0 * l[:le] + 1.0) / n[i]
         for name, arr in (("w", w), ("log_l", np.log(l)), ("n", n)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)

@@ -35,12 +35,14 @@ from .spectrum import PowerSpectrumModel
 __all__ = [
     "DEFAULT_POINT_CAP",
     "CORRELATION_SEED_CAP",
+    "CORRELATION_POINT_CAP",
     "CubatureGrid",
     "BetaCoefficients",
     "CorrelationSummary",
     "build_grid",
     "legendre_table",
     "synthesize_beta",
+    "check_correlation_seeds",
     "empirical_beta_correlation",
 ]
 
@@ -50,6 +52,15 @@ DEFAULT_POINT_CAP = 1_000_000
 # coefficients and standardized copies at two 700-node grids (measured by
 # tracemalloc at 64 and 192 seeds), so 2^14 seeds hold ~256 MB
 CORRELATION_SEED_CAP = 2**14
+
+# nodes per grid one ``empirical_beta_correlation`` call may sample: its
+# (nodes x nodes) correlation, distance and cosine arrays peak at ~52 bytes
+# per node pair on one level and ~40 on two, where the nodes of both grids
+# pair up (measured by tracemalloc at 300-1200 nodes per grid on levels 5
+# and 6), so 2^10 nodes per grid hold ~170 MB.  Each seed then keeps ~33 KB
+# (~16 KB at 700; tracemalloc at 64 and 192 seeds), so a call at both caps
+# peaks near 700 MB
+CORRELATION_POINT_CAP = 2**10
 
 # seeds synthesised together by ``empirical_beta_correlation``; bounds its
 # (S, n_phi, N_theta) amplitude array at any seed count
@@ -303,6 +314,15 @@ class CorrelationSummary:
         return float(self.mean_abs[occupied[-1]])
 
 
+def check_correlation_seeds(n_seeds: int) -> None:
+    """The one check of a correlation's seed count: at least 2
+    (``DomainError``), at most ``CORRELATION_SEED_CAP`` (``ResourceLimitError``)."""
+    if n_seeds < 2:
+        raise DomainError(f"a correlation needs n_seeds >= 2, got {n_seeds}")
+    if n_seeds > CORRELATION_SEED_CAP:
+        raise ResourceLimitError(f"n_seeds={n_seeds} exceeds cap {CORRELATION_SEED_CAP}")
+
+
 def empirical_beta_correlation(
     model: PowerSpectrumModel,
     j: int,
@@ -323,10 +343,9 @@ def empirical_beta_correlation(
     """
     if not 4 * p + 2 - model.alpha0 > 0:
         raise DomainError("requires 4p + 2 - alpha0 > 0")
-    if n_seeds < 2:
-        raise DomainError(f"a correlation needs n_seeds >= 2, got {n_seeds}")
-    if n_seeds > CORRELATION_SEED_CAP:
-        raise ResourceLimitError(f"n_seeds={n_seeds} exceeds cap {CORRELATION_SEED_CAP}")
+    check_correlation_seeds(n_seeds)
+    if max_points > CORRELATION_POINT_CAP:
+        raise ResourceLimitError(f"max_points={max_points} exceeds cap {CORRELATION_POINT_CAP}")
     window = MexicanWindow(p=p, B=B)
     grids = [build_grid(level, B, oversample=0.5) for level in dict.fromkeys((j, j2))]
     n_bins = 48

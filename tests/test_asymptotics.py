@@ -276,6 +276,15 @@ class TestLevelSumConstants:
         brute = brute_sigma(0, p, B, a0, JL, -JL)
         assert abs(closed - brute) / brute > 0.10
 
+    def test_unconverged_sums_raise(self):
+        # the kernel decays like B^(-(P+1) d): at B = 1 + 1e-6 its 1e-18 stop
+        # lies millions of terms out, and the truncated sum gave c0 log B =
+        # 0.094; at B = 1.001 it stops and c0 log B nears its B -> 1 limit
+        with pytest.raises(DomainError, match="B=1.000001"):
+            level_sum_constants(2, 1.000001, 3.0)
+        lsc = level_sum_constants(2, 1.001, 3.0)
+        assert lsc.c0 * math.log(1.001) == pytest.approx(0.389, abs=1e-3)
+
     def test_kernel_sandwich(self):
         # c0 is bounded by its geometric envelope: tau0_ref (1 + B^-2)^-P
         # <= 2 c0 <= 2 tau0_ref... the two-sided sum over dj is finite

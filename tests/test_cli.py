@@ -3,7 +3,7 @@ from dataclasses import fields
 
 import pytest
 
-from needlet_whittle import harness, sphere
+from needlet_whittle import cli, harness, sphere
 from needlet_whittle.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from needlet_whittle.errors import BoundaryWarning, ConfigError
 from needlet_whittle.harness import ExperimentConfig, ReplicationRow
@@ -49,9 +49,10 @@ class TestTheory:
             ("2", "2", "nan"),
             ("2", "2", "inf"),
             ("2", "2", "-1"),
+            ("2", "1.000001", "0"),  # level sums do not converge
         ],
         ids=["B-one", "B-negative", "B-tiny", "B-inf", "p-200", "kappa-nan", "kappa-inf",
-             "kappa-minus-one"],
+             "kappa-minus-one", "B-near-one"],
     )
     def test_bad_arguments_exit_numeric(self, capsys, p, B, kappa):
         rc = main(["theory", "--p", p, "--B", B, "--alpha0", "3", "--kappa", kappa])
@@ -348,6 +349,21 @@ class TestRealspaceAndPlugin:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("numeric error:")
+
+    @pytest.mark.parametrize("n_seeds", [1, sphere.CORRELATION_SEED_CAP + 1], ids=["one", "past-cap"])
+    def test_realspace_check_seeds_checked_before_simulating(self, capsys, monkeypatch, n_seeds):
+        def simulate_alm(*args, **kwargs):
+            raise AssertionError("the frame-check field was simulated")
+
+        monkeypatch.setattr(cli, "simulate_alm", simulate_alm)
+        rc = main(
+            ["realspace-check", "--j", "3", "--p", "2", "--B", "2.0", "--seed", "5",
+             "--n-seeds", str(n_seeds), "--l-max", "256"]
+        )
+        assert rc == EXIT_NUMERIC
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "n_seeds" in err
 
     def test_realspace_check_seed_count_capped(self, capsys):
         n_seeds = sphere.CORRELATION_SEED_CAP + 1

@@ -22,6 +22,7 @@ from needlet_whittle import (
     select_j_range,
     window_sq,
 )
+from needlet_whittle import needlet
 from needlet_whittle.asymptotics import i_ps, sigma0_sq, tau_b
 from needlet_whittle.needlet import LevelBasis, _bump_cdf, check_levels, narrow_band_j1
 
@@ -200,7 +201,7 @@ class TestLevelBasis:
             )
 
     def test_compact_rows_share_phi(self):
-        # adjacent levels share phi(l/B^k); the rows equal window_sq(l/B^j) bit for bit
+        # rows phi(l/B^(j+1)) - phi(l/B^j) equal window_sq(l/B^j) bit for bit
         basis = LevelBasis(STD, JRange(j0=1, jL=8), 1024)
         for i, j in enumerate(basis.j_range.levels()):
             l, w = _former_level_terms(STD, j, 1024)
@@ -245,6 +246,112 @@ class TestLevelBasis:
         assert np.array_equal(alphas, np.linspace(2.001, 10.0, num))
         exact = np.array([basis.k(a) for a in alphas])
         assert np.max(np.abs(k / exact - 1.0)) < 1e-13
+
+
+@pytest.fixture
+def fresh_rows(monkeypatch):
+    """An empty row cache at the module's bound, for this test only."""
+    rows = needlet._RowCache(needlet.ROW_CACHE_BYTES)
+    monkeypatch.setattr(needlet, "_ROWS", rows)
+    return rows
+
+
+# windows sharing B, p or the class, so a cache key missing any field mixes rows
+ROW_WINDOWS = [
+    MEX,
+    STD,
+    MexicanWindow(p=1, B=2.0),
+    MexicanWindow(p=2, B=3.0),
+    StandardWindow(B=3.0),
+    StandardWindow(B=math.sqrt(2.0)),
+    MexicanWindow(p=1, B=1.1),
+    StandardWindow(B=1.1),
+]
+
+
+class TestLevelRows:
+    @pytest.mark.parametrize("window", ROW_WINDOWS, ids=str)
+    def test_support_holds_every_nonzero_weight(self, window):
+        # the former build computed every compact weight on l = 1..l_max:
+        # those outside support(j) are exactly 0, and the mexican rows end at
+        # effective_lmax = min(l_max, last)
+        l_max = 1024
+        j_range = select_j_range(l_max, window)
+        B, levels = window.B, j_range.levels()
+        l = np.arange(1, l_max + 1, dtype=float)
+        for j in levels:
+            first, last = window.support(j)
+            assert window.effective_lmax(j, l_max) == min(l_max, last)
+            if isinstance(window, StandardWindow):
+                sq = np.clip(window._phi(l / B ** (j + 1)) - window._phi(l / B**j), 0.0, None)
+                assert not sq[: first - 1].any() and not sq[last:].any()
+                assert sq[first - 1 : last].any()
+            else:
+                assert first == 1
+                peak = window.window_sq(window.peak_x)
+                assert window.window_sq(last / B**j) <= needlet.MEXICAN_TAIL_RATIO * peak
+        w = _former_list_build(window, j_range, l_max)
+        for i, j in enumerate(levels):
+            first, last = window.support(j)
+            assert not w[i, : first - 1].any() and not w[i, last:].any()
+
+    def test_support_pinned(self):
+        # the integers inside compact level j's open support (B^(j-1), B^(j+1)),
+        # and the mexican cutoff ceil(B^j cutoff_x) at cutoff_x ~ 5.05
+        assert STD.support(3) == (5, 15)
+        assert StandardWindow(B=3.0).support(2) == (4, 26)
+        assert MEX.support(3) == (1, 41)
+
+    @pytest.mark.parametrize("l_maxes", [(8192, 1024), (1024, 8192)], ids=["down", "up"])
+    def test_warm_rows_match_former_list_build(self, fresh_rows, l_maxes):
+        # rows cached at one band limit and read at another, across windows
+        # that share B, p or the class
+        for window in ROW_WINDOWS:
+            for l_max in l_maxes:
+                j_range = select_j_range(l_max, window)
+                got = LevelBasis(window, j_range, l_max).w
+                assert got.tobytes() == _former_list_build(window, j_range, l_max).tobytes()
+
+    def test_rows_cached_read_only(self, fresh_rows):
+        basis = LevelBasis(STD, JRange(j0=1, jL=9), 1024)
+        for j in basis.j_range.levels():
+            first, terms = needlet._level_row(STD, j, 1024)
+            assert fresh_rows.get((STD, j))[1] is terms
+            with pytest.raises(ValueError):
+                terms[0] = 1.0
+
+    def test_cache_within_its_byte_bound(self, fresh_rows):
+        requested = 0
+        for B in np.linspace(1.5, 3.0, 30):
+            for window in (MexicanWindow(p=2, B=float(B)), StandardWindow(B=float(B))):
+                j_range = select_j_range(4096, window)
+                LevelBasis(window, j_range, 4096)
+                requested += sum(
+                    8 * (window.support(j)[1] - window.support(j)[0] + 1)
+                    for j in j_range.levels()
+                )
+                held = sum(terms.nbytes for _, terms in fresh_rows._rows.values())
+                assert 0 < fresh_rows.nbytes == held <= needlet.ROW_CACHE_BYTES
+        assert requested > 4 * needlet.ROW_CACHE_BYTES  # the bound did evict rows
+
+    def test_row_past_the_bound_not_stored(self, fresh_rows, monkeypatch):
+        # level 15's mexican support, up to l ~ 165,000, is past 2^20 bytes: it
+        # is computed only up to l_max and not kept
+        window, j, l_max = MEX, 15, 50_000
+        first, last = window.support(j)
+        assert 8 * (last - first + 1) > needlet.ROW_CACHE_BYTES
+        lengths = []
+        level_sq = MexicanWindow._level_sq
+        monkeypatch.setattr(
+            MexicanWindow, "_level_sq", lambda self, l, j: lengths.append(len(l)) or level_sq(self, l, j)
+        )
+        basis = LevelBasis(window, JRange(j0=j, jL=j), l_max)
+        assert lengths == [l_max]
+        assert fresh_rows.get((window, j)) is None and fresh_rows.nbytes == 0
+        l = np.arange(1, l_max + 1, dtype=float)
+        assert np.array_equal(
+            basis.w[0], window.window_sq(l / window.B**j) * (2.0 * l + 1.0) / basis.n[0]
+        )
 
 
 class TestNarrowBandJ1:

@@ -311,6 +311,21 @@ class TestBetaCorrelation:
             tracemalloc.stop()
         assert peak < 24e6
 
+    def test_point_count_capped_before_allocation(self, canonical_model):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="max_points"):
+                empirical_beta_correlation(
+                    canonical_model, 3, 3, p=2, B=2.0, n_seeds=4,
+                    max_points=sphere.CORRELATION_POINT_CAP + 1,
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_seed_count_capped_before_allocation(self, canonical_model):
         import tracemalloc
 
