@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError, TableLookupError
 
+TAIL_TOL = 1e-12  # largest dropped tail a truncated sum accepts, relative to the sum
+
 __all__ = [
     "check_B",
     "digamma",
@@ -322,8 +324,11 @@ def level_sum_constants(p: int, B: float, alpha0: float) -> LevelSumConstants:
         c2 += d * d * u
         if u < 1e-18 * c0 and d > 4:
             break
-    else:  # B so close to 1 that the level sums decay too slowly to finish
-        raise DomainError(f"level sums at B={B} do not converge in {d} terms")
+    else:  # the ratio of terms falls with d: the tail is at most u_next / (1 - ratio)
+        u_next = B ** (-d - 1) * math.cosh((d + 1) * lb) ** (-P)
+        ratio = u_next / u
+        if not (ratio < 1.0 and u_next / (1.0 - ratio) <= TAIL_TOL * c0):
+            raise DomainError(f"level sums at B={B} do not converge in {d} terms")
     t0 = 2.0 * c0
     t1 = 2.0 * c0 + (B**2 - 1.0) * c1
     t2 = 2.0 * c0 + (B**2 - 1.0) * (2.0 * c1 + (B**2 - 1.0) * c2) / (B**2 + 1.0)

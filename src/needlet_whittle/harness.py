@@ -380,18 +380,18 @@ def jarque_bera(x) -> float:
 def _aggregate(config: ExperimentConfig, rows: list[ReplicationRow]) -> Aggregate:
     ok = [row for row in rows if not row.failed]
     window, B, alpha0 = config.window, config.window.B, config.model.alpha0
-    jl = ok[0].jL if ok else config.j_range().jL
     alphas = np.array([row.alpha_hat for row in ok])
-    scaled = B**jl * (alphas - alpha0)
+    scaled = np.array([B**row.jL for row in ok]) * (alphas - alpha0)
+    # full-band limits; integer-level narrow bands have no closed-form
+    # desk-scale reference for either window (see theory_checks / README)
+    full = config.band == "full"
+    theory_var = theory_bias = math.nan
     if isinstance(window, MexicanWindow):
-        # full-band limit; integer-level narrow bands have no closed-form
-        # desk-scale reference (see theory_checks / README)
-        full = config.band == "full"
         theory_var = asymptotics.varsigma0_sq(window.p, B, alpha0) if full else math.nan
         theory_bias = asymptotics.bias_coeff(window.p, B, alpha0, model_kappa(config.model))
-    else:
+    elif full:
         rho0_sq = asymptotics.table1_rho0_sq(alpha0, B, interpolate=True)
-        theory_var, theory_bias = asymptotics.clt_variance(rho0_sq, B), math.nan
+        theory_var = asymptotics.clt_variance(rho0_sq, B)
     return Aggregate(
         n_rows=len(rows),
         n_failed=len(rows) - len(ok),

@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .asymptotics import check_B
+from .asymptotics import TAIL_TOL, check_B
 from .errors import DomainError, ResourceLimitError, TruncationError
 from .harmonic import EmpiricalSpectrum
 
@@ -60,7 +60,6 @@ __all__ = [
 ]
 
 MEXICAN_TAIL_RATIO = 1e-16  # terms below this fraction of the peak are dropped
-TAIL_TOL = 1e-12  # largest dropped tail ``k_j`` accepts, relative to its sum
 BASIS_CAP = 2**25  # weights in one level range's matrix: 256 MiB of float64
 ROW_CACHE_BYTES = 2**20  # cached level rows; fit-sweep's working set is ~450 KB
 
@@ -79,8 +78,13 @@ def _cutoff_x(p: int) -> float:
     return 0.5 * (lo + hi)
 
 
+class _Window:
+    def effective_lmax(self, j: int, l_max: int) -> int:
+        return min(l_max, self.support(j)[1])
+
+
 @dataclass(frozen=True)
-class MexicanWindow:
+class MexicanWindow(_Window):
     p: int = 2
     B: float = 2.0
 
@@ -109,9 +113,6 @@ class MexicanWindow:
     def support(self, j: int) -> tuple[int, int]:
         """First and last multipole of level j's weights, at any l_max."""
         return 1, int(math.ceil(self.B**j * self.cutoff_x))
-
-    def effective_lmax(self, j: int, l_max: int) -> int:
-        return min(l_max, self.support(j)[1])
 
     def _level_sq(self, l, j: int):
         """window_sq(l/B^j) at the multipoles l of level j's row."""
@@ -160,7 +161,7 @@ def _bump_cdf(u):
 
 
 @dataclass(frozen=True)
-class StandardWindow:
+class StandardWindow(_Window):
     B: float = 2.0
 
     def __post_init__(self):
@@ -187,9 +188,6 @@ class StandardWindow:
         """First and last multipole inside level j's open support
         (B^(j-1), B^(j+1)), at any l_max; the weights outside it are 0."""
         return math.floor(self.B ** (j - 1)) + 1, int(math.ceil(self.B ** (j + 1))) - 1
-
-    def effective_lmax(self, j: int, l_max: int) -> int:
-        return min(l_max, self.support(j)[1])
 
     def _level_sq(self, l, j: int):
         # window_sq(l/B^j) as phi(l/B^(j+1)) - phi(l/B^j), not via x/B
@@ -394,29 +392,6 @@ class LevelBasis:
         return alphas, out
 
 
-def _mexican_tail_check(window, j, alpha, l_max, partial, log_order):
-    """Geometric bound on the dropped tail when l_max cuts inside the window."""
-    if window.effective_lmax(j, l_max) < l_max:
-        return  # truncated by the window's own cutoff, below relevance
-    def term(l):
-        t = window.window_sq(l / window.B**j) * (2 * l + 1) * l ** (-alpha)
-        return t * abs(math.log(l)) ** log_order
-    t1, t2 = term(l_max + 1.0), term(l_max + 2.0)
-    if t1 == 0.0:
-        return
-    ratio = t2 / t1
-    if ratio >= 1.0:
-        raise TruncationError(
-            f"level j={j}: terms still growing at l_max={l_max}; window peak unresolved"
-        )
-    bound = t1 / (1.0 - ratio)
-    if bound > TAIL_TOL * abs(partial):
-        raise TruncationError(
-            f"level j={j}: dropped tail bound {bound:.3e} exceeds "
-            f"{TAIL_TOL:.1e} of the partial sum at l_max={l_max}"
-        )
-
-
 def k_j(
     window: NeedletWindow,
     j: int,
@@ -428,16 +403,12 @@ def k_j(
 ) -> float:
     """Normalized spectral moment (1/N_j) sum_l window_sq(l/B^j)(2l+1) l^-alpha.
 
-    With ``check_tail`` the dropped tail beyond l_max must stay below
-    ``TAIL_TOL`` of the sum (geometric bound past the window peak); the
-    estimator disables the check and relies on truncation consistency with
-    ``lambda_hat`` instead.
+    With ``check_tail`` a geometric bound on the tail dropped past l_max must
+    stay below ``TAIL_TOL`` of the sum; a compact level drops nothing, since
+    ``check_levels`` ends it by l_max.  The estimator disables the check and
+    relies on truncation consistency with ``lambda_hat`` instead.
     """
-    basis = LevelBasis(window, JRange(j0=j, jL=j, c_b=c_b), l_max)
-    out = float(basis.k(alpha)[0])
-    if check_tail and isinstance(window, MexicanWindow):
-        _mexican_tail_check(window, j, alpha, l_max, out * basis.n[0], 0)
-    return out
+    return k_j_deriv(window, j, alpha, l_max, 0, c_b, check_tail=check_tail)
 
 
 def k_j_deriv(
@@ -450,13 +421,29 @@ def k_j_deriv(
     *,
     check_tail: bool = True,
 ) -> float:
-    """Term-wise alpha-derivative of ``k_j``: order 1 inserts -log l, order 2 log^2 l."""
-    if order not in (1, 2):
-        raise DomainError("order must be 1 or 2")
+    """Term-wise alpha-derivative of ``k_j`` (order 0: ``k_j`` itself; order 1
+    inserts -log l, order 2 log^2 l), with ``k_j``'s tail check on its terms."""
+    if order not in (0, 1, 2):
+        raise DomainError("order must be 0, 1 or 2")
     basis = LevelBasis(window, JRange(j0=j, jL=j, c_b=c_b), l_max)
     out = float(basis.k_derivs(alpha)[order][0])
-    if check_tail and isinstance(window, MexicanWindow):
-        _mexican_tail_check(window, j, alpha, l_max, out * basis.n[0], order)
+    if not check_tail or window.effective_lmax(j, l_max) < l_max:
+        return out  # truncated by the window's own cutoff, below relevance
+    l = np.array([l_max + 1.0, l_max + 2.0])  # the first two terms past l_max
+    t1, t2 = window._level_sq(l, j) * (2.0 * l + 1.0) * l ** (-alpha) * np.abs(np.log(l)) ** order
+    if t1 == 0.0:
+        return out
+    ratio = t2 / t1
+    if ratio >= 1.0:
+        raise TruncationError(
+            f"level j={j}: terms still growing at l_max={l_max}; window peak unresolved"
+        )
+    bound = t1 / (1.0 - ratio)
+    if bound > TAIL_TOL * abs(out * basis.n[0]):
+        raise TruncationError(
+            f"level j={j}: dropped tail bound {bound:.3e} exceeds "
+            f"{TAIL_TOL:.1e} of the partial sum at l_max={l_max}"
+        )
     return out
 
 

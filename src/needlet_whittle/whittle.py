@@ -12,11 +12,11 @@ brackets the minimum on a ``GRID_POINTS`` alpha grid, then runs a safeguarded
 Newton search on the analytic score and hessian: a step that leaves the
 bracket, or a hessian <= 0, falls back to bisection.
 
-``_derivs`` is the one evaluation of the contrast, its score and hessian and
-G-hat at an alpha, from one K_j, K_j', K_j'' pass; ``contrast``,
-``profile_g_hat``, ``score`` and ``hessian`` read from it, and a fit records
-G-hat, score and hessian from a single evaluation at alpha-hat.  The rows-CSV
-form of a fit belongs to ``harness.ReplicationRow``.
+``_profile`` is the one expression of G-hat and the contrast, for model
+moments K of any leading shape: the grid passes all its rows at once, and
+``_derivs`` passes one and adds the score and hessian from the same K_j',
+K_j'' pass.  A fit records G-hat, score and hessian from one ``_derivs`` call
+at alpha-hat.  The rows-CSV form of a fit belongs to ``harness.ReplicationRow``.
 
 ``level_range`` is the one rule that turns a band request (band, j0, jl, g)
 into a level range; ``estimate`` and the Monte Carlo configs both fit through
@@ -91,23 +91,30 @@ class SearchSettings:
             raise ConfigError(f"search tolerance must be finite and positive, got {self.tol}")
 
 
+def _profile(stats: NeedletStatistics, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(contrast, G-hat), one pair per leading index of model moments K (..., J)."""
+    n = stats.basis.n
+    sn = float(n.sum())  # array methods: this runs at every Newton step
+    g = (stats.lam / k).sum(axis=-1) / sn
+    if not (g > 0).all():
+        raise DegenerateDataError("profiled amplitude is not positive")
+    return np.log(g) + np.log(k) @ n / sn, g
+
+
 def _derivs(stats: NeedletStatistics, alpha: float) -> tuple[float, float, float, float]:
     """Contrast, score, hessian and profiled amplitude G-hat at alpha, from one
     K_j, K_j', K_j'' evaluation."""
     k0, k1, k2 = stats.basis.k_derivs(alpha)
     n = stats.basis.n
     sn = float(np.sum(n))
-    phi = float(np.sum(stats.lam / k0)) / sn
-    if not phi > 0:
-        raise DegenerateDataError("profiled amplitude is not positive")
+    value, phi = _profile(stats, k0)
     dphi = -float(np.sum(stats.lam * k1 / k0**2)) / sn
     d2phi = float(np.sum(stats.lam * (2.0 * k1**2 - k2 * k0) / k0**3)) / sn
-    value = math.log(phi) + float(np.sum(n * np.log(k0))) / sn
     grad = dphi / phi + float(np.sum(n * k1 / k0)) / sn
     curv = (d2phi * phi - dphi * dphi) / phi**2 + float(
         np.sum(n * (k2 * k0 - k1**2) / k0**2)
     ) / sn
-    return value, grad, curv, phi
+    return float(value), float(grad), float(curv), float(phi)
 
 
 def profile_g_hat(stats: NeedletStatistics, alpha: float) -> float:
@@ -142,6 +149,13 @@ def hessian(stats: NeedletStatistics, alpha: float) -> float:
     return _derivs(stats, alpha)[2]
 
 
+def _check_two_levels(j_range: JRange, band: str) -> None:
+    """A single level does not identify alpha: G-hat absorbs it, the contrast is flat."""
+    if j_range.j0 == j_range.jL:
+        error = NarrowBandError if band == "narrow" else DegenerateDataError
+        raise error(f"{band} band [{j_range.j0}, {j_range.jL}] is a single level")
+
+
 @dataclass
 class WhittleFit:
     alpha_hat: float
@@ -170,16 +184,10 @@ class WhittleFit:
 
 
 def _fit(stats: NeedletStatistics, search: SearchSettings, band: str) -> WhittleFit:
-    basis = stats.basis
-    if len(basis.n) < 2:  # with one level G-hat absorbs alpha: the contrast is flat
-        raise DegenerateDataError("a single level does not identify alpha")
+    _check_two_levels(stats.j_range, band)
     # the grid stays vectorised: one k_linspace pass, not GRID_POINTS evaluations
-    grid, k = basis.k_linspace(search.alpha_min, search.alpha_max, GRID_POINTS)
-    sn = float(np.sum(basis.n))
-    g = np.sum(stats.lam / k, axis=1) / sn
-    if not np.all(g > 0):
-        raise DegenerateDataError("profiled amplitude is not positive")
-    vals = np.log(g) + np.log(k) @ basis.n / sn
+    grid, k = stats.basis.k_linspace(search.alpha_min, search.alpha_max, GRID_POINTS)
+    vals, _ = _profile(stats, k)
     trace: list[tuple[float, float]] = list(zip(grid.tolist(), vals.tolist()))
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]
@@ -285,9 +293,7 @@ def level_range(
         j_range = JRange(j0=narrow_band_j1(jl, g, window.B), jL=jl)
     else:
         raise ConfigError(f"band must be full or narrow, got {band!r}")
-    if j_range.j0 == j_range.jL:  # a single level does not identify alpha
-        error = NarrowBandError if band == "narrow" else DegenerateDataError
-        raise error(f"{band} band [{j_range.j0}, {j_range.jL}] is a single level")
+    _check_two_levels(j_range, band)
     check_levels(window, j_range, l_max)
     if band == "narrow" and window.B**j_range.jL - window.B**j_range.j0 < 1.0:
         raise NarrowBandError("band is narrower than one multipole")

@@ -285,6 +285,14 @@ class TestLevelSumConstants:
         lsc = level_sum_constants(2, 1.001, 3.0)
         assert lsc.c0 * math.log(1.001) == pytest.approx(0.389, abs=1e-3)
 
+    def test_unconverged_sums_accepted_on_a_small_tail_bound(self):
+        # past 100,000 terms a sum is kept when its geometric tail bound is at
+        # most TAIL_TOL of c0: 1.5e-14 at B = 1.00005, 1.6e-11 at 1.00004
+        lsc = level_sum_constants(2, 1.00005, 3.0)
+        assert lsc.c0 * math.log(1.00005) == pytest.approx(0.389, abs=1e-3)
+        with pytest.raises(DomainError, match="B=1.00004"):
+            level_sum_constants(2, 1.00004, 3.0)
+
     def test_kernel_sandwich(self):
         # c0 is bounded by its geometric envelope: tau0_ref (1 + B^-2)^-P
         # <= 2 c0 <= 2 tau0_ref... the two-sided sum over dj is finite

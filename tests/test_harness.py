@@ -229,6 +229,14 @@ class TestRunExperiment:
         assert [line.split(",")[col] for line in lines] == ["1"] * 4
         assert all(row.converged and not row.failed for row in summary.rows)
 
+    @pytest.mark.parametrize("window", [MexicanWindow(p=2, B=2.0), StandardWindow(B=2.0)])
+    def test_narrow_band_has_no_theory_variance(self, window):
+        # the closed-form variances are full-band limits, for either window
+        full = run_experiment(small_config(window=window, replications=2))
+        narrow = run_experiment(small_config(window=window, replications=2, band="narrow", g=0.5))
+        assert math.isfinite(full.aggregate.theory_varsigma0_sq)
+        assert math.isnan(narrow.aggregate.theory_varsigma0_sq)
+
     def test_env_override_workers(self, monkeypatch, tmp_path):
         monkeypatch.setenv("NEEDLET_WHITTLE_THREADS", "2")
         summary = run_experiment(small_config(workers=1))

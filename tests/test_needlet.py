@@ -112,6 +112,31 @@ class TestKj:
         # disabling the check gives the truncation-consistent estimator value
         assert k_j(MEX, 9, 3.0, 1024, check_tail=False) > 0
 
+    @pytest.mark.parametrize("B", [2.0, 3.0, math.sqrt(2.0), 1.3])
+    @pytest.mark.parametrize("l_max", [64, 1000, 1024])
+    def test_compact_levels_drop_no_weight(self, B, l_max):
+        # every compact level check_levels accepts ends by l_max, so the first
+        # term past l_max is 0 and the tail check passes on every moment
+        window = StandardWindow(B=B)
+        for j in select_j_range(l_max, window).levels():
+            assert window._level_sq(np.array([l_max + 1.0]), j)[0] == 0.0
+            assert k_j(window, j, 3.0, l_max) == k_j(window, j, 3.0, l_max, check_tail=False)
+            for order in (1, 2):
+                assert k_j_deriv(window, j, 0.5, l_max, order) == k_j_deriv(
+                    window, j, 0.5, l_max, order, check_tail=False
+                )
+
+    def test_order_zero_is_k_j(self):
+        for window, j, l_max in ((MEX, 8, 4096), (MEX, 9, 1024), (STD, 5, 1024)):
+            assert k_j_deriv(window, j, 3.0, l_max, 0, check_tail=False) == k_j(
+                window, j, 3.0, l_max, check_tail=False
+            )
+        with pytest.raises(DomainError, match="order must be 0, 1 or 2"):
+            k_j_deriv(MEX, 8, 3.0, 4096, 3)
+
+    def test_one_truncation_rule(self):
+        assert MexicanWindow.effective_lmax is StandardWindow.effective_lmax
+
     def test_truncation_soundness(self, canonical_model):
         # once the tail bound passes, doubling l_max moves k_j (and lambda_hat
         # on noise-free data) by < 1e-10 relative

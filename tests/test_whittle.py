@@ -358,3 +358,31 @@ class TestCsvRow:
         assert len(parts) == len(header.split(","))
         assert float(parts[3]) == pytest.approx(fit.alpha_hat, rel=1e-15)
         assert parts[2] == "full"
+
+
+class TestPinnedFits:
+    """The bits of four fits on one seeded spectrum.  A change that moves
+    them must update this pin and say why.  They hold for one numpy and BLAS
+    build: a matrix product may sum in another order elsewhere."""
+
+    PINS = {
+        ("full", MEX): ("2.990578636365916", "0.9389603022853381",
+                        "-1.7763568394002505e-15", "0.20805640815522397"),
+        ("narrow", MEX): ("2.990785649313923", "0.9401320987193978",
+                          "-2.6645352591003757e-15", "0.07372415245694663"),
+        ("full", STD): ("2.986720876283945", "0.9184736007270257",
+                        "-8.881784197001252e-16", "0.21363274152313402"),
+        ("narrow", STD): ("2.977680513274601", "0.8687689777419918",
+                          "0.0", "0.07688514052655702"),
+    }
+
+    @pytest.mark.parametrize(
+        "band, window",
+        list(PINS),
+        ids=["full-mexican", "narrow-mexican", "full-standard", "narrow-standard"],
+    )
+    def test_fit_bits(self, band, window, canonical_model):
+        spec = chi2_spectrum(canonical_model, 1024, 7)
+        fit = fit_full_band(spec, window) if band == "full" else fit_narrow_band(spec, window, g=0.5)
+        got = (fit.alpha_hat, fit.g_hat, fit.score_at_hat, fit.hessian_at_hat)
+        assert tuple(repr(float(v)) for v in got) == self.PINS[band, window]
