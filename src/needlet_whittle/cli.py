@@ -1,11 +1,14 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric/domain error,
-4 acceptance-threshold failure in ``montecarlo --check``.
+4 acceptance-threshold failure in ``montecarlo --check``, 141 standard output
+closed before everything was written (``... | head``; 128 + SIGPIPE, as a
+shell reports a command that a closed pipe stopped), with nothing on stderr.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 
@@ -19,6 +22,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_CHECK = 4
+EXIT_PIPE = 141
 
 
 def _cmd_theory(args) -> int:
@@ -200,7 +204,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # flush at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except (ConfigError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

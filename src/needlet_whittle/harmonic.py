@@ -13,7 +13,8 @@ produce bit-identical coefficients.  The row's stream is PCG64 seeded by
 PCG64 states of every degree of a call are computed in one vectorised pass
 of numpy's documented seeding arithmetic (``_pcg64_states``, pinned by a test
 against numpy), and one reused generator is moved onto each row's stream by
-setting its state, instead of building a generator per degree.
+setting its state, instead of building a generator per degree.  ``alm_row``
+draws one stream, so it takes its state from numpy's own seeding.
 
 Each row is drawn in place: its normals z_0..z_2l land straight in the packed
 array, viewed as (re, im) float pairs, and are scaled there, with C_l for all
@@ -243,9 +244,10 @@ def alm_row(model: PowerSpectrumModel, l: int, seed: int) -> np.ndarray:
     """The degree-l coefficient row (m >= 0), deterministic in (seed, l)."""
     if l < 1:
         raise DomainError("l must be >= 1")
-    (state,), (inc,) = _pcg64_states([seed], [l])
+    # one stream: numpy's own seeding is cheaper than the vectorised pass
+    words = np.random.PCG64(np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, l))).state["state"]
     row = np.empty(l + 1, dtype=complex)
-    _Streams().draw_row(row.view(np.float64), l, state[0], inc[0], c_l(model, l))
+    _Streams().draw_row(row.view(np.float64), l, words["state"], words["inc"], c_l(model, l))
     return row
 
 

@@ -339,6 +339,7 @@ class LevelBasis:
     w: np.ndarray = field(init=False, repr=False)  # (J, L), read-only
     log_l: np.ndarray = field(init=False, repr=False)  # (L,)
     n: np.ndarray = field(init=False, repr=False)  # (J,) N_j
+    n_sum: float = field(init=False, repr=False)  # sum_j N_j, read by every contrast
 
     def __post_init__(self):
         check_levels(self.window, self.j_range, self.l_max)
@@ -353,6 +354,7 @@ class LevelBasis:
         for name, arr in (("w", w), ("log_l", np.log(l)), ("n", n)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "n_sum", float(n.sum()))
 
     def lam(self, values: np.ndarray) -> np.ndarray:
         """lambda-hat per level from c-hat values indexed by l (index 0 unused)."""

@@ -10,8 +10,11 @@ Fourier amplitudes, and an FFT over longitude gives the field.  The
 recurrence runs on one hemisphere only, the distinct |cos theta| of the
 rings, and each mirror ring takes the even-l and odd-l sums with opposite
 signs.  Degrees are contracted into the amplitudes in blocks of
-``_DEGREE_BLOCK``, one stacked matmul over m per block.  Memory is
-O(L N_theta), so level 7 (L = 647 at p = 2, B = 2) runs in ~12 MB.
+``_DEGREE_BLOCK``, one stacked matmul over m per block.  Each recurrence
+step (``_Legendre.step``) writes its row in place into that block buffer,
+laid out [l % 2, slot, m, |cos theta|] so that every row is contiguous, and
+the matmul reads the buffer through a transposed view: no row is copied.
+Memory is O(L N_theta), so level 7 (L = 647 at p = 2, B = 2) runs in ~11 MB.
 
 Coefficients arrive as a stream of degree rows, never as a packed set: one
 set is ``AlmSet.row(l)``, and the correlation diagnostic draws each block of
@@ -133,40 +136,61 @@ def build_grid(j: int, B: float, oversample: float = 1.0) -> CubatureGrid:
     )
 
 
-def _legendre_rows(l_max: int, x: np.ndarray):
-    """Yield the rows P[l, 0..l, :] of ``legendre_table`` for l = 0..l_max.
-    Rows are written into three rotating buffers: a yielded row must not be
-    modified (the next two are built from it), and is overwritten three rows
-    later."""
-    sin_th = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-    bufs = np.empty((3, l_max + 1, len(x)))
-    tmp = np.empty((max(l_max - 1, 0), len(x)))
-    m_sq = np.arange(max(l_max - 1, 0), dtype=float) ** 2
-    prev2 = None
-    prev = bufs[0, :1]
-    prev.fill(1.0 / math.sqrt(4.0 * math.pi))
-    yield prev
-    for l in range(1, l_max + 1):
-        row = bufs[l % 3, : l + 1]
-        if l >= 2:
-            # a = sqrt((4l^2 - 1) / (l^2 - m^2)) and
-            # b = sqrt((2l + 1)((l - 1)^2 - m^2) / ((2l - 3)(l^2 - m^2))),
-            # whose numerators and denominators are exact integers in double
-            sq = m_sq[: l - 1]
-            d = l * l - sq
-            a = np.sqrt((4.0 * l * l - 1.0) / d)
-            b = np.sqrt((2.0 * l + 1.0) * ((l - 1) ** 2 - sq) / ((2.0 * l - 3.0) * d))
-            # (a x) P[l-1] - b P[l-2], written in place into the new row
-            head = row[: l - 1]
-            np.multiply(a[:, None], x, out=head)
-            head *= prev[: l - 1]
-            head -= np.multiply(b[:, None], prev2, out=tmp[: l - 1])
-        np.multiply(math.sqrt(2.0 * l + 1.0), x, out=row[l - 1])
-        row[l - 1] *= prev[l - 1]
-        np.multiply(-math.sqrt((2.0 * l + 1.0) / (2.0 * l)), sin_th, out=row[l])
-        row[l] *= prev[l - 1]
-        prev2, prev = prev, row
-        yield row
+class _Legendre:
+    """The fully normalized associated Legendre recurrence at nodes x, one
+    degree per ``step`` for l = 1, 2, ... in order: row l = P[l, 0..l, :] is
+    written in place from rows l - 1 and l - 2, wherever the caller keeps
+    them.
+
+    Row l's entries m <= l - 2 are (a_lm x) P[l-1, m] - b_lm P[l-2, m]; each
+    column-broadcast product is formed as a broadcast copy of the coefficient
+    column followed by a contiguous product with a tile of x or with row
+    l - 2.  Its two diagonal entries m = l - 1, l are the pair
+    (sqrt(2l + 1) x, -sqrt((2l + 1) / 2l) sin theta) times P[l-1, l-1].  The
+    coefficients are computed for ``_DEGREE_BLOCK`` degrees at a time."""
+
+    P00 = 1.0 / math.sqrt(4.0 * math.pi)  # row 0, which seeds the recurrence
+
+    def __init__(self, l_max: int, x: np.ndarray):
+        self.l_max = l_max
+        self._x = np.tile(x, (max(l_max - 1, 0), 1))
+        self._tmp = np.empty_like(self._x)
+        self._cos_sin = np.stack((x, np.sqrt(np.clip(1.0 - x * x, 0.0, None))))
+        self._m_sq = np.arange(max(l_max - 1, 0), dtype=float) ** 2
+        self._first = self._stop = 1
+
+    def _coefficients(self, first: int) -> None:
+        """a_lm, b_lm and the diagonal pair of the degrees first.. of one block."""
+        self._first, self._stop = first, min(first + _DEGREE_BLOCK, self.l_max + 1)
+        l = np.arange(first, self._stop, dtype=float)[:, None]
+        # a = sqrt((4l^2 - 1) / (l^2 - m^2)) and
+        # b = sqrt((2l + 1)((l - 1)^2 - m^2) / ((2l - 3)(l^2 - m^2))), whose
+        # numerators and denominators are exact integers in double; the
+        # entries past a row's m = l - 2 are never read
+        sq = self._m_sq[: max(self._stop - 2, 0)]
+        d = l * l - sq
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self._a = np.sqrt((4.0 * l * l - 1.0) / d)
+            self._b = np.sqrt((2.0 * l + 1.0) * ((l - 1.0) ** 2 - sq) / ((2.0 * l - 3.0) * d))
+        self._diag = np.hstack((np.sqrt(2.0 * l + 1.0), -np.sqrt((2.0 * l + 1.0) / (2.0 * l))))
+
+    def step(self, l: int, row: np.ndarray, prev: np.ndarray, prev2: np.ndarray) -> None:
+        """Write row l into ``row`` (l + 1, n) from ``prev`` = row l - 1 and
+        ``prev2`` = row l - 2 (read only for l >= 2)."""
+        if l >= self._stop:
+            self._coefficients(l)
+        i, n = l - self._first, l - 1
+        if n:
+            head, tmp = row[:n], self._tmp[:n]
+            np.copyto(head, self._a[i, :n, None])
+            head *= self._x[:n]
+            head *= prev[:n]
+            np.copyto(tmp, self._b[i, :n, None])
+            tmp *= prev2
+            head -= tmp
+        pair = row[n:]
+        np.multiply(self._diag[i, :, None], self._cos_sin, out=pair)
+        pair *= prev[n]
 
 
 def legendre_table(l_max: int, cos_theta: np.ndarray) -> np.ndarray:
@@ -174,12 +198,14 @@ def legendre_table(l_max: int, cos_theta: np.ndarray) -> np.ndarray:
 
     Normalized so that Y_lm = P[l, m] exp(i m phi) is orthonormal on the
     sphere and sum_m |Y_lm|^2 = (2l+1)/(4 pi).  Three-term recurrence in l
-    seeded on the m = l diagonal; the rows of ``_legendre_rows``, stacked.
+    seeded on the m = l diagonal; the rows of ``_Legendre.step``, stacked.
     """
     x = np.asarray(cos_theta, dtype=float)
     P = np.zeros((l_max + 1, l_max + 1, len(x)))
-    for l, row in enumerate(_legendre_rows(l_max, x)):
-        P[l, : l + 1] = row
+    P[0, 0] = _Legendre.P00
+    legendre = _Legendre(l_max, x)
+    for l in range(1, l_max + 1):
+        legendre.step(l, P[l, : l + 1], P[l - 1, :l], P[l - 2, : l - 1])
     return P
 
 
@@ -209,51 +235,59 @@ class _NeedletField:
     The recurrence runs on the distinct |cos theta| of the rings only, since
     P_lm(-x) = (-1)^(l+m) P_lm(x) holds bit for bit in it: with E and O the
     even-l and odd-l sums of f_p a_lm P_lm(|x|), a ring at x >= 0 takes E + O
-    and its mirror (-1)^m (E - O).  ``_DEGREE_BLOCK`` degrees of Legendre rows
-    and scaled coefficient rows are buffered, then added to the (m, ring)
-    amplitudes as one stacked matmul over m, folded modulo the longitude
-    count (m runs past n_phi / 2, and e^{i m phi} repeats with period n_phi on
-    the grid)."""
+    and its mirror (-1)^m (E - O).  ``_DEGREE_BLOCK`` degrees of Legendre rows,
+    each written in place by the recurrence, and of scaled coefficient rows
+    are buffered, then added to the (m, ring) amplitudes as one stacked matmul
+    over m, folded modulo the longitude count (m runs past n_phi / 2, and
+    e^{i m phi} repeats with period n_phi on the grid)."""
 
     def __init__(self, grid: CubatureGrid, window: MexicanWindow, l_max: int, n_sets: int):
         self.grid = grid
         self.l_max = l_max
         u, self._ring_u = np.unique(np.abs(grid.ring_cos), return_inverse=True)
         self._fl = window.window(np.arange(1, l_max + 1) / window.B**grid.j)
-        self._legendre = _legendre_rows(l_max, u)
-        next(self._legendre)  # l = 0 carries no coefficient
-        half = (_DEGREE_BLOCK + 1) // 2  # slots per parity of l
+        self._legendre = _Legendre(l_max, u)
+        # row l sits in slot (l - 1) // 2 mod slots of its parity: rows l and
+        # l - 2 never share a slot, nor do two rows of one block
+        self._slots = max(2, (_DEGREE_BLOCK + 1) // 2)
         # an even period keeps (-1)^m intact through the fold
         self._period = grid.n_phi * (1 + grid.n_phi % 2)
-        # [m, l % 2, slot]: the block's f_p a_lm (doubled for m >= 1: field =
-        # Re sum_{m >= 0} amp_m e^{i m phi}) and its P_lm at each |cos theta|
-        self._coef = np.zeros((l_max + 1, 2, half, n_sets), dtype=complex)
-        self._legs = np.zeros((l_max + 1, 2, half, len(u)))
+        # [m, l % 2, slot, set]: the block's f_p a_lm, doubled for m >= 1
+        # (field = Re sum_{m >= 0} amp_m e^{i m phi})
+        self._coef = np.zeros((l_max + 1, 2, self._slots, n_sets), dtype=complex)
+        # [l % 2, slot, m, |cos theta|]: the recurrence writes each row P_l,
+        # contiguous, in place; the matmul reads it through a transposed view
+        self._legs = np.zeros((2, self._slots, l_max + 1, len(u)))
+        self._row(0)[0] = _Legendre.P00
         # [m mod period, l % 2, |cos theta|, (set, re/im)]: E and O
         self._amp = np.zeros((self._period, 2, len(u), 2 * n_sets))
         self._tmp = np.empty_like(self._amp)
         self._l = 0
 
+    def _slot(self, l: int) -> int:
+        return (l - 1) // 2 % self._slots
+
+    def _row(self, l: int) -> np.ndarray:
+        """The Legendre row P[l, 0..l, :] in its slot (empty for l < 0)."""
+        return self._legs[l % 2, self._slot(l), : l + 1]
+
     def add(self, a: np.ndarray) -> None:
         """Take the (n_sets, l + 1) row a_l0..a_ll of the next degree l; the
         caller's row is left alone."""
         l = self._l = self._l + 1
-        legendre = next(self._legendre)
-        k = (l - 1) % _DEGREE_BLOCK
-        if k == 0:
+        if (l - 1) % _DEGREE_BLOCK == 0:
             self._top = min(l + _DEGREE_BLOCK - 1, self.l_max)
             self._coef[: self._top + 1] = 0.0
-        c = self._coef[: l + 1, l % 2, k // 2]
+        self._legendre.step(l, self._row(l), self._row(l - 1), self._row(l - 2))
+        c = self._coef[: l + 1, l % 2, self._slot(l)]
         np.multiply(self._fl[l - 1], a.T, out=c)
         c[1:] *= 2.0
-        self._legs[: l + 1, l % 2, k // 2] = legendre
         if l == self._top:
+            legs = self._legs.transpose(2, 0, 3, 1)  # [m, l % 2, |cos theta|, slot]
             coef = self._coef.view(np.float64)
             for lo in range(0, l + 1, self._period):
                 hi = min(lo + self._period, l + 1)
-                part = np.matmul(
-                    self._legs[lo:hi].swapaxes(-1, -2), coef[lo:hi], out=self._tmp[: hi - lo]
-                )
+                part = np.matmul(legs[lo:hi], coef[lo:hi], out=self._tmp[: hi - lo])
                 self._amp[: hi - lo] += part
 
     def field(self) -> np.ndarray:

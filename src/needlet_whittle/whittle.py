@@ -93,8 +93,7 @@ class SearchSettings:
 
 def _profile(stats: NeedletStatistics, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(contrast, G-hat), one pair per leading index of model moments K (..., J)."""
-    n = stats.basis.n
-    sn = float(n.sum())  # array methods: this runs at every Newton step
+    n, sn = stats.basis.n, stats.basis.n_sum
     g = (stats.lam / k).sum(axis=-1) / sn
     if not (g > 0).all():
         raise DegenerateDataError("profiled amplitude is not positive")
@@ -105,8 +104,7 @@ def _derivs(stats: NeedletStatistics, alpha: float) -> tuple[float, float, float
     """Contrast, score, hessian and profiled amplitude G-hat at alpha, from one
     K_j, K_j', K_j'' evaluation."""
     k0, k1, k2 = stats.basis.k_derivs(alpha)
-    n = stats.basis.n
-    sn = float(np.sum(n))
+    n, sn = stats.basis.n, stats.basis.n_sum
     value, phi = _profile(stats, k0)
     dphi = -float(np.sum(stats.lam * k1 / k0**2)) / sn
     d2phi = float(np.sum(stats.lam * (2.0 * k1**2 - k2 * k0) / k0**3)) / sn
@@ -133,9 +131,8 @@ def contrast_two_param(stats: NeedletStatistics, alpha: float, g: float) -> floa
     profile point G = profile_g_hat(alpha)."""
     if not g > 0:
         raise DomainError("g must be positive")
-    n = stats.basis.n
+    n, sn = stats.basis.n, stats.basis.n_sum
     k0 = stats.basis.k(alpha)
-    sn = float(np.sum(n))
     return float(np.sum(stats.lam / (g * k0)) + np.sum(n * np.log(g * k0))) / sn
 
 

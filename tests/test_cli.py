@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from needlet_whittle import cli, harness, sphere
-from needlet_whittle.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from needlet_whittle.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_PIPE, main
 from needlet_whittle.errors import BoundaryWarning, ConfigError
 from needlet_whittle.harness import ExperimentConfig, ReplicationRow
 from needlet_whittle.needlet import MexicanWindow, StandardWindow
@@ -60,6 +64,26 @@ class TestTheory:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("numeric error:")
+
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_stops_quietly(self, unbuffered):
+        # the pipe's read end is closed before the command starts, so its
+        # first write (unbuffered) or its final flush (buffered) meets EPIPE
+        read, write = os.pipe()
+        os.close(read)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "needlet_whittle.cli", "theory",
+                 "--p", "2", "--B", "2.0", "--alpha0", "3.0"],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (EXIT_PIPE, b"")
 
 
 class TestSimulateEstimate:

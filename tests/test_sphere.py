@@ -255,6 +255,47 @@ class TestSynthesizeBeta:
         assert len(lines) == grid.n_points + 1
 
 
+class TestPinnedSynthesis:
+    """The bits of four fields: sum beta^2 and three beta values (first, a
+    third of the way in, last) at levels 3 and 4 for two seeds.  A change that
+    moves them must update this pin and say why.  They hold for one numpy and
+    BLAS build: a matrix product may sum in another order elsewhere."""
+
+    PINS = {
+        (3, 1): ("0.03509066061357584", "-0.009178995538531775", "0.0028224039778490047",
+                 "0.0034981416829013585"),
+        (3, 2): ("0.04581722659805106", "-0.00020489253442901927", "-0.002048190834856119",
+                 "-0.0006841883769670661"),
+        (4, 1): ("0.018319442301175624", "-0.001475717010822577", "-0.001986580859019502",
+                 "-4.908593257418815e-05"),
+        (4, 2): ("0.019215631296385163", "-2.1034875238652965e-05", "-0.0016788602597255162",
+                 "-0.0006637826534437141"),
+    }
+
+    @pytest.mark.parametrize("j, seed", list(PINS), ids=["j3-seed1", "j3-seed2", "j4-seed1", "j4-seed2"])
+    def test_field_bits(self, j, seed, canonical_model):
+        alm = simulate_alm(canonical_model, MexicanWindow(p=2, B=2.0).effective_lmax(j, 4096), seed)
+        beta = synthesize_beta(alm, build_grid(j, 2.0), p=2, B=2.0)
+        n = len(beta.values)
+        got = (beta.sum_sq(), *(beta.values[k] for k in (0, n // 3, n - 1)))
+        assert tuple(repr(float(v)) for v in got) == self.PINS[j, seed]
+
+    @pytest.mark.parametrize("block", [1, 3, 8])
+    def test_table_rows_are_the_fields_rows(self, monkeypatch, block):
+        # the field writes each Legendre row in place into its block buffer;
+        # the table stacks the rows of the same recurrence step
+        monkeypatch.setattr("needlet_whittle.sphere._DEGREE_BLOCK", block)
+        grid = build_grid(3, 2.0)
+        window = MexicanWindow(p=2, B=2.0)
+        l_max = window.effective_lmax(3, 4096)
+        field = sphere._NeedletField(grid, window, l_max, n_sets=1)
+        table = legendre_table(l_max, np.unique(np.abs(grid.ring_cos)))
+        assert field._row(0).tobytes() == table[0, :1].tobytes()
+        for l in range(1, l_max + 1):
+            field.add(np.zeros((1, l + 1), dtype=complex))
+            assert field._row(l).tobytes() == table[l, : l + 1].tobytes(), l
+
+
 class TestBetaCorrelation:
     def test_same_point_unit_and_decay(self, canonical_model):
         summary = empirical_beta_correlation(
