@@ -26,6 +26,7 @@ TAIL_TOL = 1e-12  # largest dropped tail a truncated sum accepts, relative to th
 
 __all__ = [
     "check_B",
+    "check_kappa",
     "digamma",
     "trigamma",
     "gauss_moment_w",
@@ -126,6 +127,12 @@ def check_B(B: float) -> None:
     """The one rule for a needlet base: finite and above 1 (``DomainError``)."""
     if not 1 < B < math.inf:  # a chained comparison: nan fails it
         raise DomainError(f"B must be finite and exceed 1, got {B}")
+
+
+def check_kappa(kappa: float) -> None:
+    """The one rule for kappa in G(l) = G0 (1 + kappa/l): finite and above -1 (``DomainError``)."""
+    if not -1 < kappa < math.inf:
+        raise DomainError(f"kappa must be finite and exceed -1, got {kappa}")
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +509,10 @@ def constants(p: int, B: float, alpha0: float, kappa: float = 0.0) -> Asymptotic
     score-variance assembly collapses the determinant combination to the S0
     constant, so ``tau_tilde == tau_tilde_0`` and
     sigma1_sq = sigma0_sq (1 + tau_tilde) feeds varsigma0_sq directly.
-    ``kappa`` follows ``KappaCorrection``'s rule (finite, > -1); a bad kappa
-    or B, or a constant past the double range, raises ``DomainError``.
+    A bad kappa (``check_kappa``) or B, or a constant past the double range,
+    raises ``DomainError``.
     """
-    if not -1 < kappa < math.inf:
-        raise DomainError(f"kappa must be finite and exceed -1, got {kappa}")
+    check_kappa(kappa)
     try:
         lsc = level_sum_constants(p, B, alpha0)
         s0 = sigma0_sq(p, alpha0)

@@ -44,6 +44,7 @@ __all__ = [
     "AlmSet",
     "EmpiricalSpectrum",
     "ChatMoments",
+    "check_lmax",
     "alm_row",
     "alm_rows",
     "simulate_alm",
@@ -251,12 +252,18 @@ def alm_row(model: PowerSpectrumModel, l: int, seed: int) -> np.ndarray:
     return row
 
 
-def _c_ls(model: PowerSpectrumModel, l_max: int) -> list[float]:
-    """C_1..C_l_max from one vector ``c_l`` call, once l_max is checked."""
+def check_lmax(l_max: int) -> None:
+    """The one band-limit rule for a drawn field: l_max >= 1 (``DomainError``)
+    and at most ``DEFAULT_LMAX_CAP`` (``ResourceLimitError``)."""
     if l_max < 1:
         raise DomainError("l_max must be >= 1")
     if l_max > DEFAULT_LMAX_CAP:
         raise ResourceLimitError(f"l_max={l_max} exceeds cap {DEFAULT_LMAX_CAP}")
+
+
+def _c_ls(model: PowerSpectrumModel, l_max: int) -> list[float]:
+    """C_1..C_l_max from one vector ``c_l`` call, once l_max is checked."""
+    check_lmax(l_max)
     return c_l(model, np.arange(1, l_max + 1)).tolist()
 
 
@@ -381,9 +388,9 @@ class EmpiricalSpectrum:
 def empirical_cl(alm: AlmSet) -> EmpiricalSpectrum:
     """c-hat_l = (2l+1)^-1 sum_m |a_lm|^2, negative m expanded by reality."""
     mag = alm.data.real**2 + alm.data.imag**2
-    starts = np.array([_row_start(l) for l in range(1, alm.l_max + 1)])
-    sums = np.add.reduceat(mag, starts)
     ls = np.arange(1, alm.l_max + 1)
+    starts = _row_start(ls)
+    sums = np.add.reduceat(mag, starts)
     values = np.concatenate([[0.0], (2.0 * sums - mag[starts]) / (2 * ls + 1)])
     return EmpiricalSpectrum(l_max=alm.l_max, values=values, seed=alm.seed)
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import asymptotics
 from .errors import ConfigError, DegenerateDataError, NeedletWhittleError
-from .harmonic import EmpiricalSpectrum, empirical_cl, simulate_alm
+from .harmonic import EmpiricalSpectrum, check_lmax, empirical_cl, simulate_alm
 from .needlet import JRange, MexicanWindow, NeedletWindow, StandardWindow
 from .spectrum import (
     KappaCorrection,
@@ -73,6 +73,7 @@ MAX_FAILURE_FRACTION = 0.05
 # (measured by tracemalloc over 100,000 of them): 2^19 replications hold ~250 MB
 REPLICATION_CAP = 2**19
 HISTOGRAM_BINS = 24
+MIN_SAMPLE_FITS = 8  # fewest fits that get a Jarque-Bera statistic and plot data
 
 
 def _boolean(raw: str) -> bool:
@@ -186,6 +187,11 @@ class ExperimentConfig:
         self.search()  # raises on a bad search range or tolerance
         if not -(2**63) <= self.master_seed < 2**63:  # the int64 seed of the file headers
             raise ConfigError("run.master_seed must fit in a signed 64-bit integer")
+        if not self.noise_free:  # a noise-free run draws nothing
+            try:
+                check_lmax(self.l_max)
+            except NeedletWhittleError as exc:
+                raise ConfigError(f"sim.l_max: {exc}") from exc
         self.j_range()  # the range checks every replication's fit would make
 
     # -- serialization --------------------------------------------------
@@ -377,11 +383,19 @@ def jarque_bera(x) -> float:
     return n * (skew**2 / 6.0 + (kurt - 3.0) ** 2 / 24.0)
 
 
-def _aggregate(config: ExperimentConfig, rows: list[ReplicationRow]) -> Aggregate:
+def _fitted(
+    config: ExperimentConfig, rows: list[ReplicationRow]
+) -> tuple[list[ReplicationRow], np.ndarray, np.ndarray]:
+    """The fitted rows, their alpha-hat and their scaled B^jL (alpha-hat - alpha0)."""
     ok = [row for row in rows if not row.failed]
-    window, B, alpha0 = config.window, config.window.B, config.model.alpha0
     alphas = np.array([row.alpha_hat for row in ok])
-    scaled = np.array([B**row.jL for row in ok]) * (alphas - alpha0)
+    scale = np.array([config.window.B**row.jL for row in ok])
+    return ok, alphas, scale * (alphas - config.model.alpha0)
+
+
+def _aggregate(config: ExperimentConfig, rows: list[ReplicationRow]) -> Aggregate:
+    ok, alphas, scaled = _fitted(config, rows)
+    window, B, alpha0 = config.window, config.window.B, config.model.alpha0
     # full-band limits; integer-level narrow bands have no closed-form
     # desk-scale reference for either window (see theory_checks / README)
     full = config.band == "full"
@@ -400,7 +414,7 @@ def _aggregate(config: ExperimentConfig, rows: list[ReplicationRow]) -> Aggregat
         mean_g=float(np.mean([row.g_hat for row in ok])) if len(ok) else math.nan,
         var_scaled=float(scaled.var(ddof=1)) if len(ok) > 1 else math.nan,
         scaled_bias=float(scaled.mean()) if len(ok) else math.nan,
-        jarque_bera=jarque_bera(scaled) if len(ok) > 7 else math.nan,
+        jarque_bera=jarque_bera(scaled) if len(ok) >= MIN_SAMPLE_FITS else math.nan,
         mean_hessian=float(np.mean([row.hessian for row in ok])) if len(ok) else math.nan,
         theory_varsigma0_sq=theory_var,
         theory_bias=theory_bias,
@@ -486,13 +500,12 @@ def write_summary_csv(summary: ExperimentSummary, path) -> None:
 
 def _standardized(summary: ExperimentSummary) -> np.ndarray:
     """The scaled estimates B^jL (alpha-hat - alpha0) of the fitted rows,
-    standardized.  ``DegenerateDataError`` when there are 7 fits or fewer, or
-    when they have no spread (every fit at the same alpha-hat)."""
-    ok = [row for row in summary.rows if not row.failed]
-    if len(ok) <= 7:
+    standardized.  ``DegenerateDataError`` when there are fewer than
+    ``MIN_SAMPLE_FITS`` fits, or when they have no spread (every fit at the
+    same alpha-hat)."""
+    ok, _, x = _fitted(summary.config, summary.rows)
+    if len(ok) < MIN_SAMPLE_FITS:
         raise DegenerateDataError(f"{len(ok)} fits are too few to standardize")
-    scale = summary.config.window.B ** ok[0].jL
-    x = scale * (np.array([row.alpha_hat for row in ok]) - summary.config.model.alpha0)
     if not np.ptp(x) > 0:
         raise DegenerateDataError("the fits have no spread")
     return (x - x.mean()) / x.std(ddof=1)

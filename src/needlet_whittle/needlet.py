@@ -14,8 +14,10 @@ those of the config keys ``window.*`` and of the CLI window options.  Each
 window states one ``support(j) -> (first, last)``, the multipoles that can
 carry level j's weight whatever the band limit: (1, ceil(B^j cutoff_x)) for
 the mexican window, (floor(B^(j-1)) + 1, ceil(B^(j+1)) - 1) for the compact
-one.  ``effective_lmax(j, l_max)``, a level's truncation point, is
-min(l_max, last).
+one.  A level's truncation point ``effective_lmax(j, l_max)`` is
+min(l_max, last), and ``resolved(j, l_max)``, whether it fits the band
+1..l_max, reads the same bounds: last > 1 with the peak at or below l_max
+(mexican), 1 <= last <= l_max (compact).
 
 A level's row of weights window_sq(l/B^j)(2l+1) over its support depends on
 (window, j) only; l_max merely truncates it.  So each row is computed once and
@@ -119,9 +121,8 @@ class MexicanWindow(_Window):
         return self.window_sq(l / self.B**j)
 
     def resolved(self, j: int, l_max: int) -> bool:
-        """Level j fits the band 1..l_max: cutoff above l = 1, peak at or below l_max."""
-        scale = self.B**j
-        return scale * self.cutoff_x > 1 and scale * self.peak_x <= l_max
+        """Level j fits 1..l_max: ``support(j)`` ends past l = 1, its peak at or below l_max."""
+        return self.support(j)[1] > 1 and self.B**j * self.peak_x <= l_max
 
 
 # C-infinity bump profile machinery for the compact window -------------------
@@ -194,8 +195,8 @@ class StandardWindow(_Window):
         return np.clip(self._phi(l / self.B ** (j + 1)) - self._phi(l / self.B**j), 0.0, None)
 
     def resolved(self, j: int, l_max: int) -> bool:
-        """Level j's support, up to B^(j+1), reaches past l = 1 and ends by l_max."""
-        return 1.0 < self.B ** (j + 1) <= l_max * (1.0 + 1e-12)
+        """Level j's ``support(j)`` holds a multipole l >= 1 and ends by l_max."""
+        return 1 <= self.support(j)[1] <= l_max
 
     def empty(self, j: int, l_max: int) -> bool:
         """Whether level j has no multipole of nonzero weight at l_max: at
@@ -406,9 +407,10 @@ def k_j(
     """Normalized spectral moment (1/N_j) sum_l window_sq(l/B^j)(2l+1) l^-alpha.
 
     With ``check_tail`` a geometric bound on the tail dropped past l_max must
-    stay below ``TAIL_TOL`` of the sum; a compact level drops nothing, since
-    ``check_levels`` ends it by l_max.  The estimator disables the check and
-    relies on truncation consistency with ``lambda_hat`` instead.
+    stay below ``TAIL_TOL`` of the sum; a level whose ``support(j)`` ends by
+    l_max, as every compact level ``check_levels`` accepts, drops nothing.
+    The estimator reads K_j from its ``LevelBasis`` instead, truncated where
+    ``lambda_hat`` is.
     """
     return k_j_deriv(window, j, alpha, l_max, 0, c_b, check_tail=check_tail)
 
@@ -429,8 +431,8 @@ def k_j_deriv(
         raise DomainError("order must be 0, 1 or 2")
     basis = LevelBasis(window, JRange(j0=j, jL=j, c_b=c_b), l_max)
     out = float(basis.k_derivs(alpha)[order][0])
-    if not check_tail or window.effective_lmax(j, l_max) < l_max:
-        return out  # truncated by the window's own cutoff, below relevance
+    if not check_tail or window.support(j)[1] <= l_max:
+        return out  # the level's support ends by l_max, so l_max drops nothing
     l = np.array([l_max + 1.0, l_max + 2.0])  # the first two terms past l_max
     t1, t2 = window._level_sq(l, j) * (2.0 * l + 1.0) * l ** (-alpha) * np.abs(np.log(l)) ** order
     if t1 == 0.0:

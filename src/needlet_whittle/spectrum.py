@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .asymptotics import check_kappa
 from .errors import DomainError, NumericalNoiseWarning
 
 __all__ = [
@@ -72,8 +73,7 @@ class PowerSpectrumModel:
             raise DomainError(f"g0 must be finite and positive, got {self.g0}")
         corr = self.correction
         if isinstance(corr, KappaCorrection):
-            if not -1 < corr.kappa < np.inf:
-                raise DomainError(f"kappa must be finite and exceed -1, got {corr.kappa}")
+            check_kappa(corr.kappa)
         elif isinstance(corr, RationalCorrection):
             object.__setattr__(corr, "p_coeffs", tuple(float(c) for c in corr.p_coeffs))
             object.__setattr__(corr, "q_coeffs", tuple(float(c) for c in corr.q_coeffs))

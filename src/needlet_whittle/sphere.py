@@ -397,7 +397,7 @@ def empirical_beta_correlation(
         for s in range(n_seeds)
     ]
     betas = [np.empty((n_seeds, len(idx))) for idx in picks]
-    l_maxes = [window.effective_lmax(g.j, 10**9) for g in grids]
+    l_maxes = [window.support(g.j)[1] for g in grids]
     for first in range(0, n_seeds, _SEED_BLOCK):
         block = seeds[first : first + _SEED_BLOCK]
         # one draw per block, up to the larger L; each grid takes its own rows

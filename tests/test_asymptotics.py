@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy import special
 
-from needlet_whittle import DomainError, TableLookupError
+from needlet_whittle import DomainError, KappaCorrection, PowerSpectrumModel, TableLookupError
 from needlet_whittle.asymptotics import (
     bias_coeff,
     bias_coeff_reference,
+    check_kappa,
     clt_variance,
     constants,
     digamma,
@@ -374,6 +375,25 @@ class TestCompositeConstants:
             c.sigma1_sq * (2.0**2 - 1) ** 3 / (2.0**4 * math.log(2.0) ** 2), rel=1e-14
         )
         assert c.bias_coeff == pytest.approx(bias_coeff(2, 2.0, 3.0, 0.5), rel=1e-14)
+
+
+class TestCheckKappa:
+    @pytest.mark.parametrize("kappa", [-0.999, 0.0, 0.5, 1e300])
+    def test_accepted(self, kappa):
+        check_kappa(kappa)
+
+    @pytest.mark.parametrize("kappa", [-1.0, -2.5, math.inf, -math.inf, math.nan])
+    def test_rejected(self, kappa):
+        with pytest.raises(DomainError, match="kappa must be finite and exceed -1"):
+            check_kappa(kappa)
+
+    @pytest.mark.parametrize("kappa", [-1.0, math.nan])
+    def test_model_and_constants_apply_it(self, kappa):
+        expected = rf"kappa must be finite and exceed -1, got {kappa}$"
+        with pytest.raises(DomainError, match=expected):
+            PowerSpectrumModel(alpha0=3.0, correction=KappaCorrection(kappa))
+        with pytest.raises(DomainError, match=expected):
+            constants(2, 2.0, 3.0, kappa=kappa)
 
 
 class TestDeltaMethodValidation:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from needlet_whittle import cli, harness, sphere
+from needlet_whittle import cli, harmonic, harness, sphere
 from needlet_whittle.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_PIPE, main
 from needlet_whittle.errors import BoundaryWarning, ConfigError
 from needlet_whittle.harness import ExperimentConfig, ReplicationRow
@@ -223,6 +223,22 @@ class TestConfigRejectedBeforeSimulation:
         cfg = write_config(tmp_path, replications=harness.REPLICATION_CAP + 1)
         assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
         assert not list(tmp_path.glob("run.*"))
+
+    @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+    def test_simulated_l_max_past_cap(self, tmp_path, monkeypatch, capsys, command):
+        def draw(*args):
+            raise AssertionError("a field was drawn")
+
+        monkeypatch.setattr(harness, "simulate_alm", draw)
+        monkeypatch.setattr(cli, "simulate_alm", draw)
+        l_max = harmonic.DEFAULT_LMAX_CAP + 1
+        cfg = write_config(tmp_path, l_max=l_max, replications=8)
+        assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"l_max={l_max} exceeds cap" in capsys.readouterr().err
+        assert not list(tmp_path.glob("run.*"))
+        # a noise-free run draws nothing, so the cap does not apply to it
+        cfg = write_config(tmp_path, l_max=l_max, replications=8, noise_free=True)
+        assert ExperimentConfig.from_file(cfg).l_max == l_max
 
     @pytest.mark.parametrize(
         "old, new",

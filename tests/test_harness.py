@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -346,6 +347,43 @@ class TestSummaryIO:
             assert len(lines) > 2
         qq_rows = np.loadtxt(qq, delimiter=",", skiprows=1)
         assert np.all(np.diff(qq_rows[:, 0]) > 0)  # theoretical quantiles sorted
+
+
+class TestPinnedMonteCarlo:
+    """The sha256 of the rows, summary, histogram and Q-Q CSVs of two small
+    seeded serial runs.  A change that moves them must update this pin and say
+    why.  They hold for one numpy and BLAS build: a matrix product may sum in
+    another order elsewhere."""
+
+    PINS = {
+        "mexican-full": (
+            "1adf51491995455f10ccceaaddd86ed9bfc64949afe88acbf59b3a0295c890a4",
+            "2b17f575848fdf2577932bb95f8942b5c42576b22b170732752ef920c21056e2",
+            "3420424056ad5951c4867ab7c3c1a0d82b371154a1705bc574758c99c229ab99",
+            "e6e7ce47cb43f7cbd56d3e426355cbeca165052ebaf09de5b5b75679c365e6d3",
+        ),
+        "standard-narrow": (
+            "fcaa6d461b6895fa5f8a158bc73404ec5dec6da8381f87ea510d009067192be6",
+            "6531f8898846c8f869f4e0e7c7e0c9e23bda58874a9905a420e91d0a9f0ef4a3",
+            "24c8bd64a0136abde3c49b424f0f0798579ffa5b7ce3416bd22fdfcb11fc58bc",
+            "1c0fdb13558396aa819c5db9ff47b0408a467cae6542591bb289ebb95e1bc122",
+        ),
+    }
+    CONFIGS = {
+        "mexican-full": {},
+        "standard-narrow": dict(window=StandardWindow(B=2.0), band="narrow", g=0.5),
+    }
+
+    @pytest.mark.parametrize("name", list(PINS))
+    def test_csv_bytes(self, tmp_path, name):
+        summary = run_experiment(small_config(replications=24, **self.CONFIGS[name]))
+        paths = [tmp_path / f"{kind}.csv" for kind in ("rows", "summary", "hist", "qq")]
+        write_rows_csv(summary.rows, paths[0])
+        write_summary_csv(summary, paths[1])
+        write_histogram_csv(summary, paths[2])
+        write_qq_csv(summary, paths[3])
+        got = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in paths)
+        assert got == self.PINS[name]
 
 
 class TestJarqueBera:

@@ -537,6 +537,30 @@ class TestSelectJRange:
         r = select_j_range(l_max, StandardWindow(B=B))
         assert (r.j0, r.jL) == expected
 
+    def test_compact_top_level_support_ending_at_l_max(self, canonical_model):
+        # level 9's support (256, 1024) ends at l = 1023, inside the band
+        window = StandardWindow(B=2.0)
+        r = select_j_range(1023, window)
+        assert (r.j0, r.jL) == (1, 9)
+        check_levels(window, r, 1023)
+        fit = fit_full_band(noise_free_spectrum(canonical_model, 1023), window)
+        assert fit.j_range_used == r
+        assert abs(fit.alpha_hat - canonical_model.alpha0) <= 1e-12
+
+    # default mexican tops (J0 is 1) at l_max 64, 1000, 1023, 1024, 4095, 8192
+    MEXICAN_TOPS = {
+        1.1: (39, 68, 69, 69, 83, 90),
+        math.sqrt(2.0): (10, 18, 18, 18, 22, 24),
+        2.0: (5, 9, 9, 9, 11, 12),
+        3.0: (3, 5, 5, 5, 7, 7),
+    }
+
+    @pytest.mark.parametrize("B", list(MEXICAN_TOPS))
+    def test_mexican_default_ranges_pinned(self, B):
+        window = MexicanWindow(p=2, B=B)
+        got = [select_j_range(l_max, window) for l_max in (64, 1000, 1023, 1024, 4095, 8192)]
+        assert [(r.j0, r.jL) for r in got] == [(1, jL) for jL in self.MEXICAN_TOPS[B]]
+
     @pytest.mark.parametrize(
         # empty levels: {1}; {1, 2, 3, 5}; {1-6, 9, 10, 13}
         "B, j0",
