@@ -43,6 +43,7 @@ def _cmd_theory(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = harness.ExperimentConfig.from_file(args.config)
+    config.check_drawn_lmax()  # simulate draws even when run.noise_free is set
     prefix = args.out_prefix or config.output_prefix
     alm = simulate_alm(config.model, config.l_max, config.master_seed)
     spec = empirical_cl(alm)

@@ -27,10 +27,19 @@ Only this module knows the packed layout of ``AlmSet.data``.  ``alm_rows``
 streams degree-l rows for a block of seeds, one (S, l + 1) stack at a time,
 so a consumer that works degree by degree (real-space synthesis) never holds
 a whole coefficient set.
+
+``empirical_cl`` reduces a set one block of whole rows (about 2^15
+coefficients, 512 KiB) at a time into two reused buffers, so past the set
+itself it needs O(block) memory: a replication at l_max 8192 peaks at one
+coefficient set (512 MiB) plus that block.  Each row is summed over the same
+``np.add.reduceat`` segment as a whole-set reduction, so c-hat keeps its
+bits.  ``save`` writes a set from its own buffer and ``load`` reads the
+payload straight into one array, so neither holds a second copy.
 """
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -68,27 +77,39 @@ def _packed_size(l_max: int) -> int:
     return l_max * (l_max + 3) // 2
 
 
+def _save_binary(path, magic: bytes, l_max: int, seed: int, payload: np.ndarray) -> None:
+    """Header, then the contiguous payload's own buffer (no byte copy)."""
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(magic, _FORMAT_VERSION, l_max, seed))
+        fh.write(payload.view(np.uint8))
+
+
 def _load_binary(path, magic: bytes, kind: str, dtype: str, count) -> tuple[int, int, np.ndarray]:
-    """(l_max, seed, payload) of a file written by ``save``; ``count(l_max)``
-    is the payload length in items.  Anything else raises NeedletWhittleError."""
+    """(l_max, seed, payload) of a file written by ``_save_binary``;
+    ``count(l_max)`` is the payload length in items.  The payload is read
+    straight into its one array once the file's size matches.  Anything else
+    raises NeedletWhittleError."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
-        body = fh.read()
-    if len(head) < _HEADER.size:
-        raise NeedletWhittleError(f"{path}: truncated header ({len(head)} bytes)")
-    found, version, l_max, seed = _HEADER.unpack(head)
-    if found != magic:
-        raise NeedletWhittleError(f"{path}: not an {kind} file")
-    if version != _FORMAT_VERSION:
-        raise NeedletWhittleError(f"{path}: unsupported version {version}")
-    if l_max < 1:
-        raise NeedletWhittleError(f"{path}: l_max={l_max} must be >= 1")
-    expected = count(l_max) * np.dtype(dtype).itemsize
-    if len(body) != expected:
-        raise NeedletWhittleError(
-            f"{path}: payload has {len(body)} bytes, l_max={l_max} needs {expected}"
-        )
-    return l_max, seed, np.frombuffer(body, dtype=dtype)
+        if len(head) < _HEADER.size:
+            raise NeedletWhittleError(f"{path}: truncated header ({len(head)} bytes)")
+        found, version, l_max, seed = _HEADER.unpack(head)
+        if found != magic:
+            raise NeedletWhittleError(f"{path}: not an {kind} file")
+        if version != _FORMAT_VERSION:
+            raise NeedletWhittleError(f"{path}: unsupported version {version}")
+        if l_max < 1:
+            raise NeedletWhittleError(f"{path}: l_max={l_max} must be >= 1")
+        expected = count(l_max) * np.dtype(dtype).itemsize
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size != expected:
+            raise NeedletWhittleError(
+                f"{path}: payload has {size} bytes, l_max={l_max} needs {expected}"
+            )
+        payload = np.empty(count(l_max), dtype=dtype)
+        if fh.readinto(payload.view(np.uint8)) != expected:
+            raise NeedletWhittleError(f"{path}: payload shorter than its {expected} bytes")
+    return l_max, seed, payload
 
 
 @dataclass
@@ -114,16 +135,15 @@ class AlmSet:
         return (-1) ** (-m) * complex(np.conj(self.row(l)[-m]))
 
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(_ALM_MAGIC, _FORMAT_VERSION, self.l_max, self.seed))
-            fh.write(np.ascontiguousarray(self.data, dtype="<c16").tobytes())
+        data = np.ascontiguousarray(self.data, dtype="<c16")
+        _save_binary(path, _ALM_MAGIC, self.l_max, self.seed, data)
 
     @classmethod
     def load(cls, path) -> "AlmSet":
         l_max, seed, data = _load_binary(path, _ALM_MAGIC, "AlmSet", "<c16", _packed_size)
         if not np.all(np.isfinite(data)):
             raise NeedletWhittleError(f"{path}: non-finite coefficients")
-        return cls(l_max=l_max, seed=seed, data=data.astype(np.complex128))
+        return cls(l_max=l_max, seed=seed, data=data.astype(np.complex128, copy=False))
 
 
 def _hash_consts(init: int, mult: int, calls) -> tuple[np.ndarray, np.ndarray]:
@@ -156,6 +176,7 @@ _MUL_HI, _MUL_LO = np.uint64(_MULT >> 64), np.uint64(_MULT & 0xFFFFFFFFFFFFFFFF)
 _MUL_LO1, _MUL_LO0 = np.uint64(_MULT >> 32 & _M32), np.uint64(_MULT & _M32)
 _LOW, _S32, _S63, _ONE = np.uint64(_M32), np.uint64(32), np.uint64(63), np.uint64(1)
 _STATES_PER_PASS = 2048  # (seed, l) streams seeded per pass in ``alm_rows``
+_CL_BLOCK = 2**15  # packed coefficients (512 KiB) reduced per block in ``empirical_cl``
 
 
 def _hashmix(v: np.ndarray, consts) -> np.ndarray:
@@ -330,9 +351,8 @@ class EmpiricalSpectrum:
         return float(self.values[l])
 
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(_SPC_MAGIC, _FORMAT_VERSION, self.l_max, self.seed))
-            fh.write(np.ascontiguousarray(self.values[1:], dtype="<f8").tobytes())
+        values = np.ascontiguousarray(self.values[1:], dtype="<f8")
+        _save_binary(path, _SPC_MAGIC, self.l_max, self.seed, values)
 
     @classmethod
     def load(cls, path) -> "EmpiricalSpectrum":
@@ -386,13 +406,34 @@ class EmpiricalSpectrum:
 
 
 def empirical_cl(alm: AlmSet) -> EmpiricalSpectrum:
-    """c-hat_l = (2l+1)^-1 sum_m |a_lm|^2, negative m expanded by reality."""
-    mag = alm.data.real**2 + alm.data.imag**2
-    ls = np.arange(1, alm.l_max + 1)
-    starts = _row_start(ls)
-    sums = np.add.reduceat(mag, starts)
-    values = np.concatenate([[0.0], (2.0 * sums - mag[starts]) / (2 * ls + 1)])
-    return EmpiricalSpectrum(l_max=alm.l_max, values=values, seed=alm.seed)
+    """c-hat_l = (2l+1)^-1 sum_m |a_lm|^2, negative m expanded by reality.
+
+    Reduced one block of whole rows at a time: block k holds the rows that end
+    past (k - 1) ``_CL_BLOCK`` and by k ``_CL_BLOCK`` coefficients into the
+    set, found by one ``searchsorted``, so a block is at most one row longer
+    than ``_CL_BLOCK``.  A block's |a_lm|^2 = re*re + im*im goes into two
+    reused buffers, and ``np.add.reduceat`` sums each row over the same
+    segment as a whole-set reduction, so the bits do not change and the
+    memory past the set is O(block)."""
+    l_max = alm.l_max
+    bounds = _row_start(np.arange(1, l_max + 2))  # row l is bounds[l - 1]:bounds[l]
+    ends = np.arange(_CL_BLOCK, bounds[-1] + _CL_BLOCK, _CL_BLOCK)
+    # a row longer than a block leaves blocks that end no row: drop them
+    cuts = np.unique(np.concatenate(([0], np.searchsorted(bounds[1:], ends, side="right"))))
+    buf = np.empty((2, int(np.diff(bounds[cuts]).max())))
+    sums, heads = np.empty(l_max), np.empty(l_max)  # row sums and |a_l0|^2
+    for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        lo, hi = int(bounds[a]), int(bounds[b])
+        x = alm.data[lo:hi]
+        sq, im_sq = buf[:, : hi - lo]
+        np.multiply(x.real, x.real, out=sq)
+        np.multiply(x.imag, x.imag, out=im_sq)
+        sq += im_sq
+        starts = bounds[a:b] - lo
+        np.add.reduceat(sq, starts, out=sums[a:b])
+        heads[a:b] = sq[starts]
+    values = np.concatenate([[0.0], (2.0 * sums - heads) / (2 * np.arange(1, l_max + 1) + 1)])
+    return EmpiricalSpectrum(l_max=l_max, values=values, seed=alm.seed)
 
 
 @dataclass(frozen=True)

@@ -179,6 +179,14 @@ class ExperimentConfig:
         except NeedletWhittleError as exc:
             raise ConfigError(str(exc)) from exc
 
+    def check_drawn_lmax(self) -> None:
+        """``check_lmax`` on sim.l_max as a ConfigError: the rule of every
+        command that draws a field from this config."""
+        try:
+            check_lmax(self.l_max)
+        except NeedletWhittleError as exc:
+            raise ConfigError(f"sim.l_max: {exc}") from exc
+
     def validate(self) -> None:
         if not 1 <= self.replications <= REPLICATION_CAP:
             raise ConfigError(f"run.replications must be in [1, {REPLICATION_CAP}]")
@@ -188,10 +196,7 @@ class ExperimentConfig:
         if not -(2**63) <= self.master_seed < 2**63:  # the int64 seed of the file headers
             raise ConfigError("run.master_seed must fit in a signed 64-bit integer")
         if not self.noise_free:  # a noise-free run draws nothing
-            try:
-                check_lmax(self.l_max)
-            except NeedletWhittleError as exc:
-                raise ConfigError(f"sim.l_max: {exc}") from exc
+            self.check_drawn_lmax()
         self.j_range()  # the range checks every replication's fit would make
 
     # -- serialization --------------------------------------------------

@@ -240,6 +240,17 @@ class TestConfigRejectedBeforeSimulation:
         cfg = write_config(tmp_path, l_max=l_max, replications=8, noise_free=True)
         assert ExperimentConfig.from_file(cfg).l_max == l_max
 
+    def test_noise_free_simulate_past_cap(self, tmp_path, monkeypatch, capsys):
+        # simulate draws a field whatever run.noise_free says, so the cap holds
+        def draw(*args):
+            raise AssertionError("a field was drawn")
+
+        monkeypatch.setattr(cli, "simulate_alm", draw)
+        cfg = write_config(tmp_path, l_max=9000, noise_free=True)
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "l_max=9000 exceeds cap" in capsys.readouterr().err
+        assert not list(tmp_path.glob("run.*"))
+
     @pytest.mark.parametrize(
         "old, new",
         [

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from needlet_whittle import (
     empirical_cl,
     simulate_alm,
 )
+from needlet_whittle import harmonic
 from needlet_whittle.harmonic import _pcg64_states
 
 
@@ -42,6 +45,15 @@ def reference_simulate(model, l_max, seed):
         s = (l - 1) * (l + 2) // 2
         data[s : s + l + 1] = reference_row(model, l, seed)
     return data
+
+
+def reference_empirical_cl(alm):
+    """c-hat from one whole-set reduction, the form the blocked one must keep."""
+    mag = alm.data.real**2 + alm.data.imag**2
+    ls = np.arange(1, alm.l_max + 1)
+    starts = (ls - 1) * (ls + 2) // 2
+    sums = np.add.reduceat(mag, starts)
+    return np.concatenate([[0.0], (2.0 * sums - mag[starts]) / (2 * ls + 1)])
 
 
 PINNED_MODELS = [
@@ -171,6 +183,31 @@ class TestEmpiricalCl:
             direct = (abs(row[0]) ** 2 + 2 * np.sum(np.abs(row[1:]) ** 2)) / (2 * l + 1)
             assert spec.c_hat(l) == pytest.approx(direct, rel=1e-14)
 
+    @pytest.mark.parametrize("l_max", [1, 2, 3, 255, 256, 257, 1024, 4096])
+    @pytest.mark.parametrize("seed", [1, -3, 2**64 + 1, 12345])
+    def test_blocked_matches_whole_set_reduction(self, canonical_model, l_max, seed):
+        # l_max 255..257 and up put a row across a block edge
+        alm = simulate_alm(canonical_model, l_max, seed)
+        assert empirical_cl(alm).values.tobytes() == reference_empirical_cl(alm).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_rows_longer_than_a_block(self, canonical_model, monkeypatch, block):
+        # past l = block a row spans whole blocks, some of which end no row
+        monkeypatch.setattr(harmonic, "_CL_BLOCK", block)
+        alm = simulate_alm(canonical_model, 100, seed=7)
+        assert empirical_cl(alm).values.tobytes() == reference_empirical_cl(alm).tobytes()
+
+    def test_memory_is_one_block(self, canonical_model):
+        # the whole-set expression peaked at ~128 MiB here
+        alm = simulate_alm(canonical_model, 4096, seed=1)
+        tracemalloc.start()
+        try:
+            empirical_cl(alm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_unbiased_monte_carlo(self, canonical_model):
         # mean over 10^4 seeds at l = 64 within the 4-sigma band of the
         # chi-square law: Var(c-hat/C) = 2/(2l+1)
@@ -245,6 +282,47 @@ class TestSerialization:
         c = EmpiricalSpectrum.from_csv(p2)
         assert np.array_equal(spec.values, b.values)
         assert np.allclose(spec.values, c.values, rtol=0, atol=0)  # 17 sig digits round-trip
+
+    @pytest.mark.parametrize(
+        "l_max, seed, alm_sha, spectrum_sha",
+        [
+            (
+                64,
+                5,
+                "638b2eaa288426d3eb0949b5adbc78270583372f660f80473e5f91e22ec0820b",
+                "26f7dafa21117a027a7e8b9d8e6a598f5186a8d6eff2a8f5fc690a19a8d0fc5d",
+            ),
+            (
+                300,
+                -3,
+                "a121d245777b13478e6fd9e6ddd7495e5c9adb96b1d7ef65e26d2ee26464f629",
+                "e48c6f000680a813fe39edc7cbd73fc00dd2fd9255e85b45ed685103373a82c4",
+            ),
+        ],
+    )
+    def test_saved_files_pinned(self, canonical_model, tmp_path, l_max, seed, alm_sha, spectrum_sha):
+        alm = simulate_alm(canonical_model, l_max, seed)
+        alm.save(tmp_path / "a.alm.bin")
+        empirical_cl(alm).save(tmp_path / "a.spectrum.bin")
+        assert hashlib.sha256((tmp_path / "a.alm.bin").read_bytes()).hexdigest() == alm_sha
+        assert hashlib.sha256((tmp_path / "a.spectrum.bin").read_bytes()).hexdigest() == spectrum_sha
+
+    def test_save_and_load_hold_one_copy(self, canonical_model, tmp_path):
+        alm = simulate_alm(canonical_model, 1024, seed=3)
+        path = tmp_path / "a.alm.bin"
+        tracemalloc.start()
+        try:
+            alm.save(path)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            loaded = AlmSet.load(path)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert save_peak < 2**20  # the set is 8.4 MB: no byte copy of it
+        assert load_peak < 1.25 * alm.data.nbytes  # the set, not the set twice
+        assert loaded.data.tobytes() == alm.data.tobytes()
+        assert loaded.data.dtype == np.complex128 and loaded.data.flags.writeable
 
     def test_row_bounds(self, canonical_model):
         a = simulate_alm(canonical_model, 8, seed=0)
