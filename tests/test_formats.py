@@ -5,6 +5,7 @@ rounding in the numerics cannot move the expected bytes.
 """
 from __future__ import annotations  # the harness parses a key by its field's annotation string
 
+import hashlib
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -17,6 +18,10 @@ from needlet_whittle import (
     PowerSpectrumModel,
     RationalCorrection,
     StandardWindow,
+    compute_statistics,
+    empirical_cl,
+    select_j_range,
+    simulate_alm,
 )
 from needlet_whittle.harness import (
     _FLAT_KEYS,
@@ -30,6 +35,7 @@ from needlet_whittle.harness import (
     write_rows_csv,
     write_summary_csv,
 )
+from needlet_whittle.sphere import build_grid, synthesize_beta
 
 
 def config(**kwargs) -> ExperimentConfig:
@@ -281,3 +287,36 @@ def test_load_summary_round_trip(tmp_path, cfg, rows):
     write_summary_csv(loaded, again_summary)
     assert again_rows.read_bytes() == rows_path.read_bytes()
     assert again_summary.read_bytes() == summary_path.read_bytes()
+
+
+class TestPinnedTables:
+    """The sha256 of the spectrum, level-statistic and beta CSVs of seeded
+    inputs.  A change that moves them must update this pin and say why.  They
+    hold for one numpy and BLAS build: a matrix product may sum in another
+    order elsewhere."""
+
+    PINS = {
+        "spectrum": "79e9d9f4d8c22173ed80a059831704101586afcfa42e31b6760889abb0aefa67",
+        "lambda-mexican": "1fd6e11c59837863a84ada4a2f0e0b60c32e223eb844dc091bc5ecbbc9cbfe73",
+        "lambda-standard": "067c67f55ceb5acf3da0da16fcfd0ed1a5e5c46e2f10ed9abf027fc2d1fb84dd",
+        "beta": "4ec62bb9915e473aae95b984788bf35385183b5870019ef6b592195b6431eee7",
+    }
+
+    @staticmethod
+    def write(name: str, path) -> None:
+        model = PowerSpectrumModel(alpha0=3.0)
+        spec = empirical_cl(simulate_alm(model, 256, seed=5))
+        if name == "spectrum":
+            spec.to_csv(path)
+        elif name.startswith("lambda"):
+            window = MexicanWindow(p=2, B=2.0) if name == "lambda-mexican" else StandardWindow(B=2.0)
+            compute_statistics(spec, window, select_j_range(256, window)).to_csv(path)
+        else:
+            alm = simulate_alm(model, MexicanWindow(p=2, B=2.0).effective_lmax(3, 4096), seed=1)
+            synthesize_beta(alm, build_grid(3, 2.0), p=2, B=2.0).to_csv(path)
+
+    @pytest.mark.parametrize("name", list(PINS))
+    def test_csv_bytes(self, tmp_path, name):
+        path = tmp_path / f"{name}.csv"
+        self.write(name, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINS[name]
