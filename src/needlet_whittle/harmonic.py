@@ -34,7 +34,11 @@ itself it needs O(block) memory: a replication at l_max 8192 peaks at one
 coefficient set (512 MiB) plus that block.  Each row is summed over the same
 ``np.add.reduceat`` segment as a whole-set reduction, so c-hat keeps its
 bits.  ``save`` writes a set from its own buffer and ``load`` reads the
-payload straight into one array, so neither holds a second copy.
+payload straight into one array and checks it one block at a time, so
+neither holds a second copy.
+
+Every CSV of the package is written by ``write_csv`` and read back by
+``read_csv``, in the one cell encoding ``csv_cell``.
 """
 from __future__ import annotations
 
@@ -112,6 +116,47 @@ def _load_binary(path, magic: bytes, kind: str, dtype: str, count) -> tuple[int,
     return l_max, seed, payload
 
 
+def csv_cell(value) -> str:
+    """One CSV cell: floats at 17 significant digits (an exact round trip),
+    booleans as 0/1, and commas in text replaced by semicolons."""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value).replace(",", ";")
+
+
+def write_csv(path, columns, rows) -> None:
+    """The header ``columns``, then one line of ``csv_cell`` cells per row."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(csv_cell, row)) + "\n")
+
+
+def read_csv(path, columns, parsers) -> list[tuple]:
+    """The rows of a CSV whose header starts with ``columns``, parsed cell by
+    cell by ``parsers``; later columns and blank lines are skipped.  A wrong
+    header, a short line or a cell that does not parse is a NeedletWhittleError."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n")
+        if header.split(",")[: len(columns)] != list(columns):
+            raise NeedletWhittleError(f"{path}: header {header!r} does not start {','.join(columns)}")
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            cells = line.rstrip("\n").split(",")[: len(columns)]
+            try:  # a short line fails the strict zip
+                rows.append(tuple(parse(cell) for parse, cell in zip(parsers, cells, strict=True)))
+            except ValueError as exc:
+                raise NeedletWhittleError(
+                    f"{path}: line {lineno}: {line.strip()!r} is not {len(columns)} cells "
+                    f"that parse ({exc})"
+                ) from exc
+    return rows
+
+
 @dataclass
 class AlmSet:
     """Packed triangular array of a_lm for 1 <= l <= l_max, 0 <= m <= l."""
@@ -141,8 +186,9 @@ class AlmSet:
     @classmethod
     def load(cls, path) -> "AlmSet":
         l_max, seed, data = _load_binary(path, _ALM_MAGIC, "AlmSet", "<c16", _packed_size)
-        if not np.all(np.isfinite(data)):
-            raise NeedletWhittleError(f"{path}: non-finite coefficients")
+        for start in range(0, len(data), _CL_BLOCK):  # a block's flags, not the set's
+            if not np.isfinite(data[start : start + _CL_BLOCK]).all():
+                raise NeedletWhittleError(f"{path}: non-finite coefficients")
         return cls(l_max=l_max, seed=seed, data=data.astype(np.complex128, copy=False))
 
 
@@ -176,7 +222,7 @@ _MUL_HI, _MUL_LO = np.uint64(_MULT >> 64), np.uint64(_MULT & 0xFFFFFFFFFFFFFFFF)
 _MUL_LO1, _MUL_LO0 = np.uint64(_MULT >> 32 & _M32), np.uint64(_MULT & _M32)
 _LOW, _S32, _S63, _ONE = np.uint64(_M32), np.uint64(32), np.uint64(63), np.uint64(1)
 _STATES_PER_PASS = 2048  # (seed, l) streams seeded per pass in ``alm_rows``
-_CL_BLOCK = 2**15  # packed coefficients (512 KiB) reduced per block in ``empirical_cl``
+_CL_BLOCK = 2**15  # packed coefficients (512 KiB) per block of ``empirical_cl`` and ``AlmSet.load``
 
 
 def _hashmix(v: np.ndarray, consts) -> np.ndarray:
@@ -363,46 +409,23 @@ class EmpiricalSpectrum:
         return cls(l_max=l_max, values=values, seed=seed)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("l,c_hat\n")
-            for l in range(1, self.l_max + 1):
-                fh.write(f"{l},{self.values[l]:.17g}\n")
+        write_csv(path, ("l", "c_hat"), enumerate(np.asarray(self.values, float)[1:].tolist(), 1))
 
     @classmethod
     def from_csv(cls, path) -> "EmpiricalSpectrum":
         """Read ``to_csv`` output: one row per l = 1..l_max, in any order."""
-        ls, vals = [], []
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header.split(",")[:2] != ["l", "c_hat"]:
-                raise NeedletWhittleError(f"{path}: unexpected CSV header {header!r}")
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                try:
-                    a, b = line.split(",")[:2]
-                    ls.append(int(a))
-                    vals.append(float(b))
-                except ValueError as exc:
-                    raise NeedletWhittleError(
-                        f"{path}: line {lineno}: cannot parse {line.strip()!r}"
-                    ) from exc
-        if not ls:
+        rows = sorted(read_csv(path, ("l", "c_hat"), (int, float)))
+        if not rows:
             raise NeedletWhittleError(f"{path}: no data rows")
-        l_max = max(ls)
-        if min(ls) < 1:
-            raise NeedletWhittleError(f"{path}: l={min(ls)} is outside 1..{l_max}")
-        seen: set[int] = set()
-        for l in ls:
-            if l in seen:
-                raise NeedletWhittleError(f"{path}: duplicate l={l}")
-            seen.add(l)
-        if l_max > len(ls):  # distinct l >= 1, so one of 1..len(ls)+1 is absent
-            missing = min(set(range(1, len(ls) + 2)) - seen)
-            raise NeedletWhittleError(f"{path}: missing l={missing}")
-        values = np.zeros(l_max + 1)
-        values[ls] = vals
-        return cls(l_max=l_max, values=values)
+        if rows[0][0] < 1:
+            raise NeedletWhittleError(f"{path}: l={rows[0][0]} is outside 1..{rows[-1][0]}")
+        # sorted: the first l out of place is a duplicate or names the missing l
+        for want, (l, _) in enumerate(rows, start=1):
+            if l != want:
+                raise NeedletWhittleError(
+                    f"{path}: duplicate l={l}" if l < want else f"{path}: missing l={want}"
+                )
+        return cls(l_max=len(rows), values=np.array([0.0, *(c for _, c in rows)]))
 
 
 def empirical_cl(alm: AlmSet) -> EmpiricalSpectrum:

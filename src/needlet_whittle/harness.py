@@ -19,8 +19,10 @@ Each file format has one declaration that owns it:
 * rows CSV -- the fields of ``ReplicationRow``, in order, are the columns,
   ``ReplicationRow.from_fit`` is the one mapping from a fit to a row, and
   ``write_rows_csv`` writes rows for both ``montecarlo`` and
-  ``estimate --csv-out``;
+  ``estimate --csv-out``, and ``load_summary`` parses a cell by its field;
 * summary CSV -- the fields of ``Aggregate``, in order, are the rows.
+
+Each CSV is written by ``harmonic.write_csv`` and read by ``harmonic.read_csv``.
 """
 from __future__ import annotations
 
@@ -34,7 +36,15 @@ import numpy as np
 
 from . import asymptotics
 from .errors import ConfigError, DegenerateDataError, NeedletWhittleError
-from .harmonic import EmpiricalSpectrum, check_lmax, empirical_cl, simulate_alm
+from .harmonic import (
+    EmpiricalSpectrum,
+    check_lmax,
+    csv_cell,
+    empirical_cl,
+    read_csv,
+    simulate_alm,
+    write_csv,
+)
 from .needlet import JRange, MexicanWindow, NeedletWindow, StandardWindow
 from .spectrum import (
     KappaCorrection,
@@ -469,38 +479,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
 
 
 # ---------------------------------------------------------------------------
-# CSV emission
+# CSV emission, through ``harmonic.write_csv``
 # ---------------------------------------------------------------------------
 
 
-def csv_cell(value) -> str:
-    """One CSV cell: floats at 17 significant digits (an exact round trip),
-    booleans as 0/1, and commas in text replaced by semicolons."""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value).replace(",", ";")
-
-
 def write_rows_csv(rows: list[ReplicationRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(f.name for f in fields(ReplicationRow)) + "\n")
-        for row in rows:
-            fh.write(",".join(map(csv_cell, astuple(row))) + "\n")
-
-
-def _parse_row(line: str) -> ReplicationRow:
-    cells = line.rstrip("\n").split(",")
-    return ReplicationRow(*(_PARSE[f.type](cell) for f, cell in zip(fields(ReplicationRow), cells)))
+    write_csv(path, [f.name for f in fields(ReplicationRow)], map(astuple, rows))
 
 
 def write_summary_csv(summary: ExperimentSummary, path) -> None:
     agg = summary.aggregate
-    with open(path, "w", newline="") as fh:
-        fh.write("field,value\n")
-        for f in fields(Aggregate):
-            fh.write(f"{f.name},{csv_cell(float(getattr(agg, f.name)))}\n")
+    rows = ((f.name, float(getattr(agg, f.name))) for f in fields(Aggregate))
+    write_csv(path, ("field", "value"), rows)
 
 
 def _standardized(summary: ExperimentSummary) -> np.ndarray:
@@ -520,42 +510,34 @@ def write_histogram_csv(summary: ExperimentSummary, path) -> None:
     z = _standardized(summary)
     counts, edges = np.histogram(z, bins=HISTOGRAM_BINS)
     density = counts / (len(z) * np.diff(edges))
-    with open(path, "w", newline="") as fh:
-        fh.write("x,y\n")
-        for center, y in zip(0.5 * (edges[:-1] + edges[1:]), density):
-            fh.write(f"{csv_cell(center)},{csv_cell(y)}\n")
+    write_csv(path, ("x", "y"), zip((0.5 * (edges[:-1] + edges[1:])).tolist(), density.tolist()))
 
 
 def write_qq_csv(summary: ExperimentSummary, path) -> None:
     z = np.sort(_standardized(summary))
-    nd = NormalDist()
-    with open(path, "w", newline="") as fh:
-        fh.write("x,y\n")  # theoretical quantile, sample quantile
-        n = len(z)
-        for i, v in enumerate(z, start=1):
-            fh.write(f"{csv_cell(nd.inv_cdf((i - 0.5) / n))},{csv_cell(v)}\n")
+    nd, n = NormalDist(), len(z)
+    quantiles = ((nd.inv_cdf((i - 0.5) / n), v) for i, v in enumerate(z.tolist(), start=1))
+    write_csv(path, ("x", "y"), quantiles)  # x theoretical, y sample
 
 
 def load_summary(summary_path, rows_path, config: ExperimentConfig) -> ExperimentSummary:
     """Reload a summary from its CSV pair, re-deriving and cross-checking the
-    aggregate from the rows."""
-    with open(rows_path) as fh:
-        fh.readline()
-        rows = [_parse_row(line) for line in fh]
+    aggregate from the rows.  A malformed file, or a summary whose fields are
+    not ``Aggregate``'s in order, raises NeedletWhittleError."""
+    row_fields = fields(ReplicationRow)
+    cells = read_csv(rows_path, [f.name for f in row_fields], [_PARSE[f.type] for f in row_fields])
+    rows = [ReplicationRow(*row) for row in cells]
     recomputed = _aggregate(config, rows)
-    stored: dict[str, float] = {}
-    with open(summary_path) as fh:
-        fh.readline()
-        for line in fh:
-            name, value = line.strip().split(",")
-            stored[name] = float(value)
-    for f in fields(Aggregate):
-        a, b = stored[f.name], float(getattr(recomputed, f.name))
+    pairs = read_csv(summary_path, ("field", "value"), (str, float))
+    if [name for name, _ in pairs] != [f.name for f in fields(Aggregate)]:
+        raise NeedletWhittleError(f"{summary_path}: the fields must be Aggregate's, in order")
+    for name, a in pairs:
+        b = float(getattr(recomputed, name))
         if not (math.isnan(a) and math.isnan(b)) and not math.isclose(
             a, b, rel_tol=1e-12, abs_tol=1e-12
         ):
             raise NeedletWhittleError(
-                f"summary field {f.name} does not match rows: stored {a}, recomputed {b}"
+                f"summary field {name} does not match rows: stored {a}, recomputed {b}"
             )
     return ExperimentSummary(config=config, rows=rows, aggregate=recomputed)
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from .asymptotics import TAIL_TOL, check_B
 from .errors import DomainError, ResourceLimitError, TruncationError
-from .harmonic import EmpiricalSpectrum
+from .harmonic import EmpiricalSpectrum, write_csv
 
 __all__ = [
     "MexicanWindow",
@@ -531,13 +531,9 @@ class NeedletStatistics:
         return self.basis.window
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("j,B_pow_j,N_j,lambda_hat\n")
-            for j, lam in zip(self.j_range.levels(), self.lam):
-                fh.write(
-                    f"{j},{self.window.B ** j:.17g},"
-                    f"{self.j_range.n_j(j, self.window.B):.17g},{lam:.17g}\n"
-                )
+        B, rng = self.window.B, self.j_range
+        rows = ((j, float(B**j), rng.n_j(j, B), x) for j, x in zip(rng.levels(), self.lam.tolist()))
+        write_csv(path, ("j", "B_pow_j", "N_j", "lambda_hat"), rows)
 
 
 def compute_statistics(

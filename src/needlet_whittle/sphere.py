@@ -31,7 +31,7 @@ import numpy as np
 
 from .asymptotics import check_B
 from .errors import BandLimitError, DomainError, ResourceLimitError
-from .harmonic import AlmSet, alm_rows
+from .harmonic import AlmSet, alm_rows, write_csv
 from .needlet import MexicanWindow
 from .spectrum import PowerSpectrumModel
 
@@ -220,12 +220,9 @@ class BetaCoefficients:
         return float(np.sum(self.values**2))
 
     def to_csv(self, path) -> None:
-        th, ph = self.grid.points()
-        w = self.grid.weights()
-        with open(path, "w", newline="") as fh:
-            fh.write("k,theta,phi,weight,beta\n")
-            for k in range(self.grid.n_points):
-                fh.write(f"{k},{th[k]:.17g},{ph[k]:.17g},{w[k]:.17g},{self.values[k]:.17g}\n")
+        columns = (*self.grid.points(), self.grid.weights(), self.values)
+        rows = zip(range(self.grid.n_points), *(c.tolist() for c in columns))
+        write_csv(path, ("k", "theta", "phi", "weight", "beta"), rows)
 
 
 class _NeedletField:

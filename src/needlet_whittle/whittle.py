@@ -255,15 +255,15 @@ def level_range(
     band: str,
     j0: int | None = None,
     jl: int | None = None,
-    g=None,
+    g: float | None = None,
 ) -> JRange:
     """The level range of a band request at band limit ``l_max``.
 
     * full: [j0, jl] when both are given, ``select_j_range`` when neither is;
       a lone j0 or jl, or any g, raises ``ConfigError``.
     * narrow: [J1, jl] with B^J1 = B^jl (1 - g), J1 rounded half up; jl
-      defaults to the top of ``select_j_range``, and g is a fraction in (0, 1),
-      a rule g(jl) or None for g = jl^-3.  A j0 raises ``ConfigError``, a band
+      defaults to the top of ``select_j_range``, and g is a fraction in (0, 1)
+      or None for g = jl^-3.  A j0 raises ``ConfigError``, a band
       under one multipole ``NarrowBandError``.
 
     Either range needs two levels or more (``NarrowBandError`` on the narrow
@@ -283,8 +283,6 @@ def level_range(
             jl = select_j_range(l_max, window).jL
         if g is None:
             g = float(jl) ** -3  # degenerate below jl ~ 10 at B = 2
-        elif callable(g):
-            g = g(jl)
         if not 0.0 < g < 1.0:
             raise DomainError(f"band fraction g must be in (0, 1), got {g}")
         j_range = JRange(j0=narrow_band_j1(jl, g, window.B), jL=jl)
@@ -301,7 +299,7 @@ def fit_narrow_band(
     spec: EmpiricalSpectrum,
     window: NeedletWindow,
     j_l: int | None = None,
-    g=None,
+    g: float | None = None,
     search: SearchSettings | None = None,
 ) -> WhittleFit:
     """Estimate (alpha, G) from the top slice [J1, j_l] of ``level_range``."""
@@ -315,13 +313,14 @@ def fit_band(
     band: str,
     j0: int | None,
     jl: int | None,
-    g,
+    g: float | None,
     search: SearchSettings | None,
 ) -> WhittleFit:
-    """Fit the band request (band, j0, jl, g) of ``level_range``."""
+    """Fit the band request (band, j0, jl, g) of ``level_range``, resolved once:
+    in ``fit_narrow_band`` for a narrow band without j0, here otherwise."""
+    if band == "narrow" and j0 is None:
+        return fit_narrow_band(spec, window, j_l=jl, g=g, search=search)
     j_range = level_range(window, spec.l_max, band, j0, jl, g)
-    if band == "narrow":
-        return fit_narrow_band(spec, window, j_l=j_range.jL, g=g, search=search)
     return fit_full_band(spec, window, j_range=j_range, search=search)
 
 

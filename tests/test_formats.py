@@ -1,4 +1,6 @@
-"""Pins of the harness's text formats: config text, rows CSV, summary CSV.
+"""Pins of the package's text formats: config text, the rows and summary CSVs
+and the malformed ones ``load_summary`` rejects, and the bytes of the
+spectrum, level-statistic and beta CSVs.
 
 Rows and aggregates are built by hand, not from fits, so that floating-point
 rounding in the numerics cannot move the expected bytes.
@@ -15,6 +17,7 @@ import pytest
 from needlet_whittle import (
     KappaCorrection,
     MexicanWindow,
+    NeedletWhittleError,
     PowerSpectrumModel,
     RationalCorrection,
     StandardWindow,
@@ -287,6 +290,66 @@ def test_load_summary_round_trip(tmp_path, cfg, rows):
     write_summary_csv(loaded, again_summary)
     assert again_rows.read_bytes() == rows_path.read_bytes()
     assert again_summary.read_bytes() == summary_path.read_bytes()
+
+
+def _edit_line(k: int, edit):
+    """A file edit that applies ``edit`` to line k (0 is the header)."""
+    return lambda lines: [edit(line) if i == k else line for i, line in enumerate(lines)]
+
+
+# (file, edit of its lines, what the error names); line 3 of the rows file is
+# FULL_ROWS's third row, a fitted one
+MALFORMED = [
+    pytest.param("rows", _edit_line(0, lambda _: "x,y"), r"rows\.csv: header", id="rows-header"),
+    pytest.param(
+        "rows", _edit_line(3, lambda line: ",".join(line.split(",")[:3])), r"rows\.csv: line 4",
+        id="rows-short-line",
+    ),
+    pytest.param(
+        "rows", _edit_line(3, lambda line: line.replace("2.8999999999999999", "abc")),
+        r"rows\.csv: line 4", id="rows-non-numeric",
+    ),
+    pytest.param("summary", _edit_line(0, lambda _: "x,y"), r"summary\.csv: header", id="summary-header"),
+    pytest.param(
+        "summary", _edit_line(3, lambda _: "mean_alpha"), r"summary\.csv: line 4",
+        id="summary-short-line",
+    ),
+    pytest.param(
+        "summary", _edit_line(3, lambda _: "mean_alpha,abc"), r"summary\.csv: line 4",
+        id="summary-non-numeric",
+    ),
+    pytest.param(
+        "summary", lambda lines: [line for line in lines if not line.startswith("theory_bias,")],
+        r"summary\.csv: the fields", id="summary-missing-field",
+    ),
+    pytest.param(
+        "summary", lambda lines: [*lines, "theory_bias,nan"], r"summary\.csv: the fields",
+        id="summary-repeated-field",
+    ),
+]
+
+
+def _write_pair(tmp_path, cfg, rows):
+    rows_path, summary_path = tmp_path / "rows.csv", tmp_path / "summary.csv"
+    write_rows_csv(rows, rows_path)
+    write_summary_csv(_summary(cfg, rows, _aggregate(cfg, rows)), summary_path)
+    return {"rows": rows_path, "summary": summary_path}
+
+
+@pytest.mark.parametrize("name, edit, match", MALFORMED)
+def test_load_summary_rejects_malformed_files(tmp_path, name, edit, match):
+    paths = _write_pair(tmp_path, FULL, FULL_ROWS)
+    paths[name].write_text("".join(f"{line}\n" for line in edit(paths[name].read_text().splitlines())))
+    with pytest.raises(NeedletWhittleError, match=match):
+        load_summary(paths["summary"], paths["rows"], FULL)
+
+
+def test_load_summary_skips_blank_lines(tmp_path):
+    paths = _write_pair(tmp_path, FULL, FULL_ROWS)
+    expected = load_summary(paths["summary"], paths["rows"], FULL)
+    for path in paths.values():
+        path.write_text(path.read_text() + "\n")  # a trailing blank line
+    assert repr(load_summary(paths["summary"], paths["rows"], FULL)) == repr(expected)  # nan != nan
 
 
 class TestPinnedTables:

@@ -306,10 +306,18 @@ class TestFitNarrowBand:
         assert fit.alpha_hat == pytest.approx(3.0, abs=1e-5)
         assert fit.band == "narrow"
 
-    def test_g_rule_callable(self, canonical_model):
+    def test_fit_band_resolves_a_narrow_band_once(self, canonical_model, monkeypatch):
+        level_range, calls = whittle.level_range, []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return level_range(*args, **kwargs)
+
+        monkeypatch.setattr(whittle, "level_range", spy)
         spec = noise_free_spectrum(canonical_model, 1024)
-        fit = fit_narrow_band(spec, MEX, g=lambda jl: 0.75)
-        assert fit.j_range_used.j0 == 7
+        fit = whittle.fit_band(spec, MEX, "narrow", None, None, 0.5, None)
+        assert (fit.j_range_used.j0, fit.j_range_used.jL) == (8, 9)
+        assert len(calls) == 1
 
     def test_j1_tie_rounds_half_up(self, canonical_model):
         # at B = 4 the band fraction g = 7/8 puts J1 at jL - 3/2 exactly
