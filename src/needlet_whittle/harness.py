@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, Field, astuple, dataclass, fields
+from dataclasses import MISSING, Field, dataclass, fields
 from statistics import NormalDist
 
 import numpy as np
@@ -484,7 +484,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
 
 
 def write_rows_csv(rows: list[ReplicationRow], path) -> None:
-    write_csv(path, [f.name for f in fields(ReplicationRow)], map(astuple, rows))
+    names = [f.name for f in fields(ReplicationRow)]
+    write_csv(path, names, (tuple(getattr(row, name) for name in names) for row in rows))
 
 
 def write_summary_csv(summary: ExperimentSummary, path) -> None:

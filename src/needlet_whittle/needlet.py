@@ -25,6 +25,13 @@ kept, read-only, in a per-process least-recently-used row cache bounded at
 ``ROW_CACHE_BYTES``; a row larger than that bound is computed only up to the
 truncation a basis asks for, and not kept.
 
+The fit's bracketing grid reads model moments K_j at a fixed alpha grid, and
+these too depend on l_max only where l_max cuts a level.  So each (window, j,
+grid) gets one table of the row's running sums terms_l l^-alpha over whole
+blocks of 64 multipoles, kept in a second cache of the same kind and bound:
+a level whose support ends by l_max reads the table's total, one that l_max
+cuts reads its last whole block and adds its few leftover multipoles.
+
 On top of the windows: ``check_levels``, the one check that a level range is
 usable at l_max, by each window's ``resolved`` rule for both ends of the band;
 ``LevelBasis``, the weights of a level range as one matrix, from which the
@@ -63,7 +70,7 @@ __all__ = [
 
 MEXICAN_TAIL_RATIO = 1e-16  # terms below this fraction of the peak are dropped
 BASIS_CAP = 2**25  # weights in one level range's matrix: 256 MiB of float64
-ROW_CACHE_BYTES = 2**20  # cached level rows; fit-sweep's working set is ~450 KB
+ROW_CACHE_BYTES = 2**20  # per cache, rows and grid tables: fit-sweep holds ~380 KB in each
 
 
 @lru_cache(maxsize=None)
@@ -270,8 +277,9 @@ def check_levels(window: NeedletWindow, j_range: JRange, l_max: int) -> None:
 
 
 class _RowCache:
-    """Level rows by (window, j); the least recently used go first once the
-    rows' bytes pass ``limit``."""
+    """(first, array) pairs by key: level rows by (window, j), grid tables by
+    (window, j, start, stop, num).  The least recently used go first once the
+    arrays' bytes pass ``limit``; an array past ``limit`` alone is not kept."""
 
     def __init__(self, limit: int):
         self.limit = limit
@@ -285,6 +293,8 @@ class _RowCache:
         return row
 
     def put(self, key, row) -> None:
+        if row[1].nbytes > self.limit:
+            return
         self._rows[key] = row
         self.nbytes += row[1].nbytes
         while self.nbytes > self.limit:
@@ -292,6 +302,7 @@ class _RowCache:
 
 
 _ROWS = _RowCache(ROW_CACHE_BYTES)
+_TABLES = _RowCache(ROW_CACHE_BYTES)
 
 
 def _level_row(window: NeedletWindow, j: int, le: int) -> tuple[int, np.ndarray]:
@@ -313,7 +324,33 @@ def _level_row(window: NeedletWindow, j: int, le: int) -> tuple[int, np.ndarray]
     return first, terms
 
 
-_GRID_CHUNK = 8  # grid rows per matrix product in LevelBasis.k_linspace
+_GRID_BLOCK = 64  # multipoles per block of a grid table
+
+
+def _grid_table(window: NeedletWindow, j: int, row: tuple[int, np.ndarray], alphas, key) -> np.ndarray:
+    """S[r, b]: the sum of level j's ``row`` terms_l l^-alphas[r] over its
+    first b + 1 blocks of ``_GRID_BLOCK`` multipoles; the last block may be
+    partial, so S[:, -1] sums the whole row.  Kept by ``key`` in a second row
+    cache under the row's own rule: a row too long to keep, computed only up
+    to a basis's truncation, gets a table up to there that is not kept either."""
+    table = _TABLES.get(key)
+    if table is not None:
+        return table[1]
+    first, terms = row
+    sums = np.empty((len(alphas), -(-len(terms) // _GRID_BLOCK)))
+    blocks = 16  # per pass, so the (num, 16 * _GRID_BLOCK) powers stay small
+    for b in range(0, sums.shape[1], blocks):
+        t = terms[b * _GRID_BLOCK : (b + blocks) * _GRID_BLOCK]
+        l = np.arange(first + b * _GRID_BLOCK, first + b * _GRID_BLOCK + len(t), dtype=float)
+        x = np.multiply.outer(-alphas, np.log(l))
+        np.exp(x, out=x)
+        x *= t
+        sums[:, b : b + blocks] = np.add.reduceat(x, np.arange(0, len(t), _GRID_BLOCK), axis=1)
+    np.cumsum(sums, axis=1, out=sums)
+    sums.flags.writeable = False
+    if (window.support(j)[1] - first + 1) * 8 <= _ROWS.limit:
+        _TABLES.put(key, (first, sums))
+    return sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,23 +412,28 @@ class LevelBasis:
     def k_linspace(self, start: float, stop: float, num: int) -> tuple[np.ndarray, np.ndarray]:
         """K_j at ``np.linspace(start, stop, num)``: (alphas, K), K of shape (num, J).
 
-        Successive powers come from the running product l^-(a+da) = l^-a l^-da,
-        ``_GRID_CHUNK`` rows per matrix product, so the relative error grows by
-        about an ulp per row (~1e-13 over 64 rows): fine for bracketing a
-        minimum, not for the minimum itself.
+        Each level reads its cached grid table (``_grid_table``): a level whose
+        support ends by l_max reads the table's total, a level that l_max cuts
+        reads its last whole block and adds its <= ``_GRID_BLOCK`` - 1
+        leftover multipoles.  Every power is exp(-alpha log l), as in ``k``,
+        so only the order of the sums differs from ``k`` (~1e-15 relative).
         """
         alphas = np.linspace(start, stop, num)
-        step = np.exp(-(stop - start) / max(num - 1, 1) * self.log_l)
-        rows = np.empty((min(_GRID_CHUNK, num), len(step)))
         out = np.empty((num, len(self.n)))
-        head = np.exp(-start * self.log_l)
-        for i in range(0, num, len(rows)):
-            m = min(len(rows), num - i)
-            rows[0] = head
-            for r in range(1, m):
-                np.multiply(rows[r - 1], step, out=rows[r])
-            out[i : i + m] = rows[:m] @ self.w.T
-            head = rows[m - 1] * step
+        for i, j in enumerate(self.j_range.levels()):
+            le = self.window.effective_lmax(j, self.l_max)
+            first, terms = row = _level_row(self.window, j, le)
+            table = _grid_table(self.window, j, row, alphas, (self.window, j, start, stop, num))
+            m = le - first + 1  # multipoles kept
+            if m == len(terms):  # the whole row, or all of it that was computed
+                out[:, i] = table[:, -1]
+                continue
+            whole = m - m % _GRID_BLOCK
+            x = np.exp(np.multiply.outer(-alphas, self.log_l[first - 1 + whole : le]))
+            out[:, i] = x @ terms[whole:m]
+            if whole:
+                out[:, i] += table[:, whole // _GRID_BLOCK - 1]
+        out /= self.n
         return alphas, out
 
 

@@ -15,8 +15,9 @@ bracket, or a hessian <= 0, falls back to bisection.
 ``_profile`` is the one expression of G-hat and the contrast, for model
 moments K of any leading shape: the grid passes all its rows at once, and
 ``_derivs`` passes one and adds the score and hessian from the same K_j',
-K_j'' pass.  A fit records G-hat, score and hessian from one ``_derivs`` call
-at alpha-hat.  The rows-CSV form of a fit belongs to ``harness.ReplicationRow``.
+K_j'' pass, forming its five level sums in one reduction.  A fit records
+G-hat, score and hessian from one ``_derivs`` call at alpha-hat.  The
+rows-CSV form of a fit belongs to ``harness.ReplicationRow``.
 
 ``level_range`` is the one rule that turns a band request (band, j0, jl, g)
 into a level range; ``estimate`` and the Monte Carlo configs both fit through
@@ -91,10 +92,11 @@ class SearchSettings:
             raise ConfigError(f"search tolerance must be finite and positive, got {self.tol}")
 
 
-def _profile(stats: NeedletStatistics, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(contrast, G-hat), one pair per leading index of model moments K (..., J)."""
+def _profile(stats: NeedletStatistics, k: np.ndarray, lam_k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(contrast, G-hat), one pair per leading index of model moments K (..., J),
+    from K and the level sums ``lam_k`` = sum_j lambda_j / K_j."""
     n, sn = stats.basis.n, stats.basis.n_sum
-    g = (stats.lam / k).sum(axis=-1) / sn
+    g = lam_k / sn
     if not (g > 0).all():
         raise DegenerateDataError("profiled amplitude is not positive")
     return np.log(g) + np.log(k) @ n / sn, g
@@ -102,16 +104,21 @@ def _profile(stats: NeedletStatistics, k: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def _derivs(stats: NeedletStatistics, alpha: float) -> tuple[float, float, float, float]:
     """Contrast, score, hessian and profiled amplitude G-hat at alpha, from one
-    K_j, K_j', K_j'' evaluation."""
+    K_j, K_j', K_j'' evaluation; the five level sums are one reduction."""
     k0, k1, k2 = stats.basis.k_derivs(alpha)
-    n, sn = stats.basis.n, stats.basis.n_sum
-    value, phi = _profile(stats, k0)
-    dphi = -float(np.sum(stats.lam * k1 / k0**2)) / sn
-    d2phi = float(np.sum(stats.lam * (2.0 * k1**2 - k2 * k0) / k0**3)) / sn
-    grad = dphi / phi + float(np.sum(n * k1 / k0)) / sn
-    curv = (d2phi * phi - dphi * dphi) / phi**2 + float(
-        np.sum(n * (k2 * k0 - k1**2) / k0**2)
-    ) / sn
+    n, sn, lam = stats.basis.n, stats.basis.n_sum, stats.lam
+    terms = np.empty((5, len(n)))
+    np.divide(lam, k0, out=terms[0])
+    terms[1] = lam * k1 / k0**2
+    terms[2] = lam * (2.0 * k1**2 - k2 * k0) / k0**3
+    terms[3] = n * k1 / k0
+    terms[4] = n * (k2 * k0 - k1**2) / k0**2
+    lam_k, s1, s2, s3, s4 = np.add.reduce(terms, axis=1)
+    value, phi = _profile(stats, k0, lam_k)
+    dphi = -s1 / sn
+    d2phi = s2 / sn
+    grad = dphi / phi + s3 / sn
+    curv = (d2phi * phi - dphi * dphi) / phi**2 + s4 / sn
     return float(value), float(grad), float(curv), float(phi)
 
 
@@ -184,7 +191,7 @@ def _fit(stats: NeedletStatistics, search: SearchSettings, band: str) -> Whittle
     _check_two_levels(stats.j_range, band)
     # the grid stays vectorised: one k_linspace pass, not GRID_POINTS evaluations
     grid, k = stats.basis.k_linspace(search.alpha_min, search.alpha_max, GRID_POINTS)
-    vals, _ = _profile(stats, k)
+    vals, _ = _profile(stats, k, (stats.lam / k).sum(axis=-1))
     trace: list[tuple[float, float]] = list(zip(grid.tolist(), vals.tolist()))
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]

@@ -274,6 +274,82 @@ class TestLevelBasis:
 
 
 @pytest.fixture
+def fresh_tables(monkeypatch):
+    """Empty row and grid-table caches at the module's bound, for this test only."""
+    monkeypatch.setattr(needlet, "_ROWS", needlet._RowCache(needlet.ROW_CACHE_BYTES))
+    tables = needlet._RowCache(needlet.ROW_CACHE_BYTES)
+    monkeypatch.setattr(needlet, "_TABLES", tables)
+    return tables
+
+
+class TestGridTables:
+    # l_max 1024 cuts the top mexican levels at a block boundary (1024 = 16 x 64
+    # multipoles from l = 1), 1000 inside a block, 61 before the first block ends
+    @pytest.mark.parametrize("l_max", [1024, 1000, 61])
+    @pytest.mark.parametrize("num", [1, 7, 64])
+    @pytest.mark.parametrize("search", [(2.001, 10.0), (-1.5, 4.25)])
+    @pytest.mark.parametrize("window", [MEX, STD, MexicanWindow(p=1, B=3.0), StandardWindow(B=1.5)], ids=str)
+    def test_grid_matches_k(self, fresh_tables, window, l_max, num, search):
+        j_range = select_j_range(l_max, window)
+        cut = [window.support(j)[1] > l_max for j in j_range.levels()]
+        if isinstance(window, MexicanWindow):
+            assert any(cut) and not all(cut)
+        for _ in ("cold", "warm"):
+            basis = LevelBasis(window, j_range, l_max)
+            alphas, k = basis.k_linspace(*search, num)
+            assert np.array_equal(alphas, np.linspace(*search, num))
+            exact = np.array([basis.k(a) for a in alphas])
+            assert np.max(np.abs(k / exact - 1.0)) < 1e-13
+
+    def test_tables_read_at_another_band_limit(self, fresh_tables):
+        # tables built over whole supports at one l_max serve another
+        for l_max in (8192, 1000, 4133, 1024):
+            basis = LevelBasis(MEX, select_j_range(l_max, MEX), l_max)
+            alphas, k = basis.k_linspace(2.001, 10.0, 64)
+            exact = np.array([basis.k(a) for a in alphas])
+            assert np.max(np.abs(k / exact - 1.0)) < 1e-13
+        assert len(fresh_tables._rows) == select_j_range(8192, MEX).jL
+
+    def test_tables_read_only(self, fresh_tables):
+        LevelBasis(STD, JRange(j0=1, jL=9), 1024).k_linspace(2.001, 10.0, 64)
+        for _, table in fresh_tables._rows.values():
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+
+    def test_cache_within_its_byte_bound(self, fresh_tables):
+        requested = 0
+        for B in np.linspace(1.5, 3.0, 30):
+            for window in (MexicanWindow(p=2, B=float(B)), StandardWindow(B=float(B))):
+                j_range = select_j_range(4096, window)
+                LevelBasis(window, j_range, 4096).k_linspace(2.001, 10.0, 64)
+                requested += sum(
+                    8 * 64 * -(-(window.support(j)[1] - window.support(j)[0] + 1) // 64)
+                    for j in j_range.levels()
+                )
+                held = sum(table.nbytes for _, table in fresh_tables._rows.values())
+                assert 0 < fresh_tables.nbytes == held <= needlet.ROW_CACHE_BYTES
+        assert requested > 4 * needlet.ROW_CACHE_BYTES  # the bound did evict tables
+
+    def test_table_past_the_bound_not_stored(self, fresh_tables):
+        # level 15's mexican row is past 2^20 bytes (see
+        # test_row_past_the_bound_not_stored): its table is summed from the
+        # row cut at l_max and, like the row, not kept
+        window, j, l_max = MEX, 15, 50_000
+        basis = LevelBasis(window, JRange(j0=j, jL=j), l_max)
+        alphas, k = basis.k_linspace(2.001, 10.0, 64)
+        assert fresh_tables.nbytes == 0 and not fresh_tables._rows
+        exact = np.array([basis.k(a) for a in alphas])
+        assert np.max(np.abs(k / exact - 1.0)) < 1e-13
+
+    def test_entry_past_the_bound_not_kept(self):
+        rows = needlet._RowCache(1024)
+        rows.put("small", (1, np.zeros(64)))
+        rows.put("large", (1, np.zeros(129)))
+        assert rows.get("large") is None and rows.get("small") is not None
+        assert rows.nbytes == 512
+
+
+@pytest.fixture
 def fresh_rows(monkeypatch):
     """An empty row cache at the module's bound, for this test only."""
     rows = needlet._RowCache(needlet.ROW_CACHE_BYTES)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -394,3 +395,82 @@ class TestPinnedFits:
         fit = fit_full_band(spec, window) if band == "full" else fit_narrow_band(spec, window, g=0.5)
         got = (fit.alpha_hat, fit.g_hat, fit.score_at_hat, fit.hessian_at_hat)
         assert tuple(repr(float(v)) for v in got) == self.PINS[band, window]
+
+
+def reference_k_linspace(self, start, stop, num):
+    """The grid as a running product l^-(a+da) = l^-a l^-da, eight grid rows
+    per matrix product with the weight matrix: the form the cached block
+    tables of ``LevelBasis.k_linspace`` replaced."""
+    alphas = np.linspace(start, stop, num)
+    step = np.exp(-(stop - start) / max(num - 1, 1) * self.log_l)
+    rows = np.empty((min(8, num), len(step)))
+    out = np.empty((num, len(self.n)))
+    head = np.exp(-start * self.log_l)
+    for i in range(0, num, len(rows)):
+        m = min(len(rows), num - i)
+        rows[0] = head
+        for r in range(1, m):
+            np.multiply(rows[r - 1], step, out=rows[r])
+        out[i : i + m] = rows[:m] @ self.w.T
+        head = rows[m - 1] * step
+    return alphas, out
+
+
+def _sweep_fits():
+    """Full and narrow fits, both windows, on 200 seeded chi-square spectra
+    at l_max 64-8192: per fit, the grid argmin and the bits of everything
+    else."""
+    rng = np.random.default_rng(20260)
+    out = []
+    for i in range(200):
+        l_max = int(np.exp(rng.uniform(math.log(64), math.log(8192))))
+        spec = chi2_spectrum(PowerSpectrumModel(alpha0=float(rng.uniform(2.5, 4.5))), l_max, (31, i))
+        for window in (MEX, STD):
+            for band in ("full", "narrow"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", BoundaryWarning)
+                    fit = (fit_full_band(spec, window) if band == "full"
+                           else fit_narrow_band(spec, window, g=0.5))
+                grid = [v for _, v in fit.contrast_trace[:GRID_POINTS]]
+                out.append((
+                    int(np.argmin(grid)),
+                    np.array([fit.alpha_hat, fit.g_hat, fit.score_at_hat, fit.hessian_at_hat]).tobytes(),
+                    fit.iterations,
+                    len(fit.contrast_trace),
+                    np.array(fit.contrast_trace[GRID_POINTS:]).tobytes(),
+                ))
+    return out
+
+
+def test_cached_grid_keeps_every_fit(monkeypatch):
+    # the grid values change in their last bits only: the grid argmin and
+    # every fitted number are those of the running-product grid
+    got = _sweep_fits()
+    monkeypatch.setattr(LevelBasis, "k_linspace", reference_k_linspace)
+    expected = _sweep_fits()
+    assert len(got) == 800 and got == expected
+
+
+def reference_derivs(stats, alpha):
+    """Contrast, score, hessian and G-hat with one ``np.sum`` per level sum:
+    the form the single (5, J) reduction of ``whittle._derivs`` replaced."""
+    k0, k1, k2 = stats.basis.k_derivs(alpha)
+    n, sn = stats.basis.n, stats.basis.n_sum
+    phi = (stats.lam / k0).sum(axis=-1) / sn
+    value = np.log(phi) + np.log(k0) @ n / sn
+    dphi = -float(np.sum(stats.lam * k1 / k0**2)) / sn
+    d2phi = float(np.sum(stats.lam * (2.0 * k1**2 - k2 * k0) / k0**3)) / sn
+    grad = dphi / phi + float(np.sum(n * k1 / k0)) / sn
+    curv = (d2phi * phi - dphi * dphi) / phi**2 + float(
+        np.sum(n * (k2 * k0 - k1**2) / k0**2)
+    ) / sn
+    return float(value), float(grad), float(curv), float(phi)
+
+
+@pytest.mark.parametrize("l_max", [64, 1000, 8192])
+@pytest.mark.parametrize("window", [MEX, STD], ids=str)
+def test_one_reduction_keeps_the_derivatives(window, l_max, canonical_model):
+    spec = chi2_spectrum(canonical_model, l_max, (32, l_max))
+    stats = compute_statistics(spec, window, select_j_range(l_max, window))
+    for alpha in np.linspace(2.001, 10.0, 17):
+        assert whittle._derivs(stats, alpha) == reference_derivs(stats, alpha)
