@@ -327,12 +327,14 @@ def _level_row(window: NeedletWindow, j: int, le: int) -> tuple[int, np.ndarray]
 _GRID_BLOCK = 64  # multipoles per block of a grid table
 
 
-def _grid_table(window: NeedletWindow, j: int, row: tuple[int, np.ndarray], alphas, key) -> np.ndarray:
+def _grid_table(window: NeedletWindow, j: int, row: tuple[int, np.ndarray], alphas: np.ndarray) -> np.ndarray:
     """S[r, b]: the sum of level j's ``row`` terms_l l^-alphas[r] over its
     first b + 1 blocks of ``_GRID_BLOCK`` multipoles; the last block may be
-    partial, so S[:, -1] sums the whole row.  Kept by ``key`` in a second row
-    cache under the row's own rule: a row too long to keep, computed only up
-    to a basis's truncation, gets a table up to there that is not kept either."""
+    partial, so S[:, -1] sums the whole row.  Kept by (window, j, grid) in a
+    second row cache under the row's own rule: a row too long to keep,
+    computed only up to a basis's truncation, gets a table up to there that
+    is not kept either."""
+    key = (window, j, alphas[0], alphas[-1], len(alphas))  # the grid is a linspace
     table = _TABLES.get(key)
     if table is not None:
         return table[1]
@@ -423,7 +425,7 @@ class LevelBasis:
         for i, j in enumerate(self.j_range.levels()):
             le = self.window.effective_lmax(j, self.l_max)
             first, terms = row = _level_row(self.window, j, le)
-            table = _grid_table(self.window, j, row, alphas, (self.window, j, start, stop, num))
+            table = _grid_table(self.window, j, row, alphas)
             m = le - first + 1  # multipoles kept
             if m == len(terms):  # the whole row, or all of it that was computed
                 out[:, i] = table[:, -1]
