@@ -66,7 +66,7 @@ def _cmd_estimate(args) -> int:
         raise ConfigError("--p applies to the mexican window only")
     # an option left out takes the window's own field default
     given = {name: getattr(args, name) for name in ("p", "B") if getattr(args, name) is not None}
-    window = (MexicanWindow if args.window == "mexican" else StandardWindow)(**given)
+    window = harness._KINDS["window.kind"][args.window](**given)
     search = whittle.SearchSettings(
         alpha_min=args.alpha_min, alpha_max=args.alpha_max, tol=args.tol
     )
@@ -158,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="fit a spectrum file")
     p_est.add_argument("--spectrum-file", required=True)
-    p_est.add_argument("--window", choices=("mexican", "standard"), default="mexican")
+    windows = harness._KINDS["window.kind"]  # the config's window.kind names and default
+    p_est.add_argument("--window", choices=tuple(windows), default=next(iter(windows)))
     p_est.add_argument("--p", type=int, help=f"mexican window order (default {MexicanWindow.p})")
     p_est.add_argument("--B", type=float, help="window base (default: the window's own)")
     p_est.add_argument("--band", choices=("full", "narrow"), default="full")

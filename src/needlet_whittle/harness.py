@@ -39,7 +39,6 @@ from .errors import ConfigError, DegenerateDataError, NeedletWhittleError
 from .harmonic import (
     EmpiricalSpectrum,
     check_lmax,
-    csv_cell,
     empirical_cl,
     read_csv,
     simulate_alm,
@@ -66,7 +65,6 @@ __all__ = [
     "jarque_bera",
     "JB_CRITICAL_0_001",
     "REPLICATION_CAP",
-    "csv_cell",
     "write_rows_csv",
     "write_summary_csv",
     "write_histogram_csv",

@@ -35,8 +35,10 @@ cuts reads its last whole block and adds its few leftover multipoles.
 On top of the windows: ``check_levels``, the one check that a level range is
 usable at l_max, by each window's ``resolved`` rule for both ends of the band;
 ``LevelBasis``, the weights of a level range as one matrix, from which the
-normalized spectral moments ``k_j``, their alpha-derivatives and the level
-energy statistic ``lambda_hat`` are products; and ``select_j_range``.
+normalized spectral moments K_j, their alpha-derivatives and the level energy
+statistic ``lambda_hat`` are products; and ``select_j_range``.  The single-level
+``k_j`` and ``k_j_deriv`` read a one-level basis and always bound the tail
+that l_max drops; the estimator reads its basis's unguarded ``k``/``k_derivs``.
 """
 from __future__ import annotations
 
@@ -439,35 +441,21 @@ class LevelBasis:
         return alphas, out
 
 
-def k_j(
-    window: NeedletWindow,
-    j: int,
-    alpha: float,
-    l_max: int,
-    c_b: float = 1.0,
-    *,
-    check_tail: bool = True,
-) -> float:
+def k_j(window: NeedletWindow, j: int, alpha: float, l_max: int, c_b: float = 1.0) -> float:
     """Normalized spectral moment (1/N_j) sum_l window_sq(l/B^j)(2l+1) l^-alpha.
 
-    With ``check_tail`` a geometric bound on the tail dropped past l_max must
-    stay below ``TAIL_TOL`` of the sum; a level whose ``support(j)`` ends by
-    l_max, as every compact level ``check_levels`` accepts, drops nothing.
-    The estimator reads K_j from its ``LevelBasis`` instead, truncated where
+    A geometric bound on the tail dropped past l_max must stay below
+    ``TAIL_TOL`` of the sum (``TruncationError``); a level whose
+    ``support(j)`` ends by l_max, as every compact level ``check_levels``
+    accepts, drops nothing.  The estimator reads K_j, unguarded, from its
+    ``LevelBasis`` instead (``k``, ``k_derivs``), truncated where
     ``lambda_hat`` is.
     """
-    return k_j_deriv(window, j, alpha, l_max, 0, c_b, check_tail=check_tail)
+    return k_j_deriv(window, j, alpha, l_max, 0, c_b)
 
 
 def k_j_deriv(
-    window: NeedletWindow,
-    j: int,
-    alpha: float,
-    l_max: int,
-    order: int,
-    c_b: float = 1.0,
-    *,
-    check_tail: bool = True,
+    window: NeedletWindow, j: int, alpha: float, l_max: int, order: int, c_b: float = 1.0
 ) -> float:
     """Term-wise alpha-derivative of ``k_j`` (order 0: ``k_j`` itself; order 1
     inserts -log l, order 2 log^2 l), with ``k_j``'s tail check on its terms."""
@@ -475,7 +463,7 @@ def k_j_deriv(
         raise DomainError("order must be 0, 1 or 2")
     basis = LevelBasis(window, JRange(j0=j, jL=j, c_b=c_b), l_max)
     out = float(basis.k_derivs(alpha)[order][0])
-    if not check_tail or window.support(j)[1] <= l_max:
+    if window.support(j)[1] <= l_max:
         return out  # the level's support ends by l_max, so l_max drops nothing
     l = np.array([l_max + 1.0, l_max + 2.0])  # the first two terms past l_max
     t1, t2 = window._level_sq(l, j) * (2.0 * l + 1.0) * l ** (-alpha) * np.abs(np.log(l)) ** order

@@ -17,6 +17,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .asymptotics import check_kappa
 from .errors import DomainError, NumericalNoiseWarning
@@ -50,13 +51,6 @@ class RationalCorrection:
     q_coeffs: tuple[float, ...]
 
 
-def _poly(coeffs: tuple[float, ...], u):
-    out = np.zeros_like(np.asarray(u, dtype=float))
-    for c in reversed(coeffs):
-        out = out * u + c
-    return out
-
-
 @dataclass(frozen=True)
 class PowerSpectrumModel:
     alpha0: float
@@ -87,7 +81,7 @@ class PowerSpectrumModel:
                 # strict positivity on [1, inf): leading term dominates beyond the
                 # grid, so a log-spaced numeric check suffices
                 grid = np.geomspace(1.0, 1e8, 512)
-                if np.any(_poly(coeffs, grid) <= 0):
+                if np.any(polyval(grid, coeffs) <= 0):
                     raise DomainError(f"{name} is not strictly positive on [1, inf)")
 
 
@@ -106,7 +100,7 @@ def _correction_factor(model: PowerSpectrumModel, u):
     if isinstance(corr, KappaCorrection):
         return 1.0 + corr.kappa / u
     dp, dq = len(corr.p_coeffs) - 1, len(corr.q_coeffs) - 1
-    return u ** (dq - dp) * _poly(corr.p_coeffs, u) / _poly(corr.q_coeffs, u)
+    return u ** (dq - dp) * polyval(u, corr.p_coeffs) / polyval(u, corr.q_coeffs)
 
 
 def g_of_l(model: PowerSpectrumModel, l):

@@ -73,6 +73,10 @@ _SEED_BLOCK = 32
 # one matmul
 _DEGREE_BLOCK = 8
 
+# ring neighbours in each run of nodes a correlation samples from a grid with
+# more nodes than it may take: a run's pairs fill the nearest distance bins
+_NODE_RUN = 4
+
 # rings per unit B^j; 2.0 keeps the frame identity gap well under 1e-2 for the
 # gaussian-profile windows used here (measured), at N_j = 8 B^(2j) points
 GRID_RING_FACTOR = 2.0
@@ -354,6 +358,20 @@ def check_correlation_seeds(n_seeds: int) -> None:
         raise ResourceLimitError(f"n_seeds={n_seeds} exceeds cap {CORRELATION_SEED_CAP}")
 
 
+def _sample_nodes(grid: CubatureGrid, max_points: int, rng: np.random.Generator) -> np.ndarray:
+    """Indices into ``grid.points()`` of the nodes a correlation samples: every
+    node, in random order, if the grid has at most ``max_points``; otherwise
+    up to max_points // ``_NODE_RUN`` distinct runs of ``_NODE_RUN``
+    consecutive nodes of one ring, so no node is taken twice."""
+    if grid.n_points <= max_points:
+        return rng.choice(grid.n_points, size=grid.n_points, replace=False)
+    per_ring = grid.n_phi // _NODE_RUN
+    n_runs = min(max_points // _NODE_RUN, grid.n_theta * per_ring)
+    runs = rng.choice(grid.n_theta * per_ring, size=n_runs, replace=False)
+    starts = runs // per_ring * grid.n_phi + runs % per_ring * _NODE_RUN
+    return (starts[:, None] + np.arange(_NODE_RUN)).ravel()
+
+
 def empirical_beta_correlation(
     model: PowerSpectrumModel,
     j: int,
@@ -367,10 +385,13 @@ def empirical_beta_correlation(
     """Monte Carlo correlation of beta coefficients, binned by geodesic distance.
 
     The fitted exponent is the log-log slope of mean |corr| against
-    (1 + scale * d) over the main-lobe bins (mean in [0.15, 0.95]); the decay
-    bound predicts 4p + 2 - alpha0 for it.  Coarse grids (half the rings of
-    ``build_grid``'s default) are fine here: the correlation is a field
-    property, not a quadrature.
+    (1 + scale * d) over the main-lobe bins: from the nearest, the bins of
+    8 pairs or more while their mean falls and stays at or above 0.1.  It is
+    nan unless there are 3 such bins and the first mean is 3 times the last.
+    The decay bound predicts 4p + 2 - alpha0 for it.  Coarse grids (half the
+    rings of ``build_grid``'s default) are fine here: the correlation is a
+    field property, not a quadrature.  Each grid's nodes come from
+    ``_sample_nodes``, shared across seeds.
     """
     if not 4 * p + 2 - model.alpha0 > 0:
         raise DomainError("requires 4p + 2 - alpha0 > 0")
@@ -382,11 +403,9 @@ def empirical_beta_correlation(
     n_bins = 48
     master = master_seed & 0xFFFFFFFFFFFFFFFF
 
-    # node subsample shared across seeds
     rng = np.random.default_rng(np.random.SeedSequence((master, 0x9D)))
-    picks = [rng.choice(g.n_points, size=min(max_points, g.n_points), replace=False) for g in grids]
-    th = np.concatenate([g.points()[0][idx] for g, idx in zip(grids, picks)])
-    ph = np.concatenate([g.points()[1][idx] for g, idx in zip(grids, picks)])
+    picks = [_sample_nodes(g, max_points, rng) for g in grids]
+    th, ph = np.concatenate([np.stack(g.points())[:, idx] for g, idx in zip(grids, picks)], axis=1)
 
     # replicate s draws its rows from a 64-bit seed derived from (master, s)
     seeds = [
@@ -428,15 +447,10 @@ def empirical_beta_correlation(
     x = np.log1p(scale * dv)
     edges = np.linspace(0.0, math.log1p(scale * math.pi), n_bins + 1)
     which = np.clip(np.digitize(x, edges) - 1, 0, n_bins - 1)
+    counts = np.bincount(which, minlength=n_bins)
+    mean_abs = np.bincount(which, weights=cv, minlength=n_bins) / np.maximum(counts, 1)
     max_abs = np.zeros(n_bins)
-    mean_abs = np.zeros(n_bins)
-    counts = np.zeros(n_bins, dtype=int)
-    for b in range(n_bins):
-        sel = which == b
-        counts[b] = int(sel.sum())
-        if counts[b]:
-            max_abs[b] = cv[sel].max()
-            mean_abs[b] = cv[sel].mean()
+    np.maximum.at(max_abs, which, cv)
 
     # fit on the monotone main-lobe prefix only; past the first zero of the
     # needlet kernel, side lobes re-raise |corr| and would flatten the slope

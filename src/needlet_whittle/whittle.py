@@ -22,6 +22,7 @@ rows-CSV form of a fit belongs to ``harness.ReplicationRow``.
 ``level_range`` is the one rule that turns a band request (band, j0, jl, g)
 into a level range; ``estimate`` and the Monte Carlo configs both fit through
 ``fit_band``, which applies it, so a request is accepted or rejected alike.
+``plug_in`` fits the full band twice, on the default ``SearchSettings``.
 """
 from __future__ import annotations
 
@@ -353,15 +354,10 @@ class PluginResult:
         return "\n".join(lines)
 
 
-def plug_in(
-    spec: EmpiricalSpectrum,
-    p: int,
-    b_std: float,
-    b_mex: float,
-    search: SearchSettings | None = None,
-) -> PluginResult:
+def plug_in(spec: EmpiricalSpectrum, p: int, b_std: float, b_mex: float) -> PluginResult:
     """Two-step estimate: pilot fit with the compact window, then a mexican
     refit whenever p > alpha_pilot / 4 (lower asymptotic variance regime).
+    Both are full-band fits on the default ``SearchSettings``.
 
     ``rho0_sq`` is the table constant at (alpha_pilot, b_std), interpolated
     inside the table; ``sigma1_sq`` is the mexican table column at alpha_pilot
@@ -369,11 +365,11 @@ def plug_in(
     """
     std = StandardWindow(B=b_std)
     mex = MexicanWindow(p=p, B=b_mex)
-    pilot = fit_full_band(spec, std, search=search)
+    pilot = fit_full_band(spec, std)
     used = p > pilot.alpha_hat / 4.0
     alpha_final = pilot.alpha_hat
     if used:
-        alpha_final = fit_full_band(spec, mex, search=search).alpha_hat
+        alpha_final = fit_full_band(spec, mex).alpha_hat
     return PluginResult(
         alpha_standard=pilot.alpha_hat,
         used_mexican=used,

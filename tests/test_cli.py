@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from needlet_whittle import cli, harmonic, harness, sphere
+from needlet_whittle import cli, harmonic, harness, sphere, whittle
 from needlet_whittle.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_PIPE, main
 from needlet_whittle.errors import BoundaryWarning, ConfigError
 from needlet_whittle.harness import ExperimentConfig, ReplicationRow
@@ -156,6 +156,25 @@ class TestSimulateEstimate:
         spectrum = str(tmp_path / "run.spectrum.bin")
         assert main(["estimate", "--spectrum-file", spectrum, *options]) == EXIT_CONFIG
         assert "alpha_hat" not in capsys.readouterr().out
+
+    def test_windows_are_the_config_kinds(self, tmp_path, monkeypatch):
+        # --window takes its names, default and classes from window.kind's
+        # table: reordered, the table's first kind becomes the default
+        main(["simulate", "--config", str(write_config(tmp_path))])
+        spectrum = str(tmp_path / "run.spectrum.bin")
+        spec = harmonic.EmpiricalSpectrum.load(spectrum)
+        kinds = {"standard": StandardWindow, "mexican": MexicanWindow}
+        monkeypatch.setitem(harness._KINDS, "window.kind", kinds)
+        out = tmp_path / "fit.csv"
+        for options, cls in (
+            ([], StandardWindow),
+            (["--window", "standard"], StandardWindow),
+            (["--window", "mexican"], MexicanWindow),
+        ):
+            argv = ["estimate", "--spectrum-file", spectrum, "--csv-out", str(out), *options]
+            assert main(argv) == EXIT_OK
+            fit = whittle.fit_full_band(spec, cls())
+            assert float(out.read_text().splitlines()[1].split(",")[3]) == fit.alpha_hat
 
     @pytest.mark.parametrize(
         "options",

@@ -32,6 +32,12 @@ MEX = MexicanWindow(p=2, B=2.0)
 STD = StandardWindow(B=2.0)
 
 
+def _basis(window, j, l_max):
+    """Level j's one-level basis: its ``k`` and ``k_derivs`` are ``k_j`` and
+    ``k_j_deriv`` without their tail check."""
+    return LevelBasis(window, JRange(j0=j, jL=j), l_max)
+
+
 class TestWindows:
     def test_mexican_values(self):
         assert window_sq(MEX, 0.0) == 0.0
@@ -109,8 +115,8 @@ class TestKj:
         # at j = 9 and l_max = 1024 the dropped gaussian tail is percent-level
         with pytest.raises(TruncationError):
             k_j(MEX, 9, 3.0, 1024)
-        # disabling the check gives the truncation-consistent estimator value
-        assert k_j(MEX, 9, 3.0, 1024, check_tail=False) > 0
+        # the level basis, unguarded, gives the truncation-consistent estimator value
+        assert _basis(MEX, 9, 1024).k(3.0)[0] > 0
 
     @pytest.mark.parametrize("B", [2.0, 3.0, math.sqrt(2.0), 1.3])
     @pytest.mark.parametrize("l_max", [64, 1000, 1024])
@@ -120,17 +126,17 @@ class TestKj:
         window = StandardWindow(B=B)
         for j in select_j_range(l_max, window).levels():
             assert window._level_sq(np.array([l_max + 1.0]), j)[0] == 0.0
-            assert k_j(window, j, 3.0, l_max) == k_j(window, j, 3.0, l_max, check_tail=False)
+            basis = _basis(window, j, l_max)
+            assert k_j(window, j, 3.0, l_max) == basis.k(3.0)[0]
             for order in (1, 2):
-                assert k_j_deriv(window, j, 0.5, l_max, order) == k_j_deriv(
-                    window, j, 0.5, l_max, order, check_tail=False
-                )
+                assert k_j_deriv(window, j, 0.5, l_max, order) == basis.k_derivs(0.5)[order][0]
 
     def test_order_zero_is_k_j(self):
         for window, j, l_max in ((MEX, 8, 4096), (MEX, 9, 1024), (STD, 5, 1024)):
-            assert k_j_deriv(window, j, 3.0, l_max, 0, check_tail=False) == k_j(
-                window, j, 3.0, l_max, check_tail=False
-            )
+            basis = _basis(window, j, l_max)
+            assert basis.k_derivs(3.0)[0][0] == basis.k(3.0)[0]
+        for window, j, l_max in ((MEX, 8, 4096), (STD, 5, 1024)):
+            assert k_j_deriv(window, j, 3.0, l_max, 0) == k_j(window, j, 3.0, l_max)
         with pytest.raises(DomainError, match="order must be 0, 1 or 2"):
             k_j_deriv(MEX, 8, 3.0, 4096, 3)
 
@@ -213,14 +219,15 @@ class TestLevelBasis:
         for j in select_j_range(l_max, window).levels():
             l, w = _former_level_terms(window, j, l_max)
             n = window.B ** (2.0 * j)
+            basis = _basis(window, j, l_max)
             for alpha in (2.2, 3.0, 5.5):
-                assert k_j(window, j, alpha, l_max, check_tail=False) == pytest.approx(
+                assert basis.k(alpha)[0] == pytest.approx(
                     float(np.sum(w * l**-alpha)) / n, rel=1e-13
                 )
                 for order, factor in ((1, -np.log(l)), (2, np.log(l) ** 2)):
-                    assert k_j_deriv(
-                        window, j, alpha, l_max, order, check_tail=False
-                    ) == pytest.approx(float(np.sum(w * l**-alpha * factor)) / n, rel=1e-13)
+                    assert basis.k_derivs(alpha)[order][0] == pytest.approx(
+                        float(np.sum(w * l**-alpha * factor)) / n, rel=1e-13
+                    )
             assert lambda_hat(spec, window, j) == pytest.approx(
                 float(np.sum(w * spec.values[1 : len(l) + 1])), rel=1e-13
             )
@@ -481,7 +488,7 @@ class TestLambdaHat:
         spec = noise_free_spectrum(canonical_model, 1024)
         for j in (3, 6, 9):
             lam = lambda_hat(spec, MEX, j)
-            expected = 1.0 * 2.0 ** (2.0 * j) * k_j(MEX, j, 3.0, 1024, check_tail=False)
+            expected = 1.0 * 2.0 ** (2.0 * j) * _basis(MEX, j, 1024).k(3.0)[0]
             assert lam == pytest.approx(expected, rel=1e-13)
 
     def test_unbiased(self, canonical_model):

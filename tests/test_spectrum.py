@@ -12,7 +12,7 @@ from needlet_whittle import (
     check_regularity,
     g_of_l,
 )
-from needlet_whittle.spectrum import model_kappa
+from needlet_whittle.spectrum import _correction_factor, model_kappa
 
 
 class TestCl:
@@ -78,6 +78,35 @@ class TestGofL:
         ls = np.geomspace(100, 10_000, 40)
         scaled = ls * np.abs(g_of_l(m, ls) - limit)
         assert scaled.max() < 10 * abs(scaled[-1]) + 1.0
+
+
+def _horner(coeffs, u):
+    out = np.full_like(u, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        out = out * u + c
+    return out
+
+
+def _regularity_points(l_max):
+    # the grid check_regularity probes, with every finite-difference stencil point
+    grid = np.geomspace(1.0, float(l_max), 48)
+    h = np.maximum(1e-4 * grid, 1e-6)
+    return np.concatenate([np.maximum(grid + off * h, 0.9) for off in range(-2, 3)])
+
+
+class TestRationalFactor:
+    """The rational correction factor, bit for bit, against Horner's rule
+    written out here: + and x only, so the bits hold on any host."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_horner(self, seed):
+        rng = np.random.default_rng(seed)
+        p = tuple(rng.uniform(0.1, 5.0, size=1 + seed % 4).tolist())
+        q = tuple(rng.uniform(0.1, 5.0, size=1 + (seed * 7 + 1) % 5).tolist())
+        m = PowerSpectrumModel(alpha0=3.0, correction=RationalCorrection(p_coeffs=p, q_coeffs=q))
+        for u in (np.arange(1.0, 8193.0), _regularity_points(8192)):
+            expected = u ** (len(q) - len(p)) * _horner(p, u) / _horner(q, u)
+            assert np.array_equal(_correction_factor(m, u), expected)
 
 
 class TestValidation:

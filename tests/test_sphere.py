@@ -309,6 +309,34 @@ class TestBetaCorrelation:
         # antipodal bin decorrelates (noise floor ~ 1/sqrt(n_seeds))
         assert summary.far_field_mean() < 0.1
 
+    def test_level_7_exponent_finite(self, canonical_model):
+        # 700 of the 32,768 nodes, sampled as runs of ring neighbours, give the
+        # nearest bins enough pairs for the main-lobe fit
+        summary = empirical_beta_correlation(
+            canonical_model, 7, 7, p=2, B=2.0, n_seeds=60, master_seed=1
+        )
+        assert math.isfinite(summary.fitted_exponent)
+        assert summary.fitted_exponent == pytest.approx(summary.lemma_exponent, rel=0.30)
+
+    @pytest.mark.parametrize(
+        "j, B, max_points",
+        [(3, 2.0, 700), (5, 2.0, 700), (5, 2.0, 150), (7, 2.0, sphere.CORRELATION_POINT_CAP),
+         (3, 3.0, 700), (3, 3.0, 1457)],
+    )
+    def test_sampled_nodes(self, j, B, max_points):
+        grid = build_grid(j, B, oversample=0.5)
+        idx = sphere._sample_nodes(grid, max_points, np.random.default_rng(j))
+        assert len(np.unique(idx)) == len(idx) <= min(max_points, grid.n_points)
+        assert 0 <= idx.min() and idx.max() < grid.n_points
+        if grid.n_points <= max_points:  # a small grid is taken whole
+            assert len(idx) == grid.n_points
+            return
+        runs = idx.reshape(-1, sphere._NODE_RUN)
+        per_ring = grid.n_phi // sphere._NODE_RUN
+        assert len(runs) == min(max_points // sphere._NODE_RUN, grid.n_theta * per_ring)
+        assert (np.diff(runs, axis=1) == 1).all()  # neighbours along one ring
+        assert (runs[:, 0] // grid.n_phi == runs[:, -1] // grid.n_phi).all()
+
     def test_seed_blocks_do_not_change_the_summary(self, canonical_model, monkeypatch):
         # seeds are synthesised in blocks; a block boundary must not show
         args = (canonical_model, 3, 4)

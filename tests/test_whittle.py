@@ -25,7 +25,7 @@ from needlet_whittle import (
     whittle,
 )
 from needlet_whittle.harness import ReplicationRow, write_rows_csv
-from needlet_whittle.needlet import LevelBasis, k_j, narrow_band_j1, select_j_range
+from needlet_whittle.needlet import LevelBasis, narrow_band_j1, select_j_range
 from needlet_whittle.whittle import GRID_POINTS, contrast_two_param
 
 from conftest import chi2_spectrum, noise_free_spectrum
@@ -64,7 +64,7 @@ class TestProfileGHat:
     def test_single_level_identity(self, canonical_model):
         spec = noise_free_spectrum(canonical_model, 256)
         stats = compute_statistics(spec, MEX, JRange(j0=4, jL=4))
-        kj = k_j(MEX, 4, 3.0, 256, check_tail=False)
+        kj = LevelBasis(MEX, JRange(j0=4, jL=4), 256).k(3.0)[0]
         stats.lam = np.array([2.0 ** (2 * 4) * kj])
         assert profile_g_hat(stats, 3.0) == pytest.approx(1.0, rel=1e-14)
 
