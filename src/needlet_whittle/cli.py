@@ -44,7 +44,7 @@ def _cmd_theory(args) -> int:
 def _cmd_simulate(args) -> int:
     config = harness.ExperimentConfig.from_file(args.config)
     config.check_drawn_lmax()  # simulate draws even when run.noise_free is set
-    prefix = args.out_prefix or config.output_prefix
+    prefix = config.output_prefix
     alm = simulate_alm(config.model, config.l_max, config.master_seed)
     spec = empirical_cl(alm)
     alm.save(f"{prefix}.alm.bin")
@@ -153,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="simulate coefficients and empirical spectrum")
     p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--out-prefix")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_est = sub.add_parser("estimate", help="fit a spectrum file")

@@ -215,7 +215,11 @@ class ExperimentConfig:
             *_kind_keys("window.kind", self.window),
             *((key, getattr(self, name)) for key, name in _FLAT_KEYS),
         ]
-        return "".join(f"{key} = {_format(value)}\n" for key, value in items if value is not None)
+        pairs = [(key, _format(value)) for key, value in items if value is not None]
+        for key, text in pairs:  # parse ends a value at '#' or a line break, and strips it
+            if "#" in text or text.splitlines() != [text.strip()]:
+                raise ConfigError(f"{key}: value {text!r} would not read back as written")
+        return "".join(f"{key} = {text}\n" for key, text in pairs)
 
     def to_file(self, path) -> None:
         with open(path, "w") as fh:

@@ -21,9 +21,9 @@ min(l_max, last), and ``resolved(j, l_max)``, whether it fits the band
 
 A level's row of weights window_sq(l/B^j)(2l+1) over its support depends on
 (window, j) only; l_max merely truncates it.  So each row is computed once and
-kept, read-only, in a per-process least-recently-used row cache bounded at
-``ROW_CACHE_BYTES``; a row larger than that bound is computed only up to the
-truncation a basis asks for, and not kept.
+kept, read-only, in a per-process row cache bounded at ``ROW_CACHE_BYTES``
+that evicts the oldest rows first; a row larger than that bound is computed
+only up to the truncation a basis asks for, and not kept.
 
 The fit's bracketing grid reads model moments K_j at a fixed alpha grid, and
 these too depend on l_max only where l_max cuts a level.  So each (window, j,
@@ -37,19 +37,19 @@ usable at l_max, by each window's ``resolved`` rule for both ends of the band;
 ``LevelBasis``, the weights of a level range as one matrix, from which the
 normalized spectral moments K_j, their alpha-derivatives and the level energy
 statistic ``lambda_hat`` are products; and ``select_j_range``.  The single-level
-``k_j`` and ``k_j_deriv`` read a one-level basis and always bound the tail
-that l_max drops; the estimator reads its basis's unguarded ``k``/``k_derivs``.
+``k_j`` and ``k_j_deriv`` read a one-level basis and give the full sum over
+``support(j)``, raising where l_max cuts it; the estimator reads its basis's
+``k``/``k_derivs``, truncated where ``lambda_hat`` is.
 """
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .asymptotics import TAIL_TOL, check_B
+from .asymptotics import check_B
 from .errors import DomainError, ResourceLimitError, TruncationError
 from .harmonic import EmpiricalSpectrum, write_csv
 
@@ -191,9 +191,6 @@ class StandardWindow(_Window):
         x = np.asarray(x, dtype=float)
         return np.clip(self._phi(x / self.B) - self._phi(x), 0.0, None)
 
-    def window(self, x):
-        return np.sqrt(self.window_sq(x))
-
     def support(self, j: int) -> tuple[int, int]:
         """First and last multipole inside level j's open support
         (B^(j-1), B^(j+1)), at any l_max; the weights outside it are 0."""
@@ -280,19 +277,16 @@ def check_levels(window: NeedletWindow, j_range: JRange, l_max: int) -> None:
 
 class _RowCache:
     """(first, array) pairs by key: level rows by (window, j), grid tables by
-    (window, j, start, stop, num).  The least recently used go first once the
-    arrays' bytes pass ``limit``; an array past ``limit`` alone is not kept."""
+    (window, j, start, stop, num).  The oldest go first once the arrays'
+    bytes pass ``limit``; an array past ``limit`` alone is not kept."""
 
     def __init__(self, limit: int):
         self.limit = limit
         self.nbytes = 0
-        self._rows: OrderedDict = OrderedDict()
+        self._rows: dict = {}
 
     def get(self, key):
-        row = self._rows.get(key)
-        if row is not None:
-            self._rows.move_to_end(key)
-        return row
+        return self._rows.get(key)
 
     def put(self, key, row) -> None:
         if row[1].nbytes > self.limit:
@@ -300,7 +294,7 @@ class _RowCache:
         self._rows[key] = row
         self.nbytes += row[1].nbytes
         while self.nbytes > self.limit:
-            self.nbytes -= self._rows.popitem(last=False)[1][1].nbytes
+            self.nbytes -= self._rows.pop(next(iter(self._rows)))[1].nbytes
 
 
 _ROWS = _RowCache(ROW_CACHE_BYTES)
@@ -442,14 +436,11 @@ class LevelBasis:
 
 
 def k_j(window: NeedletWindow, j: int, alpha: float, l_max: int, c_b: float = 1.0) -> float:
-    """Normalized spectral moment (1/N_j) sum_l window_sq(l/B^j)(2l+1) l^-alpha.
-
-    A geometric bound on the tail dropped past l_max must stay below
-    ``TAIL_TOL`` of the sum (``TruncationError``); a level whose
-    ``support(j)`` ends by l_max, as every compact level ``check_levels``
-    accepts, drops nothing.  The estimator reads K_j, unguarded, from its
-    ``LevelBasis`` instead (``k``, ``k_derivs``), truncated where
-    ``lambda_hat`` is.
+    """Normalized spectral moment (1/N_j) sum_l window_sq(l/B^j)(2l+1) l^-alpha
+    over level j's whole ``support(j)``: a level that ``check_levels`` rejects
+    at l_max, or whose support ends past l_max, raises ``TruncationError``.
+    The estimator reads K_j from its ``LevelBasis`` instead (``k``,
+    ``k_derivs``), truncated where ``lambda_hat`` is.
     """
     return k_j_deriv(window, j, alpha, l_max, 0, c_b)
 
@@ -458,29 +449,15 @@ def k_j_deriv(
     window: NeedletWindow, j: int, alpha: float, l_max: int, order: int, c_b: float = 1.0
 ) -> float:
     """Term-wise alpha-derivative of ``k_j`` (order 0: ``k_j`` itself; order 1
-    inserts -log l, order 2 log^2 l), with ``k_j``'s tail check on its terms."""
+    inserts -log l, order 2 log^2 l), under ``k_j``'s rule on the support."""
     if order not in (0, 1, 2):
         raise DomainError("order must be 0, 1 or 2")
+    # the basis's check_levels rejects a level past the float range before support(j) overflows
     basis = LevelBasis(window, JRange(j0=j, jL=j, c_b=c_b), l_max)
-    out = float(basis.k_derivs(alpha)[order][0])
-    if window.support(j)[1] <= l_max:
-        return out  # the level's support ends by l_max, so l_max drops nothing
-    l = np.array([l_max + 1.0, l_max + 2.0])  # the first two terms past l_max
-    t1, t2 = window._level_sq(l, j) * (2.0 * l + 1.0) * l ** (-alpha) * np.abs(np.log(l)) ** order
-    if t1 == 0.0:
-        return out
-    ratio = t2 / t1
-    if ratio >= 1.0:
-        raise TruncationError(
-            f"level j={j}: terms still growing at l_max={l_max}; window peak unresolved"
-        )
-    bound = t1 / (1.0 - ratio)
-    if bound > TAIL_TOL * abs(out * basis.n[0]):
-        raise TruncationError(
-            f"level j={j}: dropped tail bound {bound:.3e} exceeds "
-            f"{TAIL_TOL:.1e} of the partial sum at l_max={l_max}"
-        )
-    return out
+    last = window.support(j)[1]
+    if last > l_max:
+        raise TruncationError(f"level j={j}: support ends at l={last}, past l_max={l_max}")
+    return float(basis.k_derivs(alpha)[order][0])
 
 
 def lambda_hat(spec: EmpiricalSpectrum, window: NeedletWindow, j: int) -> float:

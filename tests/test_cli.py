@@ -112,25 +112,42 @@ class TestSimulateEstimate:
             main(["estimate", "--spectrum-file", str(tmp_path / "run.spectrum.csv")]) == EXIT_OK
         )
 
+    def test_files_named_by_the_config_only(self, tmp_path):
+        # output.prefix is the one setting for a run's file names
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg), "--out-prefix", str(tmp_path / "other")])
+        assert exc.value.code == EXIT_CONFIG
+        assert not list(tmp_path.glob("other.*")) and not list(tmp_path.glob("run.*"))
+
     def test_missing_config(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.txt")]) == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "name, corrupt",
+        "name, corrupt, message",
         [
-            ("run.spectrum.bin", lambda data: data[:-3]),  # payload cut short
-            ("run.spectrum.bin", lambda data: data[:4]),  # header cut short
-            ("run.spectrum.csv", lambda data: data.split(b"\n", 1)[0] + b"\n"),  # header only
-            ("run.spectrum.csv", lambda data: data.replace(b"2,", b"2,abc", 1)),  # non-numeric
+            ("run.spectrum.bin", lambda data: data[:-3], "payload has"),
+            ("run.spectrum.bin", lambda data: data[:4], "truncated header"),
+            ("run.spectrum.csv", lambda data: data.split(b"\n", 1)[0] + b"\n", "no data rows"),
+            ("run.spectrum.csv", lambda data: data.replace(b"2,", b"2,abc", 1), "abc"),
+            # the header's version word, after the 8-byte magic, set to 2
+            (
+                "run.spectrum.bin",
+                lambda data: data[:8] + (2).to_bytes(4, "little") + data[12:],
+                "unsupported version 2",
+            ),
         ],
-        ids=["bin-short-payload", "bin-4-bytes", "csv-header-only", "csv-non-numeric"],
+        ids=[
+            "bin-short-payload", "bin-4-bytes", "csv-header-only", "csv-non-numeric", "bin-version-2",
+        ],
     )
-    def test_malformed_spectrum_file(self, tmp_path, capsys, name, corrupt):
+    def test_malformed_spectrum_file(self, tmp_path, capsys, name, corrupt, message):
         main(["simulate", "--config", str(write_config(tmp_path))])
         path = tmp_path / name
         path.write_bytes(corrupt(path.read_bytes()))
         assert main(["estimate", "--spectrum-file", str(path)]) == EXIT_NUMERIC
-        assert "NeedletWhittleError" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "NeedletWhittleError" in err and message in err
 
     def test_csv_out_is_one_rows_csv_row(self, tmp_path):
         main(["simulate", "--config", str(write_config(tmp_path))])
@@ -191,10 +208,37 @@ class TestSimulateEstimate:
         assert main(["estimate", "--spectrum-file", spectrum, *options]) == EXIT_CONFIG
         assert "alpha_hat" not in capsys.readouterr().out
 
-    def test_malformed_config(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("model.alpha0 = not_a_number\n")
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("model.alpha0 = 3.0", "model.alpha0 = not_a_number"),
+            ("window.kind = mexican", "window.kind = gaussian"),
+            ("run.noise_free = false", "run.noise_free = maybe"),
+            ("window.p = 2", "window.p = 0"),
+            (
+                "model.correction = none",
+                "model.correction = rational\nmodel.p_coeffs = 1.0,-2.0\nmodel.q_coeffs = 1.0",
+            ),
+            ("sim.l_max = 256", "sim.l_max 256"),
+            ("sim.l_max = 256", "sim.l_max = "),
+        ],
+        ids=[
+            "alpha0-not-a-number",
+            "unknown-window-kind",
+            "noise-free-not-a-boolean",
+            "window-p-zero",
+            "rational-leading-coefficient-negative",
+            "line-without-equals",
+            "empty-value",
+        ],
+    )
+    def test_malformed_config(self, tmp_path, old, new):
+        path = write_config(tmp_path)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
         assert main(["montecarlo", "--config", str(path)]) == EXIT_CONFIG
+        assert not list(tmp_path.glob("run.*"))
 
 
 class TestConfigRejectedBeforeSimulation:

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from needlet_whittle import (
+    ConfigError,
     KappaCorrection,
     MexicanWindow,
     NeedletWhittleError,
@@ -117,6 +118,18 @@ def test_config_text(name):
     cfg, text = CONFIG_TEXT[name]
     assert cfg.to_text() == text
     assert ExperimentConfig.parse(text) == cfg
+
+
+@pytest.mark.parametrize(
+    "prefix",
+    ["runs/a#1", "runs/a\nsim.l_max = 64", "runs/a\rb", " runs/a", ""],
+    ids=["comment", "line-feed", "carriage-return", "padded", "empty"],
+)
+def test_config_text_refuses_a_value_that_does_not_read_back(prefix):
+    # parse cuts each line at '#' and strips it: "runs/a#1" would read back as
+    # "runs/a", and a line break would add a key
+    with pytest.raises(ConfigError, match="output.prefix"):
+        config(output_prefix=prefix).to_text()
 
 
 @dataclass(frozen=True)

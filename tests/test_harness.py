@@ -243,6 +243,11 @@ class TestRunExperiment:
         summary = run_experiment(small_config(workers=1))
         assert summary.aggregate.n_rows == 12
 
+    def test_env_workers_not_an_integer(self, monkeypatch):
+        monkeypatch.setenv("NEEDLET_WHITTLE_THREADS", "abc")
+        with pytest.raises(ConfigError, match="NEEDLET_WHITTLE_THREADS='abc'"):
+            run_experiment(small_config())
+
     @pytest.mark.parametrize(
         "env, workers, replications, cores, expected",
         [
@@ -420,6 +425,15 @@ class TestTheoryChecks:
         )
         names = [c.name for c in theory_checks(summary)]
         assert names == ["report-only", "search-boundary"]
+
+    def test_kappa_model_bias_check(self):
+        # full band, mexican window, kappa model: the bias is compared, the
+        # variance and the mean are not
+        summary = run_experiment(
+            small_config(model=PowerSpectrumModel(alpha0=3.0, correction=KappaCorrection(0.5)))
+        )
+        names = [c.name for c in theory_checks(summary)]
+        assert names == ["scaled-bias", "search-boundary"]
 
     def test_clean_model_checks_present(self):
         summary = run_experiment(small_config(replications=24, l_max=256))

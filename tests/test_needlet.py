@@ -34,7 +34,7 @@ STD = StandardWindow(B=2.0)
 
 def _basis(window, j, l_max):
     """Level j's one-level basis: its ``k`` and ``k_derivs`` are ``k_j`` and
-    ``k_j_deriv`` without their tail check."""
+    ``k_j_deriv`` without their check that ``support(j)`` ends by l_max."""
     return LevelBasis(window, JRange(j0=j, jL=j), l_max)
 
 
@@ -140,12 +140,30 @@ class TestKj:
         with pytest.raises(DomainError, match="order must be 0, 1 or 2"):
             k_j_deriv(MEX, 8, 3.0, 4096, 3)
 
+    def test_support_past_lmax_raises(self):
+        # level 8's mexican support ends at 1294: past l_max 1290 both raise,
+        # however small the dropped tail; at 1294 they are the basis's sums
+        with pytest.raises(TruncationError, match="support ends at l=1294"):
+            k_j(MEX, 8, 3.0, 1290)
+        with pytest.raises(TruncationError, match="support ends at l=1294"):
+            k_j_deriv(MEX, 8, 3.0, 1290, 2)
+        basis = _basis(MEX, 8, 1294)
+        assert k_j(MEX, 8, 3.0, 1294) == basis.k(3.0)[0]
+        assert k_j_deriv(MEX, 8, 3.0, 1294, 2) == basis.k_derivs(3.0)[2][0]
+
+    def test_level_past_the_float_range(self):
+        # B^1100 overflows a float: check_levels rejects the level first
+        for order in (0, 1, 2):
+            with pytest.raises(TruncationError, match="outside the band"):
+                k_j_deriv(MEX, 1100, 3.0, 256, order)
+
     def test_one_truncation_rule(self):
         assert MexicanWindow.effective_lmax is StandardWindow.effective_lmax
 
     def test_truncation_soundness(self, canonical_model):
-        # once the tail bound passes, doubling l_max moves k_j (and lambda_hat
-        # on noise-free data) by < 1e-10 relative
+        # level 8's support ends at 1294, so k_j is the full sum at both band
+        # limits; lambda_hat on noise-free data, truncated at 1294 too, moves
+        # by < 1e-10 relative when l_max doubles
         a = k_j(MEX, 8, 3.0, 1400)
         b = k_j(MEX, 8, 3.0, 2800)
         assert abs(a - b) / b < 1e-10

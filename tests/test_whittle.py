@@ -320,6 +320,15 @@ class TestFitNarrowBand:
         assert (fit.j_range_used.j0, fit.j_range_used.jL) == (8, 9)
         assert len(calls) == 1
 
+    def test_band_under_one_multipole(self):
+        # at B = 1.01 the default top level at l_max 64 is 417; g = 0.01 puts
+        # J1 at 416, and B^417 - B^416 = 0.63 multipoles
+        window = StandardWindow(B=1.01)
+        with pytest.raises(NarrowBandError, match="narrower than one multipole"):
+            whittle.level_range(window, 64, "narrow", g=0.01)
+        j_range = whittle.level_range(window, 64, "narrow", g=0.015)
+        assert (j_range.j0, j_range.jL) == (415, 417)
+
     def test_j1_tie_rounds_half_up(self, canonical_model):
         # at B = 4 the band fraction g = 7/8 puts J1 at jL - 3/2 exactly
         window = MexicanWindow(p=2, B=4.0)
