@@ -23,14 +23,25 @@ A level's row of weights window_sq(l/B^j)(2l+1) over its support depends on
 (window, j) only; l_max merely truncates it.  So each row is computed once and
 kept, read-only, in a per-process row cache bounded at ``ROW_CACHE_BYTES``
 that evicts the oldest rows first; a row larger than that bound is computed
-only up to the truncation a basis asks for, and not kept.
+only up to the truncation a basis asks for, and not kept.  Up to the band
+limit cap C = ``harmonic.DEFAULT_LMAX_CAP``, the rows divided by N_j are also
+laid out once per (window, c_b) as one read-only matrix M, row j - 1 for level
+j on l = 1..C, filled when a basis first reaches level j and kept beside the
+rows under ``JOINED_CACHE_BYTES``.  With one table of log l on l = 1..C, a
+basis at l_max <= C is then the view M[j0 - 1 : jL, :L] and a slice of that
+table, not a matrix of its own.  A request past C, or a window whose M is
+past the bound (B near 1), builds its own matrix from the rows as before and
+keeps nothing more.
 
 The fit's bracketing grid reads model moments K_j at a fixed alpha grid, and
 these too depend on l_max only where l_max cuts a level.  So each (window, j,
 grid) gets one table of the row's running sums terms_l l^-alpha over whole
 blocks of 64 multipoles, kept in a second cache of the same kind and bound:
 a level whose support ends by l_max reads the table's total, one that l_max
-cuts reads its last whole block and adds its few leftover multipoles.
+cuts reads its last whole block and adds its few leftover multipoles.  The
+totals of levels 1, 2, ... are also kept as one (num x levels) array per
+(window, grid), beside the tables, so the levels that l_max does not cut, all
+but the top one or two mexican levels and every compact one, are one slice.
 
 On top of the windows: ``check_levels``, the one check that a level range is
 usable at l_max, by each window's ``resolved`` rule for both ends of the band;
@@ -51,7 +62,7 @@ import numpy as np
 
 from .asymptotics import check_B
 from .errors import DomainError, ResourceLimitError, TruncationError
-from .harmonic import EmpiricalSpectrum, write_csv
+from .harmonic import DEFAULT_LMAX_CAP, EmpiricalSpectrum, write_csv
 
 __all__ = [
     "MexicanWindow",
@@ -72,7 +83,12 @@ __all__ = [
 
 MEXICAN_TAIL_RATIO = 1e-16  # terms below this fraction of the peak are dropped
 BASIS_CAP = 2**25  # weights in one level range's matrix: 256 MiB of float64
-ROW_CACHE_BYTES = 2**20  # per cache, rows and grid tables: fit-sweep holds ~380 KB in each
+# per cache, rows and grid tables: fit-sweep's 1500 inputs at seed 1 leave
+# ~380 KB of rows and ~390 KB of tables
+ROW_CACHE_BYTES = 2**20
+# per cache, the arrays joined from its entries: there they leave two weight
+# matrices M in 1.57 MB and two grid totals in 11 KB
+JOINED_CACHE_BYTES = 2**21
 
 
 @lru_cache(maxsize=None)
@@ -278,12 +294,17 @@ def check_levels(window: NeedletWindow, j_range: JRange, l_max: int) -> None:
 class _RowCache:
     """(first, array) pairs by key: level rows by (window, j), grid tables by
     (window, j, start, stop, num).  The oldest go first once the arrays'
-    bytes pass ``limit``; an array past ``limit`` alone is not kept."""
+    bytes pass ``limit``; an array past ``limit`` alone is not kept, and one
+    put again under its key replaces the former.  ``joined`` is a second such
+    cache, bounded at ``joined``, for the arrays joined from these entries:
+    the rows' weight matrices M, each paired with its filled-row flags, and
+    the tables' grid totals.  So a fresh cache starts without either."""
 
-    def __init__(self, limit: int):
+    def __init__(self, limit: int, joined: int = JOINED_CACHE_BYTES):
         self.limit = limit
         self.nbytes = 0
         self._rows: dict = {}
+        self.joined = _RowCache(joined, 0) if joined else None
 
     def get(self, key):
         return self._rows.get(key)
@@ -291,6 +312,8 @@ class _RowCache:
     def put(self, key, row) -> None:
         if row[1].nbytes > self.limit:
             return
+        if key in self._rows:
+            self.nbytes -= self._rows.pop(key)[1].nbytes
         self._rows[key] = row
         self.nbytes += row[1].nbytes
         while self.nbytes > self.limit:
@@ -351,6 +374,64 @@ def _grid_table(window: NeedletWindow, j: int, row: tuple[int, np.ndarray], alph
     return sums
 
 
+def _totals(window: NeedletWindow, top: int, alphas: np.ndarray) -> np.ndarray:
+    """T[:, j - 1]: level j's whole-row grid total, ``_grid_table``'s last
+    column, for the levels j = 1..top at least; 0 for a level whose support
+    holds no multipole.  Kept by (window, grid) in ``_TABLES.joined``; a basis
+    that reaches a level past it puts a wider one in its place."""
+    key = (window, alphas[0], alphas[-1], len(alphas))
+    kept = _TABLES.joined.get(key)
+    if kept is not None and kept[1].shape[1] >= top:
+        return kept[1]
+    totals = np.zeros((len(alphas), top))
+    for j in range(1, top + 1):
+        row = _level_row(window, j, window.support(j)[1])
+        if len(row[1]):
+            totals[:, j - 1] = _grid_table(window, j, row, alphas)[:, -1]
+    totals.flags.writeable = False
+    _TABLES.joined.put(key, (1, totals))
+    return totals
+
+
+_LOG_L = np.log(np.arange(1, DEFAULT_LMAX_CAP + 1, dtype=float))  # log l, l = 1..cap
+_LOG_L.flags.writeable = False
+
+
+def _weights(window: NeedletWindow, j_range: JRange) -> np.ndarray | None:
+    """M for (window, j_range.c_b): row j - 1 holds level j's
+    window_sq(l/B^j)(2l+1)/N_j on l = 1..``DEFAULT_LMAX_CAP``, zero outside
+    ``support(j)``, for the levels j = 1, 2, ... that are ``resolved`` at
+    that cap.  Read-only, kept by (window, c_b) in ``_ROWS.joined`` as
+    (filled, M): a row's support is written, from the cached row, when a
+    basis first reaches its level, and ``filled`` marks it.  So a window's
+    first fit pays for the levels it reads only, and nothing else is written.
+    None when those levels' M is past that cache's bound (B near 1)."""
+    key = (window, j_range.c_b)
+    kept = _ROWS.joined.get(key)
+    if kept is None:
+        cap, limit = DEFAULT_LMAX_CAP, _ROWS.joined.limit
+        top = 0
+        while (top + 1) * cap * 8 <= limit and window.resolved(top + 1, cap):
+            top += 1
+        if top == 0 or window.resolved(top + 1, cap):
+            return None
+        # zeros: pages no row is written to stay unmapped where the allocator gives fresh ones
+        kept = (np.zeros(top, dtype=bool), np.zeros((top, cap)))
+        kept[1].flags.writeable = False
+        _ROWS.joined.put(key, kept)
+    filled, m = kept
+    if not filled[j_range.j0 - 1 : j_range.jL].all():
+        m.flags.writeable = True  # only rows that no basis views yet are written
+        for j in j_range.levels():
+            if not filled[j - 1]:
+                le = window.effective_lmax(j, DEFAULT_LMAX_CAP)
+                first, terms = _level_row(window, j, le)
+                m[j - 1, first - 1 : le] = terms[: le - first + 1] / j_range.n_j(j, window.B)
+                filled[j - 1] = True
+        m.flags.writeable = False
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class LevelBasis:
     """Frequency weights of a level range at band limit l_max, as one matrix.
@@ -364,9 +445,12 @@ class LevelBasis:
 
     so data and model share one truncation.  Building runs ``check_levels``
     first: an unresolved level or an oversized range raises before any
-    allocation.  It then places each level's cached row (see the module
-    docstring) at columns ``window.support(j)``, cut at the truncation point,
-    so a build reuses the window values that earlier builds computed.
+    allocation.  Up to l_max = ``DEFAULT_LMAX_CAP``, ``w`` is then the view
+    M[j0 - 1 : jL, :L] of the window's one weight matrix (``_weights``) and
+    ``log_l`` a slice of one log table, so a build allocates no weights.  Past
+    that cap, or where M is past its bound or j0 < 1, the build places each
+    level's cached row (see the module docstring) at columns
+    ``window.support(j)``, cut at the truncation point, in a matrix of its own.
     """
 
     window: NeedletWindow
@@ -379,15 +463,23 @@ class LevelBasis:
 
     def __post_init__(self):
         check_levels(self.window, self.j_range, self.l_max)
-        window, levels = self.window, self.j_range.levels()
-        cut = [window.effective_lmax(j, self.l_max) for j in levels]
-        n = np.array([self.j_range.n_j(j, window.B) for j in levels])
-        w = np.zeros((len(levels), max(cut)))
-        for i, (j, le) in enumerate(zip(levels, cut)):
-            first, terms = _level_row(window, j, le)
-            w[i, first - 1 : le] = terms[: le - first + 1] / n[i]
-        l = np.arange(1, max(cut) + 1, dtype=float)
-        for name, arr in (("w", w), ("log_l", np.log(l)), ("n", n)):
+        window, rng = self.window, self.j_range
+        levels = rng.levels()
+        n = np.array([rng.n_j(j, window.B) for j in levels])
+        m = _weights(window, rng) if rng.j0 >= 1 and self.l_max <= DEFAULT_LMAX_CAP else None
+        if m is not None:
+            # supports end later at higher levels, so level jL's truncation is L;
+            # check_levels found jL resolved at l_max, so M holds it
+            size = window.effective_lmax(rng.jL, self.l_max)
+            w, log_l = m[rng.j0 - 1 : rng.jL, :size], _LOG_L[:size]
+        else:
+            cut = [window.effective_lmax(j, self.l_max) for j in levels]
+            w = np.zeros((len(levels), max(cut)))
+            for i, (j, le) in enumerate(zip(levels, cut)):
+                first, terms = _level_row(window, j, le)
+                w[i, first - 1 : le] = terms[: le - first + 1] / n[i]
+            log_l = np.log(np.arange(1, max(cut) + 1, dtype=float))
+        for name, arr in (("w", w), ("log_l", log_l), ("n", n)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "n_sum", float(n.sum()))
@@ -410,15 +502,23 @@ class LevelBasis:
     def k_linspace(self, start: float, stop: float, num: int) -> tuple[np.ndarray, np.ndarray]:
         """K_j at ``np.linspace(start, stop, num)``: (alphas, K), K of shape (num, J).
 
-        Each level reads its cached grid table (``_grid_table``): a level whose
-        support ends by l_max reads the table's total, a level that l_max cuts
-        reads its last whole block and adds its <= ``_GRID_BLOCK`` - 1
+        Each level reads its cached grid table (``_grid_table``): the levels
+        whose supports end by l_max, which come first, read their tables'
+        totals, all at once from ``_totals`` when j0 >= 1; a level that l_max
+        cuts reads its last whole block and adds its <= ``_GRID_BLOCK`` - 1
         leftover multipoles.  Every power is exp(-alpha log l), as in ``k``,
         so only the order of the sums differs from ``k`` (~1e-15 relative).
         """
         alphas = np.linspace(start, stop, num)
         out = np.empty((num, len(self.n)))
-        for i, j in enumerate(self.j_range.levels()):
+        levels = self.j_range.levels()
+        uncut = len(levels) if levels[0] >= 1 else 0
+        while uncut and self.window.support(levels[uncut - 1])[1] > self.l_max:
+            uncut -= 1
+        if uncut:
+            totals = _totals(self.window, levels[uncut - 1], alphas)
+            out[:, :uncut] = totals[:, levels[0] - 1 : levels[uncut - 1]]
+        for i, j in enumerate(levels[uncut:], uncut):
             le = self.window.effective_lmax(j, self.l_max)
             first, terms = row = _level_row(self.window, j, le)
             table = _grid_table(self.window, j, row, alphas)

@@ -73,6 +73,10 @@ _SEED_BLOCK = 32
 # one matmul
 _DEGREE_BLOCK = 8
 
+# bytes of Legendre recurrence coefficients kept across fields: a level-6
+# field at p = 2, B = 2 (L = 324, 41 blocks) reads ~860 KB of them
+LEGENDRE_CACHE_BYTES = 2**20
+
 # ring neighbours in each run of nodes a correlation samples from a grid with
 # more nodes than it may take: a run's pairs fill the nearest distance bins
 _NODE_RUN = 4
@@ -151,7 +155,9 @@ class _Legendre:
     column followed by a contiguous product with a tile of x or with row
     l - 2.  Its two diagonal entries m = l - 1, l are the pair
     (sqrt(2l + 1) x, -sqrt((2l + 1) / 2l) sin theta) times P[l-1, l-1].  The
-    coefficients are computed for ``_DEGREE_BLOCK`` degrees at a time."""
+    coefficients are computed for ``_DEGREE_BLOCK`` degrees at a time
+    (``_coefficients``) and depend on the block's degrees only, so they are
+    kept across fields."""
 
     P00 = 1.0 / math.sqrt(4.0 * math.pi)  # row 0, which seeds the recurrence
 
@@ -160,29 +166,14 @@ class _Legendre:
         self._x = np.tile(x, (max(l_max - 1, 0), 1))
         self._tmp = np.empty_like(self._x)
         self._cos_sin = np.stack((x, np.sqrt(np.clip(1.0 - x * x, 0.0, None))))
-        self._m_sq = np.arange(max(l_max - 1, 0), dtype=float) ** 2
         self._first = self._stop = 1
-
-    def _coefficients(self, first: int) -> None:
-        """a_lm, b_lm and the diagonal pair of the degrees first.. of one block."""
-        self._first, self._stop = first, min(first + _DEGREE_BLOCK, self.l_max + 1)
-        l = np.arange(first, self._stop, dtype=float)[:, None]
-        # a = sqrt((4l^2 - 1) / (l^2 - m^2)) and
-        # b = sqrt((2l + 1)((l - 1)^2 - m^2) / ((2l - 3)(l^2 - m^2))), whose
-        # numerators and denominators are exact integers in double; the
-        # entries past a row's m = l - 2 are never read
-        sq = self._m_sq[: max(self._stop - 2, 0)]
-        d = l * l - sq
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self._a = np.sqrt((4.0 * l * l - 1.0) / d)
-            self._b = np.sqrt((2.0 * l + 1.0) * ((l - 1.0) ** 2 - sq) / ((2.0 * l - 3.0) * d))
-        self._diag = np.hstack((np.sqrt(2.0 * l + 1.0), -np.sqrt((2.0 * l + 1.0) / (2.0 * l))))
 
     def step(self, l: int, row: np.ndarray, prev: np.ndarray, prev2: np.ndarray) -> None:
         """Write row l into ``row`` (l + 1, n) from ``prev`` = row l - 1 and
         ``prev2`` = row l - 2 (read only for l >= 2)."""
         if l >= self._stop:
-            self._coefficients(l)
+            self._first, self._stop = l, min(l + _DEGREE_BLOCK, self.l_max + 1)
+            self._a, self._b, self._diag = _coefficients(self._first, self._stop)
         i, n = l - self._first, l - 1
         if n:
             head, tmp = row[:n], self._tmp[:n]
@@ -195,6 +186,39 @@ class _Legendre:
         pair = row[n:]
         np.multiply(self._diag[i, :, None], self._cos_sin, out=pair)
         pair *= prev[n]
+
+
+_COEFFICIENTS: dict = {}  # (first, stop) -> (a, b, diag) of one degree block
+_coefficient_bytes = 0
+
+
+def _coefficients(first: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a_lm, b_lm and the diagonal pair of the degrees first..stop - 1,
+    read-only.  Kept by (first, stop) while the kept blocks' bytes stay
+    within ``LEGENDRE_CACHE_BYTES``; a block past that is computed anew."""
+    global _coefficient_bytes
+    kept = _COEFFICIENTS.get((first, stop))
+    if kept is not None:
+        return kept
+    l = np.arange(first, stop, dtype=float)[:, None]
+    # a = sqrt((4l^2 - 1) / (l^2 - m^2)) and
+    # b = sqrt((2l + 1)((l - 1)^2 - m^2) / ((2l - 3)(l^2 - m^2))), whose
+    # numerators and denominators are exact integers in double; the
+    # entries past a row's m = l - 2 are never read
+    sq = np.arange(max(stop - 2, 0), dtype=float) ** 2
+    d = l * l - sq
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.sqrt((4.0 * l * l - 1.0) / d)
+        b = np.sqrt((2.0 * l + 1.0) * ((l - 1.0) ** 2 - sq) / ((2.0 * l - 3.0) * d))
+    diag = np.hstack((np.sqrt(2.0 * l + 1.0), -np.sqrt((2.0 * l + 1.0) / (2.0 * l))))
+    block = (a, b, diag)
+    for c in block:
+        c.flags.writeable = False
+    size = sum(c.nbytes for c in block)
+    if _coefficient_bytes + size <= LEGENDRE_CACHE_BYTES:
+        _COEFFICIENTS[first, stop] = block
+        _coefficient_bytes += size
+    return block
 
 
 def legendre_table(l_max: int, cos_theta: np.ndarray) -> np.ndarray:

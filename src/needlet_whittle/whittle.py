@@ -109,11 +109,13 @@ def _derivs(stats: NeedletStatistics, alpha: float) -> tuple[float, float, float
     k0, k1, k2 = stats.basis.k_derivs(alpha)
     n, sn, lam = stats.basis.n, stats.basis.n_sum, stats.lam
     terms = np.empty((5, len(n)))
+    # each shared factor is formed once, by the same operation as when it was formed twice
+    k0_sq, k1_sq, k2_k0 = k0**2, k1**2, k2 * k0
     np.divide(lam, k0, out=terms[0])
-    terms[1] = lam * k1 / k0**2
-    terms[2] = lam * (2.0 * k1**2 - k2 * k0) / k0**3
+    terms[1] = lam * k1 / k0_sq
+    terms[2] = lam * (2.0 * k1_sq - k2_k0) / k0**3
     terms[3] = n * k1 / k0
-    terms[4] = n * (k2 * k0 - k1**2) / k0**2
+    terms[4] = n * (k2_k0 - k1_sq) / k0_sq
     lam_k, s1, s2, s3, s4 = np.add.reduce(terms, axis=1)
     value, phi = _profile(stats, k0, lam_k)
     dphi = -s1 / sn

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 import time
 import tracemalloc
@@ -22,7 +24,7 @@ from needlet_whittle import (
     select_j_range,
     window_sq,
 )
-from needlet_whittle import needlet
+from needlet_whittle import needlet, whittle
 from needlet_whittle.asymptotics import i_ps, sigma0_sq, tau_b
 from needlet_whittle.needlet import LevelBasis, _bump_cdf, check_levels, narrow_band_j1
 
@@ -111,18 +113,18 @@ class TestKj:
         with pytest.raises(TruncationError):
             k_j(MEX, 10, 3.0, 1024)  # peak at sqrt(2) * 1024 > 1024
 
-    def test_tail_check_fires(self):
-        # at j = 9 and l_max = 1024 the dropped gaussian tail is percent-level
+    def test_support_past_lmax_raises_and_basis_truncates(self):
+        # level 9's mexican support ends past l_max 1024, so k_j raises
         with pytest.raises(TruncationError):
             k_j(MEX, 9, 3.0, 1024)
-        # the level basis, unguarded, gives the truncation-consistent estimator value
+        # the level basis gives the value truncated at l_max, as the estimator reads it
         assert _basis(MEX, 9, 1024).k(3.0)[0] > 0
 
     @pytest.mark.parametrize("B", [2.0, 3.0, math.sqrt(2.0), 1.3])
     @pytest.mark.parametrize("l_max", [64, 1000, 1024])
     def test_compact_levels_drop_no_weight(self, B, l_max):
         # every compact level check_levels accepts ends by l_max, so the first
-        # term past l_max is 0 and the tail check passes on every moment
+        # term past l_max is 0 and k_j, k_j_deriv equal the basis's sums
         window = StandardWindow(B=B)
         for j in select_j_range(l_max, window).levels():
             assert window._level_sq(np.array([l_max + 1.0]), j)[0] == 0.0
@@ -478,6 +480,113 @@ class TestLevelRows:
         assert np.array_equal(
             basis.w[0], window.window_sq(l / window.B**j) * (2.0 * l + 1.0) / basis.n[0]
         )
+
+
+def _contiguous(basis):
+    """The basis with a weight matrix and log table of its own, as built before
+    they were views of the window's cached M and log table."""
+    ref = copy.copy(basis)
+    object.__setattr__(ref, "w", _former_list_build(basis.window, basis.j_range, basis.l_max))
+    object.__setattr__(ref, "log_l", np.log(np.arange(1, ref.w.shape[1] + 1, dtype=float)))
+    return ref
+
+
+def _former_k_linspace(basis, start, stop, num):
+    """K on the grid as read before the grid totals: each level from its own
+    table, a level that l_max cuts with its leftover multipoles added."""
+    alphas = np.linspace(start, stop, num)
+    out = np.empty((num, len(basis.n)))
+    for i, j in enumerate(basis.j_range.levels()):
+        le = basis.window.effective_lmax(j, basis.l_max)
+        first, terms = row = needlet._level_row(basis.window, j, le)
+        table = needlet._grid_table(basis.window, j, row, alphas)
+        m = le - first + 1
+        if m == len(terms):
+            out[:, i] = table[:, -1]
+            continue
+        whole = m - m % needlet._GRID_BLOCK
+        x = np.exp(np.multiply.outer(-alphas, basis.log_l[first - 1 + whole : le]))
+        out[:, i] = x @ terms[whole:m]
+        if whole:
+            out[:, i] += table[:, whole // needlet._GRID_BLOCK - 1]
+    out /= basis.n
+    return out
+
+
+# band limits drawn once from a seeded generator over [16, 8192], with both ends
+VIEW_LMAX = sorted({16, 8192, *(int(x) for x in np.random.default_rng(23).integers(16, 8193, 4))})
+VIEW_WINDOWS = [MEX, STD, StandardWindow(B=math.sqrt(2.0)), StandardWindow(B=3.0)]
+
+
+class TestWeightMatrix:
+    """Bases as views of the window's one weight matrix M and of one log table,
+    and grids from the cached totals, against a fresh contiguous build byte for
+    byte.  Both sides are computed on one host, so these hold under numpy's
+    AVX-512 and AVX2 loops alike (CI reruns them with AVX-512 off)."""
+
+    @pytest.mark.parametrize("c_b", [1.0, 2.0])
+    @pytest.mark.parametrize("band", ["full", "narrow"])
+    @pytest.mark.parametrize("l_max", VIEW_LMAX)
+    @pytest.mark.parametrize("window", VIEW_WINDOWS, ids=str)
+    def test_view_basis_matches_contiguous_build(self, window, l_max, band, c_b, canonical_model):
+        full = select_j_range(l_max, window)
+        j0 = full.j0 if band == "full" else max(full.j0, full.jL - 1)
+        basis = LevelBasis(window, JRange(j0=j0, jL=full.jL, c_b=c_b), l_max)
+        assert np.shares_memory(basis.w, needlet._weights(window, basis.j_range))
+        ref = _contiguous(basis)
+        assert basis.w.tobytes() == ref.w.tobytes()
+        assert basis.log_l.tobytes() == ref.log_l.tobytes()
+        spec = chi2_spectrum(canonical_model, l_max, l_max)
+        assert basis.lam(spec.values).tobytes() == ref.lam(spec.values).tobytes()
+        for alpha in (2.2, 3.0, 5.5):
+            assert basis.k(alpha).tobytes() == ref.k(alpha).tobytes()
+            for got, want in zip(basis.k_derivs(alpha), ref.k_derivs(alpha)):
+                assert got.tobytes() == want.tobytes()
+        for grid in ((2.001, 10.0, 64), (-1.5, 4.25, 7)):
+            assert basis.k_linspace(*grid)[1].tobytes() == _former_k_linspace(ref, *grid).tobytes()
+
+    @pytest.mark.parametrize("kind", ["full", "narrow", "plugin"])
+    def test_fit_after_clearing_caches_matches_warm(self, monkeypatch, kind, canonical_model):
+        spec = chi2_spectrum(canonical_model, 3000, 5)
+        fits = {
+            "full": lambda: whittle.fit_full_band(spec, MEX),
+            "narrow": lambda: whittle.fit_narrow_band(spec, MEX, g=0.5),
+            "plugin": lambda: whittle.plug_in(spec, p=2, b_std=2.0, b_mex=2.0),
+        }
+        fits[kind]()
+        warm = pickle.dumps(fits[kind]())  # floats pickle as their 8 bytes
+        for name in ("_ROWS", "_TABLES"):  # with their matrices and grid totals
+            monkeypatch.setattr(needlet, name, needlet._RowCache(needlet.ROW_CACHE_BYTES))
+        assert pickle.dumps(fits[kind]()) == warm
+
+    def test_cache_within_its_byte_bound(self, fresh_tables):
+        # the sweep of the row and table caches' bound tests, for the matrices
+        # M and the grid totals
+        matrices, totals = needlet._ROWS.joined, fresh_tables.joined
+        requested = 0
+        for B in np.linspace(1.5, 3.0, 30):
+            for window in (MexicanWindow(p=2, B=float(B)), StandardWindow(B=float(B))):
+                LevelBasis(window, select_j_range(4096, window), 4096).k_linspace(2.001, 10.0, 64)
+                requested += needlet._ROWS.joined.get((window, 1.0))[1].nbytes
+                for cache in (matrices, totals):
+                    held = sum(array.nbytes for _, array in cache._rows.values())
+                    assert 0 < cache.nbytes == held <= needlet.JOINED_CACHE_BYTES
+        assert requested > 4 * needlet.JOINED_CACHE_BYTES  # the bound did evict matrices
+
+    @pytest.mark.parametrize(
+        "window, j_range, l_max",
+        [
+            (MEX, JRange(j0=15, jL=15), 50_000),  # past the cap: the row is past its bound too
+            (StandardWindow(B=1.1), JRange(j0=14, jL=71), 1024),  # B near 1: M past its bound
+        ],
+        ids=["past-the-cap", "B-near-1"],
+    )
+    def test_request_past_the_bound_keeps_nothing(self, fresh_tables, window, j_range, l_max):
+        basis = LevelBasis(window, j_range, l_max)
+        assert needlet._ROWS.joined.nbytes == 0 and not needlet._ROWS.joined._rows
+        assert basis.w.flags.c_contiguous
+        assert basis.w.tobytes() == _former_list_build(window, j_range, l_max).tobytes()
+        assert basis.log_l.tobytes() == _contiguous(basis).log_l.tobytes()
 
 
 class TestNarrowBandJ1:

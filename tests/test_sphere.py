@@ -112,6 +112,45 @@ class TestLegendre:
             assert np.allclose(table[l, m], want, rtol=1e-10), (l, m)
 
 
+@pytest.fixture
+def fresh_coefficients(monkeypatch):
+    """An empty Legendre coefficient cache, for this test only."""
+    monkeypatch.setattr(sphere, "_COEFFICIENTS", {})
+    monkeypatch.setattr(sphere, "_coefficient_bytes", 0)
+    return sphere._COEFFICIENTS
+
+
+class TestLegendreCoefficients:
+    """Recurrence coefficients kept across fields, against fresh ones byte for
+    byte.  Both sides are computed on one host, so these hold under numpy's
+    AVX-512 and AVX2 loops alike (CI reruns them with AVX-512 off)."""
+
+    def test_field_from_kept_coefficients_matches_fresh(self, monkeypatch, fresh_coefficients, canonical_model):
+        grid = build_grid(5, 2.0)
+        alm = simulate_alm(canonical_model, MexicanWindow(p=2, B=2.0).effective_lmax(5, 4096), 3)
+        field = lambda: synthesize_beta(alm, grid, p=2, B=2.0).values.tobytes()
+        with monkeypatch.context() as m:
+            m.setattr(sphere, "LEGENDRE_CACHE_BYTES", 0)
+            fresh = field()
+        assert not fresh_coefficients  # nothing kept at a zero bound
+        assert field() == fresh
+        assert fresh_coefficients  # the field kept its blocks
+        assert field() == fresh
+
+    def test_cache_within_its_byte_bound(self, fresh_coefficients):
+        # level 7's L = 647 needs 81 blocks, ~3.4 MB: the first ones are kept,
+        # the rest computed anew, and the table is the same either way
+        x = np.cos(np.linspace(0.1, 3.0, 3))
+        cold = legendre_table(647, x)
+        held = sum(c.nbytes for block in fresh_coefficients.values() for c in block)
+        assert 0 < held == sphere._coefficient_bytes <= sphere.LEGENDRE_CACHE_BYTES
+        assert len(fresh_coefficients) < -(-647 // sphere._DEGREE_BLOCK)
+        for block in fresh_coefficients.values():
+            with pytest.raises(ValueError):
+                block[0][0, 0] = 1.0
+        assert legendre_table(647, x).tobytes() == cold.tobytes()
+
+
 class TestSynthesizeBeta:
     def test_zero_coefficients(self):
         grid = build_grid(3, 2.0)
