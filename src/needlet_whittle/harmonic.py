@@ -302,7 +302,7 @@ class _Streams:
         m >= 1 pairs take the sqrt(C_l / 2) scale."""
         self._words["state"], self._words["inc"] = state, inc
         self._bitgen.state = self._state
-        self._normal(2 * l + 1, out=pairs[1:])
+        self._normal(out=pairs[1:])  # its size is that of out: 2l + 1
         pairs[0] = math.sqrt(c) * pairs[1]
         pairs[1] = 0.0
         pairs[2:] *= math.sqrt(c / 2.0)

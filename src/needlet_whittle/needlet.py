@@ -42,9 +42,15 @@ cuts reads its last whole block and adds its few leftover multipoles.  The
 totals of levels 1, 2, ... are also kept as one (num x levels) array per
 (window, grid), beside the tables, so the levels that l_max does not cut, all
 but the top one or two mexican levels and every compact one, are one slice.
+The grid itself, ``np.linspace(start, stop, num)``, is formed once per search
+range (``alpha_grid``), and a level range's counts N_j and their sum once per
+(j_range, B); both caches are small and bounded.
 
 On top of the windows: ``check_levels``, the one check that a level range is
-usable at l_max, by each window's ``resolved`` rule for both ends of the band;
+usable at l_max, by each window's ``resolved`` rule for both ends of the band
+1..l_max.  Either window's resolved levels form one interval, so the check reads
+``resolved`` at the range ends j0 and jL and walks the levels only to name the
+first that fails; the compact window's ``empty`` is read at every level.
 ``LevelBasis``, the weights of a level range as one matrix, from which the
 normalized spectral moments K_j, their alpha-derivatives and the level energy
 statistic ``lambda_hat`` are products; and ``select_j_range``.  The single-level
@@ -89,6 +95,7 @@ ROW_CACHE_BYTES = 2**20
 # per cache, the arrays joined from its entries: there they leave two weight
 # matrices M in 1.57 MB and two grid totals in 11 KB
 JOINED_CACHE_BYTES = 2**21
+COUNT_CACHE_BYTES = 2**16  # the level counts N_j of the level ranges fitted last
 
 
 @lru_cache(maxsize=None)
@@ -274,28 +281,39 @@ def check_levels(window: NeedletWindow, j_range: JRange, l_max: int) -> None:
     weight matrix, at most (jL - j0 + 1) x l_max, fits ``BASIS_CAP`` before
     anything is allocated (``ResourceLimitError``), and every level is
     ``window.resolved`` at l_max and, for the compact window, not ``empty``
-    (``TruncationError``)."""
-    size = (j_range.jL - j_range.j0 + 1) * l_max
+    (``TruncationError``, naming the first level that fails).  A window's
+    resolved levels form one interval, so ``resolved`` is read at j0 and jL
+    only; the compact window's ``empty`` is read at every level."""
+    j0, jL = j_range.j0, j_range.jL
+    size = (jL - j0 + 1) * l_max
     if size > BASIS_CAP:
-        raise ResourceLimitError(
-            f"levels [{j_range.j0}, {j_range.jL}] x l_max={l_max}: {size} weights > cap {BASIS_CAP}"
-        )
-    for j in range(j_range.j0, j_range.jL + 1):
-        try:
-            resolved = window.resolved(j, l_max)
-        except OverflowError:  # B^j past the float range lies above any band
-            resolved = False
-        if not resolved:
+        raise ResourceLimitError(f"levels [{j0}, {jL}] x l_max={l_max}: {size} weights > cap {BASIS_CAP}")
+    # a window's resolved levels form one interval, so the range ends decide
+    # it; the walk reads resolved level by level only to name a failing one
+    ends = _resolved(window, j0, l_max) and _resolved(window, jL, l_max)
+    compact = isinstance(window, StandardWindow)
+    if ends and not compact:
+        return
+    for j in range(j0, jL + 1):
+        if not (ends or _resolved(window, j, l_max)):
             raise TruncationError(f"level j={j} of {window} is outside the band 1..l_max={l_max}")
-        if isinstance(window, StandardWindow) and window.empty(j, l_max):
+        if compact and window.empty(j, l_max):
             raise TruncationError(f"level j={j} of {window} has no multipole of nonzero weight")
+
+
+def _resolved(window: NeedletWindow, j: int, l_max: int) -> bool:
+    try:
+        return window.resolved(j, l_max)
+    except OverflowError:  # B^j past the float range lies above any band
+        return False
 
 
 class _RowCache:
     """(first, array) pairs by key: level rows by (window, j), grid tables by
-    (window, j, start, stop, num).  The oldest go first once the arrays'
-    bytes pass ``limit``; an array past ``limit`` alone is not kept, and one
-    put again under its key replaces the former.  ``joined`` is a second such
+    (window, j, start, stop, num); also (sum, array) pairs, level counts N_j
+    by (j_range, B).  The oldest go first once the arrays' bytes pass
+    ``limit``; an array past ``limit`` alone is not kept, and one put again
+    under its key replaces the former.  ``joined`` is a second such
     cache, bounded at ``joined``, for the arrays joined from these entries:
     the rows' weight matrices M, each paired with its filled-row flags, and
     the tables' grid totals.  So a fresh cache starts without either."""
@@ -322,6 +340,20 @@ class _RowCache:
 
 _ROWS = _RowCache(ROW_CACHE_BYTES)
 _TABLES = _RowCache(ROW_CACHE_BYTES)
+_COUNTS = _RowCache(COUNT_CACHE_BYTES, 0)
+
+
+def _level_counts(j_range: JRange, B: float) -> tuple[float, np.ndarray]:
+    """(sum_j N_j, N_j per level of ``j_range``), the array read-only, kept by
+    (j_range, B) in ``_COUNTS``."""
+    key = (j_range, B)
+    kept = _COUNTS.get(key)
+    if kept is None:
+        n = np.array([j_range.n_j(j, B) for j in j_range.levels()])
+        n.flags.writeable = False
+        kept = (float(n.sum()), n)
+        _COUNTS.put(key, kept)
+    return kept
 
 
 def _level_row(window: NeedletWindow, j: int, le: int) -> tuple[int, np.ndarray]:
@@ -344,6 +376,16 @@ def _level_row(window: NeedletWindow, j: int, le: int) -> tuple[int, np.ndarray]
 
 
 _GRID_BLOCK = 64  # multipoles per block of a grid table
+ALPHA_GRIDS = 16  # search ranges whose alpha grids are kept
+
+
+@lru_cache(maxsize=ALPHA_GRIDS)
+def alpha_grid(start: float, stop: float, num: int) -> tuple[np.ndarray, tuple[float, ...]]:
+    """``np.linspace(start, stop, num)``, read-only, and its values as floats:
+    one grid per search range, which the fit's trace and ``k_linspace`` read."""
+    alphas = np.linspace(start, stop, num)
+    alphas.flags.writeable = False
+    return alphas, tuple(alphas.tolist())
 
 
 def _grid_table(window: NeedletWindow, j: int, row: tuple[int, np.ndarray], alphas: np.ndarray) -> np.ndarray:
@@ -445,7 +487,8 @@ class LevelBasis:
 
     so data and model share one truncation.  Building runs ``check_levels``
     first: an unresolved level or an oversized range raises before any
-    allocation.  Up to l_max = ``DEFAULT_LMAX_CAP``, ``w`` is then the view
+    allocation; N_j and their sum come from ``_level_counts``.  Up to l_max =
+    ``DEFAULT_LMAX_CAP``, ``w`` is then the view
     M[j0 - 1 : jL, :L] of the window's one weight matrix (``_weights``) and
     ``log_l`` a slice of one log table, so a build allocates no weights.  Past
     that cap, or where M is past its bound or j0 < 1, the build places each
@@ -465,7 +508,7 @@ class LevelBasis:
         check_levels(self.window, self.j_range, self.l_max)
         window, rng = self.window, self.j_range
         levels = rng.levels()
-        n = np.array([rng.n_j(j, window.B) for j in levels])
+        n_sum, n = _level_counts(rng, window.B)
         m = _weights(window, rng) if rng.j0 >= 1 and self.l_max <= DEFAULT_LMAX_CAP else None
         if m is not None:
             # supports end later at higher levels, so level jL's truncation is L;
@@ -482,7 +525,7 @@ class LevelBasis:
         for name, arr in (("w", w), ("log_l", log_l), ("n", n)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "n_sum", float(n.sum()))
+        object.__setattr__(self, "n_sum", n_sum)
 
     def lam(self, values: np.ndarray) -> np.ndarray:
         """lambda-hat per level from c-hat values indexed by l (index 0 unused)."""
@@ -500,7 +543,8 @@ class LevelBasis:
         return self.w @ x, -(self.w @ xl), self.w @ (xl * self.log_l)
 
     def k_linspace(self, start: float, stop: float, num: int) -> tuple[np.ndarray, np.ndarray]:
-        """K_j at ``np.linspace(start, stop, num)``: (alphas, K), K of shape (num, J).
+        """K_j at ``np.linspace(start, stop, num)``: (alphas, K), K of shape
+        (num, J), alphas the read-only grid of ``alpha_grid``.
 
         Each level reads its cached grid table (``_grid_table``): the levels
         whose supports end by l_max, which come first, read their tables'
@@ -509,7 +553,7 @@ class LevelBasis:
         leftover multipoles.  Every power is exp(-alpha log l), as in ``k``,
         so only the order of the sums differs from ``k`` (~1e-15 relative).
         """
-        alphas = np.linspace(start, stop, num)
+        alphas = alpha_grid(start, stop, num)[0]
         out = np.empty((num, len(self.n)))
         levels = self.j_range.levels()
         uncut = len(levels) if levels[0] >= 1 else 0

@@ -15,9 +15,13 @@ bracket, or a hessian <= 0, falls back to bisection.
 ``_profile`` is the one expression of G-hat and the contrast, for model
 moments K of any leading shape: the grid passes all its rows at once, and
 ``_derivs`` passes one and adds the score and hessian from the same K_j',
-K_j'' pass, forming its five level sums in one reduction.  A fit records
-G-hat, score and hessian from one ``_derivs`` call at alpha-hat.  The
-rows-CSV form of a fit belongs to ``harness.ReplicationRow``.
+K_j'' pass, forming its five level sums in one reduction.  What follows that
+reduction, in ``_profile`` too, is arithmetic on Python floats: the IEEE
+operations of numpy scalars in the same order, without their call overhead.
+The grid's alphas and the trace read one grid per search range
+(``needlet.alpha_grid``), so the bracket and every Newton step are floats.
+A fit records G-hat, score and hessian from one ``_derivs`` call at
+alpha-hat.  The rows-CSV form of a fit belongs to ``harness.ReplicationRow``.
 
 ``level_range`` is the one rule that turns a band request (band, j0, jl, g)
 into a level range; ``estimate`` and the Monte Carlo configs both fit through
@@ -47,6 +51,7 @@ from .needlet import (
     NeedletStatistics,
     NeedletWindow,
     StandardWindow,
+    alpha_grid,
     check_levels,
     compute_statistics,
     narrow_band_j1,
@@ -93,19 +98,21 @@ class SearchSettings:
             raise ConfigError(f"search tolerance must be finite and positive, got {self.tol}")
 
 
-def _profile(stats: NeedletStatistics, k: np.ndarray, lam_k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _profile(stats: NeedletStatistics, k: np.ndarray, lam_k: float | np.ndarray):
     """(contrast, G-hat), one pair per leading index of model moments K (..., J),
-    from K and the level sums ``lam_k`` = sum_j lambda_j / K_j."""
+    from K and the level sums ``lam_k`` = sum_j lambda_j / K_j: a float from a
+    Newton step, with K of shape (J,), or an array from the grid."""
     n, sn = stats.basis.n, stats.basis.n_sum
     g = lam_k / sn
-    if not (g > 0).all():
+    if not ((g > 0).all() if isinstance(g, np.ndarray) else g > 0):
         raise DegenerateDataError("profiled amplitude is not positive")
     return np.log(g) + np.log(k) @ n / sn, g
 
 
 def _derivs(stats: NeedletStatistics, alpha: float) -> tuple[float, float, float, float]:
     """Contrast, score, hessian and profiled amplitude G-hat at alpha, from one
-    K_j, K_j', K_j'' evaluation; the five level sums are one reduction."""
+    K_j, K_j', K_j'' evaluation; the five level sums are one reduction, and
+    what follows it is arithmetic on Python floats."""
     k0, k1, k2 = stats.basis.k_derivs(alpha)
     n, sn, lam = stats.basis.n, stats.basis.n_sum, stats.lam
     terms = np.empty((5, len(n)))
@@ -116,13 +123,13 @@ def _derivs(stats: NeedletStatistics, alpha: float) -> tuple[float, float, float
     terms[2] = lam * (2.0 * k1_sq - k2_k0) / k0**3
     terms[3] = n * k1 / k0
     terms[4] = n * (k2_k0 - k1_sq) / k0_sq
-    lam_k, s1, s2, s3, s4 = np.add.reduce(terms, axis=1)
+    lam_k, s1, s2, s3, s4 = np.add.reduce(terms, axis=1).tolist()
     value, phi = _profile(stats, k0, lam_k)
     dphi = -s1 / sn
     d2phi = s2 / sn
     grad = dphi / phi + s3 / sn
     curv = (d2phi * phi - dphi * dphi) / phi**2 + s4 / sn
-    return float(value), float(grad), float(curv), float(phi)
+    return float(value), grad, curv, phi
 
 
 def profile_g_hat(stats: NeedletStatistics, alpha: float) -> float:
@@ -193,9 +200,10 @@ class WhittleFit:
 def _fit(stats: NeedletStatistics, search: SearchSettings, band: str) -> WhittleFit:
     _check_two_levels(stats.j_range, band)
     # the grid stays vectorised: one k_linspace pass, not GRID_POINTS evaluations
-    grid, k = stats.basis.k_linspace(search.alpha_min, search.alpha_max, GRID_POINTS)
+    _, k = stats.basis.k_linspace(search.alpha_min, search.alpha_max, GRID_POINTS)
+    grid = alpha_grid(search.alpha_min, search.alpha_max, GRID_POINTS)[1]
     vals, _ = _profile(stats, k, (stats.lam / k).sum(axis=-1))
-    trace: list[tuple[float, float]] = list(zip(grid.tolist(), vals.tolist()))
+    trace: list[tuple[float, float]] = list(zip(grid, vals.tolist()))
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]

@@ -840,6 +840,103 @@ class TestCheckLevels:
         assert peak < 1_000_000
 
 
+def reference_check_levels(window, j_range, l_max):
+    """``check_levels`` as a walk over every level of the range, ``resolved``
+    then, for the compact window, ``empty``: the form the range-end test of
+    ``resolved`` replaced."""
+    size = (j_range.jL - j_range.j0 + 1) * l_max
+    if size > needlet.BASIS_CAP:
+        raise ResourceLimitError(
+            f"levels [{j_range.j0}, {j_range.jL}] x l_max={l_max}: {size} weights > cap {needlet.BASIS_CAP}"
+        )
+    for j in range(j_range.j0, j_range.jL + 1):
+        try:
+            resolved = window.resolved(j, l_max)
+        except OverflowError:
+            resolved = False
+        if not resolved:
+            raise TruncationError(f"level j={j} of {window} is outside the band 1..l_max={l_max}")
+        if isinstance(window, StandardWindow) and window.empty(j, l_max):
+            raise TruncationError(f"level j={j} of {window} has no multipole of nonzero weight")
+
+
+def _check_outcome(check, window, j_range, l_max):
+    """None when the range passes, else the exception's type and message."""
+    try:
+        check(window, j_range, l_max)
+    except (ResourceLimitError, TruncationError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+CHECK_WINDOWS = [
+    *(MexicanWindow(p=p, B=B) for p in (1, 2, 4) for B in (1.05, math.sqrt(2.0), 2.0, 3.0)),
+    *(StandardWindow(B=B) for B in (1.05, 1.5, 2.0, 3.0)),
+]
+
+
+class TestCheckLevelsAtRangeEnds:
+    @pytest.mark.parametrize("l_max", [4, 64, 1023, 8192, 50_000])
+    @pytest.mark.parametrize("window", CHECK_WINDOWS, ids=str)
+    def test_matches_reference_walk(self, window, l_max):
+        # range ends below, inside and above the resolved interval, single
+        # levels, j <= 0, a level past the float range (2^1100 overflows) and
+        # a range past BASIS_CAP
+        resolved = [j for j in range(-3, 400) if window.resolved(j, l_max)]
+        top = resolved[-1] if resolved else 1
+        ends = sorted({-2, 0, 1, 2, top // 2, top - 1, top, top + 1, 1100})
+        ranges = [JRange(j0=a, jL=b) for a in ends for b in ends if a <= b]
+        ranges.append(JRange(j0=1, jL=needlet.BASIS_CAP // l_max + 1))  # past BASIS_CAP
+        failing = 0
+        for j_range in ranges:
+            want = _check_outcome(reference_check_levels, window, j_range, l_max)
+            assert _check_outcome(check_levels, window, j_range, l_max) == want, j_range
+            failing += want is not None
+        assert 0 < failing < len(ranges)
+
+    def test_resolved_levels_are_one_interval(self):
+        # the range-end rule reads resolved at j0 and jL only
+        for window in CHECK_WINDOWS:
+            for l_max in (4, 64, 1023, 8192, 50_000):
+                resolved = [j for j in range(-40, 400) if window.resolved(j, l_max)]
+                assert resolved == list(range(resolved[0], resolved[-1] + 1)), (window, l_max)
+
+
+class TestLevelCounts:
+    def test_counts_kept_read_only(self):
+        for c_b in (1.0, 2.0):
+            j_range = JRange(j0=2, jL=9, c_b=c_b)
+            basis = LevelBasis(MEX, j_range, 1024)
+            want = np.array([j_range.n_j(j, MEX.B) for j in j_range.levels()])
+            assert basis.n.tobytes() == want.tobytes()
+            assert basis.n_sum == float(want.sum())
+            assert LevelBasis(MEX, j_range, 8192).n is basis.n
+            with pytest.raises(ValueError):
+                basis.n[0] = 1.0
+
+    def test_cache_within_its_byte_bound(self):
+        for jL in range(2, 400):  # ~640 KB of counts in all
+            needlet._level_counts(JRange(j0=1, jL=jL), 1.05)
+            held = sum(n.nbytes for _, n in needlet._COUNTS._rows.values())
+            assert 0 < needlet._COUNTS.nbytes == held <= needlet.COUNT_CACHE_BYTES
+
+
+class TestAlphaGrid:
+    @pytest.mark.parametrize("grid", [(2.001, 10.0, 64), (-1.5, 4.25, 7), (3.0, 3.5, 1)])
+    def test_equals_linspace(self, grid):
+        alphas, values = needlet.alpha_grid(*grid)
+        assert alphas.tobytes() == np.linspace(*grid).tobytes()
+        assert values == tuple(np.linspace(*grid).tolist())
+        assert needlet.alpha_grid(*grid)[0] is alphas
+        with pytest.raises(ValueError):
+            alphas[0] = 0.0
+
+    def test_within_its_bound(self):
+        for stop in np.linspace(4.0, 12.0, 3 * needlet.ALPHA_GRIDS).tolist():
+            needlet.alpha_grid(2.001, stop, 64)
+            assert needlet.alpha_grid.cache_info().currsize <= needlet.ALPHA_GRIDS
+
+
 class TestComputeStatistics:
     def test_single_level(self, canonical_model):
         spec = noise_free_spectrum(canonical_model, 256)

@@ -483,3 +483,15 @@ def test_one_reduction_keeps_the_derivatives(window, l_max, canonical_model):
     stats = compute_statistics(spec, window, select_j_range(l_max, window))
     for alpha in np.linspace(2.001, 10.0, 17):
         assert whittle._derivs(stats, alpha) == reference_derivs(stats, alpha)
+
+
+@pytest.mark.parametrize("band", ["full", "narrow"])
+def test_newton_steps_on_floats(band, canonical_model):
+    # the level sums leave numpy once per step: every number a step forms,
+    # and so every fitted number and trace entry, is a Python float
+    spec = chi2_spectrum(canonical_model, 1024, 5)
+    stats = compute_statistics(spec, MEX, select_j_range(1024, MEX))
+    assert all(type(x) is float for x in whittle._derivs(stats, 3.0))
+    fit = fit_full_band(spec, MEX) if band == "full" else fit_narrow_band(spec, MEX, g=0.5)
+    assert all(type(x) is float for x in (fit.alpha_hat, fit.g_hat, fit.score_at_hat, fit.hessian_at_hat))
+    assert all(type(a) is float and type(v) is float for a, v in fit.contrast_trace)
