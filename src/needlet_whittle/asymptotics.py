@@ -25,6 +25,7 @@ from .errors import DomainError, TableLookupError
 TAIL_TOL = 1e-12  # largest dropped tail a truncated sum accepts, relative to the sum
 
 __all__ = [
+    "check_alpha0",
     "check_B",
     "check_kappa",
     "digamma",
@@ -127,6 +128,12 @@ def check_B(B: float) -> None:
     """The one rule for a needlet base: finite and above 1 (``DomainError``)."""
     if not 1 < B < math.inf:  # a chained comparison: nan fails it
         raise DomainError(f"B must be finite and exceed 1, got {B}")
+
+
+def check_alpha0(alpha0: float) -> None:
+    """The one rule for the decay exponent alpha0 of C_l: finite and above 2 (``DomainError``)."""
+    if not 2 < alpha0 < math.inf:
+        raise DomainError(f"alpha0 must be finite and exceed 2, got {alpha0}")
 
 
 def check_kappa(kappa: float) -> None:
@@ -509,9 +516,10 @@ def constants(p: int, B: float, alpha0: float, kappa: float = 0.0) -> Asymptotic
     score-variance assembly collapses the determinant combination to the S0
     constant, so ``tau_tilde == tau_tilde_0`` and
     sigma1_sq = sigma0_sq (1 + tau_tilde) feeds varsigma0_sq directly.
-    A bad kappa (``check_kappa``) or B, or a constant past the double range,
-    raises ``DomainError``.
+    A bad alpha0 (``check_alpha0``), kappa (``check_kappa``) or B, or a
+    constant past the double range, raises ``DomainError``.
     """
+    check_alpha0(alpha0)
     check_kappa(kappa)
     try:
         lsc = level_sum_constants(p, B, alpha0)

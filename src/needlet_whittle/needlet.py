@@ -20,31 +20,31 @@ min(l_max, last), and ``resolved(j, l_max)``, whether it fits the band
 (mexican), 1 <= last <= l_max (compact).
 
 A level's row of weights window_sq(l/B^j)(2l+1) over its support depends on
-(window, j) only; l_max merely truncates it.  So each row is computed once and
-kept, read-only, in a per-process row cache bounded at ``ROW_CACHE_BYTES``
-that evicts the oldest rows first; a row larger than that bound is computed
-only up to the truncation a basis asks for, and not kept.  Up to the band
-limit cap C = ``harmonic.DEFAULT_LMAX_CAP``, the rows divided by N_j are also
-laid out once per (window, c_b) as one read-only matrix M, row j - 1 for level
-j on l = 1..C, filled when a basis first reaches level j and kept beside the
-rows under ``JOINED_CACHE_BYTES``.  With one table of log l on l = 1..C, a
-basis at l_max <= C is then the view M[j0 - 1 : jL, :L] and a slice of that
-table, not a matrix of its own.  A request past C, or a window whose M is
-past the bound (B near 1), builds its own matrix from the rows as before and
-keeps nothing more.
+(window, j) only; l_max merely truncates it, so each row is computed once and
+kept.  Up to the band limit cap C = ``harmonic.DEFAULT_LMAX_CAP``, the rows
+divided by N_j are also laid out once per (window, c_b) as one matrix M, row
+j - 1 for level j on l = 1..C, filled when a basis first reaches level j.
+With one table of log l on l = 1..C, a basis at l_max <= C is the view
+M[j0 - 1 : jL, :L] and a slice of that table.  A request past C, or a window
+whose M is too large to keep (B near 1), builds its own matrix from the rows.
 
-The fit's bracketing grid reads model moments K_j at a fixed alpha grid, and
-these too depend on l_max only where l_max cuts a level.  So each (window, j,
-grid) gets one table of the row's running sums terms_l l^-alpha over whole
-blocks of 64 multipoles, kept in a second cache of the same kind and bound:
-a level whose support ends by l_max reads the table's total, one that l_max
-cuts reads its last whole block and adds its few leftover multipoles.  The
-totals of levels 1, 2, ... are also kept as one (num x levels) array per
-(window, grid), beside the tables, so the levels that l_max does not cut, all
-but the top one or two mexican levels and every compact one, are one slice.
-The grid itself, ``np.linspace(start, stop, num)``, is formed once per search
-range (``alpha_grid``), and a level range's counts N_j and their sum once per
-(j_range, B); both caches are small and bounded.
+K_j on the fit's alpha grid depends on l_max only where l_max cuts a level.
+So each (window, j, grid) keeps one table of the row's running sums
+terms_l l^-alpha over whole blocks of 64 multipoles: a level whose support
+ends by l_max reads the table's total, one that l_max cuts its last whole
+block plus its few leftover multipoles.  The totals of levels 1, 2, ... are
+kept as one (num x levels) array per (window, grid), so the levels l_max does
+not cut, all but the top one or two mexican levels, are one slice.  The grid
+(``alpha_grid``) is kept per search range, a level range's N_j per (j_range, B).
+
+These, and ``sphere``'s Legendre recurrence coefficients, are the arrays kept
+between calls, all in one store, ``_KEPT``, read-only, under keys whose first
+item names their kind.  Its rule, under the one bound ``KEPT_BYTES`` = 4 MiB:
+the oldest entry goes first once the bytes pass the bound, a put under a kept
+key replaces the entry, and an entry past half the bound is not kept (a row
+that long is computed only up to a basis's truncation).  After warm-up,
+fit-sweep's 1500 fits at seed 1 keep 2.35 MB, 20 level-6 fields with their
+checks 1.65 MB, 20 canonical replications 0.88 MB: none evicts.
 
 On top of the windows: ``check_levels``, the one check that a level range is
 usable at l_max, by each window's ``resolved`` rule for both ends of the band
@@ -89,13 +89,7 @@ __all__ = [
 
 MEXICAN_TAIL_RATIO = 1e-16  # terms below this fraction of the peak are dropped
 BASIS_CAP = 2**25  # weights in one level range's matrix: 256 MiB of float64
-# per cache, rows and grid tables: fit-sweep's 1500 inputs at seed 1 leave
-# ~380 KB of rows and ~390 KB of tables
-ROW_CACHE_BYTES = 2**20
-# per cache, the arrays joined from its entries: there they leave two weight
-# matrices M in 1.57 MB and two grid totals in 11 KB
-JOINED_CACHE_BYTES = 2**21
-COUNT_CACHE_BYTES = 2**16  # the level counts N_j of the level ranges fitted last
+KEPT_BYTES = 2**22  # arrays kept between calls, in ``_KEPT``
 
 
 @lru_cache(maxsize=None)
@@ -308,97 +302,109 @@ def _resolved(window: NeedletWindow, j: int, l_max: int) -> bool:
         return False
 
 
-class _RowCache:
-    """(first, array) pairs by key: level rows by (window, j), grid tables by
-    (window, j, start, stop, num); also (sum, array) pairs, level counts N_j
-    by (j_range, B).  The oldest go first once the arrays' bytes pass
-    ``limit``; an array past ``limit`` alone is not kept, and one put again
-    under its key replaces the former.  ``joined`` is a second such
-    cache, bounded at ``joined``, for the arrays joined from these entries:
-    the rows' weight matrices M, each paired with its filled-row flags, and
-    the tables' grid totals.  So a fresh cache starts without either."""
+class _Kept:
+    """Arrays kept between calls, by keys whose first item names their kind:
+    "row", "table", "weights", "totals", "counts", "grid" or "legendre".  An
+    entry's bytes are those of its numpy arrays, which ``put`` makes
+    read-only.  The oldest entries go first once the bytes pass ``limit``; a
+    put under a kept key replaces the former entry; an entry past half of
+    ``limit`` is not kept (``keeps``)."""
 
-    def __init__(self, limit: int, joined: int = JOINED_CACHE_BYTES):
+    def __init__(self, limit: int):
         self.limit = limit
         self.nbytes = 0
-        self._rows: dict = {}
-        self.joined = _RowCache(joined, 0) if joined else None
+        self._entries: dict = {}
+        self.get = self._entries.get  # None for a key not kept
 
-    def get(self, key):
-        return self._rows.get(key)
+    def keeps(self, nbytes: int) -> bool:
+        return 2 * nbytes <= self.limit
 
-    def put(self, key, row) -> None:
-        if row[1].nbytes > self.limit:
+    def put(self, key, value) -> None:
+        size = _nbytes(value)
+        if not self.keeps(size):
             return
-        if key in self._rows:
-            self.nbytes -= self._rows.pop(key)[1].nbytes
-        self._rows[key] = row
-        self.nbytes += row[1].nbytes
+        for a in _arrays(value):
+            a.flags.writeable = False
+        if key in self._entries:
+            self.nbytes -= _nbytes(self._entries.pop(key))
+        self._entries[key] = value
+        self.nbytes += size
         while self.nbytes > self.limit:
-            self.nbytes -= self._rows.pop(next(iter(self._rows)))[1].nbytes
+            self.nbytes -= _nbytes(self._entries.pop(next(iter(self._entries))))
 
 
-_ROWS = _RowCache(ROW_CACHE_BYTES)
-_TABLES = _RowCache(ROW_CACHE_BYTES)
-_COUNTS = _RowCache(COUNT_CACHE_BYTES, 0)
+def _arrays(value) -> list[np.ndarray]:
+    """The numpy arrays of an entry: the value itself, or those in its tuple."""
+    return [a for a in (value if isinstance(value, tuple) else (value,)) if isinstance(a, np.ndarray)]
+
+
+def _nbytes(value) -> int:
+    return sum(a.nbytes for a in _arrays(value))
+
+
+_KEPT = _Kept(KEPT_BYTES)
 
 
 def _level_counts(j_range: JRange, B: float) -> tuple[float, np.ndarray]:
-    """(sum_j N_j, N_j per level of ``j_range``), the array read-only, kept by
-    (j_range, B) in ``_COUNTS``."""
-    key = (j_range, B)
-    kept = _COUNTS.get(key)
+    """(sum_j N_j, N_j per level of ``j_range``), kept by (j_range, B)."""
+    key = ("counts", j_range, B)
+    kept = _KEPT.get(key)
     if kept is None:
         n = np.array([j_range.n_j(j, B) for j in j_range.levels()])
-        n.flags.writeable = False
         kept = (float(n.sum()), n)
-        _COUNTS.put(key, kept)
+        _KEPT.put(key, kept)
     return kept
 
 
 def _level_row(window: NeedletWindow, j: int, le: int) -> tuple[int, np.ndarray]:
     """(first, terms): window_sq(l/B^j)(2l+1) for l = first, first + 1, ...
-    over level j's ``window.support(j)``, read-only, whatever the band limit.
-    The row comes from the row cache; one past ``ROW_CACHE_BYTES`` is computed
-    only up to multipole ``le``, a basis's truncation, and not stored."""
-    key = (window, j)
-    row = _ROWS.get(key)
+    over level j's ``window.support(j)``, whatever the band limit, kept by
+    (window, j); a row too long to keep is computed only up to multipole
+    ``le``, a basis's truncation."""
+    key = ("row", window, j)
+    row = _KEPT.get(key)
     if row is not None:
         return row
     first, last = window.support(j)
-    stored = (last - first + 1) * 8 <= _ROWS.limit
+    stored = _KEPT.keeps((last - first + 1) * 8)
     l = np.arange(first, (last if stored else le) + 1, dtype=float)
     terms = window._level_sq(l, j) * (2.0 * l + 1.0)
-    terms.flags.writeable = False
     if stored:
-        _ROWS.put(key, (first, terms))
+        _KEPT.put(key, (first, terms))
     return first, terms
 
 
+def _place(out: np.ndarray, window: NeedletWindow, j: int, le: int, n_j: float) -> None:
+    """Write level j's row divided by N_j, cut at multipole ``le``, into ``out`` over l = 1, 2, ..."""
+    first, terms = _level_row(window, j, le)
+    out[first - 1 : le] = terms[: le - first + 1] / n_j
+
+
 _GRID_BLOCK = 64  # multipoles per block of a grid table
-ALPHA_GRIDS = 16  # search ranges whose alpha grids are kept
 
 
-@lru_cache(maxsize=ALPHA_GRIDS)
 def alpha_grid(start: float, stop: float, num: int) -> tuple[np.ndarray, tuple[float, ...]]:
-    """``np.linspace(start, stop, num)``, read-only, and its values as floats:
-    one grid per search range, which the fit's trace and ``k_linspace`` read."""
-    alphas = np.linspace(start, stop, num)
-    alphas.flags.writeable = False
-    return alphas, tuple(alphas.tolist())
+    """``np.linspace(start, stop, num)`` and its values as floats: one kept
+    grid per search range, which the fit's trace and ``k_linspace`` read."""
+    key = ("grid", start, stop, num)
+    grid = _KEPT.get(key)
+    if grid is None:
+        alphas = np.linspace(start, stop, num)
+        grid = (alphas, tuple(alphas.tolist()))
+        _KEPT.put(key, grid)
+    return grid
 
 
 def _grid_table(window: NeedletWindow, j: int, row: tuple[int, np.ndarray], alphas: np.ndarray) -> np.ndarray:
     """S[r, b]: the sum of level j's ``row`` terms_l l^-alphas[r] over its
     first b + 1 blocks of ``_GRID_BLOCK`` multipoles; the last block may be
-    partial, so S[:, -1] sums the whole row.  Kept by (window, j, grid) in a
-    second row cache under the row's own rule: a row too long to keep,
-    computed only up to a basis's truncation, gets a table up to there that
-    is not kept either."""
-    key = (window, j, alphas[0], alphas[-1], len(alphas))  # the grid is a linspace
-    table = _TABLES.get(key)
+    partial, so S[:, -1] sums the whole row.  Kept by (window, j, grid) under
+    the row's own rule: a row too long to keep, computed only up to a basis's
+    truncation, gets a table up to there that is not kept either."""
+    key = ("table", window, j, alphas[0], alphas[-1], len(alphas))  # the grid is a linspace
+    table = _KEPT.get(key)
     if table is not None:
-        return table[1]
+        return table
     first, terms = row
     sums = np.empty((len(alphas), -(-len(terms) // _GRID_BLOCK)))
     blocks = 16  # per pass, so the (num, 16 * _GRID_BLOCK) powers stay small
@@ -410,28 +416,26 @@ def _grid_table(window: NeedletWindow, j: int, row: tuple[int, np.ndarray], alph
         x *= t
         sums[:, b : b + blocks] = np.add.reduceat(x, np.arange(0, len(t), _GRID_BLOCK), axis=1)
     np.cumsum(sums, axis=1, out=sums)
-    sums.flags.writeable = False
-    if (window.support(j)[1] - first + 1) * 8 <= _ROWS.limit:
-        _TABLES.put(key, (first, sums))
+    if _KEPT.keeps((window.support(j)[1] - first + 1) * 8):
+        _KEPT.put(key, sums)
     return sums
 
 
 def _totals(window: NeedletWindow, top: int, alphas: np.ndarray) -> np.ndarray:
     """T[:, j - 1]: level j's whole-row grid total, ``_grid_table``'s last
     column, for the levels j = 1..top at least; 0 for a level whose support
-    holds no multipole.  Kept by (window, grid) in ``_TABLES.joined``; a basis
-    that reaches a level past it puts a wider one in its place."""
-    key = (window, alphas[0], alphas[-1], len(alphas))
-    kept = _TABLES.joined.get(key)
-    if kept is not None and kept[1].shape[1] >= top:
-        return kept[1]
+    holds no multipole.  Kept by (window, grid); a basis that reaches a level
+    past it puts a wider one in its place."""
+    key = ("totals", window, alphas[0], alphas[-1], len(alphas))
+    kept = _KEPT.get(key)
+    if kept is not None and kept.shape[1] >= top:
+        return kept
     totals = np.zeros((len(alphas), top))
     for j in range(1, top + 1):
         row = _level_row(window, j, window.support(j)[1])
         if len(row[1]):
             totals[:, j - 1] = _grid_table(window, j, row, alphas)[:, -1]
-    totals.flags.writeable = False
-    _TABLES.joined.put(key, (1, totals))
+    _KEPT.put(key, totals)
     return totals
 
 
@@ -443,32 +447,29 @@ def _weights(window: NeedletWindow, j_range: JRange) -> np.ndarray | None:
     """M for (window, j_range.c_b): row j - 1 holds level j's
     window_sq(l/B^j)(2l+1)/N_j on l = 1..``DEFAULT_LMAX_CAP``, zero outside
     ``support(j)``, for the levels j = 1, 2, ... that are ``resolved`` at
-    that cap.  Read-only, kept by (window, c_b) in ``_ROWS.joined`` as
-    (filled, M): a row's support is written, from the cached row, when a
-    basis first reaches its level, and ``filled`` marks it.  So a window's
-    first fit pays for the levels it reads only, and nothing else is written.
-    None when those levels' M is past that cache's bound (B near 1)."""
-    key = (window, j_range.c_b)
-    kept = _ROWS.joined.get(key)
+    that cap.  Kept by (window, c_b) as (filled, M): a row's support is
+    written when a basis first reaches its level, and the list ``filled``
+    marks it, so a window's first fit pays for the levels it reads only.
+    None when those levels' M is too large to keep (B near 1)."""
+    key = ("weights", window, j_range.c_b)
+    kept = _KEPT.get(key)
     if kept is None:
-        cap, limit = DEFAULT_LMAX_CAP, _ROWS.joined.limit
+        cap = DEFAULT_LMAX_CAP
         top = 0
-        while (top + 1) * cap * 8 <= limit and window.resolved(top + 1, cap):
+        while _KEPT.keeps((top + 1) * cap * 8) and window.resolved(top + 1, cap):
             top += 1
         if top == 0 or window.resolved(top + 1, cap):
             return None
         # zeros: pages no row is written to stay unmapped where the allocator gives fresh ones
-        kept = (np.zeros(top, dtype=bool), np.zeros((top, cap)))
-        kept[1].flags.writeable = False
-        _ROWS.joined.put(key, kept)
+        kept = ([False] * top, np.zeros((top, cap)))
+        _KEPT.put(key, kept)
     filled, m = kept
-    if not filled[j_range.j0 - 1 : j_range.jL].all():
+    if not all(filled[j_range.j0 - 1 : j_range.jL]):
         m.flags.writeable = True  # only rows that no basis views yet are written
         for j in j_range.levels():
             if not filled[j - 1]:
                 le = window.effective_lmax(j, DEFAULT_LMAX_CAP)
-                first, terms = _level_row(window, j, le)
-                m[j - 1, first - 1 : le] = terms[: le - first + 1] / j_range.n_j(j, window.B)
+                _place(m[j - 1], window, j, le, j_range.n_j(j, window.B))
                 filled[j - 1] = True
         m.flags.writeable = False
     return m
@@ -491,8 +492,8 @@ class LevelBasis:
     ``DEFAULT_LMAX_CAP``, ``w`` is then the view
     M[j0 - 1 : jL, :L] of the window's one weight matrix (``_weights``) and
     ``log_l`` a slice of one log table, so a build allocates no weights.  Past
-    that cap, or where M is past its bound or j0 < 1, the build places each
-    level's cached row (see the module docstring) at columns
+    that cap, or where M would not be kept or j0 < 1, the build places each
+    level's kept row (see the module docstring) at columns
     ``window.support(j)``, cut at the truncation point, in a matrix of its own.
     """
 
@@ -519,8 +520,7 @@ class LevelBasis:
             cut = [window.effective_lmax(j, self.l_max) for j in levels]
             w = np.zeros((len(levels), max(cut)))
             for i, (j, le) in enumerate(zip(levels, cut)):
-                first, terms = _level_row(window, j, le)
-                w[i, first - 1 : le] = terms[: le - first + 1] / n[i]
+                _place(w[i], window, j, le, n[i])
             log_l = np.log(np.arange(1, max(cut) + 1, dtype=float))
         for name, arr in (("w", w), ("log_l", log_l), ("n", n)):
             arr.flags.writeable = False

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .asymptotics import check_kappa
+from .asymptotics import check_alpha0, check_kappa
 from .errors import DomainError, NumericalNoiseWarning
 
 __all__ = [
@@ -60,9 +60,8 @@ class PowerSpectrumModel:
     )
 
     def __post_init__(self):
-        # chained comparisons: nan fails each, so only finite values pass
-        if not 2 < self.alpha0 < np.inf:
-            raise DomainError(f"alpha0 must be finite and exceed 2, got {self.alpha0}")
+        check_alpha0(self.alpha0)
+        # a chained comparison: nan fails it, so only finite values pass
         if not 0 < self.g0 < np.inf:
             raise DomainError(f"g0 must be finite and positive, got {self.g0}")
         corr = self.correction

@@ -15,6 +15,9 @@ step (``_Legendre.step``) writes its row in place into that block buffer,
 laid out [l % 2, slot, m, |cos theta|] so that every row is contiguous, and
 the matmul reads the buffer through a transposed view: no row is copied.
 Memory is O(L N_theta), so level 7 (L = 647 at p = 2, B = 2) runs in ~11 MB.
+Each degree block's recurrence coefficients are kept across fields in
+``needlet``'s one store (``needlet.KEPT_BYTES`` = 4 MiB, oldest out first):
+a level-6 field keeps 41 blocks in 860 KB, a level-7 one 81 in 3.4 MB.
 
 Coefficients arrive as a stream of degree rows, never as a packed set: one
 set is ``AlmSet.row(l)``, and the correlation diagnostic draws each block of
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import needlet
 from .asymptotics import check_B
 from .errors import BandLimitError, DomainError, ResourceLimitError
 from .harmonic import AlmSet, alm_rows, write_csv
@@ -72,10 +76,6 @@ _SEED_BLOCK = 32
 # degrees whose Legendre and coefficient rows ``_NeedletField`` contracts in
 # one matmul
 _DEGREE_BLOCK = 8
-
-# bytes of Legendre recurrence coefficients kept across fields: a level-6
-# field at p = 2, B = 2 (L = 324, 41 blocks) reads ~860 KB of them
-LEGENDRE_CACHE_BYTES = 2**20
 
 # ring neighbours in each run of nodes a correlation samples from a grid with
 # more nodes than it may take: a run's pairs fill the nearest distance bins
@@ -188,16 +188,11 @@ class _Legendre:
         pair *= prev[n]
 
 
-_COEFFICIENTS: dict = {}  # (first, stop) -> (a, b, diag) of one degree block
-_coefficient_bytes = 0
-
-
 def _coefficients(first: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """a_lm, b_lm and the diagonal pair of the degrees first..stop - 1,
-    read-only.  Kept by (first, stop) while the kept blocks' bytes stay
-    within ``LEGENDRE_CACHE_BYTES``; a block past that is computed anew."""
-    global _coefficient_bytes
-    kept = _COEFFICIENTS.get((first, stop))
+    """a_lm, b_lm and the diagonal pair of the degrees first..stop - 1, kept
+    by (first, stop) in ``needlet``'s store of arrays kept between calls."""
+    key = ("legendre", first, stop)
+    kept = needlet._KEPT.get(key)
     if kept is not None:
         return kept
     l = np.arange(first, stop, dtype=float)[:, None]
@@ -212,12 +207,7 @@ def _coefficients(first: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.nda
         b = np.sqrt((2.0 * l + 1.0) * ((l - 1.0) ** 2 - sq) / ((2.0 * l - 3.0) * d))
     diag = np.hstack((np.sqrt(2.0 * l + 1.0), -np.sqrt((2.0 * l + 1.0) / (2.0 * l))))
     block = (a, b, diag)
-    for c in block:
-        c.flags.writeable = False
-    size = sum(c.nbytes for c in block)
-    if _coefficient_bytes + size <= LEGENDRE_CACHE_BYTES:
-        _COEFFICIENTS[first, stop] = block
-        _coefficient_bytes += size
+    needlet._KEPT.put(key, block)
     return block
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from needlet_whittle import EmpiricalSpectrum, PowerSpectrumModel, c_l
+from needlet_whittle import EmpiricalSpectrum, PowerSpectrumModel, c_l, needlet
 
 
 def chi2_spectrum(model: PowerSpectrumModel, l_max: int, seed) -> EmpiricalSpectrum:
@@ -27,3 +27,23 @@ def noise_free_spectrum(model: PowerSpectrumModel, l_max: int) -> EmpiricalSpect
 @pytest.fixture(scope="session")
 def canonical_model() -> PowerSpectrumModel:
     return PowerSpectrumModel(alpha0=3.0, g0=1.0)
+
+
+@pytest.fixture
+def fresh_store(monkeypatch):
+    """An empty store of kept arrays at the module's bound, for this test only."""
+    store = needlet._Kept(needlet.KEPT_BYTES)
+    monkeypatch.setattr(needlet, "_KEPT", store)
+    return store
+
+
+def kept(store, kind: str) -> dict:
+    """The store's entries of one kind, by their keys past the kind."""
+    return {key[1:]: value for key, value in store._entries.items() if key[0] == kind}
+
+
+def held_within_bound(store) -> int:
+    """The bytes the store holds, checked against its count and its bound."""
+    held = sum(needlet._nbytes(value) for value in store._entries.values())
+    assert 0 < store.nbytes == held <= store.limit
+    return held

@@ -8,6 +8,7 @@ from needlet_whittle import DomainError, KappaCorrection, PowerSpectrumModel, Ta
 from needlet_whittle.asymptotics import (
     bias_coeff,
     bias_coeff_reference,
+    check_alpha0,
     check_kappa,
     clt_variance,
     constants,
@@ -375,6 +376,25 @@ class TestCompositeConstants:
             c.sigma1_sq * (2.0**2 - 1) ** 3 / (2.0**4 * math.log(2.0) ** 2), rel=1e-14
         )
         assert c.bias_coeff == pytest.approx(bias_coeff(2, 2.0, 3.0, 0.5), rel=1e-14)
+
+
+class TestCheckAlpha0:
+    @pytest.mark.parametrize("alpha0", [2.0 + 1e-12, 3.0, 1e300])
+    def test_accepted(self, alpha0):
+        check_alpha0(alpha0)
+
+    @pytest.mark.parametrize("alpha0", [2.0, -5.0, math.inf, -math.inf, math.nan])
+    def test_rejected(self, alpha0):
+        with pytest.raises(DomainError, match="alpha0 must be finite and exceed 2"):
+            check_alpha0(alpha0)
+
+    @pytest.mark.parametrize("alpha0", [2.0, -5.0, math.nan])
+    def test_model_and_constants_apply_it(self, alpha0):
+        expected = rf"alpha0 must be finite and exceed 2, got {alpha0}$"
+        with pytest.raises(DomainError, match=expected):
+            PowerSpectrumModel(alpha0=alpha0)
+        with pytest.raises(DomainError, match=expected):
+            constants(2, 2.0, alpha0)
 
 
 class TestCheckKappa:

@@ -42,6 +42,14 @@ class TestTheory:
     def test_domain_error_exit(self, capsys):
         assert main(["theory", "--p", "1", "--B", "2", "--alpha0", "5.5"]) == EXIT_NUMERIC
 
+    @pytest.mark.parametrize("alpha0", ["2.0", "-5"])
+    def test_alpha0_at_or_below_two_exits_numeric(self, capsys, alpha0):
+        # the spectrum model rejects these: there are no constants to print
+        assert main(["theory", "--p", "2", "--B", "2", "--alpha0", alpha0]) == EXIT_NUMERIC
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"alpha0 must be finite and exceed 2, got {float(alpha0)}" in err
+
     @pytest.mark.parametrize(
         "p, B, kappa",
         [

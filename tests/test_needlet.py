@@ -24,11 +24,11 @@ from needlet_whittle import (
     select_j_range,
     window_sq,
 )
-from needlet_whittle import needlet, whittle
+from needlet_whittle import harmonic, needlet, sphere, whittle
 from needlet_whittle.asymptotics import i_ps, sigma0_sq, tau_b
 from needlet_whittle.needlet import LevelBasis, _bump_cdf, check_levels, narrow_band_j1
 
-from conftest import chi2_spectrum, noise_free_spectrum
+from conftest import chi2_spectrum, held_within_bound, kept, noise_free_spectrum
 
 MEX = MexicanWindow(p=2, B=2.0)
 STD = StandardWindow(B=2.0)
@@ -273,9 +273,10 @@ class TestLevelBasis:
         assert LevelBasis(window, j_range, l_max).w.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("window", [MexicanWindow(p=1, B=1.01), StandardWindow(B=1.01)])
-    def test_build_peak_near_the_matrix(self, window):
+    def test_build_peak_near_the_matrix(self, window, fresh_store):
         # rows are filled one at a time: the list build peaked at ~1.5x
-        # (mexican) and ~3.1x (compact) the weight matrix
+        # (mexican) and ~3.1x (compact) the weight matrix.  The rows the
+        # build keeps are the store's, bounded by its own tests
         j_range = select_j_range(2048, window)
         tracemalloc.start()
         try:
@@ -284,7 +285,7 @@ class TestLevelBasis:
         finally:
             tracemalloc.stop()
         assert basis.w.nbytes > 4 * 2**20
-        assert peak <= 1.2 * basis.w.nbytes
+        assert peak - fresh_store.nbytes <= 1.2 * basis.w.nbytes
 
     def test_immutable(self):
         basis = LevelBasis(MEX, JRange(j0=1, jL=9), 1024)
@@ -300,15 +301,6 @@ class TestLevelBasis:
         assert np.max(np.abs(k / exact - 1.0)) < 1e-13
 
 
-@pytest.fixture
-def fresh_tables(monkeypatch):
-    """Empty row and grid-table caches at the module's bound, for this test only."""
-    monkeypatch.setattr(needlet, "_ROWS", needlet._RowCache(needlet.ROW_CACHE_BYTES))
-    tables = needlet._RowCache(needlet.ROW_CACHE_BYTES)
-    monkeypatch.setattr(needlet, "_TABLES", tables)
-    return tables
-
-
 class TestGridTables:
     # l_max 1024 cuts the top mexican levels at a block boundary (1024 = 16 x 64
     # multipoles from l = 1), 1000 inside a block, 61 before the first block ends
@@ -316,7 +308,7 @@ class TestGridTables:
     @pytest.mark.parametrize("num", [1, 7, 64])
     @pytest.mark.parametrize("search", [(2.001, 10.0), (-1.5, 4.25)])
     @pytest.mark.parametrize("window", [MEX, STD, MexicanWindow(p=1, B=3.0), StandardWindow(B=1.5)], ids=str)
-    def test_grid_matches_k(self, fresh_tables, window, l_max, num, search):
+    def test_grid_matches_k(self, fresh_store, window, l_max, num, search):
         j_range = select_j_range(l_max, window)
         cut = [window.support(j)[1] > l_max for j in j_range.levels()]
         if isinstance(window, MexicanWindow):
@@ -328,22 +320,22 @@ class TestGridTables:
             exact = np.array([basis.k(a) for a in alphas])
             assert np.max(np.abs(k / exact - 1.0)) < 1e-13
 
-    def test_tables_read_at_another_band_limit(self, fresh_tables):
+    def test_tables_read_at_another_band_limit(self, fresh_store):
         # tables built over whole supports at one l_max serve another
         for l_max in (8192, 1000, 4133, 1024):
             basis = LevelBasis(MEX, select_j_range(l_max, MEX), l_max)
             alphas, k = basis.k_linspace(2.001, 10.0, 64)
             exact = np.array([basis.k(a) for a in alphas])
             assert np.max(np.abs(k / exact - 1.0)) < 1e-13
-        assert len(fresh_tables._rows) == select_j_range(8192, MEX).jL
+        assert len(kept(fresh_store, "table")) == select_j_range(8192, MEX).jL
 
-    def test_tables_read_only(self, fresh_tables):
+    def test_tables_read_only(self, fresh_store):
         LevelBasis(STD, JRange(j0=1, jL=9), 1024).k_linspace(2.001, 10.0, 64)
-        for _, table in fresh_tables._rows.values():
+        for table in kept(fresh_store, "table").values():
             with pytest.raises(ValueError):
                 table[0, 0] = 1.0
 
-    def test_cache_within_its_byte_bound(self, fresh_tables):
+    def test_cache_within_its_byte_bound(self, fresh_store):
         requested = 0
         for B in np.linspace(1.5, 3.0, 30):
             for window in (MexicanWindow(p=2, B=float(B)), StandardWindow(B=float(B))):
@@ -353,35 +345,27 @@ class TestGridTables:
                     8 * 64 * -(-(window.support(j)[1] - window.support(j)[0] + 1) // 64)
                     for j in j_range.levels()
                 )
-                held = sum(table.nbytes for _, table in fresh_tables._rows.values())
-                assert 0 < fresh_tables.nbytes == held <= needlet.ROW_CACHE_BYTES
-        assert requested > 4 * needlet.ROW_CACHE_BYTES  # the bound did evict tables
+                held_within_bound(fresh_store)
+        held = sum(table.nbytes for table in kept(fresh_store, "table").values())
+        assert held < requested  # the bound did evict tables
 
-    def test_table_past_the_bound_not_stored(self, fresh_tables):
-        # level 15's mexican row is past 2^20 bytes (see
+    def test_table_past_the_bound_not_stored(self, fresh_store):
+        # level 16's mexican row is past half the store's bound (see
         # test_row_past_the_bound_not_stored): its table is summed from the
         # row cut at l_max and, like the row, not kept
-        window, j, l_max = MEX, 15, 50_000
+        window, j, l_max = MEX, 16, 100_000
         basis = LevelBasis(window, JRange(j0=j, jL=j), l_max)
         alphas, k = basis.k_linspace(2.001, 10.0, 64)
-        assert fresh_tables.nbytes == 0 and not fresh_tables._rows
+        assert not kept(fresh_store, "table") and not kept(fresh_store, "row")
         exact = np.array([basis.k(a) for a in alphas])
         assert np.max(np.abs(k / exact - 1.0)) < 1e-13
 
     def test_entry_past_the_bound_not_kept(self):
-        rows = needlet._RowCache(1024)
-        rows.put("small", (1, np.zeros(64)))
-        rows.put("large", (1, np.zeros(129)))
-        assert rows.get("large") is None and rows.get("small") is not None
-        assert rows.nbytes == 512
-
-
-@pytest.fixture
-def fresh_rows(monkeypatch):
-    """An empty row cache at the module's bound, for this test only."""
-    rows = needlet._RowCache(needlet.ROW_CACHE_BYTES)
-    monkeypatch.setattr(needlet, "_ROWS", rows)
-    return rows
+        store = needlet._Kept(1024)
+        store.put("small", (1, np.zeros(64)))  # half the bound: kept
+        store.put("large", (1, np.zeros(65)))
+        assert store.get("large") is None and store.get("small") is not None
+        assert store.nbytes == 512
 
 
 # windows sharing B, p or the class, so a cache key missing any field mixes rows
@@ -431,7 +415,7 @@ class TestLevelRows:
         assert MEX.support(3) == (1, 41)
 
     @pytest.mark.parametrize("l_maxes", [(8192, 1024), (1024, 8192)], ids=["down", "up"])
-    def test_warm_rows_match_former_list_build(self, fresh_rows, l_maxes):
+    def test_warm_rows_match_former_list_build(self, fresh_store, l_maxes):
         # rows cached at one band limit and read at another, across windows
         # that share B, p or the class
         for window in ROW_WINDOWS:
@@ -440,15 +424,15 @@ class TestLevelRows:
                 got = LevelBasis(window, j_range, l_max).w
                 assert got.tobytes() == _former_list_build(window, j_range, l_max).tobytes()
 
-    def test_rows_cached_read_only(self, fresh_rows):
+    def test_rows_cached_read_only(self, fresh_store):
         basis = LevelBasis(STD, JRange(j0=1, jL=9), 1024)
         for j in basis.j_range.levels():
             first, terms = needlet._level_row(STD, j, 1024)
-            assert fresh_rows.get((STD, j))[1] is terms
+            assert fresh_store.get(("row", STD, j))[1] is terms
             with pytest.raises(ValueError):
                 terms[0] = 1.0
 
-    def test_cache_within_its_byte_bound(self, fresh_rows):
+    def test_cache_within_its_byte_bound(self, fresh_store):
         requested = 0
         for B in np.linspace(1.5, 3.0, 30):
             for window in (MexicanWindow(p=2, B=float(B)), StandardWindow(B=float(B))):
@@ -458,16 +442,16 @@ class TestLevelRows:
                     8 * (window.support(j)[1] - window.support(j)[0] + 1)
                     for j in j_range.levels()
                 )
-                held = sum(terms.nbytes for _, terms in fresh_rows._rows.values())
-                assert 0 < fresh_rows.nbytes == held <= needlet.ROW_CACHE_BYTES
-        assert requested > 4 * needlet.ROW_CACHE_BYTES  # the bound did evict rows
+                held_within_bound(fresh_store)
+        held = sum(terms.nbytes for _, terms in kept(fresh_store, "row").values())
+        assert held < requested  # the bound did evict rows
 
-    def test_row_past_the_bound_not_stored(self, fresh_rows, monkeypatch):
-        # level 15's mexican support, up to l ~ 165,000, is past 2^20 bytes: it
-        # is computed only up to l_max and not kept
-        window, j, l_max = MEX, 15, 50_000
+    def test_row_past_the_bound_not_stored(self, fresh_store, monkeypatch):
+        # level 16's mexican support, up to l ~ 331,000, is past half the
+        # store's bound: it is computed only up to l_max and not kept
+        window, j, l_max = MEX, 16, 100_000
         first, last = window.support(j)
-        assert 8 * (last - first + 1) > needlet.ROW_CACHE_BYTES
+        assert 2 * 8 * (last - first + 1) > needlet.KEPT_BYTES
         lengths = []
         level_sq = MexicanWindow._level_sq
         monkeypatch.setattr(
@@ -475,7 +459,7 @@ class TestLevelRows:
         )
         basis = LevelBasis(window, JRange(j0=j, jL=j), l_max)
         assert lengths == [l_max]
-        assert fresh_rows.get((window, j)) is None and fresh_rows.nbytes == 0
+        assert fresh_store.get(("row", window, j)) is None and not kept(fresh_store, "row")
         l = np.arange(1, l_max + 1, dtype=float)
         assert np.array_equal(
             basis.w[0], window.window_sq(l / window.B**j) * (2.0 * l + 1.0) / basis.n[0]
@@ -555,38 +539,90 @@ class TestWeightMatrix:
         }
         fits[kind]()
         warm = pickle.dumps(fits[kind]())  # floats pickle as their 8 bytes
-        for name in ("_ROWS", "_TABLES"):  # with their matrices and grid totals
-            monkeypatch.setattr(needlet, name, needlet._RowCache(needlet.ROW_CACHE_BYTES))
+        monkeypatch.setattr(needlet, "_KEPT", needlet._Kept(needlet.KEPT_BYTES))
         assert pickle.dumps(fits[kind]()) == warm
 
-    def test_cache_within_its_byte_bound(self, fresh_tables):
-        # the sweep of the row and table caches' bound tests, for the matrices
-        # M and the grid totals
-        matrices, totals = needlet._ROWS.joined, fresh_tables.joined
+    def test_cache_within_its_byte_bound(self, fresh_store):
+        # the sweep of the row and table bound tests, for the matrices M and
+        # the grid totals
         requested = 0
         for B in np.linspace(1.5, 3.0, 30):
             for window in (MexicanWindow(p=2, B=float(B)), StandardWindow(B=float(B))):
                 LevelBasis(window, select_j_range(4096, window), 4096).k_linspace(2.001, 10.0, 64)
-                requested += needlet._ROWS.joined.get((window, 1.0))[1].nbytes
-                for cache in (matrices, totals):
-                    held = sum(array.nbytes for _, array in cache._rows.values())
-                    assert 0 < cache.nbytes == held <= needlet.JOINED_CACHE_BYTES
-        assert requested > 4 * needlet.JOINED_CACHE_BYTES  # the bound did evict matrices
+                requested += fresh_store.get(("weights", window, 1.0))[1].nbytes
+                held_within_bound(fresh_store)
+        assert requested > 4 * needlet.KEPT_BYTES  # the bound did evict matrices
 
     @pytest.mark.parametrize(
         "window, j_range, l_max",
         [
-            (MEX, JRange(j0=15, jL=15), 50_000),  # past the cap: the row is past its bound too
+            (MEX, JRange(j0=16, jL=16), 100_000),  # past the cap: the row is past half the bound too
             (StandardWindow(B=1.1), JRange(j0=14, jL=71), 1024),  # B near 1: M past its bound
         ],
         ids=["past-the-cap", "B-near-1"],
     )
-    def test_request_past_the_bound_keeps_nothing(self, fresh_tables, window, j_range, l_max):
+    def test_request_past_the_bound_keeps_nothing(self, fresh_store, window, j_range, l_max):
         basis = LevelBasis(window, j_range, l_max)
-        assert needlet._ROWS.joined.nbytes == 0 and not needlet._ROWS.joined._rows
+        assert not kept(fresh_store, "weights")
         assert basis.w.flags.c_contiguous
         assert basis.w.tobytes() == _former_list_build(window, j_range, l_max).tobytes()
         assert basis.log_l.tobytes() == _contiguous(basis).log_l.tobytes()
+
+
+class TestKept:
+    """The one store of arrays kept between calls, ``needlet._KEPT``: its
+    rule, its kinds, and a level-6 field from a fresh store against a warm one
+    byte for byte (fits: ``TestWeightMatrix``).  Both sides are computed on
+    one host, so these hold under numpy's AVX-512 and AVX2 loops alike (CI
+    reruns them with AVX-512 off)."""
+
+    def test_oldest_go_first(self):
+        store = needlet._Kept(1024)
+        for key in "abc":
+            store.put(key, np.zeros(48))  # 384 bytes each
+        assert store.get("a") is None and store.nbytes == 768
+        assert store.get("b") is not None and store.get("c") is not None
+
+    def test_put_again_replaces(self):
+        store = needlet._Kept(1024)
+        store.put("a", np.zeros(16))
+        store.put("b", (2.0, np.zeros(16)))  # only the arrays of an entry count
+        wider = np.zeros(48)
+        store.put("a", wider)  # replaces, and "a" is now the newest
+        assert store.get("a") is wider and store.nbytes == 512
+        store.put("c", np.zeros(64))
+        store.put("d", np.zeros(16))  # 1152 bytes: the oldest, "b", goes
+        assert store.get("b") is None and store.get("a") is wider
+        assert store.nbytes == 1024
+
+    def test_kinds_never_collide(self, fresh_store):
+        # a row and a grid table share (window, j), and a level-1 row's
+        # (window, 1) equals the weight matrix's (window, c_b = 1.0)
+        assert (MEX, 1) == (MEX, 1.0)
+        LevelBasis(MEX, JRange(j0=1, jL=9), 1024).k_linspace(2.001, 10.0, 64)
+        first, terms = fresh_store.get(("row", MEX, 1))
+        assert terms.shape == (MEX.support(1)[1],)
+        filled, m = fresh_store.get(("weights", MEX, 1.0))
+        assert m.shape == (len(filled), harmonic.DEFAULT_LMAX_CAP) and all(filled[:9])
+        for j in (8, 9):  # the levels that l_max cuts read their own tables
+            first, terms = fresh_store.get(("row", MEX, j))
+            table = fresh_store.get(("table", MEX, j, 2.001, 10.0, 64))
+            assert table.shape == (64, -(-len(terms) // needlet._GRID_BLOCK))
+        totals = fresh_store.get(("totals", MEX, 2.001, 10.0, 64))
+        assert totals.shape == (64, 7)
+        assert fresh_store.get(("grid", 2.001, 10.0, 64))[0].shape == (64,)
+        assert fresh_store.get(("counts", JRange(j0=1, jL=9), MEX.B))[1].shape == (9,)
+
+    def test_field_from_a_fresh_store_matches_warm(self, monkeypatch, canonical_model):
+        grid = sphere.build_grid(6, 2.0)
+        alm = harmonic.simulate_alm(canonical_model, MEX.effective_lmax(6, 4096), 3)
+        field = lambda: sphere.synthesize_beta(alm, grid, p=2, B=2.0).values.tobytes()
+        field()
+        warm = field()
+        store = needlet._Kept(needlet.KEPT_BYTES)
+        monkeypatch.setattr(needlet, "_KEPT", store)
+        assert field() == warm
+        assert len(kept(store, "legendre")) == -(-MEX.effective_lmax(6, 4096) // sphere._DEGREE_BLOCK)
 
 
 class TestNarrowBandJ1:
@@ -914,11 +950,11 @@ class TestLevelCounts:
             with pytest.raises(ValueError):
                 basis.n[0] = 1.0
 
-    def test_cache_within_its_byte_bound(self):
+    def test_cache_within_its_byte_bound(self, fresh_store):
         for jL in range(2, 400):  # ~640 KB of counts in all
             needlet._level_counts(JRange(j0=1, jL=jL), 1.05)
-            held = sum(n.nbytes for _, n in needlet._COUNTS._rows.values())
-            assert 0 < needlet._COUNTS.nbytes == held <= needlet.COUNT_CACHE_BYTES
+            held_within_bound(fresh_store)
+        assert len(kept(fresh_store, "counts")) == 398
 
 
 class TestAlphaGrid:
@@ -931,10 +967,11 @@ class TestAlphaGrid:
         with pytest.raises(ValueError):
             alphas[0] = 0.0
 
-    def test_within_its_bound(self):
-        for stop in np.linspace(4.0, 12.0, 3 * needlet.ALPHA_GRIDS).tolist():
-            needlet.alpha_grid(2.001, stop, 64)
-            assert needlet.alpha_grid.cache_info().currsize <= needlet.ALPHA_GRIDS
+    def test_within_its_bound(self, fresh_store):
+        for stop in np.linspace(4.0, 12.0, 48).tolist():
+            alphas = needlet.alpha_grid(2.001, stop, 64)[0]
+            assert fresh_store.get(("grid", 2.001, stop, 64))[0] is alphas
+            held_within_bound(fresh_store)
 
 
 class TestComputeStatistics:
