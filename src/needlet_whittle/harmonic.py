@@ -434,26 +434,27 @@ def empirical_cl(alm: AlmSet) -> EmpiricalSpectrum:
     Reduced one block of whole rows at a time: block k holds the rows that end
     past (k - 1) ``_CL_BLOCK`` and by k ``_CL_BLOCK`` coefficients into the
     set, found by one ``searchsorted``, so a block is at most one row longer
-    than ``_CL_BLOCK``.  A block's (re, im) float pairs are squared in one
-    pass and its |a_lm|^2 = re^2 + im^2 added from strided views of them, and
-    ``np.add.reduceat`` sums each row over the same segment as a whole-set
-    reduction, so the bits do not change and the memory past the set is O(block)."""
+    than ``_CL_BLOCK``.  A block's |a_lm|^2 = re*re + im*im goes into two
+    reused buffers, and ``np.add.reduceat`` sums each row over the same
+    segment as a whole-set reduction, so the bits do not change and the
+    memory past the set is O(block)."""
     l_max = alm.l_max
     bounds = _row_start(np.arange(1, l_max + 2))  # row l is bounds[l - 1]:bounds[l]
     ends = np.arange(_CL_BLOCK, bounds[-1] + _CL_BLOCK, _CL_BLOCK)
     # a row longer than a block leaves blocks that end no row: drop them
     cuts = np.unique(np.concatenate(([0], np.searchsorted(bounds[1:], ends, side="right"))))
-    width = int(np.diff(bounds[cuts]).max())
-    sq_buf, mag_buf = np.empty(2 * width), np.empty(width)
+    buf = np.empty((2, int(np.diff(bounds[cuts]).max())))
     sums, heads = np.empty(l_max), np.empty(l_max)  # row sums and |a_l0|^2
     for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
         lo, hi = int(bounds[a]), int(bounds[b])
-        pairs = alm.data[lo:hi].view(np.float64)  # re, im, re, im, ...
-        sq = np.multiply(pairs, pairs, out=sq_buf[: len(pairs)])
-        mag = np.add(sq[0::2], sq[1::2], out=mag_buf[: hi - lo])
+        x = alm.data[lo:hi]
+        sq, im_sq = buf[:, : hi - lo]
+        np.multiply(x.real, x.real, out=sq)
+        np.multiply(x.imag, x.imag, out=im_sq)
+        sq += im_sq
         starts = bounds[a:b] - lo
-        np.add.reduceat(mag, starts, out=sums[a:b])
-        heads[a:b] = mag[starts]
+        np.add.reduceat(sq, starts, out=sums[a:b])
+        heads[a:b] = sq[starts]
     values = np.concatenate([[0.0], (2.0 * sums - heads) / (2 * np.arange(1, l_max + 1) + 1)])
     return EmpiricalSpectrum(l_max=l_max, values=values, seed=alm.seed)
 

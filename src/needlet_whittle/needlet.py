@@ -37,14 +37,15 @@ kept as one (num x levels) array per (window, grid), so the levels l_max does
 not cut, all but the top one or two mexican levels, are one slice.  The grid
 (``alpha_grid``) is kept per search range, a level range's N_j per (j_range, B).
 
-These, and ``sphere``'s Legendre recurrence coefficients, are the arrays kept
-between calls, all in one store, ``_KEPT``, read-only, under keys whose first
-item names their kind.  Its rule, under the one bound ``KEPT_BYTES`` = 4 MiB:
-the oldest entry goes first once the bytes pass the bound, a put under a kept
-key replaces the entry, and an entry past half the bound is not kept (a row
-that long is computed only up to a basis's truncation).  After warm-up,
-fit-sweep's 1500 fits at seed 1 keep 2.35 MB, 20 level-6 fields with their
-checks 1.65 MB, 20 canonical replications 0.88 MB: none evicts.
+These are the fit's arrays kept between calls, in one store ``_KEPT``,
+read-only, under keys whose first item names their kind; ``sphere`` keeps
+its Legendre coefficients in a ``Kept`` of its own.  The rule, under one
+bound ``KEPT_BYTES`` = 4 MiB per store: the oldest entry goes first once the
+bytes pass it, a put under a kept key replaces the entry, and an entry past
+half of it is not kept (a row that long is computed only up to a basis's
+truncation).  After warm-up, fit-sweep's 1500 fits at seed 1 keep 2.35 MB,
+20 level-6 fields with their checks 0.79 MB (and 0.86 MB of Legendre
+blocks), 20 canonical replications 0.88 MB: none evicts.
 
 On top of the windows: ``check_levels``, the one check that a level range is
 usable at l_max, by each window's ``resolved`` rule for both ends of the band
@@ -302,13 +303,11 @@ def _resolved(window: NeedletWindow, j: int, l_max: int) -> bool:
         return False
 
 
-class _Kept:
-    """Arrays kept between calls, by keys whose first item names their kind:
-    "row", "table", "weights", "totals", "counts", "grid" or "legendre".  An
-    entry's bytes are those of its numpy arrays, which ``put`` makes
-    read-only.  The oldest entries go first once the bytes pass ``limit``; a
-    put under a kept key replaces the former entry; an entry past half of
-    ``limit`` is not kept (``keeps``)."""
+class Kept:
+    """Arrays kept between calls, by key.  An entry's bytes are those of its
+    numpy arrays, which ``put`` makes read-only.  The oldest entries go first
+    once the bytes pass ``limit``; a put under a kept key replaces the former
+    entry; an entry past half of ``limit`` is not kept (``keeps``)."""
 
     def __init__(self, limit: int):
         self.limit = limit
@@ -342,7 +341,7 @@ def _nbytes(value) -> int:
     return sum(a.nbytes for a in _arrays(value))
 
 
-_KEPT = _Kept(KEPT_BYTES)
+_KEPT = Kept(KEPT_BYTES)  # keys begin "row", "table", "weights", "totals", "counts" or "grid"
 
 
 def _level_counts(j_range: JRange, B: float) -> tuple[float, np.ndarray]:
@@ -356,17 +355,17 @@ def _level_counts(j_range: JRange, B: float) -> tuple[float, np.ndarray]:
     return kept
 
 
-def _level_row(window: NeedletWindow, j: int, le: int) -> tuple[int, np.ndarray]:
+def _level_row(window: NeedletWindow, j: int, le: int, keep: bool = True) -> tuple[int, np.ndarray]:
     """(first, terms): window_sq(l/B^j)(2l+1) for l = first, first + 1, ...
     over level j's ``window.support(j)``, whatever the band limit, kept by
-    (window, j); a row too long to keep is computed only up to multipole
-    ``le``, a basis's truncation."""
+    (window, j); a row too long to keep, or not to be kept, is computed only
+    up to multipole ``le``, a basis's truncation."""
     key = ("row", window, j)
     row = _KEPT.get(key)
     if row is not None:
         return row
     first, last = window.support(j)
-    stored = _KEPT.keeps((last - first + 1) * 8)
+    stored = keep and _KEPT.keeps((last - first + 1) * 8)
     l = np.arange(first, (last if stored else le) + 1, dtype=float)
     terms = window._level_sq(l, j) * (2.0 * l + 1.0)
     if stored:
@@ -374,9 +373,9 @@ def _level_row(window: NeedletWindow, j: int, le: int) -> tuple[int, np.ndarray]
     return first, terms
 
 
-def _place(out: np.ndarray, window: NeedletWindow, j: int, le: int, n_j: float) -> None:
+def _place(out: np.ndarray, window: NeedletWindow, j: int, le: int, n_j: float, keep: bool = True) -> None:
     """Write level j's row divided by N_j, cut at multipole ``le``, into ``out`` over l = 1, 2, ..."""
-    first, terms = _level_row(window, j, le)
+    first, terms = _level_row(window, j, le, keep)
     out[first - 1 : le] = terms[: le - first + 1] / n_j
 
 
@@ -493,8 +492,8 @@ class LevelBasis:
     M[j0 - 1 : jL, :L] of the window's one weight matrix (``_weights``) and
     ``log_l`` a slice of one log table, so a build allocates no weights.  Past
     that cap, or where M would not be kept or j0 < 1, the build places each
-    level's kept row (see the module docstring) at columns
-    ``window.support(j)``, cut at the truncation point, in a matrix of its own.
+    level's row, kept or computed and not kept, at ``window.support(j)``, cut
+    at the truncation point, in a matrix of its own.
     """
 
     window: NeedletWindow
@@ -520,7 +519,7 @@ class LevelBasis:
             cut = [window.effective_lmax(j, self.l_max) for j in levels]
             w = np.zeros((len(levels), max(cut)))
             for i, (j, le) in enumerate(zip(levels, cut)):
-                _place(w[i], window, j, le, n[i])
+                _place(w[i], window, j, le, n[i], keep=False)
             log_l = np.log(np.arange(1, max(cut) + 1, dtype=float))
         for name, arr in (("w", w), ("log_l", log_l), ("n", n)):
             arr.flags.writeable = False

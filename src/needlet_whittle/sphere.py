@@ -16,8 +16,8 @@ laid out [l % 2, slot, m, |cos theta|] so that every row is contiguous, and
 the matmul reads the buffer through a transposed view: no row is copied.
 Memory is O(L N_theta), so level 7 (L = 647 at p = 2, B = 2) runs in ~11 MB.
 Each degree block's recurrence coefficients are kept across fields in
-``needlet``'s one store (``needlet.KEPT_BYTES`` = 4 MiB, oldest out first):
-a level-6 field keeps 41 blocks in 860 KB, a level-7 one 81 in 3.4 MB.
+``_BLOCKS``, a ``needlet.Kept`` of their own (4 MiB, oldest out first): a
+level-6 field keeps 41 blocks in 860 KB, a level-7 one 81 in 3.4 MB.
 
 Coefficients arrive as a stream of degree rows, never as a packed set: one
 set is ``AlmSet.row(l)``, and the correlation diagnostic draws each block of
@@ -32,11 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import needlet
 from .asymptotics import check_B
 from .errors import BandLimitError, DomainError, ResourceLimitError
 from .harmonic import AlmSet, alm_rows, write_csv
-from .needlet import MexicanWindow
+from .needlet import KEPT_BYTES, Kept, MexicanWindow
 from .spectrum import PowerSpectrumModel
 
 __all__ = [
@@ -188,11 +187,13 @@ class _Legendre:
         pair *= prev[n]
 
 
+_BLOCKS = Kept(KEPT_BYTES)  # (first, stop) -> (a, b, diag) of one degree block
+
+
 def _coefficients(first: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """a_lm, b_lm and the diagonal pair of the degrees first..stop - 1, kept
-    by (first, stop) in ``needlet``'s store of arrays kept between calls."""
-    key = ("legendre", first, stop)
-    kept = needlet._KEPT.get(key)
+    by (first, stop) in ``_BLOCKS``."""
+    kept = _BLOCKS.get((first, stop))
     if kept is not None:
         return kept
     l = np.arange(first, stop, dtype=float)[:, None]
@@ -207,7 +208,7 @@ def _coefficients(first: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.nda
         b = np.sqrt((2.0 * l + 1.0) * ((l - 1.0) ** 2 - sq) / ((2.0 * l - 3.0) * d))
     diag = np.hstack((np.sqrt(2.0 * l + 1.0), -np.sqrt((2.0 * l + 1.0) / (2.0 * l))))
     block = (a, b, diag)
-    needlet._KEPT.put(key, block)
+    _BLOCKS.put((first, stop), block)
     return block
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from needlet_whittle import EmpiricalSpectrum, PowerSpectrumModel, c_l, needlet
+from needlet_whittle import EmpiricalSpectrum, PowerSpectrumModel, c_l, needlet, sphere
 
 
 def chi2_spectrum(model: PowerSpectrumModel, l_max: int, seed) -> EmpiricalSpectrum:
@@ -31,9 +31,11 @@ def canonical_model() -> PowerSpectrumModel:
 
 @pytest.fixture
 def fresh_store(monkeypatch):
-    """An empty store of kept arrays at the module's bound, for this test only."""
-    store = needlet._Kept(needlet.KEPT_BYTES)
+    """Empty stores of kept arrays at their bound, for this test only: the
+    fit's, ``needlet._KEPT``, which is returned, and ``sphere._BLOCKS``."""
+    store = needlet.Kept(needlet.KEPT_BYTES)
     monkeypatch.setattr(needlet, "_KEPT", store)
+    monkeypatch.setattr(sphere, "_BLOCKS", needlet.Kept(needlet.KEPT_BYTES))
     return store
 
 

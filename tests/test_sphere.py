@@ -23,7 +23,7 @@ from needlet_whittle.sphere import (
     synthesize_beta,
 )
 
-from conftest import held_within_bound, kept
+from conftest import held_within_bound
 
 def reference_beta(alm, grid, p, B):
     """The former synthesis, kept as a reference: the full Legendre table
@@ -123,12 +123,12 @@ class TestLegendreCoefficients:
         alm = simulate_alm(canonical_model, MexicanWindow(p=2, B=2.0).effective_lmax(5, 4096), 3)
         field = lambda: synthesize_beta(alm, grid, p=2, B=2.0).values.tobytes()
         with monkeypatch.context() as m:
-            nothing_kept = needlet._Kept(0)
-            m.setattr(needlet, "_KEPT", nothing_kept)
+            nothing_kept = needlet.Kept(0)
+            m.setattr(sphere, "_BLOCKS", nothing_kept)
             fresh = field()
-        assert not nothing_kept._entries and not kept(fresh_store, "legendre")  # nothing kept at a zero bound
+        assert not nothing_kept._entries and not sphere._BLOCKS._entries  # nothing kept at a zero bound
         assert field() == fresh
-        assert kept(fresh_store, "legendre")  # the field kept its blocks
+        assert sphere._BLOCKS._entries  # the field kept its blocks
         assert field() == fresh
 
     def test_cache_within_its_byte_bound(self, fresh_store):
@@ -136,8 +136,8 @@ class TestLegendreCoefficients:
         # computed anew, and the table is the same either way
         x = np.cos(np.linspace(0.1, 3.0, 2))
         cold = legendre_table(900, x)
-        held_within_bound(fresh_store)
-        blocks = kept(fresh_store, "legendre")
+        held_within_bound(sphere._BLOCKS)
+        blocks = sphere._BLOCKS._entries
         assert 0 < len(blocks) < -(-900 // sphere._DEGREE_BLOCK)
         for block in blocks.values():
             with pytest.raises(ValueError):
