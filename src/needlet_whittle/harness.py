@@ -1,8 +1,9 @@
 """Reproducible Monte Carlo experiment runner.
 
 Configuration is a flat key-value text format with dotted section keys (see
-``ExperimentConfig.parse``); every replication seed is pre-split from the
-master seed so serial and parallel executions emit byte-identical CSV.
+``ExperimentConfig.parse``).  A replication is one ``_draw``, seeded by a split
+of the master seed, fitted by ``_fit_for_config`` for each config sharing it
+(``run_experiments``): serial, parallel, solo and shared runs emit identical CSV.
 
 Each file format has one declaration that owns it:
 
@@ -62,6 +63,7 @@ __all__ = [
     "ExperimentSummary",
     "rep_seed",
     "run_experiment",
+    "run_experiments",
     "jarque_bera",
     "JB_CRITICAL_0_001",
     "REPLICATION_CAP",
@@ -77,8 +79,8 @@ __all__ = [
 JB_CRITICAL_0_001 = -2.0 * math.log(0.001)
 
 MAX_FAILURE_FRACTION = 0.05
-# a run keeps one task and one row per replication, ~470 bytes together
-# (measured by tracemalloc over 100,000 of them): 2^19 replications hold ~250 MB
+# a run holds one row per config and replication: ~530 bytes each at peak from
+# a pool, ~380 serial (tracemalloc, 2 configs x 100,000): 2^19 rows peak ~280 MB
 REPLICATION_CAP = 2**19
 HISTOGRAM_BINS = 24
 MIN_SAMPLE_FITS = 8  # fewest fits that get a Jarque-Bera statistic and plot data
@@ -334,11 +336,17 @@ class ReplicationRow:
             iterations=fit.iterations,
         )
 
+    @classmethod
+    def from_error(cls, rep: int, seed: int, band: str, exc: Exception) -> "ReplicationRow":
+        return cls(rep=rep, seed=seed, band=band, failed=True, error=f"{type(exc).__name__}: {exc}")
 
-def _noise_free_spectrum(model: PowerSpectrumModel, l_max: int) -> EmpiricalSpectrum:
-    ls = np.arange(1, l_max + 1)
-    values = np.concatenate([[0.0], c_l(model, ls)])
-    return EmpiricalSpectrum(l_max=l_max, values=values)
+
+def _draw(config: ExperimentConfig, seed: int) -> EmpiricalSpectrum:
+    """c-hat of the replication's field, or C_l itself on a noise-free run."""
+    if not config.noise_free:
+        return empirical_cl(simulate_alm(config.model, config.l_max, seed))
+    values = np.concatenate([[0.0], c_l(config.model, np.arange(1, config.l_max + 1))])
+    return EmpiricalSpectrum(l_max=config.l_max, values=values)
 
 
 def _fit_for_config(config: ExperimentConfig, spec: EmpiricalSpectrum) -> WhittleFit:
@@ -347,20 +355,21 @@ def _fit_for_config(config: ExperimentConfig, spec: EmpiricalSpectrum) -> Whittl
     )
 
 
-def _run_one(args) -> ReplicationRow:
-    config, r = args
-    seed = rep_seed(config.master_seed, r)
+def _run_one(args) -> list[ReplicationRow]:
+    """One draw, then one row per config fitted on it, failed or not."""
+    configs, r = args
+    seed = rep_seed(configs[0].master_seed, r)
     try:
-        if config.noise_free:
-            spec = _noise_free_spectrum(config.model, config.l_max)
-        else:
-            spec = empirical_cl(simulate_alm(config.model, config.l_max, seed))
-        fit = _fit_for_config(config, spec)
+        spec = _draw(configs[0], seed)
     except NeedletWhittleError as exc:
-        return ReplicationRow(
-            rep=r, seed=seed, band=config.band, failed=True, error=f"{type(exc).__name__}: {exc}"
-        )
-    return ReplicationRow.from_fit(r, seed, fit)
+        return [ReplicationRow.from_error(r, seed, config.band, exc) for config in configs]
+    rows = []
+    for config in configs:
+        try:
+            rows.append(ReplicationRow.from_fit(r, seed, _fit_for_config(config, spec)))
+        except NeedletWhittleError as exc:
+            rows.append(ReplicationRow.from_error(r, seed, config.band, exc))
+    return rows
 
 
 @dataclass
@@ -455,29 +464,35 @@ def _worker_count(config: ExperimentConfig) -> int:
     return max(1, min(requested, cores, config.replications))
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
-    """Run all replications (worker pool when beneficial) and aggregate.
-
-    Per-replication failures are recorded in their rows; the run itself fails
-    only when more than 5% of replications fail.
-    """
-    config.validate()
-    workers = _worker_count(config)
-    tasks = [(config, r) for r in range(config.replications)]
-    if workers <= 1 or config.replications < 4:
-        rows = [_run_one(t) for t in tasks]
+def run_experiments(configs: list[ExperimentConfig]) -> list[ExperimentSummary]:
+    """Run configs that differ only in ``window.*``, ``band.*``, ``jrange.*``, ``fit.*`` and
+    ``output.prefix`` on one draw per replication; fail if over 5% of a config's rows fail."""
+    draw_keys = [("model", "model"), *(kn for kn in _FLAT_KEYS if kn[0][:4] in ("sim.", "run."))]
+    for config in configs:
+        config.validate()
+        if differ := [k for k, n in draw_keys if getattr(config, n) != getattr(configs[0], n)]:
+            raise ConfigError(f"configs that share draws differ in {', '.join(differ)}")
+    if not 0 < sum(config.replications for config in configs) <= REPLICATION_CAP:
+        raise ConfigError(f"a run holds 1 to {REPLICATION_CAP} rows (configs x replications)")
+    workers, reps = _worker_count(configs[0]), configs[0].replications
+    tasks = ((configs, r) for r in range(reps))
+    if workers <= 1 or reps < 4:
+        rows = [row for task in tasks for row in _run_one(task)]
     else:
-        chunk = max(1, config.replications // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_one, tasks, chunksize=chunk))
-    n_failed = sum(row.failed for row in rows)
-    if n_failed > MAX_FAILURE_FRACTION * len(rows):
-        raise NeedletWhittleError(
-            f"{n_failed}/{len(rows)} replications failed "
-            f"(> {MAX_FAILURE_FRACTION:.0%}); first error: "
-            f"{next(row.error for row in rows if row.failed)}"
-        )
-    return ExperimentSummary(config=config, rows=rows, aggregate=_aggregate(config, rows))
+            chunk = max(1, reps // (workers * 4))
+            rows = [row for out in pool.map(_run_one, tasks, chunksize=chunk) for row in out]
+    per_config = [rows[i :: len(configs)] for i in range(len(configs))]
+    for own in per_config:
+        if (n_failed := sum(row.failed for row in own)) > MAX_FAILURE_FRACTION * reps:
+            first = next(row.error for row in own if row.failed)
+            share = f"{n_failed}/{reps} replications failed (> {MAX_FAILURE_FRACTION:.0%})"
+            raise NeedletWhittleError(f"{share}; first error: {first}")
+    return [ExperimentSummary(c, own, _aggregate(c, own)) for c, own in zip(configs, per_config)]
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
+    return run_experiments([config])[0]
 
 
 # ---------------------------------------------------------------------------

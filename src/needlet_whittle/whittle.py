@@ -21,7 +21,9 @@ operations of numpy scalars in the same order, without their call overhead.
 The grid's alphas and the trace read one grid per search range
 (``needlet.alpha_grid``), so the bracket and every Newton step are floats.
 A fit records G-hat, score and hessian from one ``_derivs`` call at
-alpha-hat.  The rows-CSV form of a fit belongs to ``harness.ReplicationRow``.
+alpha-hat.  It runs on lambda / 2^e, which puts the largest lambda in [1/2, 1)
+exactly: only G-hat (multiplied back by 2^e) and the trace's contrast depend on
+the spectrum's scale.  The rows-CSV form of a fit belongs to ``harness.ReplicationRow``.
 
 ``level_range`` is the one rule that turns a band request (band, j0, jl, g)
 into a level range; ``estimate`` and the Monte Carlo configs both fit through
@@ -31,6 +33,7 @@ into a level range; ``estimate`` and the Monte Carlo configs both fit through
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -199,6 +202,11 @@ class WhittleFit:
 
 def _fit(stats: NeedletStatistics, search: SearchSettings, band: str) -> WhittleFit:
     _check_two_levels(stats.j_range, band)
+    top = float(stats.lam.max())  # lambda >= 0, and max propagates nan
+    if not 0.0 < top < math.inf:
+        raise DegenerateDataError("level statistics must be finite, with one positive")
+    e = math.frexp(top)[1]  # the fit runs on lambda / 2^e (module docstring)
+    stats = NeedletStatistics(basis=stats.basis, lam=np.ldexp(stats.lam, -e))
     # the grid stays vectorised: one k_linspace pass, not GRID_POINTS evaluations
     _, k = stats.basis.k_linspace(search.alpha_min, search.alpha_max, GRID_POINTS)
     grid = alpha_grid(search.alpha_min, search.alpha_max, GRID_POINTS)[1]
@@ -241,9 +249,11 @@ def _fit(stats: NeedletStatistics, search: SearchSettings, band: str) -> Whittle
             BoundaryWarning,
         )
     _, grad, curv, g_hat = _derivs(stats, alpha_hat)
+    if math.frexp(g_hat)[1] + e > sys.float_info.max_exp:
+        raise DegenerateDataError("profiled amplitude overflows")
     return WhittleFit(
         alpha_hat=alpha_hat,
-        g_hat=g_hat,
+        g_hat=math.ldexp(g_hat, e),
         j_range_used=stats.j_range,
         band=band,
         contrast_trace=trace,

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-The Monte Carlo criteria share three module-scoped experiment runs (canonical
-clean power law, kappa-corrected full band, kappa-corrected narrow band); all
-seeds are pinned, so the suite is deterministic.
+The Monte Carlo criteria share two module-scoped experiment runs: the
+canonical clean power law, and one shared-draw run that fits the
+kappa-corrected fields on the full band and on a narrow band (criterion 8a
+compares the two on the same fields).  All seeds are pinned, so the suite is
+deterministic.
 
 Criterion 8's variance clause is implemented faithfully and marked as an
 expected failure: at a fixed band fraction an integer-level narrow band holds
@@ -47,6 +49,7 @@ from needlet_whittle.harness import (
     JB_CRITICAL_0_001,
     ExperimentConfig,
     run_experiment,
+    run_experiments,
     write_rows_csv,
 )
 from needlet_whittle.needlet import lambda_hat
@@ -76,20 +79,16 @@ def canonical_run():
 
 
 @pytest.fixture(scope="module")
-def kappa_full_run():
-    cfg = ExperimentConfig(
+def kappa_runs():
+    """The kappa full-band and narrow-band runs, fitted on one set of draws."""
+    full = ExperimentConfig(
         model=PowerSpectrumModel(alpha0=ALPHA0, correction=KappaCorrection(0.5)),
         window=MEX,
         l_max=1024,
         replications=1000,
         master_seed=40411,
     )
-    return run_experiment(cfg)
-
-
-@pytest.fixture(scope="module")
-def kappa_narrow_run():
-    cfg = ExperimentConfig(
+    narrow = ExperimentConfig(
         model=PowerSpectrumModel(alpha0=ALPHA0, correction=KappaCorrection(0.5)),
         window=MEX,
         l_max=1024,
@@ -98,7 +97,17 @@ def kappa_narrow_run():
         replications=1000,
         master_seed=40411,
     )
-    return run_experiment(cfg)
+    return run_experiments([full, narrow])
+
+
+@pytest.fixture(scope="module")
+def kappa_full_run(kappa_runs):
+    return kappa_runs[0]
+
+
+@pytest.fixture(scope="module")
+def kappa_narrow_run(kappa_runs):
+    return kappa_runs[1]
 
 
 def test_criterion_01_sigma_table():

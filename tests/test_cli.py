@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -112,6 +113,22 @@ class TestSimulateEstimate:
         assert "alpha_hat" in out
         header = (tmp_path / "fit.csv").read_text().splitlines()[0]
         assert header.startswith("rep,seed,band,alpha_hat")
+
+    def test_far_scaled_spectrum_estimated(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, model=PowerSpectrumModel(alpha0=3.0, g0=1e300), l_max=64)
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_OK
+        assert main(["estimate", "--spectrum-file", str(tmp_path / "run.spectrum.bin")]) == EXIT_OK
+        assert "converged     True" in capsys.readouterr().out
+
+    def test_overflowing_statistics_exit_numeric(self, tmp_path, capsys):
+        # finite c-hat whose level statistics overflow: a typed error, no fit
+        path = tmp_path / "big.spectrum.csv"
+        path.write_text("l,c_hat\n" + "".join(f"{l},1e308\n" for l in range(1, 65)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow in lambda
+            assert main(["estimate", "--spectrum-file", str(path)]) == EXIT_NUMERIC
+        out, err = capsys.readouterr()
+        assert "alpha_hat" not in out and "DegenerateDataError" in err
 
     def test_estimate_from_csv(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -421,6 +438,20 @@ class TestMonteCarlo:
         for suffix in (".rows.csv", ".summary.csv", ".hist.csv", ".qq.csv"):
             assert (tmp_path / f"run{suffix}").exists()
         assert "mean_alpha" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("g0", [1e-300, 1e-200, 1e200, 1e300])
+    def test_far_scaled_amplitude(self, tmp_path, g0):
+        # a fit does not depend on the spectrum's scale: these once ended in a
+        # ZeroDivisionError or an OverflowError traceback
+        model = PowerSpectrumModel(alpha0=3.0, g0=g0)
+        cfg = write_config(tmp_path, model=model, l_max=64, replications=8)
+        assert main(["montecarlo", "--config", str(cfg)]) == EXIT_OK
+        paths = (tmp_path / "run.summary.csv", tmp_path / "run.rows.csv")
+        rows = harness.load_summary(*paths, ExperimentConfig.from_file(cfg)).rows
+        assert len(rows) == 8 and not any(row.failed for row in rows)
+        for row in rows:
+            assert all(map(math.isfinite, (row.alpha_hat, row.g_hat, row.score, row.hessian)))
+            assert row.g_hat / g0 == pytest.approx(1.0, rel=0.5)
 
     def test_check_mode_noise_free_passes(self, tmp_path):
         cfg = write_config(tmp_path, replications=1, noise_free=True)

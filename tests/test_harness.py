@@ -20,11 +20,13 @@ from needlet_whittle import (
     StandardWindow,
 )
 from needlet_whittle.harness import (
+    REPLICATION_CAP,
     ExperimentConfig,
     jarque_bera,
     load_summary,
     rep_seed,
     run_experiment,
+    run_experiments,
     theory_checks,
     write_histogram_csv,
     write_qq_csv,
@@ -301,6 +303,110 @@ class TestRunExperiment:
         monkeypatch.setattr(hn, "_fit_for_config", always_fail)
         with pytest.raises(NeedletWhittleError, match="replications failed"):
             hn.run_experiment(small_config())
+
+
+def csv_bytes(summary, path) -> tuple[bytes, ...]:
+    """The rows, summary, histogram and Q-Q CSVs of a run, written beside ``path``."""
+    paths = [path.with_suffix(f".{kind}.csv") for kind in ("rows", "summary", "hist", "qq")]
+    write_rows_csv(summary.rows, paths[0])
+    write_summary_csv(summary, paths[1])
+    write_histogram_csv(summary, paths[2])
+    write_qq_csv(summary, paths[3])
+    return tuple(p.read_bytes() for p in paths)
+
+
+class TestSharedDraws:
+    GROUPS = {
+        "full-narrow": [{}, dict(band="narrow", g=0.5)],
+        "mexican-standard": [{}, dict(window=StandardWindow(B=2.0))],
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("group", list(GROUPS))
+    def test_shared_run_equals_solo_runs(self, tmp_path, group, workers):
+        configs = [small_config(workers=workers, **kw) for kw in self.GROUPS[group]]
+        shared = run_experiments(configs)
+        assert [s.config for s in shared] == configs
+        for i, (config, summary) in enumerate(zip(configs, shared)):
+            solo = run_experiment(config)
+            got = csv_bytes(summary, tmp_path / f"shared{i}")
+            assert got == csv_bytes(solo, tmp_path / f"solo{i}")
+
+    @pytest.mark.parametrize(
+        "kwargs, key",
+        [
+            (dict(model=PowerSpectrumModel(alpha0=3.5)), "model"),
+            (dict(l_max=128), "sim.l_max"),
+            (dict(master_seed=100), "run.master_seed"),
+            (dict(replications=13), "run.replications"),
+            (dict(noise_free=True), "run.noise_free"),
+            (dict(workers=2), "run.workers"),
+        ],
+        ids=["model", "l_max", "master_seed", "replications", "noise_free", "workers"],
+    )
+    def test_configs_must_share_draws(self, kwargs, key):
+        with pytest.raises(ConfigError, match=f"differ in {key}$"):
+            run_experiments([small_config(), small_config(band="narrow", g=0.5, **kwargs)])
+
+    def test_cap_counts_rows(self):
+        # each config holds one row per replication: two configs of just over
+        # half the cap are refused before any replication is drawn
+        half = REPLICATION_CAP // 2 + 1
+        configs = [small_config(replications=half, **kw) for kw in self.GROUPS["full-narrow"]]
+        with pytest.raises(ConfigError, match="rows"):
+            run_experiments(configs)
+        with pytest.raises(ConfigError, match="rows"):
+            run_experiments([])
+
+    def test_each_replication_drawn_once(self, monkeypatch):
+        import needlet_whittle.harness as hn
+
+        seeds, real = [], hn.simulate_alm
+
+        def counted(model, l_max, seed):
+            seeds.append(seed)
+            return real(model, l_max, seed)
+
+        monkeypatch.setattr(hn, "simulate_alm", counted)
+        run_experiments([small_config(**kw) for kw in self.GROUPS["full-narrow"]])
+        assert seeds == [rep_seed(99, r) for r in range(12)]
+
+    def test_draw_failure_fails_every_row(self, monkeypatch):
+        import needlet_whittle.harness as hn
+
+        real, bad_seed = hn._draw, rep_seed(99, 3)
+
+        def flaky(config, seed):
+            if seed == bad_seed:
+                raise NeedletWhittleError("injected draw failure")
+            return real(config, seed)
+
+        monkeypatch.setattr(hn, "_draw", flaky)
+        configs = [small_config(replications=40, **kw) for kw in self.GROUPS["full-narrow"]]
+        for summary in run_experiments(configs):
+            assert [row.rep for row in summary.rows if row.failed] == [3]
+            assert summary.rows[3].error == "NeedletWhittleError: injected draw failure"
+
+    def test_fit_failure_stays_in_its_config(self, monkeypatch):
+        import needlet_whittle.harness as hn
+
+        real = hn._fit_for_config
+        configs = [small_config(replications=40, **kw) for kw in self.GROUPS["full-narrow"]]
+        target = hn._draw(configs[0], rep_seed(99, 3)).values
+
+        def flaky(config, spec):
+            if config.band == "narrow" and np.array_equal(spec.values, target):
+                raise NeedletWhittleError("injected fit failure")
+            return real(config, spec)
+
+        monkeypatch.setattr(hn, "_fit_for_config", flaky)
+        full, narrow = run_experiments(configs)
+        assert not any(row.failed for row in full.rows)
+        assert [row.rep for row in narrow.rows if row.failed] == [3]
+
+    def test_one_config_is_run_experiment(self):
+        config = small_config()
+        assert run_experiment(config) == run_experiments([config])[0]
 
 
 class TestSummaryIO:

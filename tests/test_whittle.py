@@ -16,12 +16,14 @@ from needlet_whittle import (
     StandardWindow,
     compute_statistics,
     contrast,
+    empirical_cl,
     fit_full_band,
     fit_narrow_band,
     hessian,
     plug_in,
     profile_g_hat,
     score,
+    simulate_alm,
     whittle,
 )
 from needlet_whittle.harness import ReplicationRow, write_rows_csv
@@ -240,6 +242,56 @@ class TestFitFullBand:
         assert fit.score_at_hat == score(stats, fit.alpha_hat)
         assert fit.hessian_at_hat == hessian(stats, fit.alpha_hat)
         assert fit.converged and not fit.boundary
+
+
+class TestScaleFree:
+    """A fit runs on lambda / 2^e, with e the binary exponent of the largest
+    lambda, so it does not depend on the spectrum's overall scale."""
+
+    @pytest.mark.parametrize("window", [MEX, STD], ids=str)
+    @pytest.mark.parametrize("band", ["full", "narrow"])
+    def test_power_of_two_scale_equivariance(self, window, band, canonical_model):
+        # alpha-hat, score and hessian keep their bits and G-hat scales
+        # exactly, for every 2^k that keeps the spectrum finite and normal
+        spec = empirical_cl(simulate_alm(canonical_model, 256, 1))
+
+        def fit(values):
+            scaled = EmpiricalSpectrum(l_max=256, values=values)
+            if band == "full":
+                return fit_full_band(scaled, window)
+            return fit_narrow_band(scaled, window, g=0.5)
+
+        base = fit(spec.values)
+        for k in range(-975, 1001, 25):
+            got = fit(np.ldexp(spec.values, k))
+            assert (got.alpha_hat, got.score_at_hat, got.hessian_at_hat) == (
+                base.alpha_hat, base.score_at_hat, base.hessian_at_hat
+            ), k
+            assert got.g_hat == math.ldexp(base.g_hat, k), k
+
+    def test_far_scaled_spectrum_fits(self, canonical_model):
+        # 10^307 is no power of two: the fit moves by rounding only, where the
+        # unscaled contrast once overflowed into a wrong "converged" 2.128
+        spec = empirical_cl(simulate_alm(canonical_model, 256, 1))
+        fit = fit_full_band(EmpiricalSpectrum(l_max=256, values=spec.values * 1e307), MEX)
+        assert fit.converged
+        assert fit.alpha_hat == pytest.approx(fit_full_band(spec, MEX).alpha_hat, abs=1e-12)
+
+    def test_overflowing_statistics_raise(self):
+        spec = EmpiricalSpectrum(l_max=64, values=np.concatenate([[0.0], np.full(64, 1e308)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow in lambda
+            with pytest.raises(DegenerateDataError, match="finite"):
+                fit_full_band(spec, MEX)
+
+    def test_overflowing_amplitude_raises(self):
+        # a flat 1e300 spectrum fitted at alpha >= 8: G-hat = lambda / K_j is
+        # past the float range, and is a typed error, not an inf
+        spec = EmpiricalSpectrum(l_max=256, values=np.concatenate([[0.0], np.full(256, 1e300)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryWarning)
+            with pytest.raises(DegenerateDataError, match="overflows"):
+                fit_full_band(spec, MEX, search=SearchSettings(alpha_min=8.0, alpha_max=10.0))
 
 
 class TestNewtonSearch:
