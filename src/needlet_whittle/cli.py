@@ -8,6 +8,7 @@ shell reports a command that a closed pipe stopped), with nothing on stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import fields
@@ -78,6 +79,12 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+def _num(value: float, spec: str) -> str:
+    """``value`` in the format ``spec``, or n/a for a summary value that the
+    run leaves undefined (nan: too few fits, no spread, no theory value)."""
+    return "n/a" if math.isnan(value) else format(value, spec)
+
+
 def _cmd_montecarlo(args) -> int:
     config = harness.ExperimentConfig.from_file(args.config)
     summary = harness.run_experiment(config)
@@ -91,11 +98,11 @@ def _cmd_montecarlo(args) -> int:
         pass  # too few fits, or no spread (a noise-free run): no sample to plot
     agg = summary.aggregate
     print(f"replications {agg.n_rows} (failed {agg.n_failed})")
-    print(f"mean_alpha   {agg.mean_alpha:.6f} +- {agg.se_alpha:.6f}")
-    print(f"mean_g       {agg.mean_g:.6f}")
-    print(f"var_scaled   {agg.var_scaled:.4f}  (theory {agg.theory_varsigma0_sq:.4f})")
-    print(f"scaled_bias  {agg.scaled_bias:+.4f}  (theory {agg.theory_bias:+.4f})")
-    print(f"jarque_bera  {agg.jarque_bera:.3f}")
+    print(f"mean_alpha   {_num(agg.mean_alpha, '.6f')} +- {_num(agg.se_alpha, '.6f')}")
+    print(f"mean_g       {_num(agg.mean_g, '.8g')}")
+    print(f"var_scaled   {_num(agg.var_scaled, '.4f')}  (theory {_num(agg.theory_varsigma0_sq, '.4f')})")
+    print(f"scaled_bias  {_num(agg.scaled_bias, '+.4f')}  (theory {_num(agg.theory_bias, '+.4f')})")
+    print(f"jarque_bera  {_num(agg.jarque_bera, '.3f')}")
     if args.check:
         failures = 0
         for res in harness.theory_checks(summary):
@@ -216,7 +223,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NeedletWhittleError as exc:

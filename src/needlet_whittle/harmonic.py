@@ -137,23 +137,27 @@ def write_csv(path, columns, rows) -> None:
 def read_csv(path, columns, parsers) -> list[tuple]:
     """The rows of a CSV whose header starts with ``columns``, parsed cell by
     cell by ``parsers``; later columns and blank lines are skipped.  A wrong
-    header, a short line or a cell that does not parse is a NeedletWhittleError."""
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header.split(",")[: len(columns)] != list(columns):
-            raise NeedletWhittleError(f"{path}: header {header!r} does not start {','.join(columns)}")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            cells = line.rstrip("\n").split(",")[: len(columns)]
-            try:  # a short line fails the strict zip
-                rows.append(tuple(parse(cell) for parse, cell in zip(parsers, cells, strict=True)))
-            except ValueError as exc:
-                raise NeedletWhittleError(
-                    f"{path}: line {lineno}: {line.strip()!r} is not {len(columns)} cells "
-                    f"that parse ({exc})"
-                ) from exc
+    header, a short line, a cell that does not parse or a file that is not
+    text is a NeedletWhittleError."""
+    try:
+        with open(path) as fh:
+            header = fh.readline().rstrip("\n")
+            if header.split(",")[: len(columns)] != list(columns):
+                raise NeedletWhittleError(f"{path}: header {header!r} does not start {','.join(columns)}")
+            rows = []
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                cells = line.rstrip("\n").split(",")[: len(columns)]
+                try:  # a short line fails the strict zip
+                    rows.append(tuple(parse(cell) for parse, cell in zip(parsers, cells, strict=True)))
+                except ValueError as exc:
+                    raise NeedletWhittleError(
+                        f"{path}: line {lineno}: {line.strip()!r} is not {len(columns)} cells "
+                        f"that parse ({exc})"
+                    ) from exc
+    except UnicodeDecodeError as exc:
+        raise NeedletWhittleError(f"{path}: not text ({exc.reason})") from exc
     return rows
 
 

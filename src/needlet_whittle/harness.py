@@ -288,8 +288,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.parse(fh.read())
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not text ({exc.reason})") from exc
+        return cls.parse(text)
 
 
 def rep_seed(master_seed: int, r: int) -> int:

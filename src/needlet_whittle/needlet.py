@@ -21,12 +21,14 @@ min(l_max, last), and ``resolved(j, l_max)``, whether it fits the band
 
 A level's row of weights window_sq(l/B^j)(2l+1) over its support depends on
 (window, j) only; l_max merely truncates it, so each row is computed once and
-kept.  Up to the band limit cap C = ``harmonic.DEFAULT_LMAX_CAP``, the rows
-divided by N_j are also laid out once per (window, c_b) as one matrix M, row
-j - 1 for level j on l = 1..C, filled when a basis first reaches level j.
-With one table of log l on l = 1..C, a basis at l_max <= C is the view
+kept.  ``_matrix`` lays the rows of a level range, divided by N_j and cut
+at its width, into a fresh matrix.  Up to the cap C =
+``harmonic.DEFAULT_LMAX_CAP``, one such matrix M per (window, c_b) holds the
+levels 1..jL on l = 1..C, row j - 1 for level j, built whole and kept
+read-only; a basis that reaches a level past M puts a taller M in its place.  With one
+table of log l on l = 1..C, a basis at l_max <= C is the view
 M[j0 - 1 : jL, :L] and a slice of that table.  A request past C, or a window
-whose M is too large to keep (B near 1), builds its own matrix from the rows.
+whose M is too large to keep (B near 1), gets a matrix of its own.
 
 K_j on the fit's alpha grid depends on l_max only where l_max cuts a level.
 So each (window, j, grid) keeps one table of the row's running sums
@@ -43,9 +45,9 @@ its Legendre coefficients in a ``Kept`` of its own.  The rule, under one
 bound ``KEPT_BYTES`` = 4 MiB per store: the oldest entry goes first once the
 bytes pass it, a put under a kept key replaces the entry, and an entry past
 half of it is not kept (a row that long is computed only up to a basis's
-truncation).  After warm-up, fit-sweep's 1500 fits at seed 1 keep 2.35 MB,
-20 level-6 fields with their checks 0.79 MB (and 0.86 MB of Legendre
-blocks), 20 canonical replications 0.88 MB: none evicts.
+truncation).  After warm-up, fit-sweep's 1500 fits at seed 1 keep 2.29 MB,
+20 level-6 fields with their checks 0.40 MB (and 0.86 MB of Legendre
+blocks), 20 canonical replications 0.68 MB: none evicts.
 
 On top of the windows: ``check_levels``, the one check that a level range is
 usable at l_max, by each window's ``resolved`` rule for both ends of the band
@@ -89,6 +91,7 @@ __all__ = [
 ]
 
 MEXICAN_TAIL_RATIO = 1e-16  # terms below this fraction of the peak are dropped
+MEXICAN_P_MAX = 50  # x^(4p) stays finite up to x = 2 cutoff_x, past any level's support
 BASIS_CAP = 2**25  # weights in one level range's matrix: 256 MiB of float64
 KEPT_BYTES = 2**22  # arrays kept between calls, in ``_KEPT``
 
@@ -118,8 +121,8 @@ class MexicanWindow(_Window):
     B: float = 2.0
 
     def __post_init__(self):
-        if self.p < 1:
-            raise DomainError(f"p must be >= 1, got {self.p}")
+        if not 1 <= self.p <= MEXICAN_P_MAX:
+            raise DomainError(f"p must be in [1, {MEXICAN_P_MAX}], got {self.p}")
         check_B(self.B)
 
     def window(self, x):
@@ -373,10 +376,16 @@ def _level_row(window: NeedletWindow, j: int, le: int, keep: bool = True) -> tup
     return first, terms
 
 
-def _place(out: np.ndarray, window: NeedletWindow, j: int, le: int, n_j: float, keep: bool = True) -> None:
-    """Write level j's row divided by N_j, cut at multipole ``le``, into ``out`` over l = 1, 2, ..."""
-    first, terms = _level_row(window, j, le, keep)
-    out[first - 1 : le] = terms[: le - first + 1] / n_j
+def _matrix(window: NeedletWindow, j_range: JRange, width: int, keep: bool = True) -> np.ndarray:
+    """Level j's row divided by N_j, cut at ``effective_lmax(j, width)``, as
+    row j - j0 of a fresh zero matrix over l = 1..width; with ``keep`` False,
+    no row it computes is kept (``_level_row``)."""
+    w = np.zeros((j_range.jL - j_range.j0 + 1, width))
+    for i, j in enumerate(j_range.levels()):
+        le = window.effective_lmax(j, width)
+        first, terms = _level_row(window, j, le, keep)
+        w[i, first - 1 : le] = terms[: le - first + 1] / j_range.n_j(j, window.B)
+    return w
 
 
 _GRID_BLOCK = 64  # multipoles per block of a grid table
@@ -443,34 +452,23 @@ _LOG_L.flags.writeable = False
 
 
 def _weights(window: NeedletWindow, j_range: JRange) -> np.ndarray | None:
-    """M for (window, j_range.c_b): row j - 1 holds level j's
-    window_sq(l/B^j)(2l+1)/N_j on l = 1..``DEFAULT_LMAX_CAP``, zero outside
-    ``support(j)``, for the levels j = 1, 2, ... that are ``resolved`` at
-    that cap.  Kept by (window, c_b) as (filled, M): a row's support is
-    written when a basis first reaches its level, and the list ``filled``
-    marks it, so a window's first fit pays for the levels it reads only.
-    None when those levels' M is too large to keep (B near 1)."""
+    """M for (window, j_range.c_b): ``_matrix`` over the levels 1..jL and
+    the multipoles 1..``DEFAULT_LMAX_CAP``, row j - 1 for level j.  Kept by
+    (window, c_b); a basis that reaches a level past it puts a taller one in
+    its place.  None when the levels ``resolved`` at that cap make an M too
+    large to keep (B near 1)."""
     key = ("weights", window, j_range.c_b)
-    kept = _KEPT.get(key)
-    if kept is None:
-        cap = DEFAULT_LMAX_CAP
-        top = 0
-        while _KEPT.keeps((top + 1) * cap * 8) and window.resolved(top + 1, cap):
-            top += 1
-        if top == 0 or window.resolved(top + 1, cap):
-            return None
-        # zeros: pages no row is written to stay unmapped where the allocator gives fresh ones
-        kept = ([False] * top, np.zeros((top, cap)))
-        _KEPT.put(key, kept)
-    filled, m = kept
-    if not all(filled[j_range.j0 - 1 : j_range.jL]):
-        m.flags.writeable = True  # only rows that no basis views yet are written
-        for j in j_range.levels():
-            if not filled[j - 1]:
-                le = window.effective_lmax(j, DEFAULT_LMAX_CAP)
-                _place(m[j - 1], window, j, le, j_range.n_j(j, window.B))
-                filled[j - 1] = True
-        m.flags.writeable = False
+    m = _KEPT.get(key)
+    if m is not None and len(m) >= j_range.jL:
+        return m
+    cap = DEFAULT_LMAX_CAP
+    top = 0
+    while _KEPT.keeps((top + 1) * cap * 8) and window.resolved(top + 1, cap):
+        top += 1
+    if top == 0 or window.resolved(top + 1, cap):
+        return None
+    m = _matrix(window, JRange(j0=1, jL=j_range.jL, c_b=j_range.c_b), cap)
+    _KEPT.put(key, m)
     return m
 
 
@@ -491,9 +489,8 @@ class LevelBasis:
     ``DEFAULT_LMAX_CAP``, ``w`` is then the view
     M[j0 - 1 : jL, :L] of the window's one weight matrix (``_weights``) and
     ``log_l`` a slice of one log table, so a build allocates no weights.  Past
-    that cap, or where M would not be kept or j0 < 1, the build places each
-    level's row, kept or computed and not kept, at ``window.support(j)``, cut
-    at the truncation point, in a matrix of its own.
+    that cap, or where M would not be kept or j0 < 1, ``w`` is a matrix of
+    its own from the same ``_matrix``, which keeps no row it computes.
     """
 
     window: NeedletWindow
@@ -507,28 +504,26 @@ class LevelBasis:
     def __post_init__(self):
         check_levels(self.window, self.j_range, self.l_max)
         window, rng = self.window, self.j_range
-        levels = rng.levels()
         n_sum, n = _level_counts(rng, window.B)
         m = _weights(window, rng) if rng.j0 >= 1 and self.l_max <= DEFAULT_LMAX_CAP else None
+        # supports end later at higher levels, so level jL's truncation is L, and
+        # every level's truncation at L is its truncation at l_max
+        size = window.effective_lmax(rng.jL, self.l_max)
         if m is not None:
-            # supports end later at higher levels, so level jL's truncation is L;
-            # check_levels found jL resolved at l_max, so M holds it
-            size = window.effective_lmax(rng.jL, self.l_max)
             w, log_l = m[rng.j0 - 1 : rng.jL, :size], _LOG_L[:size]
         else:
-            cut = [window.effective_lmax(j, self.l_max) for j in levels]
-            w = np.zeros((len(levels), max(cut)))
-            for i, (j, le) in enumerate(zip(levels, cut)):
-                _place(w[i], window, j, le, n[i], keep=False)
-            log_l = np.log(np.arange(1, max(cut) + 1, dtype=float))
+            w = _matrix(window, rng, size, keep=False)
+            log_l = np.log(np.arange(1, size + 1, dtype=float))
         for name, arr in (("w", w), ("log_l", log_l), ("n", n)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "n_sum", n_sum)
 
     def lam(self, values: np.ndarray) -> np.ndarray:
-        """lambda-hat per level from c-hat values indexed by l (index 0 unused)."""
-        return self.n * (self.w @ values[1 : self.w.shape[1] + 1])
+        """lambda-hat per level from c-hat values indexed by l (index 0 unused);
+        a level past the float range is inf, which a fit rejects with a typed error."""
+        with np.errstate(over="ignore"):
+            return self.n * (self.w @ values[1 : self.w.shape[1] + 1])
 
     def k(self, alpha: float) -> np.ndarray:
         """K_j(alpha) per level."""

@@ -21,9 +21,12 @@ operations of numpy scalars in the same order, without their call overhead.
 The grid's alphas and the trace read one grid per search range
 (``needlet.alpha_grid``), so the bracket and every Newton step are floats.
 A fit records G-hat, score and hessian from one ``_derivs`` call at
-alpha-hat.  It runs on lambda / 2^e, which puts the largest lambda in [1/2, 1)
-exactly: only G-hat (multiplied back by 2^e) and the trace's contrast depend on
-the spectrum's scale.  The rows-CSV form of a fit belongs to ``harness.ReplicationRow``.
+alpha-hat.  It runs on lambda / 2^e (``_scaled``), which puts the largest
+lambda in [1/2, 1) exactly: only G-hat (multiplied back by 2^e) and the
+trace's contrast depend on the spectrum's scale.  The single-point evaluators
+``contrast``, ``score``, ``hessian`` and ``profile_g_hat`` run on the same
+scaled statistics and read them back unscaled (``_at``), so they are finite
+wherever a fit is.  The rows-CSV form of a fit belongs to ``harness.ReplicationRow``.
 
 ``level_range`` is the one rule that turns a band request (band, j0, jl, g)
 into a level range; ``estimate`` and the Monte Carlo configs both fit through
@@ -79,6 +82,7 @@ __all__ = [
 
 GRID_POINTS = 64  # alpha grid that brackets the minimum before the Newton search
 MAX_ITER = 200  # Newton/bisection iterates per fit; a few suffice (see README)
+_LOG_2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -135,15 +139,36 @@ def _derivs(stats: NeedletStatistics, alpha: float) -> tuple[float, float, float
     return float(value), grad, curv, phi
 
 
+def _scaled(stats: NeedletStatistics) -> tuple[NeedletStatistics, int]:
+    """(the statistics on lambda / 2^e, e), e the binary exponent of the
+    largest lambda, which the scaled statistics put in [1/2, 1) exactly."""
+    top = float(stats.lam.max())  # lambda >= 0, and max propagates nan
+    if not 0.0 < top < math.inf:
+        raise DegenerateDataError("level statistics must be finite, with one positive")
+    e = math.frexp(top)[1]
+    return NeedletStatistics(basis=stats.basis, lam=np.ldexp(stats.lam, -e)), e
+
+
+def _at(stats: NeedletStatistics, e: int, alpha: float) -> tuple[float, float, float, float]:
+    """``_derivs`` at alpha of statistics on lambda / 2^e, as those of the
+    unscaled lambda: the contrast plus e log 2, score and hessian as they
+    are, and G-hat times 2^e, exactly, or ``DegenerateDataError`` past the
+    float range."""
+    value, grad, curv, g = _derivs(stats, alpha)
+    if math.frexp(g)[1] + e > sys.float_info.max_exp:
+        raise DegenerateDataError("profiled amplitude overflows")
+    return value + e * _LOG_2, grad, curv, math.ldexp(g, e)
+
+
 def profile_g_hat(stats: NeedletStatistics, alpha: float) -> float:
     """Closed-form amplitude profile (1/sum N_j) sum_j lambda_j / K_j(alpha)."""
-    return _derivs(stats, alpha)[3]
+    return _at(*_scaled(stats), alpha)[3]
 
 
 def contrast(stats: NeedletStatistics, alpha: float) -> float:
     """Profiled Whittle contrast; the alpha-free coefficient entropy term is
     dropped, so only contrast differences are meaningful."""
-    return _derivs(stats, alpha)[0]
+    return _at(*_scaled(stats), alpha)[0]
 
 
 def contrast_two_param(stats: NeedletStatistics, alpha: float, g: float) -> float:
@@ -158,12 +183,12 @@ def contrast_two_param(stats: NeedletStatistics, alpha: float, g: float) -> floa
 
 def score(stats: NeedletStatistics, alpha: float) -> float:
     """Analytic d/dalpha of the contrast."""
-    return _derivs(stats, alpha)[1]
+    return _at(*_scaled(stats), alpha)[1]
 
 
 def hessian(stats: NeedletStatistics, alpha: float) -> float:
     """Analytic d^2/dalpha^2 of the contrast."""
-    return _derivs(stats, alpha)[2]
+    return _at(*_scaled(stats), alpha)[2]
 
 
 def _check_two_levels(j_range: JRange, band: str) -> None:
@@ -202,11 +227,7 @@ class WhittleFit:
 
 def _fit(stats: NeedletStatistics, search: SearchSettings, band: str) -> WhittleFit:
     _check_two_levels(stats.j_range, band)
-    top = float(stats.lam.max())  # lambda >= 0, and max propagates nan
-    if not 0.0 < top < math.inf:
-        raise DegenerateDataError("level statistics must be finite, with one positive")
-    e = math.frexp(top)[1]  # the fit runs on lambda / 2^e (module docstring)
-    stats = NeedletStatistics(basis=stats.basis, lam=np.ldexp(stats.lam, -e))
+    stats, e = _scaled(stats)  # the fit runs on lambda / 2^e (module docstring)
     # the grid stays vectorised: one k_linspace pass, not GRID_POINTS evaluations
     _, k = stats.basis.k_linspace(search.alpha_min, search.alpha_max, GRID_POINTS)
     grid = alpha_grid(search.alpha_min, search.alpha_max, GRID_POINTS)[1]
@@ -248,12 +269,10 @@ def _fit(stats: NeedletStatistics, search: SearchSettings, band: str) -> Whittle
             f"[{search.alpha_min}, {search.alpha_max}]",
             BoundaryWarning,
         )
-    _, grad, curv, g_hat = _derivs(stats, alpha_hat)
-    if math.frexp(g_hat)[1] + e > sys.float_info.max_exp:
-        raise DegenerateDataError("profiled amplitude overflows")
+    _, grad, curv, g_hat = _at(stats, e, alpha_hat)
     return WhittleFit(
         alpha_hat=alpha_hat,
-        g_hat=math.ldexp(g_hat, e),
+        g_hat=g_hat,
         j_range_used=stats.j_range,
         band=band,
         contrast_trace=trace,

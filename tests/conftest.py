@@ -24,6 +24,13 @@ def noise_free_spectrum(model: PowerSpectrumModel, l_max: int) -> EmpiricalSpect
     return EmpiricalSpectrum(l_max=l_max, values=values)
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--fuzz-cases", type=int, default=0,
+        help="seeded cases per entry point in test_fuzz.py (default: its fixed tier-1 sample)",
+    )
+
+
 @pytest.fixture(scope="session")
 def canonical_model() -> PowerSpectrumModel:
     return PowerSpectrumModel(alpha0=3.0, g0=1.0)

@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -124,11 +123,16 @@ class TestSimulateEstimate:
         # finite c-hat whose level statistics overflow: a typed error, no fit
         path = tmp_path / "big.spectrum.csv"
         path.write_text("l,c_hat\n" + "".join(f"{l},1e308\n" for l in range(1, 65)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow in lambda
-            assert main(["estimate", "--spectrum-file", str(path)]) == EXIT_NUMERIC
+        # tier-1 turns numpy's RuntimeWarning into an error: lambda overflows without one
+        assert main(["estimate", "--spectrum-file", str(path)]) == EXIT_NUMERIC
         out, err = capsys.readouterr()
-        assert "alpha_hat" not in out and "DegenerateDataError" in err
+        assert "alpha_hat" not in out
+        assert err.startswith("numeric error: DegenerateDataError:") and err.count("\n") == 1
+
+    def test_spectrum_file_a_directory_exits_config(self, tmp_path, capsys):
+        # an OSError other than FileNotFoundError once ended in a traceback
+        assert main(["estimate", "--spectrum-file", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error:")
 
     def test_estimate_from_csv(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -155,6 +159,7 @@ class TestSimulateEstimate:
             ("run.spectrum.bin", lambda data: data[:4], "truncated header"),
             ("run.spectrum.csv", lambda data: data.split(b"\n", 1)[0] + b"\n", "no data rows"),
             ("run.spectrum.csv", lambda data: data.replace(b"2,", b"2,abc", 1), "abc"),
+            ("run.spectrum.csv", lambda data: data.replace(b"2,", b"2,\xff", 1), "not text"),
             # the header's version word, after the 8-byte magic, set to 2
             (
                 "run.spectrum.bin",
@@ -163,7 +168,8 @@ class TestSimulateEstimate:
             ),
         ],
         ids=[
-            "bin-short-payload", "bin-4-bytes", "csv-header-only", "csv-non-numeric", "bin-version-2",
+            "bin-short-payload", "bin-4-bytes", "csv-header-only", "csv-non-numeric", "csv-not-utf8",
+            "bin-version-2",
         ],
     )
     def test_malformed_spectrum_file(self, tmp_path, capsys, name, corrupt, message):
@@ -240,6 +246,8 @@ class TestSimulateEstimate:
             ("window.kind = mexican", "window.kind = gaussian"),
             ("run.noise_free = false", "run.noise_free = maybe"),
             ("window.p = 2", "window.p = 0"),
+            ("window.p = 2", "window.p = 51"),
+            ("model.g0 = 1.0", "model.g0 = 1.0\udcff"),  # written as the byte 0xff
             (
                 "model.correction = none",
                 "model.correction = rational\nmodel.p_coeffs = 1.0,-2.0\nmodel.q_coeffs = 1.0",
@@ -252,6 +260,8 @@ class TestSimulateEstimate:
             "unknown-window-kind",
             "noise-free-not-a-boolean",
             "window-p-zero",
+            "window-p-past-the-float-range",
+            "not-utf8-text",
             "rational-leading-coefficient-negative",
             "line-without-equals",
             "empty-value",
@@ -261,7 +271,7 @@ class TestSimulateEstimate:
         path = write_config(tmp_path)
         text = path.read_text()
         assert old in text
-        path.write_text(text.replace(old, new))
+        path.write_bytes(text.replace(old, new).encode("utf-8", "surrogateescape"))
         assert main(["montecarlo", "--config", str(path)]) == EXIT_CONFIG
         assert not list(tmp_path.glob("run.*"))
 
@@ -440,18 +450,24 @@ class TestMonteCarlo:
         assert "mean_alpha" in capsys.readouterr().out
 
     @pytest.mark.parametrize("g0", [1e-300, 1e-200, 1e200, 1e300])
-    def test_far_scaled_amplitude(self, tmp_path, g0):
+    def test_far_scaled_amplitude(self, tmp_path, capsys, g0):
         # a fit does not depend on the spectrum's scale: these once ended in a
         # ZeroDivisionError or an OverflowError traceback
         model = PowerSpectrumModel(alpha0=3.0, g0=g0)
         cfg = write_config(tmp_path, model=model, l_max=64, replications=8)
         assert main(["montecarlo", "--config", str(cfg)]) == EXIT_OK
         paths = (tmp_path / "run.summary.csv", tmp_path / "run.rows.csv")
-        rows = harness.load_summary(*paths, ExperimentConfig.from_file(cfg)).rows
+        summary = harness.load_summary(*paths, ExperimentConfig.from_file(cfg))
+        rows = summary.rows
         assert len(rows) == 8 and not any(row.failed for row in rows)
         for row in rows:
             assert all(map(math.isfinite, (row.alpha_hat, row.g_hat, row.score, row.hessian)))
             assert row.g_hat / g0 == pytest.approx(1.0, rel=0.5)
+        # mean_g prints in 8 significant digits, as a fit's g_hat does: not as
+        # 0.000000 at 1e-300, nor as a 301-digit integer at 1e300
+        (printed,) = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("mean_g ")]
+        assert printed == f"{summary.aggregate.mean_g:.8g}" and len(printed) <= 14
 
     def test_check_mode_noise_free_passes(self, tmp_path):
         cfg = write_config(tmp_path, replications=1, noise_free=True)
@@ -474,7 +490,7 @@ class TestMonteCarlo:
         assert rc == EXIT_CHECK
         out = capsys.readouterr().out
         assert "check search-boundary: FAIL (12/12 " in out
-        assert "jarque_bera  nan" in out
+        assert "jarque_bera  n/a" in out  # undefined: no spread
         assert not (tmp_path / "run.hist.csv").exists()
 
 

@@ -321,6 +321,7 @@ class TestSharedDraws:
         "mexican-standard": [{}, dict(window=StandardWindow(B=2.0))],
     }
 
+    @pytest.mark.host_bits
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("group", list(GROUPS))
     def test_shared_run_equals_solo_runs(self, tmp_path, group, workers):

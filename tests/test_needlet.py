@@ -89,6 +89,20 @@ class TestWindows:
         with pytest.raises(DomainError, match="B must be finite and exceed 1"):
             window(B=B)
 
+    @pytest.mark.parametrize("p", [0, needlet.MEXICAN_P_MAX + 1, 200])
+    def test_p_bounded(self, p):
+        # p = 200 once overflowed x^(4p) in a level's row: a RuntimeWarning, then inf weights
+        with pytest.raises(DomainError, match="p must be in"):
+            MexicanWindow(p=p)
+
+    @pytest.mark.parametrize("B", [1.05, 2.0, 3.0])
+    def test_largest_p_rows_finite(self, B):
+        # the lowest resolved level reads x up to nearly 2 cutoff_x
+        window = MexicanWindow(p=needlet.MEXICAN_P_MAX, B=B)
+        j0 = next(j for j in range(-200, 2) if window.resolved(j, 1024))
+        basis = LevelBasis(window, JRange(j0=j0, jL=select_j_range(1024, window).jL), 1024)
+        assert np.isfinite(basis.w).all() and basis.w.any(axis=1).all()
+
     def test_field_defaults(self):
         assert MexicanWindow() == MexicanWindow(p=2, B=2.0)
         assert StandardWindow() == StandardWindow(B=2.0)
@@ -501,6 +515,7 @@ VIEW_LMAX = sorted({16, 8192, *(int(x) for x in np.random.default_rng(23).intege
 VIEW_WINDOWS = [MEX, STD, StandardWindow(B=math.sqrt(2.0)), StandardWindow(B=3.0)]
 
 
+@pytest.mark.host_bits
 class TestWeightMatrix:
     """Bases as views of the window's one weight matrix M and of one log table,
     and grids from the cached totals, against a fresh contiguous build byte for
@@ -548,9 +563,28 @@ class TestWeightMatrix:
         for B in np.linspace(1.5, 3.0, 30):
             for window in (MexicanWindow(p=2, B=float(B)), StandardWindow(B=float(B))):
                 LevelBasis(window, select_j_range(4096, window), 4096).k_linspace(2.001, 10.0, 64)
-                requested += fresh_store.get(("weights", window, 1.0))[1].nbytes
+                requested += fresh_store.get(("weights", window, 1.0)).nbytes
                 held_within_bound(fresh_store)
         assert requested > 4 * needlet.KEPT_BYTES  # the bound did evict matrices
+
+    @pytest.mark.parametrize("window", VIEW_WINDOWS, ids=str)
+    def test_taller_request_replaces_the_matrix(self, fresh_store, window):
+        # M is built whole for the levels 1..jL asked for and never written
+        # again: a request past its top level puts a taller M in its place,
+        # and a basis on the former M keeps its bytes
+        full = select_j_range(8192, window)
+        low = LevelBasis(window, JRange(j0=full.j0, jL=full.j0 + 1), 1024)
+        first = fresh_store.get(("weights", window, 1.0))
+        before = low.w.tobytes()
+        assert first.shape[0] == full.j0 + 1 and not first.flags.writeable
+        assert LevelBasis(window, JRange(j0=full.j0, jL=full.j0), 64).w.base is first
+        tall = LevelBasis(window, full, 8192)
+        m = fresh_store.get(("weights", window, 1.0))
+        assert m is not first and m.shape[0] == full.jL and not m.flags.writeable
+        assert np.shares_memory(tall.w, m) and not np.shares_memory(low.w, m)
+        assert low.w.tobytes() == before
+        assert m[: len(first)].tobytes() == first.tobytes()
+        assert tall.w.tobytes() == _contiguous(tall).w.tobytes()
 
     @pytest.mark.parametrize(
         "window, j_range, l_max",
@@ -568,6 +602,7 @@ class TestWeightMatrix:
         assert basis.log_l.tobytes() == _contiguous(basis).log_l.tobytes()
 
 
+@pytest.mark.host_bits
 class TestKept:
     """The stores of arrays kept between calls, ``needlet.Kept``: the rule,
     the kinds of the fit's store ``needlet._KEPT``, a synthesis beside it, and
@@ -602,8 +637,8 @@ class TestKept:
         LevelBasis(MEX, JRange(j0=1, jL=9), 1024).k_linspace(2.001, 10.0, 64)
         first, terms = fresh_store.get(("row", MEX, 1))
         assert terms.shape == (MEX.support(1)[1],)
-        filled, m = fresh_store.get(("weights", MEX, 1.0))
-        assert m.shape == (len(filled), harmonic.DEFAULT_LMAX_CAP) and all(filled[:9])
+        m = fresh_store.get(("weights", MEX, 1.0))
+        assert m.shape == (9, harmonic.DEFAULT_LMAX_CAP)
         for j in (8, 9):  # the levels that l_max cuts read their own tables
             first, terms = fresh_store.get(("row", MEX, j))
             table = fresh_store.get(("table", MEX, j, 2.001, 10.0, 64))
@@ -922,6 +957,7 @@ CHECK_WINDOWS = [
 ]
 
 
+@pytest.mark.host_bits
 class TestCheckLevelsAtRangeEnds:
     @pytest.mark.parametrize("l_max", [4, 64, 1023, 8192, 50_000])
     @pytest.mark.parametrize("window", CHECK_WINDOWS, ids=str)

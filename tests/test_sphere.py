@@ -113,6 +113,7 @@ class TestLegendre:
             assert np.allclose(table[l, m], want, rtol=1e-10), (l, m)
 
 
+@pytest.mark.host_bits
 class TestLegendreCoefficients:
     """Recurrence coefficients kept across fields, against fresh ones byte for
     byte.  Both sides are computed on one host, so these hold under numpy's

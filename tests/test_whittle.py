@@ -27,7 +27,7 @@ from needlet_whittle import (
     whittle,
 )
 from needlet_whittle.harness import ReplicationRow, write_rows_csv
-from needlet_whittle.needlet import LevelBasis, narrow_band_j1, select_j_range
+from needlet_whittle.needlet import LevelBasis, NeedletStatistics, narrow_band_j1, select_j_range
 from needlet_whittle.whittle import GRID_POINTS, contrast_two_param
 
 from conftest import chi2_spectrum, noise_free_spectrum
@@ -248,6 +248,7 @@ class TestScaleFree:
     """A fit runs on lambda / 2^e, with e the binary exponent of the largest
     lambda, so it does not depend on the spectrum's overall scale."""
 
+    @pytest.mark.host_bits
     @pytest.mark.parametrize("window", [MEX, STD], ids=str)
     @pytest.mark.parametrize("band", ["full", "narrow"])
     def test_power_of_two_scale_equivariance(self, window, band, canonical_model):
@@ -269,6 +270,35 @@ class TestScaleFree:
             ), k
             assert got.g_hat == math.ldexp(base.g_hat, k), k
 
+    @pytest.mark.host_bits
+    def test_evaluators_power_of_two_scale_equivariance(self, canonical_model):
+        # the public evaluators run on lambda / 2^e as the fit does: score and
+        # hessian keep their bits, G-hat scales exactly and the contrast moves
+        # by k log 2, for every 2^k that keeps lambda finite and normal
+        spec = noise_free_spectrum(canonical_model, 256)
+        j_range = select_j_range(256, MEX)
+
+        def evaluate(values):
+            stats = compute_statistics(EmpiricalSpectrum(l_max=256, values=values), MEX, j_range)
+            return [f(stats, 3.0) for f in (contrast, score, hessian, profile_g_hat)]
+
+        base = evaluate(spec.values)
+        for k in [*range(-990, 1021, 10), 1023]:
+            value, grad, curv, g = evaluate(np.ldexp(spec.values, k))
+            assert (grad, curv, g) == (base[1], base[2], math.ldexp(base[3], k)), k
+            assert value == pytest.approx(base[0] + k * math.log(2.0), rel=0.0, abs=1e-12), k
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_far_scaled_evaluators(self, scale, canonical_model):
+        # these raised ZeroDivisionError and OverflowError before the evaluators ran scaled
+        spec = noise_free_spectrum(canonical_model, 256)
+        stats = compute_statistics(spec, MEX, select_j_range(256, MEX))
+        far = NeedletStatistics(basis=stats.basis, lam=stats.lam * scale)
+        assert score(far, 3.0) == pytest.approx(score(stats, 3.0), abs=1e-12)
+        assert hessian(far, 3.0) == pytest.approx(hessian(stats, 3.0), rel=1e-12)
+        assert profile_g_hat(far, 3.0) == pytest.approx(scale, rel=1e-12)
+        assert contrast(far, 3.0) == pytest.approx(contrast(stats, 3.0) + math.log(scale), rel=1e-12)
+
     def test_far_scaled_spectrum_fits(self, canonical_model):
         # 10^307 is no power of two: the fit moves by rounding only, where the
         # unscaled contrast once overflowed into a wrong "converged" 2.128
@@ -278,11 +308,10 @@ class TestScaleFree:
         assert fit.alpha_hat == pytest.approx(fit_full_band(spec, MEX).alpha_hat, abs=1e-12)
 
     def test_overflowing_statistics_raise(self):
+        # lambda overflows to inf without numpy's RuntimeWarning, which tier-1 makes an error
         spec = EmpiricalSpectrum(l_max=64, values=np.concatenate([[0.0], np.full(64, 1e308)]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow in lambda
-            with pytest.raises(DegenerateDataError, match="finite"):
-                fit_full_band(spec, MEX)
+        with pytest.raises(DegenerateDataError, match="finite"):
+            fit_full_band(spec, MEX)
 
     def test_overflowing_amplitude_raises(self):
         # a flat 1e300 spectrum fitted at alpha >= 8: G-hat = lambda / K_j is
@@ -528,6 +557,7 @@ def reference_derivs(stats, alpha):
     return float(value), float(grad), float(curv), float(phi)
 
 
+@pytest.mark.host_bits
 @pytest.mark.parametrize("l_max", [64, 1000, 8192])
 @pytest.mark.parametrize("window", [MEX, STD], ids=str)
 def test_one_reduction_keeps_the_derivatives(window, l_max, canonical_model):
