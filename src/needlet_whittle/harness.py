@@ -79,8 +79,8 @@ __all__ = [
 JB_CRITICAL_0_001 = -2.0 * math.log(0.001)
 
 MAX_FAILURE_FRACTION = 0.05
-# a run holds one row per config and replication: ~530 bytes each at peak from
-# a pool, ~380 serial (tracemalloc, 2 configs x 100,000): 2^19 rows peak ~280 MB
+# a run holds one row per config and replication: ~420 bytes each at peak from
+# a pool, ~290 serial (tracemalloc, 2 configs x 100,000): 2^19 rows peak ~220 MB
 REPLICATION_CAP = 2**19
 HISTOGRAM_BINS = 24
 MIN_SAMPLE_FITS = 8  # fewest fits that get a Jarque-Bera statistic and plot data
@@ -302,11 +302,12 @@ def rep_seed(master_seed: int, r: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-@dataclass
+@dataclass(slots=True)
 class ReplicationRow:
     """One line of the rows CSV: the fields, in order, are its columns.  ``j0``
     is the first level used (J1 on a narrow band); ``boundary`` flags a fit that
-    ended at or near a search end."""
+    ended at or near a search end.  Slots, so a row unpickled from the pool
+    holds no ``__dict__`` of its own (~60 bytes a row)."""
 
     rep: int
     seed: int

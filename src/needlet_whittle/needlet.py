@@ -19,24 +19,22 @@ min(l_max, last), and ``resolved(j, l_max)``, whether it fits the band
 1..l_max, reads the same bounds: last > 1 with the peak at or below l_max
 (mexican), 1 <= last <= l_max (compact).
 
-A level's row of weights window_sq(l/B^j)(2l+1) over its support depends on
-(window, j) only; l_max merely truncates it, so each row is computed once and
-kept.  ``_matrix`` lays the rows of a level range, divided by N_j and cut
-at its width, into a fresh matrix.  Up to the cap C =
-``harmonic.DEFAULT_LMAX_CAP``, one such matrix M per (window, c_b) holds the
-levels 1..jL on l = 1..C, row j - 1 for level j, built whole and kept
-read-only; a basis that reaches a level past M puts a taller M in its place.  With one
-table of log l on l = 1..C, a basis at l_max <= C is the view
-M[j0 - 1 : jL, :L] and a slice of that table.  A request past C, or a window
-whose M is too large to keep (B near 1), gets a matrix of its own.
+Level j's weights window_sq(l/B^j)(2l+1)/N_j over its support depend on
+(window, j, c_b) only; l_max merely truncates them.  ``_matrix`` lays the
+rows of a level range, each computed over [first, its truncation point], into
+a fresh zero matrix.  Up to the cap C = ``harmonic.DEFAULT_LMAX_CAP``, one
+such matrix M per (window, c_b) holds every level 1..top ``resolved`` at C on
+l = 1..C, row j - 1 for level j, built once, kept read-only and never
+replaced.  With one table of log l on l = 1..C, a basis at l_max <= C is the
+view M[j0 - 1 : jL, :L] and a slice of that table.  A request past C, a
+window whose M is too large to keep (B near 1), or a range from j0 <= 0 gets
+a matrix of its own; ``lambda_hat`` builds its one level's row alone.
 
-K_j on the fit's alpha grid depends on l_max only where l_max cuts a level.
-So each (window, j, grid) keeps one table of the row's running sums
-terms_l l^-alpha over whole blocks of 64 multipoles: a level whose support
-ends by l_max reads the table's total, one that l_max cuts its last whole
-block plus its few leftover multipoles.  The totals of levels 1, 2, ... are
-kept as one (num x levels) array per (window, grid), so the levels l_max does
-not cut, all but the top one or two mexican levels, are one slice.  The grid
+K_j on the fit's alpha grid is a running sum over whole blocks of 64
+multipoles (``_block_sums``) plus the few leftover ones.  M's running sums
+at every block, for every level, are one table per (window, c_b, grid), so
+any band limit and level range reads one slice of it; a basis with a matrix
+of its own keeps only the running sum, not a table.  The grid
 (``alpha_grid``) is kept per search range, a level range's N_j per (j_range, B).
 
 These are the fit's arrays kept between calls, in one store ``_KEPT``,
@@ -44,10 +42,10 @@ read-only, under keys whose first item names their kind; ``sphere`` keeps
 its Legendre coefficients in a ``Kept`` of its own.  The rule, under one
 bound ``KEPT_BYTES`` = 4 MiB per store: the oldest entry goes first once the
 bytes pass it, a put under a kept key replaces the entry, and an entry past
-half of it is not kept (a row that long is computed only up to a basis's
-truncation).  After warm-up, fit-sweep's 1500 fits at seed 1 keep 2.29 MB,
-20 level-6 fields with their checks 0.40 MB (and 0.86 MB of Legendre
-blocks), 20 canonical replications 0.68 MB: none evicts.
+half of it is not kept (an M or table that large is not built).  After
+warm-up, fit-sweep's 1500 fits at seed 1 keep 3.16 MB, 20 level-6 fields with
+their checks nothing (and 0.86 MB of Legendre blocks), 20 canonical
+replications 1.58 MB: none evicts.
 
 On top of the windows: ``check_levels``, the one check that a level range is
 usable at l_max, by each window's ``resolved`` rule for both ends of the band
@@ -232,15 +230,14 @@ class StandardWindow(_Window):
         A multipole with l / B^j in [(B + 1) / (2B), (B + 1) / 2], where
         window_sq >= 1/2, shows the level non-empty at once.  Otherwise that
         band holds no integer, so the support, twice as wide, holds at most
-        two, and the level's row of weights, as ``LevelBasis`` reads it,
-        decides.
+        two, and their weights, as ``_matrix`` computes them, decide.
         """
         B, scale = self.B, self.B**j
         cut = self.effective_lmax(j, l_max)
         if min(math.floor(scale * (B + 1.0) / 2.0), cut) >= scale * (B + 1.0) / (2.0 * B):
             return False
-        first, terms = _level_row(self, j, cut)
-        return not np.any(terms[: cut - first + 1] > 0.0)
+        l = np.arange(self.support(j)[0], cut + 1, dtype=float)
+        return not np.any(self._level_sq(l, j) > 0.0)
 
 
 NeedletWindow = MexicanWindow | StandardWindow
@@ -344,7 +341,7 @@ def _nbytes(value) -> int:
     return sum(a.nbytes for a in _arrays(value))
 
 
-_KEPT = Kept(KEPT_BYTES)  # keys begin "row", "table", "weights", "totals", "counts" or "grid"
+_KEPT = Kept(KEPT_BYTES)  # keys begin "weights", "table", "counts" or "grid"
 
 
 def _level_counts(j_range: JRange, B: float) -> tuple[float, np.ndarray]:
@@ -358,33 +355,15 @@ def _level_counts(j_range: JRange, B: float) -> tuple[float, np.ndarray]:
     return kept
 
 
-def _level_row(window: NeedletWindow, j: int, le: int, keep: bool = True) -> tuple[int, np.ndarray]:
-    """(first, terms): window_sq(l/B^j)(2l+1) for l = first, first + 1, ...
-    over level j's ``window.support(j)``, whatever the band limit, kept by
-    (window, j); a row too long to keep, or not to be kept, is computed only
-    up to multipole ``le``, a basis's truncation."""
-    key = ("row", window, j)
-    row = _KEPT.get(key)
-    if row is not None:
-        return row
-    first, last = window.support(j)
-    stored = keep and _KEPT.keeps((last - first + 1) * 8)
-    l = np.arange(first, (last if stored else le) + 1, dtype=float)
-    terms = window._level_sq(l, j) * (2.0 * l + 1.0)
-    if stored:
-        _KEPT.put(key, (first, terms))
-    return first, terms
-
-
-def _matrix(window: NeedletWindow, j_range: JRange, width: int, keep: bool = True) -> np.ndarray:
-    """Level j's row divided by N_j, cut at ``effective_lmax(j, width)``, as
-    row j - j0 of a fresh zero matrix over l = 1..width; with ``keep`` False,
-    no row it computes is kept (``_level_row``)."""
+def _matrix(window: NeedletWindow, j_range: JRange, width: int) -> np.ndarray:
+    """window_sq(l/B^j)(2l+1)/N_j over l = first..``effective_lmax(j, width)``,
+    ``first`` from ``window.support(j)``, as row j - j0 of a fresh zero matrix
+    over l = 1..width."""
     w = np.zeros((j_range.jL - j_range.j0 + 1, width))
     for i, j in enumerate(j_range.levels()):
-        le = window.effective_lmax(j, width)
-        first, terms = _level_row(window, j, le, keep)
-        w[i, first - 1 : le] = terms[: le - first + 1] / j_range.n_j(j, window.B)
+        first, le = window.support(j)[0], window.effective_lmax(j, width)
+        l = np.arange(first, le + 1, dtype=float)
+        w[i, first - 1 : le] = window._level_sq(l, j) * (2.0 * l + 1.0) / j_range.n_j(j, window.B)
     return w
 
 
@@ -403,63 +382,48 @@ def alpha_grid(start: float, stop: float, num: int) -> tuple[np.ndarray, tuple[f
     return grid
 
 
-def _grid_table(window: NeedletWindow, j: int, row: tuple[int, np.ndarray], alphas: np.ndarray) -> np.ndarray:
-    """S[r, b]: the sum of level j's ``row`` terms_l l^-alphas[r] over its
-    first b + 1 blocks of ``_GRID_BLOCK`` multipoles; the last block may be
-    partial, so S[:, -1] sums the whole row.  Kept by (window, j, grid) under
-    the row's own rule: a row too long to keep, computed only up to a basis's
-    truncation, gets a table up to there that is not kept either."""
-    key = ("table", window, j, alphas[0], alphas[-1], len(alphas))  # the grid is a linspace
+def _block_sums(w: np.ndarray, log_l: np.ndarray, alphas: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Running sums over the whole blocks of ``_GRID_BLOCK`` multipoles of a
+    weight matrix w: S[b] = sum_l w[:, l - 1] exp(-alphas log l) over l = 1..64b,
+    shape (num, J), lands in out[b % len(out)].  So an ``out`` of blocks + 1
+    entries keeps every S[b] from S[0] = 0, and one of a single entry keeps
+    only the running sum; returns the last S."""
+    n, blocks = len(out), w.shape[1] // _GRID_BLOCK
+    out[0] = 0.0
+    x, s, minus = np.empty((len(alphas), _GRID_BLOCK)), np.empty(out.shape[1:]), -alphas
+    for b in range(blocks):
+        l = slice(b * _GRID_BLOCK, (b + 1) * _GRID_BLOCK)
+        np.exp(np.multiply.outer(minus, log_l[l], out=x), out=x)
+        np.add(out[b % n], np.matmul(x, w[:, l].T, out=s), out=out[(b + 1) % n])
+    return out[blocks % n]
+
+
+def _grid_table(window: NeedletWindow, c_b: float, m: np.ndarray, alphas: np.ndarray) -> np.ndarray | None:
+    """``_block_sums`` of the window's M (``_weights``) at every whole block,
+    shape (blocks + 1, num, levels), kept by (window, c_b, grid); None for a
+    grid whose table is too large to keep."""
+    key = ("table", window, c_b, alphas[0], alphas[-1], len(alphas))  # the grid is a linspace
     table = _KEPT.get(key)
-    if table is not None:
-        return table
-    first, terms = row
-    sums = np.empty((len(alphas), -(-len(terms) // _GRID_BLOCK)))
-    blocks = 16  # per pass, so the (num, 16 * _GRID_BLOCK) powers stay small
-    for b in range(0, sums.shape[1], blocks):
-        t = terms[b * _GRID_BLOCK : (b + blocks) * _GRID_BLOCK]
-        l = np.arange(first + b * _GRID_BLOCK, first + b * _GRID_BLOCK + len(t), dtype=float)
-        x = np.multiply.outer(-alphas, np.log(l))
-        np.exp(x, out=x)
-        x *= t
-        sums[:, b : b + blocks] = np.add.reduceat(x, np.arange(0, len(t), _GRID_BLOCK), axis=1)
-    np.cumsum(sums, axis=1, out=sums)
-    if _KEPT.keeps((window.support(j)[1] - first + 1) * 8):
-        _KEPT.put(key, sums)
-    return sums
-
-
-def _totals(window: NeedletWindow, top: int, alphas: np.ndarray) -> np.ndarray:
-    """T[:, j - 1]: level j's whole-row grid total, ``_grid_table``'s last
-    column, for the levels j = 1..top at least; 0 for a level whose support
-    holds no multipole.  Kept by (window, grid); a basis that reaches a level
-    past it puts a wider one in its place."""
-    key = ("totals", window, alphas[0], alphas[-1], len(alphas))
-    kept = _KEPT.get(key)
-    if kept is not None and kept.shape[1] >= top:
-        return kept
-    totals = np.zeros((len(alphas), top))
-    for j in range(1, top + 1):
-        row = _level_row(window, j, window.support(j)[1])
-        if len(row[1]):
-            totals[:, j - 1] = _grid_table(window, j, row, alphas)[:, -1]
-    _KEPT.put(key, totals)
-    return totals
+    shape = (m.shape[1] // _GRID_BLOCK + 1, len(alphas), len(m))
+    if table is None and _KEPT.keeps(math.prod(shape) * 8):
+        table = np.empty(shape)
+        _block_sums(m, _LOG_L, alphas, table)
+        _KEPT.put(key, table)
+    return table
 
 
 _LOG_L = np.log(np.arange(1, DEFAULT_LMAX_CAP + 1, dtype=float))  # log l, l = 1..cap
 _LOG_L.flags.writeable = False
 
 
-def _weights(window: NeedletWindow, j_range: JRange) -> np.ndarray | None:
-    """M for (window, j_range.c_b): ``_matrix`` over the levels 1..jL and
-    the multipoles 1..``DEFAULT_LMAX_CAP``, row j - 1 for level j.  Kept by
-    (window, c_b); a basis that reaches a level past it puts a taller one in
-    its place.  None when the levels ``resolved`` at that cap make an M too
-    large to keep (B near 1)."""
-    key = ("weights", window, j_range.c_b)
+def _weights(window: NeedletWindow, c_b: float) -> np.ndarray | None:
+    """M for (window, c_b): ``_matrix`` over every level 1..top ``resolved``
+    at ``DEFAULT_LMAX_CAP`` and the multipoles 1..cap, row j - 1 for level j,
+    built once and kept by (window, c_b).  None when those levels make an M
+    too large to keep (B near 1)."""
+    key = ("weights", window, c_b)
     m = _KEPT.get(key)
-    if m is not None and len(m) >= j_range.jL:
+    if m is not None:
         return m
     cap = DEFAULT_LMAX_CAP
     top = 0
@@ -467,7 +431,7 @@ def _weights(window: NeedletWindow, j_range: JRange) -> np.ndarray | None:
         top += 1
     if top == 0 or window.resolved(top + 1, cap):
         return None
-    m = _matrix(window, JRange(j0=1, jL=j_range.jL, c_b=j_range.c_b), cap)
+    m = _matrix(window, JRange(j0=1, jL=top, c_b=c_b), cap)
     _KEPT.put(key, m)
     return m
 
@@ -486,11 +450,11 @@ class LevelBasis:
     so data and model share one truncation.  Building runs ``check_levels``
     first: an unresolved level or an oversized range raises before any
     allocation; N_j and their sum come from ``_level_counts``.  Up to l_max =
-    ``DEFAULT_LMAX_CAP``, ``w`` is then the view
-    M[j0 - 1 : jL, :L] of the window's one weight matrix (``_weights``) and
-    ``log_l`` a slice of one log table, so a build allocates no weights.  Past
-    that cap, or where M would not be kept or j0 < 1, ``w`` is a matrix of
-    its own from the same ``_matrix``, which keeps no row it computes.
+    ``DEFAULT_LMAX_CAP``, ``w`` is then the view M[j0 - 1 : jL, :L] of the
+    window's one weight matrix ``m`` (``_weights``) and ``log_l`` a slice of
+    one log table, so a build allocates no weights.  Past that cap, or where M
+    is not kept or j0 < 1, ``m`` is None and ``w`` a matrix of its own from
+    the same ``_matrix``.
     """
 
     window: NeedletWindow
@@ -500,24 +464,25 @@ class LevelBasis:
     log_l: np.ndarray = field(init=False, repr=False)  # (L,)
     n: np.ndarray = field(init=False, repr=False)  # (J,) N_j
     n_sum: float = field(init=False, repr=False)  # sum_j N_j, read by every contrast
+    m: np.ndarray | None = field(init=False, repr=False)  # the kept M that w views, or None
 
     def __post_init__(self):
         check_levels(self.window, self.j_range, self.l_max)
         window, rng = self.window, self.j_range
         n_sum, n = _level_counts(rng, window.B)
-        m = _weights(window, rng) if rng.j0 >= 1 and self.l_max <= DEFAULT_LMAX_CAP else None
+        m = _weights(window, rng.c_b) if rng.j0 >= 1 and self.l_max <= DEFAULT_LMAX_CAP else None
         # supports end later at higher levels, so level jL's truncation is L, and
         # every level's truncation at L is its truncation at l_max
         size = window.effective_lmax(rng.jL, self.l_max)
         if m is not None:
             w, log_l = m[rng.j0 - 1 : rng.jL, :size], _LOG_L[:size]
         else:
-            w = _matrix(window, rng, size, keep=False)
-            log_l = np.log(np.arange(1, size + 1, dtype=float))
+            w, log_l = _matrix(window, rng, size), np.log(np.arange(1, size + 1, dtype=float))
         for name, arr in (("w", w), ("log_l", log_l), ("n", n)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "n_sum", n_sum)
+        object.__setattr__(self, "m", m)
 
     def lam(self, values: np.ndarray) -> np.ndarray:
         """lambda-hat per level from c-hat values indexed by l (index 0 unused);
@@ -540,37 +505,23 @@ class LevelBasis:
         """K_j at ``np.linspace(start, stop, num)``: (alphas, K), K of shape
         (num, J), alphas the read-only grid of ``alpha_grid``.
 
-        Each level reads its cached grid table (``_grid_table``): the levels
-        whose supports end by l_max, which come first, read their tables'
-        totals, all at once from ``_totals`` when j0 >= 1; a level that l_max
-        cuts reads its last whole block and adds its <= ``_GRID_BLOCK`` - 1
-        leftover multipoles.  Every power is exp(-alpha log l), as in ``k``,
-        so only the order of the sums differs from ``k`` (~1e-15 relative).
+        K is the running sum S over the whole blocks of ``_GRID_BLOCK``
+        multipoles in 1..L (``_block_sums``) plus the <= 63 leftover ones.  A
+        view of M reads S from M's kept table (``_grid_table``), columns
+        j0 - 1..jL - 1; a basis with a matrix of its own, or whose table is too
+        large to keep, sums S over its ``w`` and keeps nothing.  Every power is
+        exp(-alpha log l), as in ``k``, so only the order of the sums differs
+        from ``k`` (~1e-15 relative).
         """
         alphas = alpha_grid(start, stop, num)[0]
-        out = np.empty((num, len(self.n)))
-        levels = self.j_range.levels()
-        uncut = len(levels) if levels[0] >= 1 else 0
-        while uncut and self.window.support(levels[uncut - 1])[1] > self.l_max:
-            uncut -= 1
-        if uncut:
-            totals = _totals(self.window, levels[uncut - 1], alphas)
-            out[:, :uncut] = totals[:, levels[0] - 1 : levels[uncut - 1]]
-        for i, j in enumerate(levels[uncut:], uncut):
-            le = self.window.effective_lmax(j, self.l_max)
-            first, terms = row = _level_row(self.window, j, le)
-            table = _grid_table(self.window, j, row, alphas)
-            m = le - first + 1  # multipoles kept
-            if m == len(terms):  # the whole row, or all of it that was computed
-                out[:, i] = table[:, -1]
-                continue
-            whole = m - m % _GRID_BLOCK
-            x = np.exp(np.multiply.outer(-alphas, self.log_l[first - 1 + whole : le]))
-            out[:, i] = x @ terms[whole:m]
-            if whole:
-                out[:, i] += table[:, whole // _GRID_BLOCK - 1]
-        out /= self.n
-        return alphas, out
+        rng, whole = self.j_range, self.w.shape[1] // _GRID_BLOCK * _GRID_BLOCK
+        table = None if self.m is None else _grid_table(self.window, rng.c_b, self.m, alphas)
+        if table is None:
+            head = _block_sums(self.w, self.log_l, alphas, np.empty((1, num, len(self.n))))
+        else:
+            head = table[whole // _GRID_BLOCK][:, rng.j0 - 1 : rng.jL]
+        x = np.exp(np.multiply.outer(-alphas, self.log_l[whole:]))
+        return alphas, head + x @ self.w[:, whole:].T
 
 
 def k_j(window: NeedletWindow, j: int, alpha: float, l_max: int, c_b: float = 1.0) -> float:
@@ -599,8 +550,13 @@ def k_j_deriv(
 
 
 def lambda_hat(spec: EmpiricalSpectrum, window: NeedletWindow, j: int) -> float:
-    """Level energy statistic sum_l window_sq(l/B^j)(2l+1) c-hat_l."""
-    return float(LevelBasis(window, JRange(j0=j, jL=j), spec.l_max).lam(spec.values)[0])
+    """Level energy statistic sum_l window_sq(l/B^j)(2l+1) c-hat_l, from the
+    level's own row of ``_matrix``: no weight matrix M is read or kept."""
+    j_range = JRange(j0=j, jL=j)
+    check_levels(window, j_range, spec.l_max)
+    w = _matrix(window, j_range, window.effective_lmax(j, spec.l_max))
+    with np.errstate(over="ignore"):
+        return float(j_range.n_j(j, window.B) * (w @ spec.values[1 : w.shape[1] + 1])[0])
 
 
 def _round_half_up(x: float) -> int:

@@ -220,6 +220,8 @@ class TestRunExperiment:
         write_rows_csv(serial.rows, p1)
         write_rows_csv(parallel.rows, p2)
         assert p1.read_bytes() == p2.read_bytes()
+        # a row unpickled from the pool holds no dict of its own
+        assert not any(hasattr(row, "__dict__") for row in serial.rows + parallel.rows)
 
     def test_boundary_fits_flagged_in_rows(self, tmp_path):
         # alpha0 = 3 lies above the search range, so every fit ends at alpha_max;

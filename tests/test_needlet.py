@@ -333,45 +333,76 @@ class TestGridTables:
             exact = np.array([basis.k(a) for a in alphas])
             assert np.max(np.abs(k / exact - 1.0)) < 1e-13
 
-    def test_tables_read_at_another_band_limit(self, fresh_store):
-        # tables built over whole supports at one l_max serve another
-        for l_max in (8192, 1000, 4133, 1024):
-            basis = LevelBasis(MEX, select_j_range(l_max, MEX), l_max)
-            alphas, k = basis.k_linspace(2.001, 10.0, 64)
-            exact = np.array([basis.k(a) for a in alphas])
-            assert np.max(np.abs(k / exact - 1.0)) < 1e-13
-        assert len(kept(fresh_store, "table")) == select_j_range(8192, MEX).jL
+    @pytest.mark.host_bits
+    def test_one_table_read_at_every_band_limit(self, fresh_store):
+        # one table over the window's M, its every whole block from S[0] = 0,
+        # serves each band limit and level range
+        top = select_j_range(8192, MEX).jL
+        for l_max in (8192, 1000, 4133, 1024, 61):
+            for j0 in (1, select_j_range(l_max, MEX).jL - 1):
+                basis = LevelBasis(MEX, JRange(j0=j0, jL=select_j_range(l_max, MEX).jL), l_max)
+                alphas, k = basis.k_linspace(2.001, 10.0, 64)
+                exact = np.array([basis.k(a) for a in alphas])
+                assert np.max(np.abs(k / exact - 1.0)) < 1e-13
+        tables = kept(fresh_store, "table")
+        assert list(tables) == [(MEX, 1.0, 2.001, 10.0, 64)]
+        table = tables[MEX, 1.0, 2.001, 10.0, 64]
+        blocks = harmonic.DEFAULT_LMAX_CAP // needlet._GRID_BLOCK
+        assert table.shape == (blocks + 1, 64, top) and not table[0].any()
 
+    @pytest.mark.host_bits
     def test_tables_read_only(self, fresh_store):
         LevelBasis(STD, JRange(j0=1, jL=9), 1024).k_linspace(2.001, 10.0, 64)
+        assert kept(fresh_store, "table")
         for table in kept(fresh_store, "table").values():
             with pytest.raises(ValueError):
-                table[0, 0] = 1.0
+                table[0, 0, 0] = 1.0
 
+    @pytest.mark.host_bits
     def test_cache_within_its_byte_bound(self, fresh_store):
         requested = 0
         for B in np.linspace(1.5, 3.0, 30):
             for window in (MexicanWindow(p=2, B=float(B)), StandardWindow(B=float(B))):
-                j_range = select_j_range(4096, window)
-                LevelBasis(window, j_range, 4096).k_linspace(2.001, 10.0, 64)
-                requested += sum(
-                    8 * 64 * -(-(window.support(j)[1] - window.support(j)[0] + 1) // 64)
-                    for j in j_range.levels()
-                )
+                LevelBasis(window, select_j_range(4096, window), 4096).k_linspace(2.001, 10.0, 64)
+                requested += fresh_store.get(("table", window, 1.0, 2.001, 10.0, 64)).nbytes
                 held_within_bound(fresh_store)
         held = sum(table.nbytes for table in kept(fresh_store, "table").values())
         assert held < requested  # the bound did evict tables
 
-    def test_table_past_the_bound_not_stored(self, fresh_store):
-        # level 16's mexican row is past half the store's bound (see
-        # test_row_past_the_bound_not_stored): its table is summed from the
-        # row cut at l_max and, like the row, not kept
-        window, j, l_max = MEX, 16, 100_000
-        basis = LevelBasis(window, JRange(j0=j, jL=j), l_max)
-        alphas, k = basis.k_linspace(2.001, 10.0, 64)
-        assert not kept(fresh_store, "table") and not kept(fresh_store, "row")
+    @pytest.mark.host_bits
+    @pytest.mark.parametrize(
+        "window, j_range, l_max, num, views_m",
+        [
+            (MEX, JRange(j0=16, jL=16), 100_000, 64, False),  # past the cap: no M
+            (StandardWindow(B=1.1), JRange(j0=14, jL=71), 1024, 64, False),  # B near 1: M past its bound
+            (MEX, JRange(j0=1, jL=9), 1024, 1000, True),  # M kept, its table past the bound
+        ],
+        ids=["past-the-cap", "B-near-1", "wide-grid"],
+    )
+    def test_table_past_the_bound_not_stored(self, fresh_store, window, j_range, l_max, num, views_m):
+        # the running sum over the basis's own blocks: no table is kept
+        basis = LevelBasis(window, j_range, l_max)
+        alphas, k = basis.k_linspace(2.001, 10.0, num)
+        assert not kept(fresh_store, "table")
+        assert (basis.m is not None) == views_m
         exact = np.array([basis.k(a) for a in alphas])
         assert np.max(np.abs(k / exact - 1.0)) < 1e-13
+
+    @pytest.mark.host_bits
+    @pytest.mark.parametrize("window", [MexicanWindow(p=1, B=1.01), StandardWindow(B=1.01)])
+    def test_running_sum_peak_a_small_fraction_of_the_matrix(self, window):
+        # a basis with a matrix of its own sums its grid block by block: (num,
+        # J) arrays on top of w, not a table per level (the per-level tables
+        # peaked at 0.21x (compact) and 0.51x (mexican) the weight matrix)
+        basis = LevelBasis(window, select_j_range(2048, window), 2048)
+        assert basis.m is None
+        tracemalloc.start()
+        try:
+            basis.k_linspace(2.001, 10.0, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.15 * basis.w.nbytes
 
     def test_entry_past_the_bound_not_kept(self):
         store = needlet.Kept(1024)
@@ -429,7 +460,7 @@ class TestLevelRows:
 
     @pytest.mark.parametrize("l_maxes", [(8192, 1024), (1024, 8192)], ids=["down", "up"])
     def test_warm_rows_match_former_list_build(self, fresh_store, l_maxes):
-        # rows cached at one band limit and read at another, across windows
+        # M built at one band limit and read at another, across windows
         # that share B, p or the class
         for window in ROW_WINDOWS:
             for l_max in l_maxes:
@@ -437,31 +468,31 @@ class TestLevelRows:
                 got = LevelBasis(window, j_range, l_max).w
                 assert got.tobytes() == _former_list_build(window, j_range, l_max).tobytes()
 
-    def test_rows_cached_read_only(self, fresh_store):
-        basis = LevelBasis(STD, JRange(j0=1, jL=9), 1024)
-        for j in basis.j_range.levels():
-            first, terms = needlet._level_row(STD, j, 1024)
-            assert fresh_store.get(("row", STD, j))[1] is terms
+    @pytest.mark.host_bits
+    def test_matrix_kept_read_only(self, fresh_store):
+        # each build reads the window's one M, kept read-only: no row is kept
+        top = select_j_range(harmonic.DEFAULT_LMAX_CAP, STD).jL
+        for j_range, l_max in ((JRange(j0=1, jL=9), 1024), (JRange(j0=3, jL=5), 64)):
+            basis = LevelBasis(STD, j_range, l_max)
+            assert basis.m is fresh_store.get(("weights", STD, 1.0))
+            assert basis.m.shape == (top, harmonic.DEFAULT_LMAX_CAP)
             with pytest.raises(ValueError):
-                terms[0] = 1.0
+                basis.m[0, 0] = 1.0
+        assert {key[0] for key in fresh_store._entries} == {"weights", "counts"}
 
-    def test_cache_within_its_byte_bound(self, fresh_store):
-        requested = 0
+    @pytest.mark.host_bits
+    def test_builds_keep_no_row(self, fresh_store):
         for B in np.linspace(1.5, 3.0, 30):
             for window in (MexicanWindow(p=2, B=float(B)), StandardWindow(B=float(B))):
-                j_range = select_j_range(4096, window)
-                LevelBasis(window, j_range, 4096)
-                requested += sum(
-                    8 * (window.support(j)[1] - window.support(j)[0] + 1)
-                    for j in j_range.levels()
-                )
+                LevelBasis(window, select_j_range(4096, window), 4096)
                 held_within_bound(fresh_store)
-        held = sum(terms.nbytes for _, terms in kept(fresh_store, "row").values())
-        assert held < requested  # the bound did evict rows
+        assert {key[0] for key in fresh_store._entries} == {"weights", "counts"}
 
+    @pytest.mark.host_bits
     def test_row_past_the_bound_not_stored(self, fresh_store, monkeypatch):
         # level 16's mexican support, up to l ~ 331,000, is past half the
-        # store's bound: it is computed only up to l_max and not kept
+        # store's bound: its row is computed only up to l_max, and nothing of
+        # it is kept
         window, j, l_max = MEX, 16, 100_000
         first, last = window.support(j)
         assert 2 * 8 * (last - first + 1) > needlet.KEPT_BYTES
@@ -472,7 +503,7 @@ class TestLevelRows:
         )
         basis = LevelBasis(window, JRange(j0=j, jL=j), l_max)
         assert lengths == [l_max]
-        assert fresh_store.get(("row", window, j)) is None and not kept(fresh_store, "row")
+        assert {key[0] for key in fresh_store._entries} == {"counts"}
         l = np.arange(1, l_max + 1, dtype=float)
         assert np.array_equal(
             basis.w[0], window.window_sq(l / window.B**j) * (2.0 * l + 1.0) / basis.n[0]
@@ -481,33 +512,13 @@ class TestLevelRows:
 
 def _contiguous(basis):
     """The basis with a weight matrix and log table of its own, as built before
-    they were views of the window's cached M and log table."""
+    they were views of the window's kept M and log table: ``m`` is None, so
+    its grid is the running sum over its own blocks."""
     ref = copy.copy(basis)
     object.__setattr__(ref, "w", _former_list_build(basis.window, basis.j_range, basis.l_max))
     object.__setattr__(ref, "log_l", np.log(np.arange(1, ref.w.shape[1] + 1, dtype=float)))
+    object.__setattr__(ref, "m", None)
     return ref
-
-
-def _former_k_linspace(basis, start, stop, num):
-    """K on the grid as read before the grid totals: each level from its own
-    table, a level that l_max cuts with its leftover multipoles added."""
-    alphas = np.linspace(start, stop, num)
-    out = np.empty((num, len(basis.n)))
-    for i, j in enumerate(basis.j_range.levels()):
-        le = basis.window.effective_lmax(j, basis.l_max)
-        first, terms = row = needlet._level_row(basis.window, j, le)
-        table = needlet._grid_table(basis.window, j, row, alphas)
-        m = le - first + 1
-        if m == len(terms):
-            out[:, i] = table[:, -1]
-            continue
-        whole = m - m % needlet._GRID_BLOCK
-        x = np.exp(np.multiply.outer(-alphas, basis.log_l[first - 1 + whole : le]))
-        out[:, i] = x @ terms[whole:m]
-        if whole:
-            out[:, i] += table[:, whole // needlet._GRID_BLOCK - 1]
-    out /= basis.n
-    return out
 
 
 # band limits drawn once from a seeded generator over [16, 8192], with both ends
@@ -517,10 +528,11 @@ VIEW_WINDOWS = [MEX, STD, StandardWindow(B=math.sqrt(2.0)), StandardWindow(B=3.0
 
 @pytest.mark.host_bits
 class TestWeightMatrix:
-    """Bases as views of the window's one weight matrix M and of one log table,
-    and grids from the cached totals, against a fresh contiguous build byte for
-    byte.  Both sides are computed on one host, so these hold under numpy's
-    AVX-512 and AVX2 loops alike (CI reruns them with AVX-512 off)."""
+    """Bases as views of the window's one weight matrix M and of one log table
+    against a fresh contiguous build byte for byte, and grids from M's kept
+    table against the running sum over a contiguous build.  Both sides are
+    computed on one host, so these hold under numpy's AVX-512 and AVX2 loops
+    alike (CI reruns them with AVX-512 off)."""
 
     @pytest.mark.parametrize("c_b", [1.0, 2.0])
     @pytest.mark.parametrize("band", ["full", "narrow"])
@@ -530,7 +542,7 @@ class TestWeightMatrix:
         full = select_j_range(l_max, window)
         j0 = full.j0 if band == "full" else max(full.j0, full.jL - 1)
         basis = LevelBasis(window, JRange(j0=j0, jL=full.jL, c_b=c_b), l_max)
-        assert np.shares_memory(basis.w, needlet._weights(window, basis.j_range))
+        assert basis.m is needlet._weights(window, c_b) and basis.w.base is basis.m
         ref = _contiguous(basis)
         assert basis.w.tobytes() == ref.w.tobytes()
         assert basis.log_l.tobytes() == ref.log_l.tobytes()
@@ -540,8 +552,25 @@ class TestWeightMatrix:
             assert basis.k(alpha).tobytes() == ref.k(alpha).tobytes()
             for got, want in zip(basis.k_derivs(alpha), ref.k_derivs(alpha)):
                 assert got.tobytes() == want.tobytes()
+
+    # l_max 1024 ends on a block boundary, 1000 inside a block, 61 before the first
+    @pytest.mark.parametrize("c_b", [1.0, 2.0])
+    @pytest.mark.parametrize("band", ["full", "narrow"])
+    @pytest.mark.parametrize("l_max", [1024, 1000, 61])
+    @pytest.mark.parametrize("window", VIEW_WINDOWS, ids=str)
+    def test_view_grid_matches_own_matrix_grid(self, fresh_store, window, l_max, band, c_b):
+        # the table's block products span all of M's rows, the running sum's
+        # only the basis's, and BLAS may order a product's terms by its width:
+        # the two agree to a few ulps, not bit for bit
+        full = select_j_range(l_max, window)
+        j0 = full.j0 if band == "full" else max(full.j0, full.jL - 1)
+        basis = LevelBasis(window, JRange(j0=j0, jL=full.jL, c_b=c_b), l_max)
+        ref = _contiguous(basis)
         for grid in ((2.001, 10.0, 64), (-1.5, 4.25, 7)):
-            assert basis.k_linspace(*grid)[1].tobytes() == _former_k_linspace(ref, *grid).tobytes()
+            alphas, k = basis.k_linspace(*grid)
+            own_alphas, own = ref.k_linspace(*grid)
+            assert own_alphas is alphas and kept(fresh_store, "table")[(window, c_b) + grid] is not None
+            assert np.max(np.abs(k / own - 1.0)) <= 8 * np.finfo(float).eps
 
     @pytest.mark.parametrize("kind", ["full", "narrow", "plugin"])
     def test_fit_after_clearing_caches_matches_warm(self, monkeypatch, kind, canonical_model):
@@ -557,8 +586,7 @@ class TestWeightMatrix:
         assert pickle.dumps(fits[kind]()) == warm
 
     def test_cache_within_its_byte_bound(self, fresh_store):
-        # the sweep of the row and table bound tests, for the matrices M and
-        # the grid totals
+        # the sweep of the table bound test, for the matrices M
         requested = 0
         for B in np.linspace(1.5, 3.0, 30):
             for window in (MexicanWindow(p=2, B=float(B)), StandardWindow(B=float(B))):
@@ -568,35 +596,32 @@ class TestWeightMatrix:
         assert requested > 4 * needlet.KEPT_BYTES  # the bound did evict matrices
 
     @pytest.mark.parametrize("window", VIEW_WINDOWS, ids=str)
-    def test_taller_request_replaces_the_matrix(self, fresh_store, window):
-        # M is built whole for the levels 1..jL asked for and never written
-        # again: a request past its top level puts a taller M in its place,
-        # and a basis on the former M keeps its bytes
-        full = select_j_range(8192, window)
+    def test_low_and_tall_requests_read_one_matrix(self, fresh_store, window):
+        # M is built once, for every level resolved at the cap, and never
+        # replaced: a low request and a tall one read the same M object
+        full = select_j_range(harmonic.DEFAULT_LMAX_CAP, window)  # its top is M's
         low = LevelBasis(window, JRange(j0=full.j0, jL=full.j0 + 1), 1024)
-        first = fresh_store.get(("weights", window, 1.0))
-        before = low.w.tobytes()
-        assert first.shape[0] == full.j0 + 1 and not first.flags.writeable
-        assert LevelBasis(window, JRange(j0=full.j0, jL=full.j0), 64).w.base is first
-        tall = LevelBasis(window, full, 8192)
         m = fresh_store.get(("weights", window, 1.0))
-        assert m is not first and m.shape[0] == full.jL and not m.flags.writeable
-        assert np.shares_memory(tall.w, m) and not np.shares_memory(low.w, m)
-        assert low.w.tobytes() == before
-        assert m[: len(first)].tobytes() == first.tobytes()
-        assert tall.w.tobytes() == _contiguous(tall).w.tobytes()
+        assert m.shape == (full.jL, harmonic.DEFAULT_LMAX_CAP) and not m.flags.writeable
+        assert low.m is m and low.w.base is m
+        assert LevelBasis(window, JRange(j0=full.j0, jL=full.j0), 64).w.base is m
+        tall = LevelBasis(window, full, harmonic.DEFAULT_LMAX_CAP)
+        assert tall.m is m and tall.w.base is m
+        assert fresh_store.get(("weights", window, 1.0)) is m
+        for basis in (low, tall):
+            assert basis.w.tobytes() == _contiguous(basis).w.tobytes()
 
     @pytest.mark.parametrize(
         "window, j_range, l_max",
         [
-            (MEX, JRange(j0=16, jL=16), 100_000),  # past the cap: the row is past half the bound too
+            (MEX, JRange(j0=16, jL=16), 100_000),  # past the cap
             (StandardWindow(B=1.1), JRange(j0=14, jL=71), 1024),  # B near 1: M past its bound
         ],
         ids=["past-the-cap", "B-near-1"],
     )
     def test_request_past_the_bound_keeps_nothing(self, fresh_store, window, j_range, l_max):
         basis = LevelBasis(window, j_range, l_max)
-        assert not kept(fresh_store, "weights")
+        assert not kept(fresh_store, "weights") and basis.m is None
         assert basis.w.flags.c_contiguous
         assert basis.w.tobytes() == _former_list_build(window, j_range, l_max).tobytes()
         assert basis.log_l.tobytes() == _contiguous(basis).log_l.tobytes()
@@ -631,22 +656,17 @@ class TestKept:
         assert store.nbytes == 1024
 
     def test_kinds_never_collide(self, fresh_store):
-        # a row and a grid table share (window, j), and a level-1 row's
-        # (window, 1) equals the weight matrix's (window, c_b = 1.0)
-        assert (MEX, 1) == (MEX, 1.0)
+        # M and its grid table share (window, c_b), and the table's key ends in
+        # the grid's (start, stop, num): four kinds, each entry under its own
         LevelBasis(MEX, JRange(j0=1, jL=9), 1024).k_linspace(2.001, 10.0, 64)
-        first, terms = fresh_store.get(("row", MEX, 1))
-        assert terms.shape == (MEX.support(1)[1],)
-        m = fresh_store.get(("weights", MEX, 1.0))
-        assert m.shape == (9, harmonic.DEFAULT_LMAX_CAP)
-        for j in (8, 9):  # the levels that l_max cuts read their own tables
-            first, terms = fresh_store.get(("row", MEX, j))
-            table = fresh_store.get(("table", MEX, j, 2.001, 10.0, 64))
-            assert table.shape == (64, -(-len(terms) // needlet._GRID_BLOCK))
-        totals = fresh_store.get(("totals", MEX, 2.001, 10.0, 64))
-        assert totals.shape == (64, 7)
+        top = select_j_range(harmonic.DEFAULT_LMAX_CAP, MEX).jL
+        assert {key[0] for key in fresh_store._entries} == {"weights", "table", "counts", "grid"}
+        assert fresh_store.get(("weights", MEX, 1.0)).shape == (top, harmonic.DEFAULT_LMAX_CAP)
+        table = fresh_store.get(("table", MEX, 1.0, 2.001, 10.0, 64))
+        assert table.shape == (harmonic.DEFAULT_LMAX_CAP // needlet._GRID_BLOCK + 1, 64, top)
         assert fresh_store.get(("grid", 2.001, 10.0, 64))[0].shape == (64,)
         assert fresh_store.get(("counts", JRange(j0=1, jL=9), MEX.B))[1].shape == (9,)
+        assert len(fresh_store._entries) == 4
 
     def test_field_from_a_fresh_store_matches_warm(self, monkeypatch, canonical_model):
         grid = sphere.build_grid(6, 2.0)

@@ -541,6 +541,55 @@ def test_cached_grid_keeps_every_fit(monkeypatch):
     assert len(got) == 800 and got == expected
 
 
+def _own_path_fits():
+    """Fits whose level bases have weight matrices of their own, so their grids
+    are running sums over their own blocks: l_max past the cap, B near 1, and
+    full bands from j0 <= 0.  Per fit, what ``_sweep_fits`` records."""
+    cases = [
+        (window, l_max, band, None)
+        for l_max in (10_000, 20_000)
+        for window in (MEX, STD)
+        for band in ("full", "narrow")
+    ]
+    cases += [
+        (window, l_max, band, None)
+        for l_max in (300, 2000)
+        for window in (MexicanWindow(p=2, B=1.05), StandardWindow(B=1.05))
+        for band in ("full", "narrow")
+    ]
+    cases += [(window, l_max, "full", j0) for l_max in (1024, 5000)
+              for window, j0 in ((MEX, 0), (MEX, -1), (MEX, -2), (STD, 0))]
+    out = []
+    for i, (window, l_max, band, j0) in enumerate(cases):
+        spec = chi2_spectrum(PowerSpectrumModel(alpha0=3.0), l_max, (33, i))
+        jl = None if j0 is None else select_j_range(l_max, window).jL
+        j_range = whittle.level_range(window, l_max, band, j0=j0, jl=jl, g=0.5 if band == "narrow" else None)
+        assert compute_statistics(spec, window, j_range).basis.m is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryWarning)
+            fit = whittle.fit_band(spec, window, band, j0, jl, 0.5 if band == "narrow" else None, None)
+        grid = [v for _, v in fit.contrast_trace[:GRID_POINTS]]
+        out.append((
+            int(np.argmin(grid)),
+            np.array([fit.alpha_hat, fit.g_hat, fit.score_at_hat, fit.hessian_at_hat]).tobytes(),
+            fit.iterations,
+            len(fit.contrast_trace),
+            np.array(fit.contrast_trace[GRID_POINTS:]).tobytes(),
+        ))
+    return out
+
+
+@pytest.mark.host_bits
+def test_own_matrix_grid_keeps_every_fit(monkeypatch):
+    # the running sum over a basis's own blocks moves the grid values in their
+    # last bits only: the grid argmin and every fitted number are those of
+    # the running-product grid
+    got = _own_path_fits()
+    monkeypatch.setattr(LevelBasis, "k_linspace", reference_k_linspace)
+    expected = _own_path_fits()
+    assert len(got) == 24 and got == expected
+
+
 def reference_derivs(stats, alpha):
     """Contrast, score, hessian and G-hat with one ``np.sum`` per level sum:
     the form the single (5, J) reduction of ``whittle._derivs`` replaced."""
