@@ -4,6 +4,9 @@ Configuration is a flat key-value text format with dotted section keys (see
 ``ExperimentConfig.parse``).  A replication is one ``_draw``, seeded by a split
 of the master seed, fitted by ``_fit_for_config`` for each config sharing it
 (``run_experiments``): serial, parallel, solo and shared runs emit identical CSV.
+A parallel run imports the process pool (``concurrent.futures``) at its first
+pooled call, and ``write_qq_csv`` imports ``statistics`` for the normal
+quantiles, so a serial run without a Q-Q file loads neither.
 
 Each file format has one declaration that owns it:
 
@@ -29,9 +32,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, Field, dataclass, fields
-from statistics import NormalDist
 
 import numpy as np
 
@@ -484,6 +485,8 @@ def run_experiments(configs: list[ExperimentConfig]) -> list[ExperimentSummary]:
     if workers <= 1 or reps < 4:
         rows = [row for task in tasks for row in _run_one(task)]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # a serial run never loads the pool
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, reps // (workers * 4))
             rows = [row for out in pool.map(_run_one, tasks, chunksize=chunk) for row in out]
@@ -537,6 +540,8 @@ def write_histogram_csv(summary: ExperimentSummary, path) -> None:
 
 
 def write_qq_csv(summary: ExperimentSummary, path) -> None:
+    from statistics import NormalDist
+
     z = np.sort(_standardized(summary))
     nd, n = NormalDist(), len(z)
     quantiles = ((nd.inv_cdf((i - 0.5) / n), v) for i, v in enumerate(z.tolist(), start=1))

@@ -7,7 +7,10 @@ Two window families share one interface:
   terms fall below double-precision relevance (see ``cutoff_x``).
 * ``StandardWindow(B=2.0)`` -- compactly supported b^2 on [1/B, B] built from
   the classical C-infinity bump profile, satisfying the partition of unity
-  sum_j b^2(x / B^j) = 1 for x >= 1.
+  sum_j b^2(x / B^j) = 1 for x >= 1.  The profile's 64-node Gauss-Legendre
+  rule and its norm are formed once, at the first compact-window weight
+  (``_bump_rule``), so a process that uses only the mexican window never
+  builds them.
 
 Both need a finite B > 1 (``asymptotics.check_B``).  The field defaults are
 those of the config keys ``window.*`` and of the CLI window options.  Each
@@ -160,32 +163,40 @@ class MexicanWindow(_Window):
 # integral is taken in s = atanh(t): bump(t) dt = exp(-cosh^2 s) / cosh^2 s ds,
 # which decays double-exponentially and is negligible below s = -_S_CUT
 # (exp(-cosh^2 3) ~ 1e-44).  Only the u <= 0 half is integrated; the bump's
-# symmetry gives psi(u) = 1 - psi(-u), so psi(0) = 1/2 exactly.
+# symmetry gives psi(u) = 1 - psi(-u), so psi(0) = 1/2 exactly.  The rule
+# and psi's denominator come from ``_bump_rule``, formed on first use.
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _S_CUT = 3.0
 _CDF_CHUNK = 256  # points per block, so the (points x nodes) temporaries stay in cache
 
 
-def _bump_tail(s_hi):
-    """int_{-_S_CUT}^{s_hi} exp(-cosh^2 s) / cosh^2 s ds for s_hi <= 0."""
+def _bump_tail(s_hi, nodes, weights):
+    """int_{-_S_CUT}^{s_hi} exp(-cosh^2 s) / cosh^2 s ds for s_hi <= 0, by the
+    Gauss-Legendre rule (nodes, weights)."""
     s_hi = np.maximum(np.asarray(s_hi, dtype=float), -_S_CUT)
     half = ((s_hi + _S_CUT) / 2.0).ravel()  # map [-_S_CUT, s_hi] onto GL nodes
     out = np.empty_like(half)
     for i in range(0, len(half), _CDF_CHUNK):
-        c2 = np.cosh(np.multiply.outer(half[i : i + _CDF_CHUNK], _GL_NODES + 1.0) - _S_CUT) ** 2
-        out[i : i + _CDF_CHUNK] = (np.exp(-c2) / c2) @ _GL_WEIGHTS
+        c2 = np.cosh(np.multiply.outer(half[i : i + _CDF_CHUNK], nodes + 1.0) - _S_CUT) ** 2
+        out[i : i + _CDF_CHUNK] = (np.exp(-c2) / c2) @ weights
     return (out * half).reshape(s_hi.shape)
 
 
-_BUMP_NORM = 2.0 * float(_bump_tail(0.0))
+@lru_cache(maxsize=None)
+def _bump_rule() -> tuple[np.ndarray, np.ndarray, float]:
+    """The 64-node Gauss-Legendre nodes and weights and the bump's whole
+    integral 2 _bump_tail(0), formed at the first compact-window weight."""
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights, 2.0 * float(_bump_tail(0.0, nodes, weights))
 
 
 def _bump_cdf(u):
     """psi(u) = int_{-1}^{u} bump / int_{-1}^{1} bump, in [0, 1]."""
+    nodes, weights, norm = _bump_rule()
     u = np.clip(np.asarray(u, dtype=float), -1.0, 1.0)
     with np.errstate(divide="ignore"):  # atanh(-1) = -inf lies below the cut
-        lower = _bump_tail(np.arctanh(-np.abs(u))) / _BUMP_NORM
+        lower = _bump_tail(np.arctanh(-np.abs(u)), nodes, weights) / norm
     return np.where(u > 0.0, 1.0 - lower, lower)
 
 

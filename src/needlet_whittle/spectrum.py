@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .asymptotics import check_alpha0, check_kappa
 from .errors import DomainError, NumericalNoiseWarning
@@ -68,6 +67,8 @@ class PowerSpectrumModel:
         if isinstance(corr, KappaCorrection):
             check_kappa(corr.kappa)
         elif isinstance(corr, RationalCorrection):
+            from numpy.polynomial.polynomial import polyval  # only a rational model loads it
+
             object.__setattr__(corr, "p_coeffs", tuple(float(c) for c in corr.p_coeffs))
             object.__setattr__(corr, "q_coeffs", tuple(float(c) for c in corr.q_coeffs))
             for name, coeffs in (("P", corr.p_coeffs), ("Q", corr.q_coeffs)):
@@ -98,6 +99,8 @@ def _correction_factor(model: PowerSpectrumModel, u):
         return np.ones_like(u)
     if isinstance(corr, KappaCorrection):
         return 1.0 + corr.kappa / u
+    from numpy.polynomial.polynomial import polyval
+
     dp, dq = len(corr.p_coeffs) - 1, len(corr.q_coeffs) - 1
     return u ** (dq - dp) * polyval(u, corr.p_coeffs) / polyval(u, corr.q_coeffs)
 

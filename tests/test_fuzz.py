@@ -8,17 +8,24 @@ byte-flipped and NaN-filled spectrum files for ``estimate``.  Whatever the
 input, the exit code is 0, 2, 3 or 4 and no exception escapes; a non-zero exit
 names a typed error on stderr (or a failed check on stdout); on exit 0 every
 number printed is finite, and no row of a Monte Carlo run is converged with a
-non-finite alpha-hat.  Tier-1 runs ``FUZZ_CASES`` cases per entry point;
-``pytest --fuzz-cases N tests/test_fuzz.py`` runs N.
+non-finite alpha-hat.  Every case keeps to one ``tracemalloc`` peak,
+``MEMORY_BUDGET``, and one wall-time budget, ``TIME_BUDGET_S``.  Tier-1 runs
+``FUZZ_CASES`` cases per entry point; ``pytest --fuzz-cases N
+tests/test_fuzz.py`` runs N.
 """
 import math
 import re
+import signal
+import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from needlet_whittle import harness
+from needlet_whittle import cli, harness
 from needlet_whittle.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from needlet_whittle.needlet import BASIS_CAP
+from needlet_whittle.whittle import GRID_POINTS
 
 # a fit at a search end warns and says so in its row: that is an outcome, not a failure
 pytestmark = pytest.mark.filterwarnings("ignore::needlet_whittle.errors.BoundaryWarning")
@@ -32,6 +39,18 @@ INTS = (-5, -1, 0, 1, 2, 3, 5, 9, 20, 200, 100000)
 SMALL_L_MAX = (-5, -1, 0, 1, 2, 3, 5, 9, 20, 64, 128)
 SMALL_REPLICATIONS = (-5, -1, 0, 1, 2, 3, 5, 8)
 
+# The memory budget, set from the limits above before any case ran.  The widest
+# level range a case can ask for runs from j0 = -5 to log_B(l_max + 1) at the B
+# nearest 1 drawn (1.0001).  A fit holds its (levels, l_max) weights, within
+# BASIS_CAP at l_max <= 128, and a few (GRID_POINTS, levels) grid sums; 8
+# replications at l_max <= 128 hold far less.  So four such grid sums beside
+# the weights bound any case, ~142 MiB.  The time budget catches a hang, not a
+# slow case: the slowest cases, at B = 1.0001, take ~3 s, ~21 s under tracemalloc.
+MAX_LEVELS = math.ceil(math.log(max(SMALL_L_MAX) + 1) / math.log(1.0001)) + 6
+assert MAX_LEVELS * max(SMALL_L_MAX) <= BASIS_CAP
+MEMORY_BUDGET = 8 * MAX_LEVELS * (max(SMALL_L_MAX) + 4 * GRID_POINTS)
+TIME_BUDGET_S = 120
+
 # a typed error as ``cli.main`` prints it, or argparse's usage error
 TYPED = re.compile(r"^(configuration error: |numeric error: \w+: |usage: )", re.M)
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*(?:e[-+]?\d+)?|nan|inf)(?![\w.])", re.I)
@@ -42,6 +61,37 @@ def pytest_generate_tests(metafunc):
         kind = metafunc.function.__name__.removeprefix("test_")
         count = metafunc.config.getoption("fuzz_cases") or FUZZ_CASES[kind]
         metafunc.parametrize("case", range(count))
+
+
+def hung(signum, frame):
+    pytest.fail(f"the case ran past its {TIME_BUDGET_S} s budget")
+
+
+@contextmanager
+def budget(argv):
+    """A ``main`` call's ``tracemalloc`` peak within ``MEMORY_BUDGET``; a call
+    still running after ``TIME_BUDGET_S`` is stopped and fails."""
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(TIME_BUDGET_S)
+    tracemalloc.start()
+    try:
+        yield
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert peak <= MEMORY_BUDGET, (argv, f"tracemalloc peak {peak / 2**20:.1f} MiB")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def one_parser():
+    """One parser for every case, built outside the budgets: it is the same
+    work each time, and under ``tracemalloc`` it took most of a small case's."""
+    parser = cli.build_parser()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "build_parser", lambda: parser)
+        yield
 
 
 def generator(kind: str, case: int) -> np.random.Generator:
@@ -59,11 +109,13 @@ def options(rng, specs) -> list[str]:
 
 
 def run(argv, capsys) -> int:
-    """The exit code of ``main(argv)``, after the checks every case shares."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse rejects an argument
-        code = exc.code
+    """The exit code of ``main(argv)``, within its budgets, after the checks
+    every case shares."""
+    with budget(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects an argument
+            code = exc.code
     out, err = capsys.readouterr()
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_CHECK), (argv, code, err)
     if code == EXIT_OK:
