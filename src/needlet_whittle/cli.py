@@ -8,6 +8,7 @@ shell reports a command that a closed pipe stopped), with nothing on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -144,7 +145,11 @@ def _cmd_plugin(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it as it was, so
+    every ``main`` call shares it.  ``--window`` reads its names and default
+    from the window kinds as they are at the first call."""
     parser = argparse.ArgumentParser(
         prog="needlet-whittle",
         description="Spectral-index estimation for isotropic Gaussian fields on the sphere",

@@ -438,15 +438,20 @@ def empirical_cl(alm: AlmSet) -> EmpiricalSpectrum:
     Reduced one block of whole rows at a time: block k holds the rows that end
     past (k - 1) ``_CL_BLOCK`` and by k ``_CL_BLOCK`` coefficients into the
     set, found by one ``searchsorted``, so a block is at most one row longer
-    than ``_CL_BLOCK``.  A block's |a_lm|^2 = re*re + im*im goes into two
-    reused buffers, and ``np.add.reduceat`` sums each row over the same
-    segment as a whole-set reduction, so the bits do not change and the
-    memory past the set is O(block)."""
+    than ``_CL_BLOCK``.  The cuts come out of ``searchsorted`` sorted, so a
+    repeated cut (a block that ends no row) is dropped by comparing each cut
+    with the one before it: ``np.unique`` keeps the same cuts, but numpy
+    2.4's imports ``numpy.ma`` (~1.3 MB), which nothing here computes with.  A
+    block's |a_lm|^2 = re*re + im*im goes into two reused buffers, and
+    ``np.add.reduceat`` sums each row over the same segment as a whole-set
+    reduction, so the bits do not change and the memory past the set is
+    O(block)."""
     l_max = alm.l_max
     bounds = _row_start(np.arange(1, l_max + 2))  # row l is bounds[l - 1]:bounds[l]
     ends = np.arange(_CL_BLOCK, bounds[-1] + _CL_BLOCK, _CL_BLOCK)
     # a row longer than a block leaves blocks that end no row: drop them
-    cuts = np.unique(np.concatenate(([0], np.searchsorted(bounds[1:], ends, side="right"))))
+    cuts = np.concatenate(([0], np.searchsorted(bounds[1:], ends, side="right")))
+    cuts = cuts[np.diff(cuts, prepend=-1) > 0]
     buf = np.empty((2, int(np.diff(bounds[cuts]).max())))
     sums, heads = np.empty(l_max), np.empty(l_max)  # row sums and |a_l0|^2
     for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):

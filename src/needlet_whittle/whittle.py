@@ -88,7 +88,9 @@ _LOG_2 = math.log(2.0)
 @dataclass(frozen=True)
 class SearchSettings:
     """Search range and tolerance of a fit; the config keys ``fit.*`` and the
-    ``estimate`` options take their defaults from here."""
+    ``estimate`` options take their defaults from here.  The tolerance stays
+    below the spacing of the ``GRID_POINTS`` grid: at or above it the search
+    ends after its first step, at the middle of a grid cell, as converged."""
 
     alpha_min: float = 2.001
     alpha_max: float = 10.0
@@ -103,6 +105,12 @@ class SearchSettings:
             )
         if not 0.0 < self.tol < math.inf:
             raise ConfigError(f"search tolerance must be finite and positive, got {self.tol}")
+        spacing = (self.alpha_max - self.alpha_min) / (GRID_POINTS - 1)
+        if self.tol >= spacing:
+            raise ConfigError(
+                f"search tolerance must be below the alpha grid's spacing {spacing:.6g}, "
+                f"got {self.tol}"
+            )
 
 
 def _profile(stats: NeedletStatistics, k: np.ndarray, lam_k: float | np.ndarray):

@@ -73,6 +73,21 @@ class TestTheory:
         assert out == ""
         assert err.startswith("numeric error:")
 
+    def test_calls_share_one_parser(self, capsys):
+        # a call that fails to parse, past options it did read, leaves the
+        # shared parser as it was: the next call takes --kappa's default again
+        argv = ["theory", "--p", "2", "--B", "2", "--alpha0", "3"]
+        assert main(argv) == EXIT_OK
+        expected = capsys.readouterr().out
+        built = cli.build_parser.cache_info()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--kappa", "0.5", "--no-such-option"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "usage:" in capsys.readouterr().err
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == expected
+        after = cli.build_parser.cache_info()
+        assert (after.misses, after.currsize, after.hits) == (built.misses, 1, built.hits + 2)
 
     @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
     def test_closed_stdout_stops_quietly(self, unbuffered):
@@ -205,7 +220,7 @@ class TestSimulateEstimate:
         assert main(["estimate", "--spectrum-file", spectrum, *options]) == EXIT_CONFIG
         assert "alpha_hat" not in capsys.readouterr().out
 
-    def test_windows_are_the_config_kinds(self, tmp_path, monkeypatch):
+    def test_windows_are_the_config_kinds(self, tmp_path, monkeypatch, request):
         # --window takes its names, default and classes from window.kind's
         # table: reordered, the table's first kind becomes the default
         main(["simulate", "--config", str(write_config(tmp_path))])
@@ -213,6 +228,10 @@ class TestSimulateEstimate:
         spec = harmonic.EmpiricalSpectrum.load(spectrum)
         kinds = {"standard": StandardWindow, "mexican": MexicanWindow}
         monkeypatch.setitem(harness._KINDS, "window.kind", kinds)
+        # the parser reads the table when it is built: build one from this
+        # table, and the next test one from the restored table
+        cli.build_parser.cache_clear()
+        request.addfinalizer(cli.build_parser.cache_clear)
         out = tmp_path / "fit.csv"
         for options, cls in (
             ([], StandardWindow),
@@ -229,9 +248,11 @@ class TestSimulateEstimate:
         [
             ["--alpha-min", "5", "--alpha-max", "3"],
             ["--tol", "-1"],
+            ["--tol", "1.0001"],  # past the alpha grid's spacing 7.999 / 63
             ["--window", "standard", "--p", "3"],
         ],
-        ids=["alpha-range-reversed", "tol-negative", "p-on-standard-window"],
+        ids=["alpha-range-reversed", "tol-negative", "tol-past-grid-spacing",
+             "p-on-standard-window"],
     )
     def test_bad_fit_options_rejected(self, tmp_path, capsys, options):
         main(["simulate", "--config", str(write_config(tmp_path))])
@@ -299,6 +320,8 @@ class TestConfigRejectedBeforeSimulation:
             dict(window=MexicanWindow(p=2, B=1.00001), l_max=8192),
             # one level does not identify alpha
             dict(j0=4, jl=4),
+            # past the alpha grid's spacing 7.999 / 63 the search would end mid-cell
+            dict(tol=1.0001),
         ],
         ids=[
             "window-peak-past-l-max",
@@ -308,6 +331,7 @@ class TestConfigRejectedBeforeSimulation:
             "mexican-level-below-band",
             "level-count-past-cap",
             "single-level",
+            "tol-past-grid-spacing",
         ],
     )
     @pytest.mark.parametrize("command", ["simulate", "montecarlo"])

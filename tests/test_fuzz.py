@@ -86,12 +86,9 @@ def budget(argv):
 
 @pytest.fixture(scope="module", autouse=True)
 def one_parser():
-    """One parser for every case, built outside the budgets: it is the same
-    work each time, and under ``tracemalloc`` it took most of a small case's."""
-    parser = cli.build_parser()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "build_parser", lambda: parser)
-        yield
+    """Build the process's one parser outside the budgets, so that no case's
+    budget holds it: under ``tracemalloc`` it took most of a small case's."""
+    cli.build_parser()
 
 
 def generator(kind: str, case: int) -> np.random.Generator:

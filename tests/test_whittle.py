@@ -26,6 +26,7 @@ from needlet_whittle import (
     simulate_alm,
     whittle,
 )
+from needlet_whittle.errors import ConfigError
 from needlet_whittle.harness import ReplicationRow, write_rows_csv
 from needlet_whittle.needlet import LevelBasis, NeedletStatistics, narrow_band_j1, select_j_range
 from needlet_whittle.whittle import GRID_POINTS, contrast_two_param
@@ -341,6 +342,13 @@ class TestNewtonSearch:
             assert fit.converged
             assert fit.iterations <= 8
             assert abs(fit.alpha_hat - golden_section_alpha(stats, search)) <= search.tol
+
+    def test_tolerance_below_grid_spacing(self):
+        # at the grid's spacing the search would end mid-cell after one step
+        spacing = (SearchSettings.alpha_max - SearchSettings.alpha_min) / (GRID_POINTS - 1)
+        assert SearchSettings(tol=math.nextafter(spacing, 0.0)).tol < spacing
+        with pytest.raises(ConfigError, match="grid's spacing"):
+            SearchSettings(tol=spacing)
 
     @pytest.mark.parametrize("window", [MEX, STD])
     def test_noise_free_exact_at_8192(self, window, canonical_model):
