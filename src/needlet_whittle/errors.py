@@ -40,7 +40,3 @@ class ConfigError(NeedletWhittleError, ValueError):
 
 class BoundaryWarning(UserWarning):
     """The fitted parameter landed within tolerance of a search bound."""
-
-
-class NumericalNoiseWarning(UserWarning):
-    """Finite-difference noise dominates a numerical estimate."""

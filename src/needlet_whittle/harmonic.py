@@ -176,13 +176,6 @@ class AlmSet:
         s = _row_start(l)
         return self.data[s : s + l + 1]
 
-    def coefficient(self, l: int, m: int) -> complex:
-        if abs(m) > l:
-            raise DomainError(f"|m| must be <= l, got m={m}, l={l}")
-        if m >= 0:
-            return complex(self.row(l)[m])
-        return (-1) ** (-m) * complex(np.conj(self.row(l)[-m]))
-
     def save(self, path) -> None:
         data = np.ascontiguousarray(self.data, dtype="<c16")
         _save_binary(path, _ALM_MAGIC, self.l_max, self.seed, data)
@@ -394,11 +387,6 @@ class EmpiricalSpectrum:
             raise DomainError(
                 f"c_hat at l={bad[0] + 1} is {c_hat[bad[0]]}; values must be finite and non-negative"
             )
-
-    def c_hat(self, l: int) -> float:
-        if not 1 <= l <= self.l_max:
-            raise DomainError(f"l must be in [1, {self.l_max}]")
-        return float(self.values[l])
 
     def save(self, path) -> None:
         values = np.ascontiguousarray(self.values[1:], dtype="<f8")

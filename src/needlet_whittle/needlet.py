@@ -57,10 +57,7 @@ usable at l_max, by each window's ``resolved`` rule for both ends of the band
 first that fails; the compact window's ``empty`` is read at every level.
 ``LevelBasis``, the weights of a level range as one matrix, from which the
 normalized spectral moments K_j, their alpha-derivatives and the level energy
-statistic ``lambda_hat`` are products; and ``select_j_range``.  The single-level
-``k_j`` and ``k_j_deriv`` read a one-level basis and give the full sum over
-``support(j)``, raising where l_max cuts it; the estimator reads its basis's
-``k``/``k_derivs``, truncated where ``lambda_hat`` is.
+statistic ``lambda_hat`` are products; and ``select_j_range``.
 """
 from __future__ import annotations
 
@@ -82,9 +79,6 @@ __all__ = [
     "LevelBasis",
     "check_levels",
     "NeedletStatistics",
-    "window_sq",
-    "k_j",
-    "k_j_deriv",
     "lambda_hat",
     "select_j_range",
     "narrow_band_j1",
@@ -252,15 +246,6 @@ class StandardWindow(_Window):
 
 
 NeedletWindow = MexicanWindow | StandardWindow
-
-
-def window_sq(window: NeedletWindow, x):
-    """Squared window value(s) at frequency ratio x >= 0."""
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0):
-        raise DomainError("x must be >= 0")
-    out = window.window_sq(x_arr)
-    return out if isinstance(x, np.ndarray) else float(out)
 
 
 @dataclass(frozen=True)
@@ -533,31 +518,6 @@ class LevelBasis:
             head = table[whole // _GRID_BLOCK][:, rng.j0 - 1 : rng.jL]
         x = np.exp(np.multiply.outer(-alphas, self.log_l[whole:]))
         return alphas, head + x @ self.w[:, whole:].T
-
-
-def k_j(window: NeedletWindow, j: int, alpha: float, l_max: int, c_b: float = 1.0) -> float:
-    """Normalized spectral moment (1/N_j) sum_l window_sq(l/B^j)(2l+1) l^-alpha
-    over level j's whole ``support(j)``: a level that ``check_levels`` rejects
-    at l_max, or whose support ends past l_max, raises ``TruncationError``.
-    The estimator reads K_j from its ``LevelBasis`` instead (``k``,
-    ``k_derivs``), truncated where ``lambda_hat`` is.
-    """
-    return k_j_deriv(window, j, alpha, l_max, 0, c_b)
-
-
-def k_j_deriv(
-    window: NeedletWindow, j: int, alpha: float, l_max: int, order: int, c_b: float = 1.0
-) -> float:
-    """Term-wise alpha-derivative of ``k_j`` (order 0: ``k_j`` itself; order 1
-    inserts -log l, order 2 log^2 l), under ``k_j``'s rule on the support."""
-    if order not in (0, 1, 2):
-        raise DomainError("order must be 0, 1 or 2")
-    # the basis's check_levels rejects a level past the float range before support(j) overflows
-    basis = LevelBasis(window, JRange(j0=j, jL=j, c_b=c_b), l_max)
-    last = window.support(j)[1]
-    if last > l_max:
-        raise TruncationError(f"level j={j}: support ends at l={last}, past l_max={l_max}")
-    return float(basis.k_derivs(alpha)[order][0])
 
 
 def lambda_hat(spec: EmpiricalSpectrum, window: NeedletWindow, j: int) -> float:

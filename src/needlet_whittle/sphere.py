@@ -101,11 +101,6 @@ class CubatureGrid:
     def n_points(self) -> int:
         return self.n_theta * self.n_phi
 
-    @property
-    def gl_band_limit(self) -> int:
-        """Largest l with |Y_lm|^2 exactly integrated by the theta rule."""
-        return self.n_theta - 1
-
     def phis(self) -> np.ndarray:
         return 2.0 * math.pi * np.arange(self.n_phi) / self.n_phi
 

@@ -23,10 +23,16 @@ The grid's alphas and the trace read one grid per search range
 A fit records G-hat, score and hessian from one ``_derivs`` call at
 alpha-hat.  It runs on lambda / 2^e (``_scaled``), which puts the largest
 lambda in [1/2, 1) exactly: only G-hat (multiplied back by 2^e) and the
-trace's contrast depend on the spectrum's scale.  The single-point evaluators
-``contrast``, ``score``, ``hessian`` and ``profile_g_hat`` run on the same
-scaled statistics and read them back unscaled (``_at``), so they are finite
-wherever a fit is.  The rows-CSV form of a fit belongs to ``harness.ReplicationRow``.
+trace's contrast depend on the spectrum's scale.  Likewise ``_derivs`` forms
+its level sums on K / 2^f, f the binary exponent of the largest K_j, once
+|f| passes ``_K_EXP``: K_j reaches ~1e124 at mexican p 50, where k0**3 would
+overflow.  The sums of lambda / K and of the score's and hessian's lambda
+terms scale by 2^f and are multiplied back exactly, so they keep their bits,
+and within ``_K_EXP`` scaling would move none; ``_profile`` reads the
+unscaled K.  The single-point evaluators ``contrast``, ``score``, ``hessian``
+and ``profile_g_hat`` run on the same scaled statistics and read them back
+unscaled (``_at``), so they are finite wherever a fit is.  The rows-CSV form
+of a fit belongs to ``harness.ReplicationRow``.
 
 ``level_range`` is the one rule that turns a band request (band, j0, jl, g)
 into a level range; ``estimate`` and the Monte Carlo configs both fit through
@@ -83,6 +89,7 @@ __all__ = [
 GRID_POINTS = 64  # alpha grid that brackets the minimum before the Newton search
 MAX_ITER = 200  # Newton/bisection iterates per fit; a few suffice (see README)
 _LOG_2 = math.log(2.0)
+_K_EXP = 256  # |binary exponent| of the largest K_j up to which k0**3 stays a normal float
 
 
 @dataclass(frozen=True)
@@ -127,8 +134,13 @@ def _profile(stats: NeedletStatistics, k: np.ndarray, lam_k: float | np.ndarray)
 def _derivs(stats: NeedletStatistics, alpha: float) -> tuple[float, float, float, float]:
     """Contrast, score, hessian and profiled amplitude G-hat at alpha, from one
     K_j, K_j', K_j'' evaluation; the five level sums are one reduction, and
-    what follows it is arithmetic on Python floats."""
-    k0, k1, k2 = stats.basis.k_derivs(alpha)
+    what follows it is arithmetic on Python floats, on K / 2^f past
+    ``_K_EXP`` (module docstring)."""
+    k = stats.basis.k_derivs(alpha)
+    f = math.frexp(max(k[0].tolist()))[1]
+    if abs(f) <= _K_EXP:  # K / 2^f would give the same bits
+        f = 0
+    k0, k1, k2 = np.ldexp(k, -f) if f else k
     n, sn, lam = stats.basis.n, stats.basis.n_sum, stats.lam
     terms = np.empty((5, len(n)))
     # each shared factor is formed once, by the same operation as when it was formed twice
@@ -139,7 +151,9 @@ def _derivs(stats: NeedletStatistics, alpha: float) -> tuple[float, float, float
     terms[3] = n * k1 / k0
     terms[4] = n * (k2_k0 - k1_sq) / k0_sq
     lam_k, s1, s2, s3, s4 = np.add.reduce(terms, axis=1).tolist()
-    value, phi = _profile(stats, k0, lam_k)
+    # lambda / K, s1 and s2 scale as 2^f
+    lam_k, s1, s2 = math.ldexp(lam_k, -f), math.ldexp(s1, -f), math.ldexp(s2, -f)
+    value, phi = _profile(stats, k[0], lam_k)
     dphi = -s1 / sn
     d2phi = s2 / sn
     grad = dphi / phi + s3 / sn

@@ -11,7 +11,7 @@ from needlet_whittle import cli, harmonic, harness, sphere, whittle
 from needlet_whittle.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_PIPE, main
 from needlet_whittle.errors import BoundaryWarning, ConfigError
 from needlet_whittle.harness import ExperimentConfig, ReplicationRow
-from needlet_whittle.needlet import MexicanWindow, StandardWindow
+from needlet_whittle.needlet import JRange, MexicanWindow, StandardWindow, compute_statistics
 from needlet_whittle.spectrum import PowerSpectrumModel
 
 
@@ -133,6 +133,26 @@ class TestSimulateEstimate:
         assert main(["simulate", "--config", str(cfg)]) == EXIT_OK
         assert main(["estimate", "--spectrum-file", str(tmp_path / "run.spectrum.bin")]) == EXIT_OK
         assert "converged     True" in capsys.readouterr().out
+
+    def test_largest_p_hessian_matches_contrast(self, tmp_path, capsys):
+        # at p 50 K_j reaches ~1e124, so k0**3 overflowed: a RuntimeWarning (an
+        # error in tier-1), else a hessian of -26.9 reported as converged
+        cfg = tmp_path / "ci.cfg"
+        cfg.write_text(
+            f"model.alpha0 = 3.0\nsim.l_max = 256\nrun.master_seed = 1\noutput.prefix = {tmp_path / 'ci'}\n"
+        )
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_OK
+        path = tmp_path / "ci.spectrum.bin"
+        capsys.readouterr()
+        assert main(["estimate", "--spectrum-file", str(path), "--p", "50"]) == EXIT_OK
+        report = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+        assert report["converged"] == "True"
+        j0, jl = map(int, report["levels"].strip("[]").split(","))
+        stats = compute_statistics(harmonic.EmpiricalSpectrum.load(path), MexicanWindow(p=50), JRange(j0, jl))
+        a, h = float(report["alpha_hat"]), 1e-3
+        c = [whittle.contrast(stats, a + d) for d in (-h, 0.0, h)]
+        central = (c[0] - 2.0 * c[1] + c[2]) / h**2
+        assert float(report["hessian"]) == pytest.approx(central, rel=0.01)
 
     def test_overflowing_statistics_exit_numeric(self, tmp_path, capsys):
         # finite c-hat whose level statistics overflow: a typed error, no fit

@@ -35,7 +35,7 @@ FUZZ_CASES = {"theory": 100, "estimate": 150, "plugin": 80, "config": 100, "file
 
 FLOATS = (0.0, 1.0, -1.0, 0.5, 1.0001, 1.05, 2.0, 2.001, 3.0, 4.5, 10.0, 1e-9, 1e300,
           math.nan, math.inf, -math.inf)
-INTS = (-5, -1, 0, 1, 2, 3, 5, 9, 20, 200, 100000)
+INTS = (-5, -1, 0, 1, 2, 3, 5, 9, 20, 43, 44, 50, 200, 100000)
 SMALL_L_MAX = (-5, -1, 0, 1, 2, 3, 5, 9, 20, 64, 128)
 SMALL_REPLICATIONS = (-5, -1, 0, 1, 2, 3, 5, 8)
 

@@ -18,11 +18,8 @@ from needlet_whittle import (
     c_l,
     compute_statistics,
     fit_full_band,
-    k_j,
-    k_j_deriv,
     lambda_hat,
     select_j_range,
-    window_sq,
 )
 from needlet_whittle import harmonic, needlet, sphere, whittle
 from needlet_whittle.asymptotics import i_ps, sigma0_sq, tau_b
@@ -34,16 +31,16 @@ MEX = MexicanWindow(p=2, B=2.0)
 STD = StandardWindow(B=2.0)
 
 
-def _basis(window, j, l_max):
-    """Level j's one-level basis: its ``k`` and ``k_derivs`` are ``k_j`` and
-    ``k_j_deriv`` without their check that ``support(j)`` ends by l_max."""
-    return LevelBasis(window, JRange(j0=j, jL=j), l_max)
+def _basis(window, j, l_max, c_b=1.0):
+    """Level j's one-level basis: its ``k`` and ``k_derivs`` are K_j and its
+    alpha-derivatives, cut at l_max."""
+    return LevelBasis(window, JRange(j0=j, jL=j, c_b=c_b), l_max)
 
 
 class TestWindows:
     def test_mexican_values(self):
-        assert window_sq(MEX, 0.0) == 0.0
-        assert window_sq(MEX, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
+        assert MEX.window_sq(0.0) == 0.0
+        assert MEX.window_sq(1.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
 
     def test_mexican_argmax_at_sqrt_p(self):
         for p in (1, 2, 5):
@@ -53,15 +50,15 @@ class TestWindows:
 
     def test_standard_support(self):
         x = np.array([0.4, 0.499999, 2.000001, 5.0])
-        assert np.all(window_sq(STD, x) == 0.0)
+        assert np.all(STD.window_sq(x) == 0.0)
         inside = np.linspace(0.51, 1.99, 50)
-        assert np.all(window_sq(STD, inside) > 0.0)
+        assert np.all(STD.window_sq(inside) > 0.0)
 
     def test_standard_golden_values(self):
         # bump symmetry pins the mid-profile values exactly
-        assert window_sq(STD, 1.0) == pytest.approx(1.0, abs=1e-12)
-        assert window_sq(STD, 0.75) == pytest.approx(0.5, abs=1e-12)
-        assert window_sq(STD, 1.5) == pytest.approx(0.5, abs=1e-12)
+        assert STD.window_sq(1.0) == pytest.approx(1.0, abs=1e-12)
+        assert STD.window_sq(0.75) == pytest.approx(0.5, abs=1e-12)
+        assert STD.window_sq(1.5) == pytest.approx(0.5, abs=1e-12)
 
     def test_standard_partition_of_unity(self):
         ls = np.geomspace(2.0, 512.0, 200)
@@ -78,10 +75,6 @@ class TestWindows:
         us = np.linspace(-1.0, 1.0, 41)
         ref = [quad(bump, -1.0, u, epsabs=1e-16, epsrel=1e-13)[0] / norm for u in us]
         assert np.max(np.abs(_bump_cdf(us) - ref)) <= 1e-14
-
-    def test_negative_x_rejected(self):
-        with pytest.raises(DomainError):
-            window_sq(MEX, -0.5)
 
     @pytest.mark.parametrize("B", [1.0, 0.5, -2.0, math.inf, math.nan])
     @pytest.mark.parametrize("window", [MexicanWindow, StandardWindow])
@@ -110,78 +103,52 @@ class TestWindows:
 
 class TestKj:
     def test_doubling_cb_halves(self):
-        a = k_j(MEX, 5, 3.0, 2048)
-        b = k_j(MEX, 5, 3.0, 2048, c_b=2.0)
+        a = _basis(MEX, 5, 2048).k(3.0)[0]
+        b = _basis(MEX, 5, 2048, c_b=2.0).k(3.0)[0]
         assert b == pytest.approx(a / 2.0, rel=1e-15)
 
     def test_limit_constant(self):
-        # B^(alpha j) k_j approaches i_ps(p, alpha) within 1% by B^j = 256
-        got = k_j(MEX, 8, 3.0, 4096) * 2.0 ** (3.0 * 8)
+        # B^(alpha j) K_j approaches i_ps(p, alpha) within 1% by B^j = 256
+        got = _basis(MEX, 8, 4096).k(3.0)[0] * 2.0 ** (3.0 * 8)
         assert got == pytest.approx(i_ps(2, 3.0), rel=0.01)
 
     def test_standard_support_exceeds_lmax(self):
         with pytest.raises(TruncationError):
-            k_j(STD, 9, 3.0, 512)  # support ends at B^10 = 1024 > 512
+            _basis(STD, 9, 512)  # support ends at B^10 = 1024 > 512
 
     def test_mexican_peak_beyond_lmax(self):
         with pytest.raises(TruncationError):
-            k_j(MEX, 10, 3.0, 1024)  # peak at sqrt(2) * 1024 > 1024
-
-    def test_support_past_lmax_raises_and_basis_truncates(self):
-        # level 9's mexican support ends past l_max 1024, so k_j raises
-        with pytest.raises(TruncationError):
-            k_j(MEX, 9, 3.0, 1024)
-        # the level basis gives the value truncated at l_max, as the estimator reads it
-        assert _basis(MEX, 9, 1024).k(3.0)[0] > 0
+            _basis(MEX, 10, 1024)  # peak at sqrt(2) * 1024 > 1024
 
     @pytest.mark.parametrize("B", [2.0, 3.0, math.sqrt(2.0), 1.3])
     @pytest.mark.parametrize("l_max", [64, 1000, 1024])
     def test_compact_levels_drop_no_weight(self, B, l_max):
         # every compact level check_levels accepts ends by l_max, so the first
-        # term past l_max is 0 and k_j, k_j_deriv equal the basis's sums
+        # term past l_max is 0 and the basis's sums are over the whole support
         window = StandardWindow(B=B)
         for j in select_j_range(l_max, window).levels():
             assert window._level_sq(np.array([l_max + 1.0]), j)[0] == 0.0
-            basis = _basis(window, j, l_max)
-            assert k_j(window, j, 3.0, l_max) == basis.k(3.0)[0]
-            for order in (1, 2):
-                assert k_j_deriv(window, j, 0.5, l_max, order) == basis.k_derivs(0.5)[order][0]
+            assert window.support(j)[1] <= l_max
 
     def test_order_zero_is_k_j(self):
         for window, j, l_max in ((MEX, 8, 4096), (MEX, 9, 1024), (STD, 5, 1024)):
             basis = _basis(window, j, l_max)
             assert basis.k_derivs(3.0)[0][0] == basis.k(3.0)[0]
-        for window, j, l_max in ((MEX, 8, 4096), (STD, 5, 1024)):
-            assert k_j_deriv(window, j, 3.0, l_max, 0) == k_j(window, j, 3.0, l_max)
-        with pytest.raises(DomainError, match="order must be 0, 1 or 2"):
-            k_j_deriv(MEX, 8, 3.0, 4096, 3)
-
-    def test_support_past_lmax_raises(self):
-        # level 8's mexican support ends at 1294: past l_max 1290 both raise,
-        # however small the dropped tail; at 1294 they are the basis's sums
-        with pytest.raises(TruncationError, match="support ends at l=1294"):
-            k_j(MEX, 8, 3.0, 1290)
-        with pytest.raises(TruncationError, match="support ends at l=1294"):
-            k_j_deriv(MEX, 8, 3.0, 1290, 2)
-        basis = _basis(MEX, 8, 1294)
-        assert k_j(MEX, 8, 3.0, 1294) == basis.k(3.0)[0]
-        assert k_j_deriv(MEX, 8, 3.0, 1294, 2) == basis.k_derivs(3.0)[2][0]
 
     def test_level_past_the_float_range(self):
         # B^1100 overflows a float: check_levels rejects the level first
-        for order in (0, 1, 2):
-            with pytest.raises(TruncationError, match="outside the band"):
-                k_j_deriv(MEX, 1100, 3.0, 256, order)
+        with pytest.raises(TruncationError, match="outside the band"):
+            _basis(MEX, 1100, 256)
 
     def test_one_truncation_rule(self):
         assert MexicanWindow.effective_lmax is StandardWindow.effective_lmax
 
     def test_truncation_soundness(self, canonical_model):
-        # level 8's support ends at 1294, so k_j is the full sum at both band
+        # level 8's support ends at 1294, so K_j is the full sum at both band
         # limits; lambda_hat on noise-free data, truncated at 1294 too, moves
         # by < 1e-10 relative when l_max doubles
-        a = k_j(MEX, 8, 3.0, 1400)
-        b = k_j(MEX, 8, 3.0, 2800)
+        a = _basis(MEX, 8, 1400).k(3.0)[0]
+        b = _basis(MEX, 8, 2800).k(3.0)[0]
         assert abs(a - b) / b < 1e-10
         la = lambda_hat(noise_free_spectrum(canonical_model, 1400), MEX, 8)
         lb = lambda_hat(noise_free_spectrum(canonical_model, 2800), MEX, 8)
@@ -189,19 +156,10 @@ class TestKj:
 
     def test_finite_difference_derivative(self):
         h = 1e-4
-        for order, fd in (
-            (1, (k_j(MEX, 6, 3.0 + h, 4096) - k_j(MEX, 6, 3.0 - h, 4096)) / (2 * h)),
-            (
-                2,
-                (
-                    k_j(MEX, 6, 3.0 + h, 4096)
-                    - 2 * k_j(MEX, 6, 3.0, 4096)
-                    + k_j(MEX, 6, 3.0 - h, 4096)
-                )
-                / h**2,
-            ),
-        ):
-            exact = k_j_deriv(MEX, 6, 3.0, 4096, order)
+        basis = _basis(MEX, 6, 4096)
+        lo, mid, hi = (basis.k(a)[0] for a in (3.0 - h, 3.0, 3.0 + h))
+        for order, fd in ((1, (hi - lo) / (2 * h)), (2, (hi - 2 * mid + lo) / h**2)):
+            exact = basis.k_derivs(3.0)[order][0]
             assert abs(exact - fd) < 1e-6 * abs(exact)
 
     def test_derivative_asymptotes(self):
@@ -209,10 +167,7 @@ class TestKj:
         r10 = i_ps(2, 3.0, 1) / i_ps(2, 3.0)
         r20 = i_ps(2, 3.0, 2) / i_ps(2, 3.0)
         for j in (8, 9):
-            l_max = int(6 * 2**j)
-            k0 = k_j(MEX, j, 3.0, l_max)
-            k1 = k_j_deriv(MEX, j, 3.0, l_max, 1)
-            k2 = k_j_deriv(MEX, j, 3.0, l_max, 2)
+            k0, k1, k2 = (k[0] for k in _basis(MEX, j, int(6 * 2**j)).k_derivs(3.0))
             expect1 = j * math.log(2.0) + r10
             assert -k1 / k0 == pytest.approx(expect1, rel=0.01)
             expect2 = (j * math.log(2.0)) ** 2 + 2 * j * math.log(2.0) * r10 + r20
@@ -713,7 +668,7 @@ class TestLambdaHat:
         assert lambda_hat(spec, MEX, 4) == 0.0
 
     def test_noise_free_matches_kj(self, canonical_model):
-        # c-hat = C exactly implies lambda = g0 N_j k_j(alpha0) to rounding
+        # c-hat = C exactly implies lambda = g0 N_j K_j(alpha0) to rounding
         spec = noise_free_spectrum(canonical_model, 1024)
         for j in (3, 6, 9):
             lam = lambda_hat(spec, MEX, j)

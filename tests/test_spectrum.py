@@ -9,8 +9,6 @@ from needlet_whittle import (
     PowerSpectrumModel,
     RationalCorrection,
     c_l,
-    check_regularity,
-    g_of_l,
 )
 from needlet_whittle.spectrum import _correction_factor, model_kappa
 
@@ -53,20 +51,25 @@ class TestCl:
         assert np.array_equal(c_l(scaled, ls), 5.0 * c_l(base, ls))
 
 
+def _g(model, l):
+    """G(l) = C_l l^alpha0, the factor that ``c_l`` multiplies l^-alpha0 by."""
+    return model.g0 * _correction_factor(model, np.asarray(l, dtype=float))
+
+
 class TestGofL:
     def test_constant(self):
         m = PowerSpectrumModel(alpha0=4.0, g0=1.0)
-        assert g_of_l(m, 17) == 1.0
+        assert _g(m, 17) == 1.0
 
     def test_kappa(self):
         m = PowerSpectrumModel(alpha0=3.0, correction=KappaCorrection(1.0))
-        assert g_of_l(m, 10) == pytest.approx(1.1, rel=1e-15)
+        assert _g(m, 10) == pytest.approx(1.1, rel=1e-15)
 
     def test_rational_trivial(self):
         m = PowerSpectrumModel(
             alpha0=3.0, correction=RationalCorrection(p_coeffs=(1.0,), q_coeffs=(1.0,))
         )
-        assert g_of_l(m, 7) == pytest.approx(1.0, rel=1e-15)
+        assert _g(m, 7) == pytest.approx(1.0, rel=1e-15)
 
     def test_rational_limit_rate(self):
         # G(l) -> c_pp/c_qq with O(1/l) error: l * |G - limit| stays bounded
@@ -76,7 +79,7 @@ class TestGofL:
         )
         limit = 2.0 / 4.0
         ls = np.geomspace(100, 10_000, 40)
-        scaled = ls * np.abs(g_of_l(m, ls) - limit)
+        scaled = ls * np.abs(_g(m, ls) - limit)
         assert scaled.max() < 10 * abs(scaled[-1]) + 1.0
 
 
@@ -87,8 +90,8 @@ def _horner(coeffs, u):
     return out
 
 
-def _regularity_points(l_max):
-    # the grid check_regularity probes, with every finite-difference stencil point
+def _off_lattice_points(l_max):
+    # a log-spaced grid on [1, l_max] and four close neighbours of each, mostly between integers
     grid = np.geomspace(1.0, float(l_max), 48)
     h = np.maximum(1e-4 * grid, 1e-6)
     return np.concatenate([np.maximum(grid + off * h, 0.9) for off in range(-2, 3)])
@@ -104,7 +107,7 @@ class TestRationalFactor:
         p = tuple(rng.uniform(0.1, 5.0, size=1 + seed % 4).tolist())
         q = tuple(rng.uniform(0.1, 5.0, size=1 + (seed * 7 + 1) % 5).tolist())
         m = PowerSpectrumModel(alpha0=3.0, correction=RationalCorrection(p_coeffs=p, q_coeffs=q))
-        for u in (np.arange(1.0, 8193.0), _regularity_points(8192)):
+        for u in (np.arange(1.0, 8193.0), _off_lattice_points(8192)):
             expected = u ** (len(q) - len(p)) * _horner(p, u) / _horner(q, u)
             assert np.array_equal(_correction_factor(m, u), expected)
 
@@ -159,36 +162,3 @@ class TestModelKappa:
             alpha0=3.0, correction=RationalCorrection(p_coeffs=(1.0, 2.0), q_coeffs=(3.0, 1.0))
         )
         assert model_kappa(m) == pytest.approx(1.0 / 2.0 - 3.0 / 1.0)
-
-
-class TestCheckRegularity:
-    def test_constant_model(self):
-        rep = check_regularity(PowerSpectrumModel(alpha0=3.0, g0=2.5), l_max=4096, r_max=4)
-        assert rep.c0_bounds == (2.5, 2.5)
-        assert all(rep.derivative_ok.values())
-
-    def test_kappa_model_first_derivative(self):
-        # analytic oracle: G'(u) = -g0 kappa / u^2, so |G'(u)| u = g0 kappa / u
-        kappa, g0 = 0.5, 1.0
-        rep = check_regularity(
-            PowerSpectrumModel(alpha0=3.0, g0=g0, correction=KappaCorrection(kappa)),
-            l_max=4096,
-            r_max=1,
-        )
-        assert rep.derivative_ok[1]
-        assert rep.sup_scaled[1] == pytest.approx(g0 * kappa, rel=1e-3)
-
-    def test_rational_equal_degrees(self):
-        m = PowerSpectrumModel(
-            alpha0=3.0,
-            correction=RationalCorrection(p_coeffs=(1.0, 2.0), q_coeffs=(3.0, 1.0)),
-        )
-        rep = check_regularity(m, l_max=4096, r_max=2)
-        assert rep.derivative_ok[1] and rep.derivative_ok[2]
-
-    def test_preconditions(self):
-        m = PowerSpectrumModel(alpha0=3.0)
-        with pytest.raises(DomainError):
-            check_regularity(m, l_max=8, r_max=1)
-        with pytest.raises(DomainError):
-            check_regularity(m, l_max=100, r_max=5)

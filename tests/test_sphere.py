@@ -59,7 +59,7 @@ class TestGrid:
 
     def test_ylm_norm_within_band_limit(self):
         grid = build_grid(3, 2.0)  # 16 rings: exact through l = 15
-        table = legendre_table(grid.gl_band_limit, grid.ring_cos)
+        table = legendre_table(grid.n_theta - 1, grid.ring_cos)
         for l, m in [(1, 0), (5, 3), (15, 15), (12, 0)]:
             ring_sq = table[l, m] ** 2  # phi-average of |Y_lm|^2 is P^2
             total = float(np.sum(grid.ring_weight * ring_sq)) * grid.n_phi
