@@ -12,7 +12,6 @@ from .errors import (
     NarrowBandError,
     NeedletWhittleError,
     ResourceLimitError,
-    TableLookupError,
     TruncationError,
 )
 from .harmonic import (
@@ -78,7 +77,6 @@ __all__ = [
     "ResourceLimitError",
     "SearchSettings",
     "StandardWindow",
-    "TableLookupError",
     "TruncationError",
     "WhittleFit",
     "alm_row",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, TableLookupError
+from .errors import DomainError
 
 TAIL_TOL = 1e-12  # largest dropped tail a truncated sum accepts, relative to the sum
 
@@ -172,14 +172,18 @@ def i_ps(p: int, alpha: float, s: int = 0, c_b: float = 1.0) -> float:
 
 
 def sigma0_sq(p: int, alpha0: float) -> float:
-    """Single-level variance constant 2 Gamma(4p+1-a0) / (2^(4p-a0) Gamma^2(2p+1-a0/2))."""
+    """Single-level variance constant 2 Gamma(4p+1-a0) / (2^(4p-a0) Gamma^2(2p+1-a0/2)),
+    formed in logs: Gamma(4p+1-a0) alone overflows a double from p 44 on, while
+    the constant stays near 2 / sqrt(pi (2p - a0/2))."""
     if not 4 * p + 1 - alpha0 > 0:
         raise DomainError(f"requires 4p+1-alpha0 > 0, got p={p}, alpha0={alpha0}")
     if not 2 * p + 1 - alpha0 / 2.0 > 0:
         raise DomainError(f"requires 2p+1-alpha0/2 > 0, got p={p}, alpha0={alpha0}")
-    # the gammas first: the numerator overflows before 2^(4p - alpha0) does
-    num, den = _gamma(4 * p + 1 - alpha0), _gamma(2 * p + 1 - alpha0 / 2.0)
-    return 2.0 / 2.0 ** (4 * p - alpha0) * num / den**2
+    return 2.0 * math.exp(
+        math.lgamma(4 * p + 1 - alpha0)
+        - 2.0 * math.lgamma(2 * p + 1 - alpha0 / 2.0)
+        - (4 * p - alpha0) * math.log(2.0)
+    )
 
 
 def tau_b(delta_j: int, p: int, B: float, alpha0: float) -> float:
@@ -459,19 +463,10 @@ def table1_constants() -> Table1:
     )
 
 
-def table1_rho0_sq(alpha0: float, B: float, interpolate: bool = False) -> float:
-    """Standard-needlet variance constant rho0^2 at (alpha0, B).
-
-    Exact grid points by default, raising :class:`TableLookupError` for any
-    other point; with ``interpolate`` a bilinear fit in (alpha0, log B) inside
-    the grid hull, clamping points beyond the hull to its edge.
-    """
-    for i, a in enumerate(_TABLE_ALPHA0):
-        for k, b in enumerate(_TABLE_B):
-            if abs(alpha0 - a) < 1e-6 and abs(B - b) < 1e-6:
-                return _TABLE_RHO0[i][k]
-    if not interpolate:
-        raise TableLookupError(f"({alpha0}, {B}) is not a grid point and interpolation is off")
+def table1_rho0_sq(alpha0: float, B: float) -> float:
+    """Standard-needlet variance constant rho0^2 at (alpha0, B): bilinear in
+    (alpha0, log B) between the grid's nodes, which it returns verbatim, and
+    clamped to the grid hull's edge beyond it."""
     xs = [math.log(b) for b in _TABLE_B]
     alpha0 = min(max(alpha0, _TABLE_ALPHA0[0]), _TABLE_ALPHA0[-1])
     x = min(max(math.log(B), xs[0]), xs[-1])

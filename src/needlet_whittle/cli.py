@@ -28,6 +28,7 @@ EXIT_PIPE = 141
 
 
 def _cmd_theory(args) -> int:
+    MexicanWindow(p=args.p, B=args.B)  # the window's own p and B rules
     consts = asymptotics.constants(args.p, args.B, args.alpha0, kappa=args.kappa)
     print("field,value")
     for f in fields(consts):

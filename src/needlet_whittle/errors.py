@@ -30,10 +30,6 @@ class ResourceLimitError(NeedletWhittleError):
     """A requested size exceeds a configured resource cap."""
 
 
-class TableLookupError(NeedletWhittleError, LookupError):
-    """Requested point is outside the built-in constant table."""
-
-
 class ConfigError(NeedletWhittleError, ValueError):
     """Experiment configuration is malformed or inconsistent."""
 

@@ -224,10 +224,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{key}: value {text!r} would not read back as written")
         return "".join(f"{key} = {text}\n" for key, text in pairs)
 
-    def to_file(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
-
     @classmethod
     def parse(cls, text: str) -> "ExperimentConfig":
         kv: dict[str, str] = {}
@@ -435,9 +431,8 @@ def _aggregate(config: ExperimentConfig, rows: list[ReplicationRow]) -> Aggregat
     if isinstance(window, MexicanWindow):
         theory_var = asymptotics.varsigma0_sq(window.p, B, alpha0) if full else math.nan
         theory_bias = asymptotics.bias_coeff(window.p, B, alpha0, model_kappa(config.model))
-    elif full:
-        rho0_sq = asymptotics.table1_rho0_sq(alpha0, B, interpolate=True)
-        theory_var = asymptotics.clt_variance(rho0_sq, B)
+    elif full:  # Table 1's rho0^2, bilinear between its nodes, clamped to its hull
+        theory_var = asymptotics.clt_variance(asymptotics.table1_rho0_sq(alpha0, B), B)
     return Aggregate(
         n_rows=len(rows),
         n_failed=len(rows) - len(ok),

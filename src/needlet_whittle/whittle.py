@@ -420,9 +420,10 @@ def plug_in(spec: EmpiricalSpectrum, p: int, b_std: float, b_mex: float) -> Plug
     refit whenever p > alpha_pilot / 4 (lower asymptotic variance regime).
     Both are full-band fits on the default ``SearchSettings``.
 
-    ``rho0_sq`` is the table constant at (alpha_pilot, b_std), interpolated
-    inside the table; ``sigma1_sq`` is the mexican table column at alpha_pilot
-    (the variance comparison the decision rule is based on).
+    ``rho0_sq`` is Table 1's constant at (alpha_pilot, b_std), bilinear
+    between its nodes and clamped to its hull; ``sigma1_sq`` is the mexican
+    closed form sigma0^2(p, alpha_pilot), finite for every p the window
+    accepts (the variance comparison the decision rule is based on).
     """
     std = StandardWindow(B=b_std)
     mex = MexicanWindow(p=p, B=b_mex)
@@ -436,6 +437,6 @@ def plug_in(spec: EmpiricalSpectrum, p: int, b_std: float, b_mex: float) -> Plug
         used_mexican=used,
         alpha_final=alpha_final,
         p=p,
-        rho0_sq=asymptotics.table1_rho0_sq(pilot.alpha_hat, b_std, interpolate=True),
+        rho0_sq=asymptotics.table1_rho0_sq(pilot.alpha_hat, b_std),
         sigma1_sq=asymptotics.sigma0_sq(p, pilot.alpha_hat),
     )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from needlet_whittle import DomainError, KappaCorrection, PowerSpectrumModel, TableLookupError
+from needlet_whittle import DomainError, KappaCorrection, PowerSpectrumModel
 from needlet_whittle.asymptotics import (
     bias_coeff,
     bias_coeff_reference,
@@ -136,6 +136,20 @@ class TestSigma0:
     def test_domain(self):
         with pytest.raises(DomainError):
             sigma0_sq(1, 5.5)
+
+    def test_matches_direct_form(self):
+        # the direct ratio of gammas, finite up to p 43; the log form's bound,
+        # 1e-12, is |lgamma| <~ 800 times double epsilon
+        def direct(p, a0):
+            num, den = math.gamma(4 * p + 1 - a0), math.gamma(2 * p + 1 - a0 / 2.0)
+            return 2.0 / 2.0 ** (4 * p - a0) * num / den**2
+
+        for p in range(1, 44):
+            for a0 in np.linspace(2.0, 4 * p + 1, 12)[1:-1]:
+                assert sigma0_sq(p, a0) == pytest.approx(direct(p, a0), rel=1e-12)
+
+    def test_finite_at_largest_window_p(self):
+        assert sigma0_sq(50, 3.0) == pytest.approx(0.11355, rel=1e-4)
 
 
 class TestTauB:
@@ -494,20 +508,23 @@ class TestTable1:
         assert t.rho0_sq[2] == (5.10, 2.64, 1.57)
 
     def test_lookup_exact_cells(self):
-        assert table1_rho0_sq(2.0, 2.0**0.5) == 2.24
-        assert table1_rho0_sq(4.0, 2.0) == 1.57
+        # the nine nodes, bit for bit
+        t = table1_constants()
+        for i, a0 in enumerate(t.alpha0):
+            for k, B in enumerate(t.B):
+                assert table1_rho0_sq(a0, B) == t.rho0_sq[i][k]
 
-    def test_lookup_requires_interpolation_off_grid(self):
-        with pytest.raises(TableLookupError):
-            table1_rho0_sq(3.1, 2.0)
-        val = table1_rho0_sq(3.1, 2.0, interpolate=True)
-        assert 1.34 < val < 1.57
+    def test_lookup_interior_between_corners(self):
+        # alpha0 3.1 between the 3 and 4 rows, B 2 on the last column
+        assert 1.34 < table1_rho0_sq(3.1, 2.0) < 1.57
+        # strictly inside a cell: between its smallest and largest corner
+        val = table1_rho0_sq(3.5, 2.0**0.75)
+        assert 1.34 < val < 2.64
 
-    def test_lookup_outside_hull(self):
-        with pytest.raises(TableLookupError):
-            table1_rho0_sq(5.0, 2.0)
-        # with interpolation the point is clamped to the hull edge
-        assert table1_rho0_sq(5.0, 2.5, interpolate=True) == pytest.approx(1.57)
+    def test_lookup_outside_hull_clamped(self):
+        assert table1_rho0_sq(5.0, 2.5) == table1_rho0_sq(4.0, 2.0) == 1.57
+        assert table1_rho0_sq(1.0, 1.1) == table1_rho0_sq(2.0, 2.0**0.25) == 5.00
+        assert table1_rho0_sq(5.0, 2.0**0.5) == table1_rho0_sq(4.0, 2.0**0.5)
 
     def test_sigma_column_vs_closed_form(self):
         # printed sigma column equals sigma0_sq up to table rounding: 7 of 9

@@ -27,7 +27,7 @@ def write_config(tmp_path, **kwargs):
     )
     base.update(kwargs)
     path = tmp_path / "config.txt"
-    ExperimentConfig(**base).to_file(path)
+    path.write_text(ExperimentConfig(**base).to_text())
     return path
 
 
@@ -57,7 +57,7 @@ class TestTheory:
             ("2", "-2", "0"),
             ("2", "1e-300", "0"),
             ("2", "inf", "0"),
-            ("200", "2", "0"),  # gamma(4p + 1 - alpha0) overflows
+            ("200", "2", "0"),  # past MEXICAN_P_MAX: the window does not exist
             ("2", "2", "nan"),
             ("2", "2", "inf"),
             ("2", "2", "-1"),
@@ -72,6 +72,12 @@ class TestTheory:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("numeric error:")
+
+    def test_largest_p_constants_finite(self, capsys):
+        # Gamma(4p + 1 - alpha0) alone overflows a double from p 44 on
+        assert main(["theory", "--p", "44", "--B", "2.0", "--alpha0", "3.0"]) == EXIT_OK
+        consts = dict(line.split(",") for line in capsys.readouterr().out.split("\n\n")[0].splitlines())
+        assert math.isfinite(float(consts["sigma0_sq"])) and math.isfinite(float(consts["varsigma0_sq"]))
 
     def test_calls_share_one_parser(self, capsys):
         # a call that fails to parse, past options it did read, leaves the
@@ -513,6 +519,14 @@ class TestMonteCarlo:
                       if line.startswith("mean_g ")]
         assert printed == f"{summary.aggregate.mean_g:.8g}" and len(printed) <= 14
 
+    def test_largest_p_theory_finite(self, tmp_path, capsys):
+        # the summary's theory variance at the window's largest p once overflowed
+        # a double, after every replication was drawn
+        cfg = write_config(tmp_path, window=MexicanWindow(p=50, B=2.0), replications=8)
+        assert main(["montecarlo", "--config", str(cfg)]) == EXIT_OK
+        summary = dict(line.split(",") for line in (tmp_path / "run.summary.csv").read_text().splitlines())
+        assert math.isfinite(float(summary["theory_varsigma0_sq"]))
+
     def test_check_mode_noise_free_passes(self, tmp_path):
         cfg = write_config(tmp_path, replications=1, noise_free=True)
         assert main(["montecarlo", "--config", str(cfg), "--check"]) == EXIT_OK
@@ -637,3 +651,12 @@ class TestRealspaceAndPlugin:
         )
         assert rc == EXIT_OK
         assert "used_mexican" in capsys.readouterr().out
+
+    def test_plugin_largest_p(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        main(["simulate", "--config", str(cfg)])
+        capsys.readouterr()
+        rc = main(["plugin", "--spectrum-file", str(tmp_path / "run.spectrum.bin"), "--p", "50"])
+        assert rc == EXIT_OK
+        report = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+        assert math.isfinite(float(report["sigma1_sq"]))

@@ -472,7 +472,7 @@ class TestPinnedMonteCarlo:
     PINS = {
         "mexican-full": (
             "1adf51491995455f10ccceaaddd86ed9bfc64949afe88acbf59b3a0295c890a4",
-            "2b17f575848fdf2577932bb95f8942b5c42576b22b170732752ef920c21056e2",
+            "9484f81dcc6769e3874307639e0f1768efd64a3b8478de0f3c42d880838fe569",
             "3420424056ad5951c4867ab7c3c1a0d82b371154a1705bc574758c99c229ab99",
             "e6e7ce47cb43f7cbd56d3e426355cbeca165052ebaf09de5b5b75679c365e6d3",
         ),
