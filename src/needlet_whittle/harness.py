@@ -428,8 +428,8 @@ def _aggregate(config: ExperimentConfig, rows: list[ReplicationRow]) -> Aggregat
     # desk-scale reference for either window (see theory_checks / README)
     full = config.band == "full"
     theory_var = theory_bias = math.nan
-    if isinstance(window, MexicanWindow):
-        theory_var = asymptotics.varsigma0_sq(window.p, B, alpha0) if full else math.nan
+    if isinstance(window, MexicanWindow) and full:
+        theory_var = asymptotics.varsigma0_sq(window.p, B, alpha0)
         theory_bias = asymptotics.bias_coeff(window.p, B, alpha0, model_kappa(config.model))
     elif full:  # Table 1's rho0^2, bilinear between its nodes, clamped to its hull
         theory_var = asymptotics.clt_variance(asymptotics.table1_rho0_sq(alpha0, B), B)
@@ -460,6 +460,8 @@ def _worker_count(config: ExperimentConfig) -> int:
             requested = int(env)
         except ValueError as exc:
             raise ConfigError(f"NEEDLET_WHITTLE_THREADS={env!r} is not an integer") from exc
+        if requested < 0:
+            raise ConfigError(f"NEEDLET_WHITTLE_THREADS={env!r} is negative")
     else:
         requested = config.workers if config.workers > 0 else cores
     return max(1, min(requested, cores, config.replications))

@@ -29,26 +29,30 @@ a fresh zero matrix.  Up to the cap C = ``harmonic.DEFAULT_LMAX_CAP``, one
 such matrix M per (window, c_b) holds every level 1..top ``resolved`` at C on
 l = 1..C, row j - 1 for level j, built once, kept read-only and never
 replaced.  With one table of log l on l = 1..C, a basis at l_max <= C is the
-view M[j0 - 1 : jL, :L] and a slice of that table.  A request past C, a
-window whose M is too large to keep (B near 1), or a range from j0 <= 0 gets
-a matrix of its own; ``lambda_hat`` builds its one level's row alone.
+view M[j0 - 1 : jL, :L], a slice of that table and a slice of M's N_j.  A
+request past C, a window whose M's grid table is too large to keep (B near
+1), or a range from j0 <= 0 gets a matrix of its own; ``lambda_hat`` builds
+its one level's row alone.
 
-K_j on the fit's alpha grid is a running sum over whole blocks of 64
-multipoles (``_block_sums``) plus the few leftover ones.  M's running sums
-at every block, for every level, are one table per (window, c_b, grid), so
-any band limit and level range reads one slice of it; a basis with a matrix
-of its own keeps only the running sum, not a table.  The grid
-(``alpha_grid``) is kept per search range, a level range's N_j per (j_range, B).
+K_j on the fit's ``GRID_POINTS`` alpha grid is a running sum over whole
+blocks of 64 multipoles (``_block_sums``) plus the few leftover ones.  M's
+running sums at every block, for every level, are one table per (window,
+c_b, search range), kept with its grid, so any band limit and level range
+reads one slice of it; a basis with a matrix of its own forms its running
+sum, its grid and its N_j on each call and keeps none of them.
 
 These are the fit's arrays kept between calls, in one store ``_KEPT``,
-read-only, under keys whose first item names their kind; ``sphere`` keeps
-its Legendre coefficients in a ``Kept`` of its own.  The rule, under one
-bound ``KEPT_BYTES`` = 4 MiB per store: the oldest entry goes first once the
-bytes pass it, a put under a kept key replaces the entry, and an entry past
-half of it is not kept (an M or table that large is not built).  After
-warm-up, fit-sweep's 1500 fits at seed 1 keep 3.16 MB, 20 level-6 fields with
-their checks nothing (and 0.86 MB of Legendre blocks), 20 canonical
-replications 1.58 MB: none evicts.
+read-only, under keys of two kinds: ("weights", window, c_b) holds M with
+its N_j, ("table", window, c_b, alpha_min, alpha_max) M's grid table with
+its alphas, as an array and as floats.  ``sphere`` keeps its Legendre
+coefficients in a ``Kept`` of its own.  The rule, under one bound
+``KEPT_BYTES`` = 4 MiB per store: the oldest entry goes first once the bytes
+pass it, a put under a kept key replaces the entry, and an entry past half
+of it is not kept.  M is kept only where its table, one block row per level
+larger, is within that half too, so a view of M always reads its table.
+After warm-up, fit-sweep's 1500 fits at seed 1 keep 3.16 MB, 20 level-6
+fields with their checks nothing (and 0.86 MB of Legendre blocks), 20
+canonical replications 1.58 MB: none evicts.
 
 On top of the windows: ``check_levels``, the one check that a level range is
 usable at l_max, by each window's ``resolved`` rule for both ends of the band
@@ -337,18 +341,7 @@ def _nbytes(value) -> int:
     return sum(a.nbytes for a in _arrays(value))
 
 
-_KEPT = Kept(KEPT_BYTES)  # keys begin "weights", "table", "counts" or "grid"
-
-
-def _level_counts(j_range: JRange, B: float) -> tuple[float, np.ndarray]:
-    """(sum_j N_j, N_j per level of ``j_range``), kept by (j_range, B)."""
-    key = ("counts", j_range, B)
-    kept = _KEPT.get(key)
-    if kept is None:
-        n = np.array([j_range.n_j(j, B) for j in j_range.levels()])
-        kept = (float(n.sum()), n)
-        _KEPT.put(key, kept)
-    return kept
+_KEPT = Kept(KEPT_BYTES)  # keys begin "weights" or "table"
 
 
 def _matrix(window: NeedletWindow, j_range: JRange, width: int) -> np.ndarray:
@@ -363,19 +356,13 @@ def _matrix(window: NeedletWindow, j_range: JRange, width: int) -> np.ndarray:
     return w
 
 
+GRID_POINTS = 64  # alpha grid that brackets a fit's minimum before its Newton search
 _GRID_BLOCK = 64  # multipoles per block of a grid table
 
 
-def alpha_grid(start: float, stop: float, num: int) -> tuple[np.ndarray, tuple[float, ...]]:
-    """``np.linspace(start, stop, num)`` and its values as floats: one kept
-    grid per search range, which the fit's trace and ``k_linspace`` read."""
-    key = ("grid", start, stop, num)
-    grid = _KEPT.get(key)
-    if grid is None:
-        alphas = np.linspace(start, stop, num)
-        grid = (alphas, tuple(alphas.tolist()))
-        _KEPT.put(key, grid)
-    return grid
+def _linspace(start: float, stop: float) -> tuple[np.ndarray, tuple[float, ...]]:
+    alphas = np.linspace(start, stop, GRID_POINTS)
+    return alphas, tuple(alphas.tolist())
 
 
 def _block_sums(w: np.ndarray, log_l: np.ndarray, alphas: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -394,42 +381,47 @@ def _block_sums(w: np.ndarray, log_l: np.ndarray, alphas: np.ndarray, out: np.nd
     return out[blocks % n]
 
 
-def _grid_table(window: NeedletWindow, c_b: float, m: np.ndarray, alphas: np.ndarray) -> np.ndarray | None:
-    """``_block_sums`` of the window's M (``_weights``) at every whole block,
-    shape (blocks + 1, num, levels), kept by (window, c_b, grid); None for a
-    grid whose table is too large to keep."""
-    key = ("table", window, c_b, alphas[0], alphas[-1], len(alphas))  # the grid is a linspace
-    table = _KEPT.get(key)
-    shape = (m.shape[1] // _GRID_BLOCK + 1, len(alphas), len(m))
-    if table is None and _KEPT.keeps(math.prod(shape) * 8):
-        table = np.empty(shape)
+def _grid_table(window: NeedletWindow, c_b: float, m: np.ndarray, start: float, stop: float):
+    """(table, alphas, grid): ``_block_sums`` of the window's M (``_weights``)
+    at every whole block on the ``GRID_POINTS`` alpha grid over [start, stop],
+    shape (blocks + 1, GRID_POINTS, levels), with that grid as an array and as
+    floats, kept by (window, c_b, start, stop)."""
+    key = ("table", window, c_b, start, stop)
+    kept = _KEPT.get(key)
+    if kept is None:
+        alphas, grid = _linspace(start, stop)
+        table = np.empty((m.shape[1] // _GRID_BLOCK + 1, GRID_POINTS, len(m)))
         _block_sums(m, _LOG_L, alphas, table)
-        _KEPT.put(key, table)
-    return table
+        kept = (table, alphas, grid)
+        _KEPT.put(key, kept)
+    return kept
 
 
 _LOG_L = np.log(np.arange(1, DEFAULT_LMAX_CAP + 1, dtype=float))  # log l, l = 1..cap
 _LOG_L.flags.writeable = False
 
 
-def _weights(window: NeedletWindow, c_b: float) -> np.ndarray | None:
-    """M for (window, c_b): ``_matrix`` over every level 1..top ``resolved``
-    at ``DEFAULT_LMAX_CAP`` and the multipoles 1..cap, row j - 1 for level j,
-    built once and kept by (window, c_b).  None when those levels make an M
-    too large to keep (B near 1)."""
+def _weights(window: NeedletWindow, c_b: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """(M, N) for (window, c_b): M is ``_matrix`` over every level 1..top
+    ``resolved`` at ``DEFAULT_LMAX_CAP`` and the multipoles 1..cap, row j - 1
+    for level j, and N holds those levels' N_j; built once and kept by
+    (window, c_b).  None when those levels make a grid table (``_grid_table``,
+    one block row per level larger than M) too large to keep (B near 1)."""
     key = ("weights", window, c_b)
-    m = _KEPT.get(key)
-    if m is not None:
-        return m
+    kept = _KEPT.get(key)
+    if kept is not None:
+        return kept
     cap = DEFAULT_LMAX_CAP
+    rows = cap // _GRID_BLOCK + 1  # the table's GRID_POINTS-float rows per level; its alphas add one
     top = 0
-    while _KEPT.keeps((top + 1) * cap * 8) and window.resolved(top + 1, cap):
+    while _KEPT.keeps(((top + 1) * rows + 1) * GRID_POINTS * 8) and window.resolved(top + 1, cap):
         top += 1
     if top == 0 or window.resolved(top + 1, cap):
         return None
-    m = _matrix(window, JRange(j0=1, jL=top, c_b=c_b), cap)
-    _KEPT.put(key, m)
-    return m
+    j_range = JRange(j0=1, jL=top, c_b=c_b)
+    kept = (_matrix(window, j_range, cap), np.array([j_range.n_j(j, window.B) for j in j_range.levels()]))
+    _KEPT.put(key, kept)
+    return kept
 
 
 @dataclass(frozen=True, eq=False)
@@ -445,12 +437,12 @@ class LevelBasis:
 
     so data and model share one truncation.  Building runs ``check_levels``
     first: an unresolved level or an oversized range raises before any
-    allocation; N_j and their sum come from ``_level_counts``.  Up to l_max =
-    ``DEFAULT_LMAX_CAP``, ``w`` is then the view M[j0 - 1 : jL, :L] of the
-    window's one weight matrix ``m`` (``_weights``) and ``log_l`` a slice of
-    one log table, so a build allocates no weights.  Past that cap, or where M
-    is not kept or j0 < 1, ``m`` is None and ``w`` a matrix of its own from
-    the same ``_matrix``.
+    allocation.  Up to l_max = ``DEFAULT_LMAX_CAP``, ``w`` is then the view
+    M[j0 - 1 : jL, :L] of the window's one weight matrix ``m`` (``_weights``),
+    ``n`` the matching slice of M's N_j and ``log_l`` a slice of one log table,
+    so a build allocates no weights.  Past that cap, or where M is not kept or
+    j0 < 1, ``m`` is None and ``w`` and ``n`` are of its own, from the same
+    ``_matrix`` and ``JRange.n_j``.
     """
 
     window: NeedletWindow
@@ -465,19 +457,20 @@ class LevelBasis:
     def __post_init__(self):
         check_levels(self.window, self.j_range, self.l_max)
         window, rng = self.window, self.j_range
-        n_sum, n = _level_counts(rng, window.B)
-        m = _weights(window, rng.c_b) if rng.j0 >= 1 and self.l_max <= DEFAULT_LMAX_CAP else None
+        kept = _weights(window, rng.c_b) if rng.j0 >= 1 and self.l_max <= DEFAULT_LMAX_CAP else None
         # supports end later at higher levels, so level jL's truncation is L, and
         # every level's truncation at L is its truncation at l_max
         size = window.effective_lmax(rng.jL, self.l_max)
-        if m is not None:
+        if kept is not None:
+            m, n = kept[0], kept[1][rng.j0 - 1 : rng.jL]
             w, log_l = m[rng.j0 - 1 : rng.jL, :size], _LOG_L[:size]
         else:
+            m, n = None, np.array([rng.n_j(j, window.B) for j in rng.levels()])
             w, log_l = _matrix(window, rng, size), np.log(np.arange(1, size + 1, dtype=float))
         for name, arr in (("w", w), ("log_l", log_l), ("n", n)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "n_sum", n_sum)
+        object.__setattr__(self, "n_sum", float(n.sum()))
         object.__setattr__(self, "m", m)
 
     def lam(self, values: np.ndarray) -> np.ndarray:
@@ -497,27 +490,27 @@ class LevelBasis:
         xl = x * self.log_l
         return self.w @ x, -(self.w @ xl), self.w @ (xl * self.log_l)
 
-    def k_linspace(self, start: float, stop: float, num: int) -> tuple[np.ndarray, np.ndarray]:
-        """K_j at ``np.linspace(start, stop, num)``: (alphas, K), K of shape
-        (num, J), alphas the read-only grid of ``alpha_grid``.
+    def k_linspace(self, start: float, stop: float) -> tuple[tuple[float, ...], np.ndarray]:
+        """(grid, K): the alphas ``np.linspace(start, stop, GRID_POINTS)`` as
+        floats, and K_j there, shape (GRID_POINTS, J).
 
         K is the running sum S over the whole blocks of ``_GRID_BLOCK``
         multipoles in 1..L (``_block_sums``) plus the <= 63 leftover ones.  A
-        view of M reads S from M's kept table (``_grid_table``), columns
-        j0 - 1..jL - 1; a basis with a matrix of its own, or whose table is too
-        large to keep, sums S over its ``w`` and keeps nothing.  Every power is
-        exp(-alpha log l), as in ``k``, so only the order of the sums differs
-        from ``k`` (~1e-15 relative).
+        view of M reads S and the grid from M's kept table (``_grid_table``),
+        columns j0 - 1..jL - 1; a basis with a matrix of its own sums S over
+        its ``w`` and keeps nothing.  Every power is exp(-alpha log l), as in
+        ``k``, so only the order of the sums differs from ``k`` (~1e-15
+        relative).
         """
-        alphas = alpha_grid(start, stop, num)[0]
         rng, whole = self.j_range, self.w.shape[1] // _GRID_BLOCK * _GRID_BLOCK
-        table = None if self.m is None else _grid_table(self.window, rng.c_b, self.m, alphas)
-        if table is None:
-            head = _block_sums(self.w, self.log_l, alphas, np.empty((1, num, len(self.n))))
+        if self.m is None:
+            alphas, grid = _linspace(start, stop)
+            head = _block_sums(self.w, self.log_l, alphas, np.empty((1, GRID_POINTS, len(self.n))))
         else:
+            table, alphas, grid = _grid_table(self.window, rng.c_b, self.m, start, stop)
             head = table[whole // _GRID_BLOCK][:, rng.j0 - 1 : rng.jL]
         x = np.exp(np.multiply.outer(-alphas, self.log_l[whole:]))
-        return alphas, head + x @ self.w[:, whole:].T
+        return grid, head + x @ self.w[:, whole:].T
 
 
 def lambda_hat(spec: EmpiricalSpectrum, window: NeedletWindow, j: int) -> float:

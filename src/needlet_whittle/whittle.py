@@ -18,8 +18,8 @@ moments K of any leading shape: the grid passes all its rows at once, and
 K_j'' pass, forming its five level sums in one reduction.  What follows that
 reduction, in ``_profile`` too, is arithmetic on Python floats: the IEEE
 operations of numpy scalars in the same order, without their call overhead.
-The grid's alphas and the trace read one grid per search range
-(``needlet.alpha_grid``), so the bracket and every Newton step are floats.
+The grid's alphas come as floats with its K (``LevelBasis.k_linspace``), so
+the bracket and every Newton step are floats.
 A fit records G-hat, score and hessian from one ``_derivs`` call at
 alpha-hat.  It runs on lambda / 2^e (``_scaled``), which puts the largest
 lambda in [1/2, 1) exactly: only G-hat (multiplied back by 2^e) and the
@@ -58,12 +58,12 @@ from .errors import (
 )
 from .harmonic import EmpiricalSpectrum
 from .needlet import (
+    GRID_POINTS,
     JRange,
     MexicanWindow,
     NeedletStatistics,
     NeedletWindow,
     StandardWindow,
-    alpha_grid,
     check_levels,
     compute_statistics,
     narrow_band_j1,
@@ -86,7 +86,6 @@ __all__ = [
     "plug_in",
 ]
 
-GRID_POINTS = 64  # alpha grid that brackets the minimum before the Newton search
 MAX_ITER = 200  # Newton/bisection iterates per fit; a few suffice (see README)
 _LOG_2 = math.log(2.0)
 _K_EXP = 256  # |binary exponent| of the largest K_j up to which k0**3 stays a normal float
@@ -251,8 +250,7 @@ def _fit(stats: NeedletStatistics, search: SearchSettings, band: str) -> Whittle
     _check_two_levels(stats.j_range, band)
     stats, e = _scaled(stats)  # the fit runs on lambda / 2^e (module docstring)
     # the grid stays vectorised: one k_linspace pass, not GRID_POINTS evaluations
-    _, k = stats.basis.k_linspace(search.alpha_min, search.alpha_max, GRID_POINTS)
-    grid = alpha_grid(search.alpha_min, search.alpha_max, GRID_POINTS)[1]
+    grid, k = stats.basis.k_linspace(search.alpha_min, search.alpha_max)
     vals, _ = _profile(stats, k, (stats.lam / k).sum(axis=-1))
     trace: list[tuple[float, float]] = list(zip(grid, vals.tolist()))
     i = int(np.argmin(vals))
@@ -332,8 +330,10 @@ def level_range(
       a lone j0 or jl, or any g, raises ``ConfigError``.
     * narrow: [J1, jl] with B^J1 = B^jl (1 - g), J1 rounded half up; jl
       defaults to the top of ``select_j_range``, and g is a fraction in (0, 1)
-      or None for g = jl^-3.  A j0 raises ``ConfigError``, a band
-      under one multipole ``NarrowBandError``.
+      or None for g = jl^-3, which rounds J1 to jl, one level, wherever
+      g <= 1 - B^(-1/2): every jl >= 2 at B >= 1.5, jl >= 3 at B = 1.2, jl >= 4
+      at B = 1.05.  A j0 raises ``ConfigError``, a band under one multipole
+      ``NarrowBandError``.
 
     Either range needs two levels or more (``NarrowBandError`` on the narrow
     band, ``DegenerateDataError`` on the full band) and must pass
@@ -351,7 +351,7 @@ def level_range(
         if jl is None:
             jl = select_j_range(l_max, window).jL
         if g is None:
-            g = float(jl) ** -3  # degenerate below jl ~ 10 at B = 2
+            g = float(jl) ** -3  # one level, J1 = jl, for every jl >= 2 at B >= 1.5
         if not 0.0 < g < 1.0:
             raise DomainError(f"band fraction g must be in (0, 1), got {g}")
         j_range = JRange(j0=narrow_band_j1(jl, g, window.B), jL=jl)

@@ -236,11 +236,14 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("window", [MexicanWindow(p=2, B=2.0), StandardWindow(B=2.0)])
     def test_narrow_band_has_no_theory_variance(self, window):
-        # the closed-form variances are full-band limits, for either window
+        # the closed-form variances and the mexican bias constant are
+        # full-band limits, for either window
         full = run_experiment(small_config(window=window, replications=2))
         narrow = run_experiment(small_config(window=window, replications=2, band="narrow", g=0.5))
         assert math.isfinite(full.aggregate.theory_varsigma0_sq)
         assert math.isnan(narrow.aggregate.theory_varsigma0_sq)
+        assert math.isfinite(full.aggregate.theory_bias) == isinstance(window, MexicanWindow)
+        assert math.isnan(narrow.aggregate.theory_bias)
 
     def test_env_override_workers(self, monkeypatch, tmp_path):
         monkeypatch.setenv("NEEDLET_WHITTLE_THREADS", "2")
@@ -250,6 +253,12 @@ class TestRunExperiment:
     def test_env_workers_not_an_integer(self, monkeypatch):
         monkeypatch.setenv("NEEDLET_WHITTLE_THREADS", "abc")
         with pytest.raises(ConfigError, match="NEEDLET_WHITTLE_THREADS='abc'"):
+            run_experiment(small_config())
+
+    def test_env_workers_negative(self, monkeypatch):
+        # a negative run.workers is a ConfigError, and so is a negative variable
+        monkeypatch.setenv("NEEDLET_WHITTLE_THREADS", "-4")
+        with pytest.raises(ConfigError, match="NEEDLET_WHITTLE_THREADS='-4' is negative"):
             run_experiment(small_config())
 
     @pytest.mark.parametrize(

@@ -23,7 +23,7 @@ from needlet_whittle import (
 )
 from needlet_whittle import harmonic, needlet, sphere, whittle
 from needlet_whittle.asymptotics import i_ps, sigma0_sq, tau_b
-from needlet_whittle.needlet import LevelBasis, _bump_cdf, check_levels, narrow_band_j1
+from needlet_whittle.needlet import GRID_POINTS, LevelBasis, _bump_cdf, check_levels, narrow_band_j1
 
 from conftest import chi2_spectrum, held_within_bound, kept, noise_free_spectrum
 
@@ -260,12 +260,11 @@ class TestLevelBasis:
         with pytest.raises(ValueError):
             basis.w[0, 0] = 1.0
 
-    @pytest.mark.parametrize("num", [1, 7, 64])
-    def test_k_linspace_matches_k(self, num):
+    def test_k_linspace_matches_k(self):
         basis = LevelBasis(MEX, select_j_range(8192, MEX), 8192)
-        alphas, k = basis.k_linspace(2.001, 10.0, num)
-        assert np.array_equal(alphas, np.linspace(2.001, 10.0, num))
-        exact = np.array([basis.k(a) for a in alphas])
+        grid, k = basis.k_linspace(2.001, 10.0)
+        assert grid == tuple(np.linspace(2.001, 10.0, GRID_POINTS).tolist())
+        exact = np.array([basis.k(a) for a in grid])
         assert np.max(np.abs(k / exact - 1.0)) < 1e-13
 
 
@@ -273,19 +272,18 @@ class TestGridTables:
     # l_max 1024 cuts the top mexican levels at a block boundary (1024 = 16 x 64
     # multipoles from l = 1), 1000 inside a block, 61 before the first block ends
     @pytest.mark.parametrize("l_max", [1024, 1000, 61])
-    @pytest.mark.parametrize("num", [1, 7, 64])
     @pytest.mark.parametrize("search", [(2.001, 10.0), (-1.5, 4.25)])
     @pytest.mark.parametrize("window", [MEX, STD, MexicanWindow(p=1, B=3.0), StandardWindow(B=1.5)], ids=str)
-    def test_grid_matches_k(self, fresh_store, window, l_max, num, search):
+    def test_grid_matches_k(self, fresh_store, window, l_max, search):
         j_range = select_j_range(l_max, window)
         cut = [window.support(j)[1] > l_max for j in j_range.levels()]
         if isinstance(window, MexicanWindow):
             assert any(cut) and not all(cut)
         for _ in ("cold", "warm"):
             basis = LevelBasis(window, j_range, l_max)
-            alphas, k = basis.k_linspace(*search, num)
-            assert np.array_equal(alphas, np.linspace(*search, num))
-            exact = np.array([basis.k(a) for a in alphas])
+            grid, k = basis.k_linspace(*search)
+            assert grid == tuple(np.linspace(*search, GRID_POINTS).tolist())
+            exact = np.array([basis.k(a) for a in grid])
             assert np.max(np.abs(k / exact - 1.0)) < 1e-13
 
     @pytest.mark.host_bits
@@ -296,51 +294,54 @@ class TestGridTables:
         for l_max in (8192, 1000, 4133, 1024, 61):
             for j0 in (1, select_j_range(l_max, MEX).jL - 1):
                 basis = LevelBasis(MEX, JRange(j0=j0, jL=select_j_range(l_max, MEX).jL), l_max)
-                alphas, k = basis.k_linspace(2.001, 10.0, 64)
-                exact = np.array([basis.k(a) for a in alphas])
+                grid, k = basis.k_linspace(2.001, 10.0)
+                exact = np.array([basis.k(a) for a in grid])
                 assert np.max(np.abs(k / exact - 1.0)) < 1e-13
         tables = kept(fresh_store, "table")
-        assert list(tables) == [(MEX, 1.0, 2.001, 10.0, 64)]
-        table = tables[MEX, 1.0, 2.001, 10.0, 64]
+        assert list(tables) == [(MEX, 1.0, 2.001, 10.0)]
+        table, alphas, grid = tables[MEX, 1.0, 2.001, 10.0]
         blocks = harmonic.DEFAULT_LMAX_CAP // needlet._GRID_BLOCK
-        assert table.shape == (blocks + 1, 64, top) and not table[0].any()
+        assert table.shape == (blocks + 1, GRID_POINTS, top) and not table[0].any()
+        assert alphas.tobytes() == np.linspace(2.001, 10.0, GRID_POINTS).tobytes()
+        assert grid == tuple(alphas.tolist())
 
     @pytest.mark.host_bits
     def test_tables_read_only(self, fresh_store):
-        LevelBasis(STD, JRange(j0=1, jL=9), 1024).k_linspace(2.001, 10.0, 64)
+        LevelBasis(STD, JRange(j0=1, jL=9), 1024).k_linspace(2.001, 10.0)
         assert kept(fresh_store, "table")
-        for table in kept(fresh_store, "table").values():
+        for table, alphas, _ in kept(fresh_store, "table").values():
             with pytest.raises(ValueError):
                 table[0, 0, 0] = 1.0
+            with pytest.raises(ValueError):
+                alphas[0] = 0.0
 
     @pytest.mark.host_bits
     def test_cache_within_its_byte_bound(self, fresh_store):
         requested = 0
         for B in np.linspace(1.5, 3.0, 30):
             for window in (MexicanWindow(p=2, B=float(B)), StandardWindow(B=float(B))):
-                LevelBasis(window, select_j_range(4096, window), 4096).k_linspace(2.001, 10.0, 64)
-                requested += fresh_store.get(("table", window, 1.0, 2.001, 10.0, 64)).nbytes
+                LevelBasis(window, select_j_range(4096, window), 4096).k_linspace(2.001, 10.0)
+                requested += needlet._nbytes(fresh_store.get(("table", window, 1.0, 2.001, 10.0)))
                 held_within_bound(fresh_store)
-        held = sum(table.nbytes for table in kept(fresh_store, "table").values())
+        held = sum(needlet._nbytes(entry) for entry in kept(fresh_store, "table").values())
         assert held < requested  # the bound did evict tables
 
     @pytest.mark.host_bits
     @pytest.mark.parametrize(
-        "window, j_range, l_max, num, views_m",
+        "window, j_range, l_max",
         [
-            (MEX, JRange(j0=16, jL=16), 100_000, 64, False),  # past the cap: no M
-            (StandardWindow(B=1.1), JRange(j0=14, jL=71), 1024, 64, False),  # B near 1: M past its bound
-            (MEX, JRange(j0=1, jL=9), 1024, 1000, True),  # M kept, its table past the bound
+            (MEX, JRange(j0=16, jL=16), 100_000),  # past the cap: no M
+            (StandardWindow(B=1.1), JRange(j0=14, jL=71), 1024),  # B near 1: M past its bound
+            (MexicanWindow(p=2, B=1.305), JRange(j0=1, jL=20), 1024),  # 32 levels at the cap
         ],
-        ids=["past-the-cap", "B-near-1", "wide-grid"],
+        ids=["past-the-cap", "B-near-1", "32-levels"],
     )
-    def test_table_past_the_bound_not_stored(self, fresh_store, window, j_range, l_max, num, views_m):
-        # the running sum over the basis's own blocks: no table is kept
+    def test_table_past_the_bound_not_stored(self, fresh_store, window, j_range, l_max):
+        # the running sum over the basis's own blocks: nothing is kept
         basis = LevelBasis(window, j_range, l_max)
-        alphas, k = basis.k_linspace(2.001, 10.0, num)
-        assert not kept(fresh_store, "table")
-        assert (basis.m is not None) == views_m
-        exact = np.array([basis.k(a) for a in alphas])
+        grid, k = basis.k_linspace(2.001, 10.0)
+        assert not fresh_store._entries and basis.m is None
+        exact = np.array([basis.k(a) for a in grid])
         assert np.max(np.abs(k / exact - 1.0)) < 1e-13
 
     @pytest.mark.host_bits
@@ -353,7 +354,7 @@ class TestGridTables:
         assert basis.m is None
         tracemalloc.start()
         try:
-            basis.k_linspace(2.001, 10.0, 64)
+            basis.k_linspace(2.001, 10.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -425,15 +426,18 @@ class TestLevelRows:
 
     @pytest.mark.host_bits
     def test_matrix_kept_read_only(self, fresh_store):
-        # each build reads the window's one M, kept read-only: no row is kept
+        # each build reads the window's one M and its N_j, kept read-only: no
+        # row is kept
         top = select_j_range(harmonic.DEFAULT_LMAX_CAP, STD).jL
         for j_range, l_max in ((JRange(j0=1, jL=9), 1024), (JRange(j0=3, jL=5), 64)):
             basis = LevelBasis(STD, j_range, l_max)
-            assert basis.m is fresh_store.get(("weights", STD, 1.0))
-            assert basis.m.shape == (top, harmonic.DEFAULT_LMAX_CAP)
-            with pytest.raises(ValueError):
-                basis.m[0, 0] = 1.0
-        assert {key[0] for key in fresh_store._entries} == {"weights", "counts"}
+            m, n = fresh_store.get(("weights", STD, 1.0))
+            assert basis.m is m and basis.n.base is n
+            assert m.shape == (top, harmonic.DEFAULT_LMAX_CAP) and n.shape == (top,)
+            for arr in (m, n):
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+        assert {key[0] for key in fresh_store._entries} == {"weights"}
 
     @pytest.mark.host_bits
     def test_builds_keep_no_row(self, fresh_store):
@@ -441,7 +445,7 @@ class TestLevelRows:
             for window in (MexicanWindow(p=2, B=float(B)), StandardWindow(B=float(B))):
                 LevelBasis(window, select_j_range(4096, window), 4096)
                 held_within_bound(fresh_store)
-        assert {key[0] for key in fresh_store._entries} == {"weights", "counts"}
+        assert {key[0] for key in fresh_store._entries} == {"weights"}
 
     @pytest.mark.host_bits
     def test_row_past_the_bound_not_stored(self, fresh_store, monkeypatch):
@@ -458,7 +462,7 @@ class TestLevelRows:
         )
         basis = LevelBasis(window, JRange(j0=j, jL=j), l_max)
         assert lengths == [l_max]
-        assert {key[0] for key in fresh_store._entries} == {"counts"}
+        assert not fresh_store._entries
         l = np.arange(1, l_max + 1, dtype=float)
         assert np.array_equal(
             basis.w[0], window.window_sq(l / window.B**j) * (2.0 * l + 1.0) / basis.n[0]
@@ -466,12 +470,15 @@ class TestLevelRows:
 
 
 def _contiguous(basis):
-    """The basis with a weight matrix and log table of its own, as built before
-    they were views of the window's kept M and log table: ``m`` is None, so
-    its grid is the running sum over its own blocks."""
+    """The basis with a weight matrix, log table and N_j of its own, as built
+    before they were views of the window's kept M, its N_j and one log table:
+    ``m`` is None, so its grid is the running sum over its own blocks."""
     ref = copy.copy(basis)
-    object.__setattr__(ref, "w", _former_list_build(basis.window, basis.j_range, basis.l_max))
+    rng, B = basis.j_range, basis.window.B
+    object.__setattr__(ref, "w", _former_list_build(basis.window, rng, basis.l_max))
     object.__setattr__(ref, "log_l", np.log(np.arange(1, ref.w.shape[1] + 1, dtype=float)))
+    object.__setattr__(ref, "n", np.array([rng.n_j(j, B) for j in rng.levels()]))
+    object.__setattr__(ref, "n_sum", float(ref.n.sum()))
     object.__setattr__(ref, "m", None)
     return ref
 
@@ -497,10 +504,12 @@ class TestWeightMatrix:
         full = select_j_range(l_max, window)
         j0 = full.j0 if band == "full" else max(full.j0, full.jL - 1)
         basis = LevelBasis(window, JRange(j0=j0, jL=full.jL, c_b=c_b), l_max)
-        assert basis.m is needlet._weights(window, c_b) and basis.w.base is basis.m
+        m, n = needlet._weights(window, c_b)
+        assert basis.m is m and basis.w.base is m and basis.n.base is n
         ref = _contiguous(basis)
         assert basis.w.tobytes() == ref.w.tobytes()
         assert basis.log_l.tobytes() == ref.log_l.tobytes()
+        assert basis.n.tobytes() == ref.n.tobytes() and basis.n_sum == ref.n_sum
         spec = chi2_spectrum(canonical_model, l_max, l_max)
         assert basis.lam(spec.values).tobytes() == ref.lam(spec.values).tobytes()
         for alpha in (2.2, 3.0, 5.5):
@@ -521,10 +530,10 @@ class TestWeightMatrix:
         j0 = full.j0 if band == "full" else max(full.j0, full.jL - 1)
         basis = LevelBasis(window, JRange(j0=j0, jL=full.jL, c_b=c_b), l_max)
         ref = _contiguous(basis)
-        for grid in ((2.001, 10.0, 64), (-1.5, 4.25, 7)):
-            alphas, k = basis.k_linspace(*grid)
-            own_alphas, own = ref.k_linspace(*grid)
-            assert own_alphas is alphas and kept(fresh_store, "table")[(window, c_b) + grid] is not None
+        for search in ((2.001, 10.0), (-1.5, 4.25)):
+            grid, k = basis.k_linspace(*search)
+            own_grid, own = ref.k_linspace(*search)
+            assert own_grid == grid and kept(fresh_store, "table")[(window, c_b) + search][2] is grid
             assert np.max(np.abs(k / own - 1.0)) <= 8 * np.finfo(float).eps
 
     @pytest.mark.parametrize("kind", ["full", "narrow", "plugin"])
@@ -545,8 +554,8 @@ class TestWeightMatrix:
         requested = 0
         for B in np.linspace(1.5, 3.0, 30):
             for window in (MexicanWindow(p=2, B=float(B)), StandardWindow(B=float(B))):
-                LevelBasis(window, select_j_range(4096, window), 4096).k_linspace(2.001, 10.0, 64)
-                requested += fresh_store.get(("weights", window, 1.0)).nbytes
+                LevelBasis(window, select_j_range(4096, window), 4096).k_linspace(2.001, 10.0)
+                requested += needlet._nbytes(fresh_store.get(("weights", window, 1.0)))
                 held_within_bound(fresh_store)
         assert requested > 4 * needlet.KEPT_BYTES  # the bound did evict matrices
 
@@ -556,27 +565,31 @@ class TestWeightMatrix:
         # replaced: a low request and a tall one read the same M object
         full = select_j_range(harmonic.DEFAULT_LMAX_CAP, window)  # its top is M's
         low = LevelBasis(window, JRange(j0=full.j0, jL=full.j0 + 1), 1024)
-        m = fresh_store.get(("weights", window, 1.0))
+        m, n = fresh_store.get(("weights", window, 1.0))
         assert m.shape == (full.jL, harmonic.DEFAULT_LMAX_CAP) and not m.flags.writeable
+        assert n.shape == (full.jL,) and not n.flags.writeable
         assert low.m is m and low.w.base is m
         assert LevelBasis(window, JRange(j0=full.j0, jL=full.j0), 64).w.base is m
         tall = LevelBasis(window, full, harmonic.DEFAULT_LMAX_CAP)
         assert tall.m is m and tall.w.base is m
-        assert fresh_store.get(("weights", window, 1.0)) is m
+        assert fresh_store.get(("weights", window, 1.0))[0] is m
         for basis in (low, tall):
             assert basis.w.tobytes() == _contiguous(basis).w.tobytes()
+            assert basis.n.base is n
 
     @pytest.mark.parametrize(
         "window, j_range, l_max",
         [
             (MEX, JRange(j0=16, jL=16), 100_000),  # past the cap
             (StandardWindow(B=1.1), JRange(j0=14, jL=71), 1024),  # B near 1: M past its bound
+            (MexicanWindow(p=2, B=1.305), JRange(j0=1, jL=20), 1024),  # 32 levels at the cap
         ],
-        ids=["past-the-cap", "B-near-1"],
+        ids=["past-the-cap", "B-near-1", "32-levels"],
     )
     def test_request_past_the_bound_keeps_nothing(self, fresh_store, window, j_range, l_max):
         basis = LevelBasis(window, j_range, l_max)
-        assert not kept(fresh_store, "weights") and basis.m is None
+        assert not fresh_store._entries and basis.m is None
+        assert basis.n.tobytes() == _contiguous(basis).n.tobytes()
         assert basis.w.flags.c_contiguous
         assert basis.w.tobytes() == _former_list_build(window, j_range, l_max).tobytes()
         assert basis.log_l.tobytes() == _contiguous(basis).log_l.tobytes()
@@ -612,16 +625,54 @@ class TestKept:
 
     def test_kinds_never_collide(self, fresh_store):
         # M and its grid table share (window, c_b), and the table's key ends in
-        # the grid's (start, stop, num): four kinds, each entry under its own
-        LevelBasis(MEX, JRange(j0=1, jL=9), 1024).k_linspace(2.001, 10.0, 64)
+        # the search range (start, stop): two kinds, each entry under its own
+        LevelBasis(MEX, JRange(j0=1, jL=9), 1024).k_linspace(2.001, 10.0)
         top = select_j_range(harmonic.DEFAULT_LMAX_CAP, MEX).jL
-        assert {key[0] for key in fresh_store._entries} == {"weights", "table", "counts", "grid"}
-        assert fresh_store.get(("weights", MEX, 1.0)).shape == (top, harmonic.DEFAULT_LMAX_CAP)
-        table = fresh_store.get(("table", MEX, 1.0, 2.001, 10.0, 64))
-        assert table.shape == (harmonic.DEFAULT_LMAX_CAP // needlet._GRID_BLOCK + 1, 64, top)
-        assert fresh_store.get(("grid", 2.001, 10.0, 64))[0].shape == (64,)
-        assert fresh_store.get(("counts", JRange(j0=1, jL=9), MEX.B))[1].shape == (9,)
-        assert len(fresh_store._entries) == 4
+        assert {key[0] for key in fresh_store._entries} == {"weights", "table"}
+        m, n = fresh_store.get(("weights", MEX, 1.0))
+        assert m.shape == (top, harmonic.DEFAULT_LMAX_CAP) and n.shape == (top,)
+        table, alphas, grid = fresh_store.get(("table", MEX, 1.0, 2.001, 10.0))
+        assert table.shape == (harmonic.DEFAULT_LMAX_CAP // needlet._GRID_BLOCK + 1, GRID_POINTS, top)
+        assert alphas.shape == (GRID_POINTS,) and len(grid) == GRID_POINTS
+        assert len(fresh_store._entries) == 2
+
+    def test_two_kinds_after_fits(self, fresh_store, canonical_model):
+        # full, narrow and plug-in fits at several band limits on both windows
+        # keep only (M, N) under "weights" and (table, alphas, grid) under
+        # "table", every array read-only
+        for l_max in (256, 1000, 4133, 8192):
+            spec = chi2_spectrum(canonical_model, l_max, l_max)
+            for window in (MEX, STD, MexicanWindow(p=1, B=3.0), StandardWindow(B=1.5)):
+                whittle.fit_full_band(spec, window)
+                whittle.fit_narrow_band(spec, window, g=0.5)
+            whittle.plug_in(spec, p=2, b_std=2.0, b_mex=2.0)
+        assert {key[0] for key in fresh_store._entries} == {"weights", "table"}
+        for (m, n) in kept(fresh_store, "weights").values():
+            assert m.shape == (len(n), harmonic.DEFAULT_LMAX_CAP) and n.ndim == 1
+        for (table, alphas, grid) in kept(fresh_store, "table").values():
+            assert table.shape[1] == len(alphas) == len(grid) == GRID_POINTS
+            assert grid == tuple(alphas.tolist())
+        for entry in fresh_store._entries.values():
+            assert all(not arr.flags.writeable for arr in needlet._arrays(entry))
+
+    @pytest.mark.parametrize(
+        "window, l_max, j0",
+        [(MexicanWindow(p=2, B=1.1), 1024, None), (StandardWindow(B=1.1), 1024, None),
+         (MEX, 1024, 0), (STD, 1024, 0), (MEX, 9000, None), (STD, 9000, None)],
+        ids=["mexican-B-1.1", "compact-B-1.1", "mexican-j0-0", "compact-j0-0",
+             "mexican-9000", "compact-9000"],
+    )
+    def test_own_matrix_fit_leaves_the_store(self, fresh_store, canonical_model, window, l_max, j0):
+        # a basis with a matrix of its own computes its N_j and grid on each
+        # call: after a warm-up fit, its fit leaves every kept entry as it was
+        whittle.fit_full_band(chi2_spectrum(canonical_model, 1024, 1), MEX)
+        before = dict(fresh_store._entries)
+        spec = chi2_spectrum(canonical_model, l_max, 2)
+        j_range = None if j0 is None else JRange(j0=j0, jL=select_j_range(l_max, window).jL)
+        fit = whittle.fit_full_band(spec, window, j_range=j_range)
+        assert compute_statistics(spec, window, fit.j_range_used).basis.m is None
+        assert list(fresh_store._entries) == list(before)
+        assert all(fresh_store.get(key) is value for key, value in before.items())
 
     def test_field_from_a_fresh_store_matches_warm(self, monkeypatch, canonical_model):
         grid = sphere.build_grid(6, 2.0)
@@ -961,39 +1012,36 @@ class TestCheckLevelsAtRangeEnds:
 
 
 class TestLevelCounts:
-    def test_counts_kept_read_only(self):
+    def test_counts_kept_read_only(self, fresh_store):
+        # a view of M reads its N_j as a slice of M's, at any band limit
         for c_b in (1.0, 2.0):
             j_range = JRange(j0=2, jL=9, c_b=c_b)
             basis = LevelBasis(MEX, j_range, 1024)
             want = np.array([j_range.n_j(j, MEX.B) for j in j_range.levels()])
             assert basis.n.tobytes() == want.tobytes()
             assert basis.n_sum == float(want.sum())
-            assert LevelBasis(MEX, j_range, 8192).n is basis.n
+            n = fresh_store.get(("weights", MEX, c_b))[1]
+            assert basis.n.base is n and LevelBasis(MEX, j_range, 8192).n.base is n
             with pytest.raises(ValueError):
                 basis.n[0] = 1.0
 
-    def test_cache_within_its_byte_bound(self, fresh_store):
-        for jL in range(2, 400):  # ~640 KB of counts in all
-            needlet._level_counts(JRange(j0=1, jL=jL), 1.05)
-            held_within_bound(fresh_store)
-        assert len(kept(fresh_store, "counts")) == 398
-
 
 class TestAlphaGrid:
-    @pytest.mark.parametrize("grid", [(2.001, 10.0, 64), (-1.5, 4.25, 7), (3.0, 3.5, 1)])
-    def test_equals_linspace(self, grid):
-        alphas, values = needlet.alpha_grid(*grid)
-        assert alphas.tobytes() == np.linspace(*grid).tobytes()
-        assert values == tuple(np.linspace(*grid).tolist())
-        assert needlet.alpha_grid(*grid)[0] is alphas
-        with pytest.raises(ValueError):
-            alphas[0] = 0.0
-
-    def test_within_its_bound(self, fresh_store):
-        for stop in np.linspace(4.0, 12.0, 48).tolist():
-            alphas = needlet.alpha_grid(2.001, stop, 64)[0]
-            assert fresh_store.get(("grid", 2.001, stop, 64))[0] is alphas
-            held_within_bound(fresh_store)
+    @pytest.mark.parametrize("search", [(2.001, 10.0), (-1.5, 4.25)])
+    @pytest.mark.parametrize("own", [False, True], ids=["view", "own"])
+    def test_equals_linspace(self, fresh_store, search, own):
+        # from M's kept table for a view, computed on each call for a basis
+        # with a matrix of its own
+        basis = LevelBasis(MEX, JRange(j0=0 if own else 1, jL=9), 1024)
+        assert (basis.m is None) == own
+        grid, _ = basis.k_linspace(*search)
+        assert grid == tuple(np.linspace(*search, GRID_POINTS).tolist())
+        if not own:
+            _, alphas, kept_grid = fresh_store.get(("table", MEX, 1.0, *search))
+            assert alphas.tobytes() == np.linspace(*search, GRID_POINTS).tobytes()
+            assert kept_grid is grid and basis.k_linspace(*search)[0] is grid
+            with pytest.raises(ValueError):
+                alphas[0] = 0.0
 
 
 class TestComputeStatistics:

@@ -381,12 +381,13 @@ class TestNewtonSearch:
 
 
 class TestFitNarrowBand:
-    def test_default_rule_degenerate_at_desk_scale(self, canonical_model):
-        # g = jL^-3 = 1/729 rounds J1 to jL at jL = 9: the default rule needs
-        # much deeper level ranges than banded data provides
+    @pytest.mark.parametrize("B", [1.5, 2.0, 3.0])
+    def test_default_rule_degenerate_at_desk_scale(self, canonical_model, B):
+        # g = jL^-3 <= 1 - B^(-1/2) rounds J1 to jL for every jL >= 2 at
+        # B >= 1.5: the default rule leaves one level, which is rejected
         spec = noise_free_spectrum(canonical_model, 1024)
         with pytest.raises(NarrowBandError):
-            fit_narrow_band(spec, MEX)
+            fit_narrow_band(spec, MexicanWindow(p=2, B=B))
 
     def test_g_half_takes_top_two_levels(self, canonical_model):
         spec = noise_free_spectrum(canonical_model, 1024)
@@ -495,10 +496,11 @@ class TestPinnedFits:
         assert tuple(repr(float(v)) for v in got) == self.PINS[band, window]
 
 
-def reference_k_linspace(self, start, stop, num):
+def reference_k_linspace(self, start, stop):
     """The grid as a running product l^-(a+da) = l^-a l^-da, eight grid rows
     per matrix product with the weight matrix: the form the cached block
     tables of ``LevelBasis.k_linspace`` replaced."""
+    num = GRID_POINTS
     alphas = np.linspace(start, stop, num)
     step = np.exp(-(stop - start) / max(num - 1, 1) * self.log_l)
     rows = np.empty((min(8, num), len(step)))
@@ -511,7 +513,7 @@ def reference_k_linspace(self, start, stop, num):
             np.multiply(rows[r - 1], step, out=rows[r])
         out[i : i + m] = rows[:m] @ self.w.T
         head = rows[m - 1] * step
-    return alphas, out
+    return tuple(alphas.tolist()), out
 
 
 def _sweep_fits():
