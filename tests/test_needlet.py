@@ -260,10 +260,11 @@ class TestLevelBasis:
         with pytest.raises(ValueError):
             basis.w[0, 0] = 1.0
 
-    def test_k_linspace_matches_k(self):
+    @pytest.mark.parametrize("search", [(2.001, 10.0), (-1.5, 4.25), (3.0, 3.5)])
+    def test_k_linspace_matches_k(self, search):
         basis = LevelBasis(MEX, select_j_range(8192, MEX), 8192)
-        grid, k = basis.k_linspace(2.001, 10.0)
-        assert grid == tuple(np.linspace(2.001, 10.0, GRID_POINTS).tolist())
+        grid, k = basis.k_linspace(*search)
+        assert grid == tuple(np.linspace(*search, GRID_POINTS).tolist())
         exact = np.array([basis.k(a) for a in grid])
         assert np.max(np.abs(k / exact - 1.0)) < 1e-13
 
@@ -271,16 +272,22 @@ class TestLevelBasis:
 class TestGridTables:
     # l_max 1024 cuts the top mexican levels at a block boundary (1024 = 16 x 64
     # multipoles from l = 1), 1000 inside a block, 61 before the first block ends
+    # the full band and the top two levels view M and read its kept table; a
+    # range from j0 = 0 has a matrix of its own and sums its own blocks
     @pytest.mark.parametrize("l_max", [1024, 1000, 61])
+    @pytest.mark.parametrize("band", ["full", "narrow", "own"])
     @pytest.mark.parametrize("search", [(2.001, 10.0), (-1.5, 4.25)])
     @pytest.mark.parametrize("window", [MEX, STD, MexicanWindow(p=1, B=3.0), StandardWindow(B=1.5)], ids=str)
-    def test_grid_matches_k(self, fresh_store, window, l_max, search):
-        j_range = select_j_range(l_max, window)
-        cut = [window.support(j)[1] > l_max for j in j_range.levels()]
+    def test_grid_matches_k(self, fresh_store, window, l_max, band, search):
+        full = select_j_range(l_max, window)
+        cut = [window.support(j)[1] > l_max for j in full.levels()]
         if isinstance(window, MexicanWindow):
             assert any(cut) and not all(cut)
+        j0 = {"full": full.j0, "narrow": max(full.j0, full.jL - 1), "own": 0}[band]
+        j_range = JRange(j0=j0, jL=full.jL)
         for _ in ("cold", "warm"):
             basis = LevelBasis(window, j_range, l_max)
+            assert (basis.m is None) == (band == "own")
             grid, k = basis.k_linspace(*search)
             assert grid == tuple(np.linspace(*search, GRID_POINTS).tolist())
             exact = np.array([basis.k(a) for a in grid])
