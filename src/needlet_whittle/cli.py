@@ -83,7 +83,8 @@ def _cmd_estimate(args) -> int:
 
 def _num(value: float, spec: str) -> str:
     """``value`` in the format ``spec``, or n/a for a summary value that the
-    run leaves undefined (nan: too few fits, no spread, no theory value)."""
+    run leaves undefined (nan: too few fits, no spread, no theory value, no
+    main lobe to fit a correlation exponent on)."""
     return "n/a" if math.isnan(value) else format(value, spec)
 
 
@@ -121,6 +122,8 @@ def _cmd_realspace_check(args) -> int:
     sphere.check_correlation_seeds(args.n_seeds)  # before the frame check's field is drawn
     window = MexicanWindow(p=args.p, B=args.B)
     grid = sphere.build_grid(args.j, args.B)
+    if args.j2 is not None:  # the correlation's second grid, also before the field is drawn
+        sphere.build_grid(args.j2, args.B, sphere.CORRELATION_OVERSAMPLE)
     l_max = window.effective_lmax(args.j, args.l_max)
     alm = simulate_alm(model, l_max, args.seed)
     beta = sphere.synthesize_beta(alm, grid, args.p, args.B)
@@ -133,7 +136,7 @@ def _cmd_realspace_check(args) -> int:
     # printed once all the work is done, so a bad argument leaves stdout empty
     print(f"frame check: sum beta^2 = {beta.sum_sq():.8g}, lambda_hat = {lam:.8g}, "
           f"relative gap = {gap:.4%}")
-    print(f"correlation decay: fitted exponent {summary.fitted_exponent:.2f} "
+    print(f"correlation decay: fitted exponent {_num(summary.fitted_exponent, '.2f')} "
           f"(bound exponent {summary.lemma_exponent:g})")
     print(f"far-field mean |corr| = {summary.far_field_mean():.4f}")
     return EXIT_OK

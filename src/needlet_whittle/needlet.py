@@ -23,16 +23,15 @@ min(l_max, last), and ``resolved(j, l_max)``, whether it fits the band
 (mexican), 1 <= last <= l_max (compact).
 
 Level j's weights window_sq(l/B^j)(2l+1)/N_j over its support depend on
-(window, j, c_b) only; l_max merely truncates them.  ``_matrix`` lays the
-rows of a level range, each computed over [first, its truncation point], into
-a fresh zero matrix.  Up to the cap C = ``harmonic.DEFAULT_LMAX_CAP``, one
-such matrix M per (window, c_b) holds every level 1..top ``resolved`` at C on
-l = 1..C, row j - 1 for level j, built once, kept read-only and never
-replaced.  With one table of log l on l = 1..C, a basis at l_max <= C is the
-view M[j0 - 1 : jL, :L], a slice of that table and a slice of M's N_j.  A
+(window, j, c_b) only; l_max merely truncates them.  ``_matrix``, the one
+source of N_j = c_b B^(2j), returns a level range's rows, each over [first,
+its truncation point] in a fresh zero matrix, with their N_j.  Up to the cap
+C = ``harmonic.DEFAULT_LMAX_CAP``, one such pair (M, N) per (window, c_b)
+holds every level 1..top ``resolved`` at C on l = 1..C, built once and kept
+read-only; a basis at l_max <= C views M[j0 - 1 : jL, :L] and its N_j.  A
 request past C, a window whose M's grid table is too large to keep (B near
 1), or a range from j0 <= 0 gets a matrix of its own; ``lambda_hat`` builds
-its one level's row alone.
+its one level's row alone.  Every basis with L <= C slices one log-l table.
 
 K_j on the fit's ``GRID_POINTS`` alpha grid is a running sum over whole
 blocks of 64 multipoles (``_block_sums``) plus the few leftover ones.  M's
@@ -241,11 +240,11 @@ class StandardWindow(_Window):
         band holds no integer, so the support, twice as wide, holds at most
         two, and their weights, as ``_matrix`` computes them, decide.
         """
-        B, scale = self.B, self.B**j
-        cut = self.effective_lmax(j, l_max)
+        B, scale, (first, last) = self.B, self.B**j, self.support(j)
+        cut = min(l_max, last)
         if min(math.floor(scale * (B + 1.0) / 2.0), cut) >= scale * (B + 1.0) / (2.0 * B):
             return False
-        l = np.arange(self.support(j)[0], cut + 1, dtype=float)
+        l = np.arange(first, cut + 1, dtype=float)
         return not np.any(self._level_sq(l, j) > 0.0)
 
 
@@ -344,16 +343,17 @@ def _nbytes(value) -> int:
 _KEPT = Kept(KEPT_BYTES)  # keys begin "weights" or "table"
 
 
-def _matrix(window: NeedletWindow, j_range: JRange, width: int) -> np.ndarray:
-    """window_sq(l/B^j)(2l+1)/N_j over l = first..``effective_lmax(j, width)``,
-    ``first`` from ``window.support(j)``, as row j - j0 of a fresh zero matrix
-    over l = 1..width."""
-    w = np.zeros((j_range.jL - j_range.j0 + 1, width))
+def _matrix(window: NeedletWindow, j_range: JRange, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(w, N): level j's N_j, formed here alone, in N[j - j0], and its weights
+    window_sq(l/B^j)(2l+1)/N_j over l = first..min(width, last), (first, last)
+    = ``window.support(j)``, in row j - j0 of a fresh zero matrix w on 1..width."""
+    w, n = np.zeros((j_range.jL - j_range.j0 + 1, width)), np.empty(j_range.jL - j_range.j0 + 1)
     for i, j in enumerate(j_range.levels()):
-        first, le = window.support(j)[0], window.effective_lmax(j, width)
+        (first, last), n[i] = window.support(j), j_range.n_j(j, window.B)
+        le = min(width, last)
         l = np.arange(first, le + 1, dtype=float)
-        w[i, first - 1 : le] = window._level_sq(l, j) * (2.0 * l + 1.0) / j_range.n_j(j, window.B)
-    return w
+        w[i, first - 1 : le] = window._level_sq(l, j) * (2.0 * l + 1.0) / n[i]
+    return w, n
 
 
 GRID_POINTS = 64  # alpha grid that brackets a fit's minimum before its Newton search
@@ -418,8 +418,7 @@ def _weights(window: NeedletWindow, c_b: float) -> tuple[np.ndarray, np.ndarray]
         top += 1
     if top == 0 or window.resolved(top + 1, cap):
         return None
-    j_range = JRange(j0=1, jL=top, c_b=c_b)
-    kept = (_matrix(window, j_range, cap), np.array([j_range.n_j(j, window.B) for j in j_range.levels()]))
+    kept = _matrix(window, JRange(j0=1, jL=top, c_b=c_b), cap)
     _KEPT.put(key, kept)
     return kept
 
@@ -438,11 +437,11 @@ class LevelBasis:
     so data and model share one truncation.  Building runs ``check_levels``
     first: an unresolved level or an oversized range raises before any
     allocation.  Up to l_max = ``DEFAULT_LMAX_CAP``, ``w`` is then the view
-    M[j0 - 1 : jL, :L] of the window's one weight matrix ``m`` (``_weights``),
-    ``n`` the matching slice of M's N_j and ``log_l`` a slice of one log table,
-    so a build allocates no weights.  Past that cap, or where M is not kept or
-    j0 < 1, ``m`` is None and ``w`` and ``n`` are of its own, from the same
-    ``_matrix`` and ``JRange.n_j``.
+    M[j0 - 1 : jL, :L] of the window's one weight matrix ``m`` (``_weights``)
+    and ``n`` the matching slice of M's N_j, so a build allocates no weights.
+    Past that cap, or where M is not kept or j0 < 1, ``m`` is None and ``w``
+    and ``n`` are of its own, from the same ``_matrix``.  ``log_l`` is a slice
+    of the one log table wherever L <= ``DEFAULT_LMAX_CAP``.
     """
 
     window: NeedletWindow
@@ -463,10 +462,10 @@ class LevelBasis:
         size = window.effective_lmax(rng.jL, self.l_max)
         if kept is not None:
             m, n = kept[0], kept[1][rng.j0 - 1 : rng.jL]
-            w, log_l = m[rng.j0 - 1 : rng.jL, :size], _LOG_L[:size]
+            w = m[rng.j0 - 1 : rng.jL, :size]
         else:
-            m, n = None, np.array([rng.n_j(j, window.B) for j in rng.levels()])
-            w, log_l = _matrix(window, rng, size), np.log(np.arange(1, size + 1, dtype=float))
+            m, (w, n) = None, _matrix(window, rng, size)
+        log_l = _LOG_L[:size] if size <= DEFAULT_LMAX_CAP else np.log(np.arange(1, size + 1, dtype=float))
         for name, arr in (("w", w), ("log_l", log_l), ("n", n)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -518,9 +517,9 @@ def lambda_hat(spec: EmpiricalSpectrum, window: NeedletWindow, j: int) -> float:
     level's own row of ``_matrix``: no weight matrix M is read or kept."""
     j_range = JRange(j0=j, jL=j)
     check_levels(window, j_range, spec.l_max)
-    w = _matrix(window, j_range, window.effective_lmax(j, spec.l_max))
+    w, n = _matrix(window, j_range, window.effective_lmax(j, spec.l_max))
     with np.errstate(over="ignore"):
-        return float(j_range.n_j(j, window.B) * (w @ spec.values[1 : w.shape[1] + 1])[0])
+        return float(n[0] * (w @ spec.values[1 : w.shape[1] + 1])[0])
 
 
 def _round_half_up(x: float) -> int:
@@ -598,8 +597,8 @@ class NeedletStatistics:
         return self.basis.window
 
     def to_csv(self, path) -> None:
-        B, rng = self.window.B, self.j_range
-        rows = ((j, float(B**j), rng.n_j(j, B), x) for j, x in zip(rng.levels(), self.lam.tolist()))
+        B, n = self.window.B, self.basis.n.tolist()
+        rows = ((j, float(B**j), n_j, x) for j, n_j, x in zip(self.j_range.levels(), n, self.lam.tolist()))
         write_csv(path, ("j", "B_pow_j", "N_j", "lambda_hat"), rows)
 
 

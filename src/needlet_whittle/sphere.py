@@ -42,6 +42,7 @@ __all__ = [
     "DEFAULT_POINT_CAP",
     "CORRELATION_SEED_CAP",
     "CORRELATION_POINT_CAP",
+    "CORRELATION_OVERSAMPLE",
     "CubatureGrid",
     "BetaCoefficients",
     "CorrelationSummary",
@@ -67,6 +68,10 @@ CORRELATION_SEED_CAP = 2**14
 # (~16 KB at 700; tracemalloc at 64 and 192 seeds), so a call at both caps
 # peaks near 700 MB
 CORRELATION_POINT_CAP = 2**10
+
+# rings of a correlation's grids per ``build_grid`` default ring: the
+# correlation is a field property, not a quadrature, so coarse grids do
+CORRELATION_OVERSAMPLE = 0.5
 
 # seeds synthesised together by ``empirical_beta_correlation``; bounds its
 # (S, n_phi, N_theta) amplitude array at any seed count
@@ -122,12 +127,15 @@ def build_grid(j: int, B: float, oversample: float = 1.0) -> CubatureGrid:
     if j < 1:
         raise DomainError("j must be >= 1")
     check_B(B)
-    n_theta = max(4, round(GRID_RING_FACTOR * oversample * B**j))
+    try:
+        rings = float(round(max(4.0, GRID_RING_FACTOR * oversample * B**j)))
+    except OverflowError:  # B^j or its ring count past the float range lies past any cap
+        rings = math.inf
+    points = 2.0 * rings * rings  # inf past the float range
+    if points > DEFAULT_POINT_CAP:
+        raise ResourceLimitError(f"grid would need {points:.3g} points, cap is {DEFAULT_POINT_CAP}")
+    n_theta = int(rings)
     n_phi = 2 * n_theta
-    if n_theta * n_phi > DEFAULT_POINT_CAP:
-        raise ResourceLimitError(
-            f"grid would need {n_theta * n_phi} points, cap is {DEFAULT_POINT_CAP}"
-        )
     nodes, weights = np.polynomial.legendre.leggauss(n_theta)
     return CubatureGrid(
         j=j,
@@ -398,10 +406,9 @@ def empirical_beta_correlation(
     (1 + scale * d) over the main-lobe bins: from the nearest, the bins of
     8 pairs or more while their mean falls and stays at or above 0.1.  It is
     nan unless there are 3 such bins and the first mean is 3 times the last.
-    The decay bound predicts 4p + 2 - alpha0 for it.  Coarse grids (half the
-    rings of ``build_grid``'s default) are fine here: the correlation is a
-    field property, not a quadrature.  Each grid's nodes come from
-    ``_sample_nodes``, shared across seeds.
+    The decay bound predicts 4p + 2 - alpha0 for it.  Its grids have
+    ``CORRELATION_OVERSAMPLE`` of ``build_grid``'s default rings, and each
+    grid's nodes come from ``_sample_nodes``, shared across seeds.
     """
     if not 4 * p + 2 - model.alpha0 > 0:
         raise DomainError("requires 4p + 2 - alpha0 > 0")
@@ -409,7 +416,7 @@ def empirical_beta_correlation(
     if max_points > CORRELATION_POINT_CAP:
         raise ResourceLimitError(f"max_points={max_points} exceeds cap {CORRELATION_POINT_CAP}")
     window = MexicanWindow(p=p, B=B)
-    grids = [build_grid(level, B, oversample=0.5) for level in dict.fromkeys((j, j2))]
+    grids = [build_grid(level, B, CORRELATION_OVERSAMPLE) for level in dict.fromkeys((j, j2))]
     n_bins = 48
     master = master_seed & 0xFFFFFFFFFFFFFFFF
 

@@ -14,16 +14,18 @@ bracket, or a hessian <= 0, falls back to bisection.
 
 ``_profile`` is the one expression of G-hat and the contrast, for model
 moments K of any leading shape: the grid passes all its rows at once, and
-``_derivs`` passes one and adds the score and hessian from the same K_j',
-K_j'' pass, forming its five level sums in one reduction.  What follows that
-reduction, in ``_profile`` too, is arithmetic on Python floats: the IEEE
-operations of numpy scalars in the same order, without their call overhead.
-The grid's alphas come as floats with its K (``LevelBasis.k_linspace``), so
-the bracket and every Newton step are floats.
-A fit records G-hat, score and hessian from one ``_derivs`` call at
+``_evaluate`` passes one and adds the score, the hessian and the level slope
+sum_j N_j |K_j'/K_j| / sum_j N_j from the same K_j', K_j'' pass, forming its
+five level sums in one reduction; a Newton step reads all but the slope
+(``_derivs``).  What follows that reduction, in ``_profile`` too, is
+arithmetic on Python floats: the IEEE operations of numpy scalars in the
+same order, without their call overhead.  The grid's alphas come as floats
+with its K (``LevelBasis.k_linspace``), so the bracket and every Newton step
+are floats.
+A fit records G-hat, score and hessian from one ``_evaluate`` call at
 alpha-hat.  It runs on lambda / 2^e (``_scaled``), which puts the largest
 lambda in [1/2, 1) exactly: only G-hat (multiplied back by 2^e) and the
-trace's contrast depend on the spectrum's scale.  Likewise ``_derivs`` forms
+trace's contrast depend on the spectrum's scale.  Likewise ``_evaluate`` forms
 its level sums on K / 2^f, f the binary exponent of the largest K_j, once
 |f| passes ``_K_EXP``: K_j reaches ~1e124 at mexican p 50, where k0**3 would
 overflow.  The sums of lambda / K and of the score's and hessian's lambda
@@ -33,6 +35,13 @@ unscaled K.  The single-point evaluators ``contrast``, ``score``, ``hessian``
 and ``profile_g_hat`` run on the same scaled statistics and read them back
 unscaled (``_at``), so they are finite wherever a fit is.  The rows-CSV form
 of a fit belongs to ``harness.ReplicationRow``.
+
+The call at alpha-hat also gives the fit's resolution, eps slope / hessian
+(inf where the hessian is <= 0): how far rounding in the score can move its
+zero.  A fit converges only where its search closed and its resolution is
+at most ``RESOLUTION_BOUND`` tol, so a noise-free fit that double precision
+cannot resolve (mexican p 1, alpha0 9.5 on the narrow band) is not reported
+as converged.
 
 ``level_range`` is the one rule that turns a band request (band, j0, jl, g)
 into a level range; ``estimate`` and the Monte Carlo configs both fit through
@@ -89,6 +98,7 @@ __all__ = [
 MAX_ITER = 200  # Newton/bisection iterates per fit; a few suffice (see README)
 _LOG_2 = math.log(2.0)
 _K_EXP = 256  # |binary exponent| of the largest K_j up to which k0**3 stays a normal float
+RESOLUTION_BOUND = 10  # a converged fit has resolution <= RESOLUTION_BOUND * tol
 
 
 @dataclass(frozen=True)
@@ -131,10 +141,15 @@ def _profile(stats: NeedletStatistics, k: np.ndarray, lam_k: float | np.ndarray)
 
 
 def _derivs(stats: NeedletStatistics, alpha: float) -> tuple[float, float, float, float]:
-    """Contrast, score, hessian and profiled amplitude G-hat at alpha, from one
-    K_j, K_j', K_j'' evaluation; the five level sums are one reduction, and
-    what follows it is arithmetic on Python floats, on K / 2^f past
-    ``_K_EXP`` (module docstring)."""
+    """Contrast, score, hessian and G-hat at alpha: ``_evaluate`` without its slope."""
+    return _evaluate(stats, alpha)[:4]
+
+
+def _evaluate(stats: NeedletStatistics, alpha: float) -> tuple[float, float, float, float, float]:
+    """Contrast, score, hessian, profiled amplitude G-hat and the level slope
+    sum_j N_j |K_j' / K_j| / sum_j N_j at alpha, from one K_j, K_j', K_j''
+    evaluation; the five level sums are one reduction, and what follows it is
+    arithmetic on Python floats, on K / 2^f past ``_K_EXP`` (module docstring)."""
     k = stats.basis.k_derivs(alpha)
     f = math.frexp(max(k[0].tolist()))[1]
     if abs(f) <= _K_EXP:  # K / 2^f would give the same bits
@@ -157,7 +172,7 @@ def _derivs(stats: NeedletStatistics, alpha: float) -> tuple[float, float, float
     d2phi = s2 / sn
     grad = dphi / phi + s3 / sn
     curv = (d2phi * phi - dphi * dphi) / phi**2 + s4 / sn
-    return float(value), grad, curv, phi
+    return float(value), grad, curv, phi, -s3 / sn  # K_j' <= 0, so -s3 = sum_j N_j |K_j' / K_j|
 
 
 def _scaled(stats: NeedletStatistics) -> tuple[NeedletStatistics, int]:
@@ -170,15 +185,15 @@ def _scaled(stats: NeedletStatistics) -> tuple[NeedletStatistics, int]:
     return NeedletStatistics(basis=stats.basis, lam=np.ldexp(stats.lam, -e)), e
 
 
-def _at(stats: NeedletStatistics, e: int, alpha: float) -> tuple[float, float, float, float]:
-    """``_derivs`` at alpha of statistics on lambda / 2^e, as those of the
-    unscaled lambda: the contrast plus e log 2, score and hessian as they
-    are, and G-hat times 2^e, exactly, or ``DegenerateDataError`` past the
-    float range."""
-    value, grad, curv, g = _derivs(stats, alpha)
+def _at(stats: NeedletStatistics, e: int, alpha: float) -> tuple[float, float, float, float, float]:
+    """``_evaluate`` at alpha of statistics on lambda / 2^e, as those of the
+    unscaled lambda: the contrast plus e log 2, score, hessian and slope as
+    they are, and G-hat times 2^e, exactly, or ``DegenerateDataError`` past
+    the float range."""
+    value, grad, curv, g, slope = _evaluate(stats, alpha)
     if math.frexp(g)[1] + e > sys.float_info.max_exp:
         raise DegenerateDataError("profiled amplitude overflows")
-    return value + e * _LOG_2, grad, curv, math.ldexp(g, e)
+    return value + e * _LOG_2, grad, curv, math.ldexp(g, e), slope
 
 
 def profile_g_hat(stats: NeedletStatistics, alpha: float) -> float:
@@ -228,7 +243,8 @@ class WhittleFit:
     contrast_trace: list[tuple[float, float]]
     score_at_hat: float
     hessian_at_hat: float
-    converged: bool
+    resolution: float  # eps * level slope / hessian at alpha-hat: inf where the hessian is <= 0
+    converged: bool  # the search closed on alpha-hat and resolution <= RESOLUTION_BOUND * tol
     iterations: int
     boundary: bool  # alpha-hat at or within tol of a search end (BoundaryWarning)
 
@@ -240,6 +256,7 @@ class WhittleFit:
             f"g_hat         {self.g_hat:.8g}",
             f"score         {self.score_at_hat:.3e}",
             f"hessian       {self.hessian_at_hat:.6f}",
+            f"resolution    {self.resolution:.3e}" if self.resolution < math.inf else "resolution    n/a",
             f"converged     {self.converged}",
             f"iterations    {self.iterations}",
         ]
@@ -289,7 +306,10 @@ def _fit(stats: NeedletStatistics, search: SearchSettings, band: str) -> Whittle
             f"[{search.alpha_min}, {search.alpha_max}]",
             BoundaryWarning,
         )
-    _, grad, curv, g_hat = _at(stats, e, alpha_hat)
+    _, grad, curv, g_hat, slope = _at(stats, e, alpha_hat)
+    # rounding in the score moves its zero by ~eps * slope / hessian: past
+    # RESOLUTION_BOUND * tol the search closed on rounding, not on the minimum
+    resolution = sys.float_info.epsilon * slope / curv if curv > 0 else math.inf
     return WhittleFit(
         alpha_hat=alpha_hat,
         g_hat=g_hat,
@@ -298,7 +318,8 @@ def _fit(stats: NeedletStatistics, search: SearchSettings, band: str) -> Whittle
         contrast_trace=trace,
         score_at_hat=grad,
         hessian_at_hat=curv,
-        converged=converged,
+        resolution=resolution,
+        converged=converged and resolution <= RESOLUTION_BOUND * search.tol,
         iterations=iters,
         boundary=boundary,
     )

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -611,6 +612,31 @@ class TestRealspaceAndPlugin:
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         assert "frame check" in out and "relative gap" in out
+
+    @pytest.mark.parametrize(
+        "options",
+        [["--j", "1100", "--B", "2"], ["--j", "3", "--j2", "2000", "--B", "2"],
+         ["--j", "2", "--B", "1e200"], ["--j", "2", "--B", "1e154"], ["--j", "2", "--B", "1e100"]],
+        ids=["B^j-overflows", "j2-overflows", "B^2-overflows", "rings-overflow", "rings-past-cap"],
+    )
+    def test_realspace_check_grid_past_float_range(self, capsys, monkeypatch, options):
+        # B^j, or the ring count, past the float range lies past the point
+        # cap: a typed error, raised before the frame check's field is drawn,
+        # and the point count in three digits
+        def simulate_alm(*args, **kwargs):
+            raise AssertionError("the frame-check field was simulated")
+
+        monkeypatch.setattr(cli, "simulate_alm", simulate_alm)
+        assert main(["realspace-check", "--p", "2", "--seed", "1", *options]) == EXIT_NUMERIC
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"numeric error: ResourceLimitError: grid would need (inf|\d\.\d\de\+\d+) points, .*\n", err)
+
+    def test_realspace_check_prints_an_undefined_exponent_as_na(self, capsys):
+        # three seeds over a level whose correlation has no main lobe to fit
+        rc = main(["realspace-check", "--j", "4", "--p", "5", "--B", "1.0001", "--seed", "-1", "--n-seeds", "3"])
+        assert rc == EXIT_OK
+        assert "correlation decay: fitted exponent n/a (bound exponent 19)" in capsys.readouterr().out
 
     def test_realspace_check_non_finite_alpha0(self, capsys):
         rc = main(

@@ -2,9 +2,10 @@
 
 Each case draws its arguments from a numpy generator seeded by (FUZZ_SEED,
 entry point, case), over the boundary values below: argument sets for
-``theory``, ``estimate`` and ``plugin``; config texts for ``montecarlo --check``
-and ``simulate``, at l_max <= 128 and at most 8 replications; and truncated,
-byte-flipped and NaN-filled spectrum files for ``estimate``.  Whatever the
+``theory``, ``estimate``, ``plugin`` and ``realspace-check``; config texts
+for ``montecarlo --check`` and ``simulate``, at l_max <= 128 and at most 8
+replications; and truncated, byte-flipped and NaN-filled spectrum files for
+``estimate``.  Whatever the
 input, the exit code is 0, 2, 3 or 4 and no exception escapes; a non-zero exit
 names a typed error on stderr (or a failed check on stdout); on exit 0 every
 number printed is finite, and no row of a Monte Carlo run is converged with a
@@ -31,20 +32,29 @@ from needlet_whittle.whittle import GRID_POINTS
 pytestmark = pytest.mark.filterwarnings("ignore::needlet_whittle.errors.BoundaryWarning")
 
 FUZZ_SEED = 20261020
-FUZZ_CASES = {"theory": 100, "estimate": 150, "plugin": 80, "config": 100, "file": 150}
+FUZZ_CASES = {"theory": 100, "estimate": 150, "plugin": 80, "config": 100, "file": 150, "realspace": 150}
 
 FLOATS = (0.0, 1.0, -1.0, 0.5, 1.0001, 1.05, 2.0, 2.001, 3.0, 4.5, 10.0, 1e-9, 1e300,
           math.nan, math.inf, -math.inf)
 INTS = (-5, -1, 0, 1, 2, 3, 5, 9, 20, 43, 44, 50, 200, 100000)
 SMALL_L_MAX = (-5, -1, 0, 1, 2, 3, 5, 9, 20, 64, 128)
 SMALL_REPLICATIONS = (-5, -1, 0, 1, 2, 3, 5, 8)
+# realspace-check's levels, orders, bases and seed counts, mostly valid so
+# that cases reach the synthesis: a grid past the point cap or a B^j past the
+# float range raises, and at most 8 seeds keep a case short
+LEVELS = (0, 1, 2, 3, 4, 1100)
+ORDERS = (0, 1, 2, 5, 50)
+BASES = (1.0, 1.0001, 1.05, 2.0, 4.5, 10.0, 1e154, math.inf)
+SEEDS = (1, 2, 3, 8, 2**14 + 1)
+ALPHAS = (2.0, 2.5, 3.0, 9.5, 1e300)
 
 # The memory budget, set from the limits above before any case ran.  The widest
 # level range a case can ask for runs from j0 = -5 to log_B(l_max + 1) at the B
 # nearest 1 drawn (1.0001).  A fit holds its (levels, l_max) weights, within
 # BASIS_CAP at l_max <= 128, and a few (GRID_POINTS, levels) grid sums; 8
-# replications at l_max <= 128 hold far less.  So four such grid sums beside
-# the weights bound any case, ~142 MiB.  The time budget catches a hang, not a
+# replications at l_max <= 128 hold far less, and so does a realspace-check
+# correlation: at most 2 x 700 nodes, ~40 bytes per node pair.  So four such
+# grid sums beside the weights bound any case, ~142 MiB.  The time budget catches a hang, not a
 # slow case: the slowest cases, at B = 1.0001, take ~3 s, ~21 s under tracemalloc.
 MAX_LEVELS = math.ceil(math.log(max(SMALL_L_MAX) + 1) / math.log(1.0001)) + 6
 assert MAX_LEVELS * max(SMALL_L_MAX) <= BASIS_CAP
@@ -152,6 +162,15 @@ def test_estimate(case, files, tmp_path, capsys):
         ("band", ("full", "narrow")), ("g", FLOATS), ("j0", INTS), ("jl", INTS),
         ("alpha-min", FLOATS), ("alpha-max", FLOATS), ("tol", FLOATS),
     ])]
+    run(argv, capsys)
+
+
+def test_realspace(case, capsys):
+    rng = generator("realspace", case)
+    argv = ["realspace-check", f"--j={pick(rng, LEVELS)}", f"--p={pick(rng, ORDERS)}", f"--B={pick(rng, BASES)}",
+            f"--seed={pick(rng, INTS)}", f"--n-seeds={pick(rng, SEEDS)}", *options(rng, [
+                ("j2", LEVELS), ("alpha0", ALPHAS), ("g0", FLOATS), ("l-max", SMALL_L_MAX),
+            ])]
     run(argv, capsys)
 
 

@@ -1033,6 +1033,63 @@ class TestLevelCounts:
                 basis.n[0] = 1.0
 
 
+class TestOneSource:
+    """``_matrix`` forms every level quantity once: each row's N_j and its
+    ``support`` read, and every basis with L <= the cap slices one log table."""
+
+    def _counted(self, monkeypatch, cls, name):
+        calls = []
+        method = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self, *args: calls.append(args) or method(self, *args))
+        return calls
+
+    @pytest.mark.parametrize(
+        "window, l_max",
+        [(MEX, 1024), (STD, 4096), (MexicanWindow(p=2, B=1.1), 1024), (MEX, 9000)],
+        ids=["view", "compact-view", "own-B-1.1", "own-past-cap"],
+    )
+    def test_counts_formed_once_per_row(self, fresh_store, monkeypatch, canonical_model, tmp_path, window, l_max):
+        # a cold fit, a lambda_hat and a to_csv form N_j for the rows _matrix
+        # built, and nowhere else
+        n_j = self._counted(monkeypatch, JRange, "n_j")
+        rows = []
+        matrix = needlet._matrix
+        monkeypatch.setattr(needlet, "_matrix", lambda *args: rows.append(len(args[1].levels())) or matrix(*args))
+        spec = chi2_spectrum(canonical_model, l_max, 7)
+        fit = fit_full_band(spec, window)
+        lambda_hat(spec, window, fit.j_range_used.jL)
+        compute_statistics(spec, window, fit.j_range_used).to_csv(tmp_path / "stats.csv")
+        assert rows and len(n_j) == sum(rows)
+
+    @pytest.mark.parametrize("window", [MEX, STD], ids=str)
+    def test_support_read_once_per_row(self, monkeypatch, window):
+        j_range = select_j_range(1024, window)
+        support = self._counted(monkeypatch, type(window), "support")
+        needlet._matrix(window, j_range, 1024)
+        assert len(support) == len(j_range.levels())
+        if isinstance(window, StandardWindow):
+            support.clear()
+            for j in j_range.levels():
+                window.empty(j, 1024)
+            assert len(support) == len(j_range.levels())
+
+    @pytest.mark.parametrize(
+        "j_range, l_max", [(JRange(j0=0, jL=9), 1024), (JRange(j0=1, jL=9), 8192)], ids=["own", "view"]
+    )
+    def test_log_table_sliced_up_to_the_cap(self, fresh_store, j_range, l_max):
+        basis = LevelBasis(MEX, j_range, l_max)
+        assert basis.log_l.base is needlet._LOG_L
+        assert LevelBasis(MEX, select_j_range(9000, MEX), 9000).log_l.base is None  # past the cap: its own
+
+    @pytest.mark.host_bits
+    def test_log_table_equals_fresh_logs(self):
+        # a slice of the table has the bytes of np.log over its own length,
+        # whatever SIMD loop and tail that length takes
+        for size in range(1, harmonic.DEFAULT_LMAX_CAP + 1):
+            fresh = np.log(np.arange(1, size + 1, dtype=float))
+            assert needlet._LOG_L[:size].tobytes() == fresh.tobytes(), size
+
+
 class TestAlphaGrid:
     @pytest.mark.parametrize("search", [(2.001, 10.0), (-1.5, 4.25)])
     @pytest.mark.parametrize("own", [False, True], ids=["view", "own"])

@@ -75,6 +75,12 @@ class TestGrid:
         with pytest.raises(ResourceLimitError):
             build_grid(10, 2.0)
 
+    @pytest.mark.parametrize("j, B", [(1100, 2.0), (2, 1e200), (2, 1e154), (2000, 2.0)])
+    def test_past_the_float_range_is_past_the_cap(self, j, B):
+        # B^j or its ring count past the float range once raised OverflowError
+        with pytest.raises(ResourceLimitError, match="need inf points"):
+            build_grid(j, B, oversample=0.5)
+
 
 class TestLegendre:
     def test_addition_theorem(self):

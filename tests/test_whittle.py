@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -14,6 +16,7 @@ from needlet_whittle import (
     PowerSpectrumModel,
     SearchSettings,
     StandardWindow,
+    cli,
     compute_statistics,
     contrast,
     empirical_cl,
@@ -26,7 +29,7 @@ from needlet_whittle import (
     simulate_alm,
     whittle,
 )
-from needlet_whittle.errors import ConfigError
+from needlet_whittle.errors import ConfigError, NeedletWhittleError
 from needlet_whittle.harness import ReplicationRow, write_rows_csv
 from needlet_whittle.needlet import LevelBasis, NeedletStatistics, narrow_band_j1, select_j_range
 from needlet_whittle.whittle import GRID_POINTS, contrast_two_param
@@ -429,6 +432,82 @@ class TestFitNarrowBand:
         # g = 1/2 puts it at jL - 1/2, which rounds up to a single level
         with pytest.raises(NarrowBandError):
             fit_narrow_band(spec, window, g=0.5)
+
+
+# ROADMAP item 1's noise-free grid: mexican p and the compact window (None),
+# B, alpha0 and l_max, each on the full band and on the narrow band at g 0.5
+PROBE_P = (1, 2, 3, 4, 6, 10, 50, None)
+PROBE_B = (1.05, 1.2, 1.5, 2.0, 3.0, 5.0)
+PROBE_ALPHA0 = (2.05, 2.5, 3.0, 4.0, 6.0, 9.5)
+PROBE_LMAX = (16, 64, 256, 1024, 8192)
+# the probe's fits that miss alpha0 by more than tol, all mexican p 1, alpha0
+# 9.5 on the narrow band, as (B, l_max)
+UNRESOLVED = [(1.05, 1024), (1.05, 8192), (1.2, 1024), (1.2, 8192), (1.5, 8192), (2.0, 8192), (3.0, 8192)]
+
+
+def _probe_fit(p, B, alpha0, l_max, band):
+    window = StandardWindow(B=B) if p is None else MexicanWindow(p=p, B=B)
+    spec = noise_free_spectrum(PowerSpectrumModel(alpha0=alpha0), l_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryWarning)
+        return whittle.fit_band(spec, window, band, None, None, 0.5 if band == "narrow" else None, None)
+
+
+class TestResolution:
+    """A fit converges only where double precision resolves alpha-hat to
+    within ``RESOLUTION_BOUND`` tol: eps sum_j N_j |K_j'/K_j| / (sum_j N_j
+    hessian) at alpha-hat."""
+
+    @pytest.mark.parametrize("B, l_max", UNRESOLVED)
+    def test_unresolved_fits_not_converged(self, B, l_max):
+        # each reported converged True before the bound, with errors 7.7e-6 to 0.52
+        fit = _probe_fit(1, B, 9.5, l_max, "narrow")
+        tol = SearchSettings().tol
+        assert abs(fit.alpha_hat - 9.5) > tol
+        assert fit.resolution > whittle.RESOLUTION_BOUND * tol
+        assert not fit.converged
+
+    def test_probe_sample(self):
+        # a seeded sample of the probe grid: every request raises a typed
+        # error, reports itself unconverged, or recovers alpha0 within tol
+        requests = list(itertools.product(PROBE_P, PROBE_B, PROBE_ALPHA0, PROBE_LMAX, ("full", "narrow")))
+        picks = np.random.default_rng(20261022).choice(len(requests), size=300, replace=False)
+        outcomes = {"error": 0, "unconverged": 0, "recovered": 0}
+        for i in picks:
+            p, B, alpha0, l_max, band = requests[i]
+            try:
+                fit = _probe_fit(p, B, alpha0, l_max, band)
+            except NeedletWhittleError:
+                outcomes["error"] += 1
+                continue
+            if not fit.converged:
+                outcomes["unconverged"] += 1
+                continue
+            assert abs(fit.alpha_hat - alpha0) <= SearchSettings().tol, requests[i]
+            outcomes["recovered"] += 1
+        assert outcomes["recovered"] > 200, outcomes
+
+    def test_benchmark_like_fits_resolved(self, canonical_model):
+        spec = chi2_spectrum(canonical_model, 1024, 3)
+        for fit in (fit_full_band(spec, MEX), fit_narrow_band(spec, MEX, g=0.5), fit_full_band(spec, STD)):
+            assert fit.converged and 0.0 < fit.resolution < 1e-12
+
+    def test_estimate_reports_unconverged(self, tmp_path, capsys):
+        # the noise-free alpha0 9.5 spectrum at mexican p 1, B 1.05: an
+        # alpha-hat 3.6e-5 off at a hessian of ~1.6e-13 printed "converged True"
+        path = tmp_path / "a95.spectrum.csv"
+        noise_free_spectrum(PowerSpectrumModel(alpha0=9.5), 1024).to_csv(path)
+        argv = ["estimate", "--spectrum-file", str(path), "--p", "1", "--B", "1.05", "--band", "narrow", "--g", "0.5"]
+        assert cli.main(argv) == cli.EXIT_OK
+        report = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+        assert report["converged"] == "False"
+        assert float(report["resolution"]) > whittle.RESOLUTION_BOUND * SearchSettings().tol
+
+    def test_report_prints_an_infinite_resolution_as_na(self, canonical_model):
+        fit = fit_full_band(chi2_spectrum(canonical_model, 256, 1), MEX)
+        assert re.search(r"^resolution    \d\.\d{3}e-\d+$", fit.report(), re.M)
+        fit.resolution = math.inf
+        assert "\nresolution    n/a\n" in fit.report()
 
 
 class TestPlugIn:
